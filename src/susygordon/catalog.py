@@ -36,9 +36,11 @@ from .analytic import (
 from .elliptic import JacobiCn, JacobiDn, JacobiSn
 from .grassmann import (
     DEFAULT_CONTEXT,
+    TIER_DEFAULTS,
     AlgebraContext,
     GrassmannNumber,
     ParityError,
+    worst_of,
 )
 from .odes import NearSingular, integrate_two_sided, make_system
 from .reductions import OutOfDomain, build_ansatz, const_profile, profile, zero_profile
@@ -81,13 +83,17 @@ class SolutionEntry:
 
     name: str
     subalgebra: str
-    tolerance: float
+    tier: str  # a key of TIER_DEFAULTS
     summary: str
     domain: str
     defaults: dict
     builder: Callable
     grid_fn: Callable
     notes: str = ""
+
+    @property
+    def tolerance(self) -> float:
+        return TIER_DEFAULTS[self.tier]
 
 
 @dataclass(frozen=True)
@@ -433,7 +439,7 @@ def _vacuum_entry(name: str, subalgebra: str) -> SolutionEntry:
     return SolutionEntry(
         name=name,
         subalgebra=subalgebra,
-        tolerance=1e-12,
+        tier="exact",
         summary="constant vacuum, value = k*pi",
         domain="all of superspace",
         defaults={"k": 1},
@@ -454,7 +460,7 @@ _register(
     SolutionEntry(
         name="gian1A",
         subalgebra="S2",
-        tolerance=1e-12,
+        tier="exact",
         summary="shifted vacuum (k + 1/2)*pi dressed by one odd constant and "
         "an arbitrary time profile",
         domain="all of superspace",
@@ -469,7 +475,7 @@ _register(
     SolutionEntry(
         name="gian1C",
         subalgebra="S3",
-        tolerance=1e-12,
+        tier="exact",
         summary="shifted vacuum (k + 1/2)*pi dressed by one odd constant and "
         "an arbitrary space profile",
         domain="all of superspace",
@@ -484,7 +490,7 @@ _register(
     SolutionEntry(
         name="gian1E",
         subalgebra="S7",
-        tolerance=1e-12,
+        tier="exact",
         summary="shifted vacuum with a two-odd-constant dressing and a free "
         "profile of the invariant variable",
         domain="all of superspace",
@@ -499,7 +505,7 @@ _register(
     SolutionEntry(
         name="gian1G",
         subalgebra="S10",
-        tolerance=1e-12,
+        tier="exact",
         summary="mirror of gian1E built on the second odd translation",
         domain="all of superspace",
         defaults={"k": 0, "nu": None, "lambda0": None, "profile": SIN},
@@ -513,7 +519,7 @@ _register(
     SolutionEntry(
         name="gian2",
         subalgebra="S6, S11",
-        tolerance=1e-12,
+        tier="exact",
         summary="constant vacuum shared by both mixed translation families",
         domain="all of superspace",
         defaults={"k": 1},
@@ -525,7 +531,7 @@ _register(
     SolutionEntry(
         name="d3",
         subalgebra="S4",
-        tolerance=1e-8,
+        tier="elliptic",
         summary="elliptic traveling wave at parameter -1 with an odd doublet "
         "built from quarter-angle quotients",
         domain="sigma = x - t inside (0.25, 2.35), half the fundamental cell",
@@ -540,7 +546,7 @@ _register(
     SolutionEntry(
         name="d5",
         subalgebra="S4",
-        tolerance=1e-10,
+        tier="trig",
         summary="kink arcsin(tanh) with sech/tanh odd dressing",
         domain="checked on [0.5, 3] x [0.5, 3]; defined everywhere",
         defaults={"D1": None},
@@ -552,7 +558,7 @@ _register(
     SolutionEntry(
         name="d18",
         subalgebra="S1",
-        tolerance=1e-10,
+        tier="trig",
         summary="purely odd oscillatory pair over the scaling invariant x*t",
         domain="x > 0 and t > 0",
         defaults={"D1": None, "D2": None},
@@ -564,7 +570,7 @@ _register(
     SolutionEntry(
         name="ginv9",
         subalgebra="S12",
-        tolerance=1e-6,
+        tier="ode",
         summary="elliptic background with an integrated odd sector over the "
         "mixed traveling invariant",
         domain="sigma in [-halfwidth, halfwidth], eps = -1 only",
@@ -587,7 +593,7 @@ _register(
     SolutionEntry(
         name="ginv14",
         subalgebra="S8",
-        tolerance=1e-6,
+        tier="ode",
         summary="mirror entry on the first odd traveling family",
         domain="sigma in [-halfwidth, halfwidth], eps = -1 only",
         defaults={
@@ -657,7 +663,5 @@ def verify_entry(
     p = _merged(entry, params)
     f = entry.builder(p, ctx)
     pts = tuple(grid) if grid is not None else tuple(entry.grid_fn(p, ctx))
-    worst = 0.0
-    for x, t in pts:
-        worst = max(worst, ssg_residual(f, x, t).norm())
+    worst = worst_of(ssg_residual(f, x, t).norm() for x, t in pts)
     return EntryCheck(entry.name, entry.subalgebra, worst, entry.tolerance, len(pts))

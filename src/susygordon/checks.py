@@ -1,0 +1,565 @@
+"""The registry of verification checks behind ``verify`` and the acceptance sweep.
+
+A check draws its samples and yields one residual per sample; the one
+reducer :func:`~susygordon.grassmann.worst_count` turns them into the worst
+residual and the sample count a report records.  A sampler is called as
+``residuals(ctx, base, count)``: the registry passes ``base = seed * seed
+multiplier`` and the entry's sample count, and the acceptance sweep calls
+the same samplers with its own seeds.
+
+Negative-control checks invert the usual reading: they yield the shortfall
+below a required separation margin, so a healthy control reports 0.0 and a
+control that lost its teeth reports how far under the margin it fell.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from .analytic import COS, SIN, Power, TaylorFn, TrigPoly
+from .catalog import catalog_entry, catalog_names, verify_entry
+from .elliptic import JacobiCn, JacobiDn, JacobiSn, ellipk, jacobi
+from .grassmann import worst_count, worst_of
+from .odes import drift_ratio, energy_drifts, integrate_profile_ode, make_system
+from .prolongation import (
+    COMPONENT_SIGNATURE,
+    SSG_SIGNATURE,
+    component_named_generators,
+    component_shift_spec,
+    prolong,
+    prolong_expanded,
+    random_jet_point,
+    ssg_named_generators,
+    ssg_shift_spec,
+    symmetry_residual,
+)
+from .reductions import (
+    ansatz_invariance,
+    component_case_ids,
+    component_slice_check,
+    constant_drift,
+    nonstandard_ids,
+    nonstandard_obstruction,
+    profile,
+    random_reduction_profiles,
+    reduction_case_ids,
+    reduction_constant,
+    reduction_consistency,
+    zero_profile,
+)
+from .superalgebra import (
+    AlgebraElement,
+    adjoint_closed_form,
+    adjoint_exp,
+    basis_element,
+    bracket,
+    solve_conjugation_to_L,
+    verify_structure,
+)
+from .superfield import evaluate_bundle, op_D, op_Q, random_superfield, superfield_jet
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    name: str
+    anchor: str
+    tier: Optional[str]
+    fn: Callable  # fn(cfg, ctx) -> (max_residual, samples)
+    fixed_tolerance: Optional[float] = None
+    min_generators: int = 4
+    case_tags: tuple = ()
+
+
+def _entry(name, anchor, tier, seed_mult, count, min_generators, residuals, points=1, **kw):
+    """A check whose samples are ``residuals(ctx, seed * seed_mult, count)``.
+
+    Each residual covers ``points`` checked points of the report's count.
+    """
+
+    def fn(cfg, ctx):
+        worst, n = worst_count(residuals(ctx, cfg.seed * seed_mult, count))
+        return worst, n * points
+
+    return CheckSpec(name, anchor, tier, fn, min_generators=min_generators, **kw)
+
+
+# --------------------------------------------------------------------------
+# algebra suite
+
+
+_B5_POINTS = tuple((0.15 + 0.2 * i, -0.45 + 0.17 * i) for i in range(10))
+
+
+def covariant_squares(jet, b, ctx):
+    """D_a D_a = d_a and {D_x, D_t} = 0 (b5)."""
+
+    def DD(a, c):
+        return op_D(op_D(jet, ctx, c), ctx, a).value()
+
+    return (
+        (DD("x", "x") - b.d_x).norm(),
+        (DD("t", "t") - b.d_t).norm(),
+        (DD("x", "t") + DD("t", "x")).norm(),
+    )
+
+
+def susy_anticommutators(jet, b, ctx):
+    """Q_a Q_a = -d_a, {Q_x, Q_t} = 0 and {D_a, Q_b} = 0 (b5)."""
+
+    def QQ(a, c):
+        return op_Q(op_Q(jet, ctx, c), ctx, a).value()
+
+    def DQ(a, c):
+        return op_D(op_Q(jet, ctx, c), ctx, a).value()
+
+    def QD(a, c):
+        return op_Q(op_D(jet, ctx, c), ctx, a).value()
+
+    devs = [
+        (QQ("x", "x") * 2.0 + b.d_x * 2.0).norm(),
+        (QQ("t", "t") * 2.0 + b.d_t * 2.0).norm(),
+        (QQ("x", "t") + QQ("t", "x")).norm(),
+    ]
+    for da, qb in (("x", "x"), ("x", "t"), ("t", "x"), ("t", "t")):
+        devs.append((DQ(da, qb) + QD(qb, da)).norm())
+    return devs
+
+
+def b5_residuals(*families):
+    """Sampler of the b5 identity families, all read off one superfield jet
+    per random superfield and point."""
+
+    def residuals(ctx, base, count):
+        for s in range(count):
+            f = random_superfield(base + s, ctx)
+            for x0, t0 in _B5_POINTS:
+                x, t = ctx.scalar(x0), ctx.scalar(t0)
+                b = evaluate_bundle(f, x, t)
+                jet = superfield_jet(f, x, t, order=2)
+                yield worst_of(r for family in families for r in family(jet, b, ctx))
+
+    return residuals
+
+
+def bracket_table_residuals(ctx, base, count):
+    """Every nonzero entry of the frozen supercommutator table, plus zeros."""
+    mu, nu = ctx.gen("mu"), ctx.gen("nu")
+    eta, lam = ctx.gen("D1"), ctx.gen("D2")
+    L, Px, Pt = (basis_element(k, ctx) for k in ("L", "Px", "Pt"))
+
+    def elem(**kw):
+        return AlgebraElement.from_coeffs(ctx, **kw)
+
+    qx, qt = elem(Qx=mu), elem(Qt=nu)
+    return [
+        (bracket(L, Px) - Px * 2.0).norm(),
+        (bracket(L, Pt) + Pt * 2.0).norm(),
+        bracket(Px, Pt).norm(),
+        bracket(Px, Px).norm(),
+        bracket(L, L).norm(),
+        (bracket(L, qx) - qx).norm(),
+        (bracket(L, qt) + qt).norm(),
+        (bracket(qx, L) + qx).norm(),
+        bracket(qx, Px).norm(),
+        bracket(qt, Pt).norm(),
+        bracket(qx, qt).norm(),
+        (bracket(qx, elem(Qx=eta)) - elem(Px=(mu * eta) * 2.0)).norm(),
+        (bracket(qt, elem(Qt=lam)) - elem(Pt=(nu * lam) * 2.0)).norm(),
+        bracket(qx, qx).norm(),
+    ]
+
+
+def random_algebra_element(seed, ctx):
+    rng = random.Random(seed)
+    mu, nu = ctx.gen("mu"), ctx.gen("nu")
+    eta, lam = ctx.gen("D1"), ctx.gen("D2")
+    even_soul = mu * nu * rng.uniform(-0.5, 0.5)
+    return AlgebraElement.from_coeffs(
+        ctx,
+        L=ctx.scalar(rng.uniform(-1.0, 1.0)) + even_soul,
+        Px=rng.uniform(-1.0, 1.0),
+        Pt=rng.uniform(-1.0, 1.0),
+        Qx=mu * rng.uniform(-1.0, 1.0) + eta * rng.uniform(-1.0, 1.0),
+        Qt=nu * rng.uniform(-1.0, 1.0) + lam * rng.uniform(-1.0, 1.0),
+    )
+
+
+def graded_jacobi(X, Y, Z) -> float:
+    """Norm of the cyclic sum of the graded Jacobi identity."""
+    return (
+        bracket(X, bracket(Y, Z))
+        + bracket(Y, bracket(Z, X))
+        + bracket(Z, bracket(X, Y))
+    ).norm()
+
+
+def jacobi_residuals(ctx, base, count):
+    for s in range(count):
+        X, Y, Z = (random_algebra_element(base + 3 * s + j, ctx) for j in range(3))
+        yield graded_jacobi(X, Y, Z)
+
+
+def structure_residuals(realization):
+    """Sampler of the realized brackets against the abstract table, one
+    residual per jet point."""
+
+    def residuals(ctx, base, count):
+        for s in range(count):
+            yield verify_structure(realization, n_points=1, seed=base + s, ctx=ctx)
+
+    return residuals
+
+
+def bch_residuals(ctx, base, count):
+    """Series against closed form of exp(ad Y) X, ``count`` draws of X for
+    each scaling of L."""
+    mu, nu = ctx.gen("mu"), ctx.gen("nu")
+    eta, lam = ctx.gen("D1"), ctx.gen("D2")
+    for i, k in enumerate((ctx.scalar(-0.5), ctx.scalar(0.3), mu * nu)):
+        Y = AlgebraElement.from_coeffs(ctx, L=k, Qx=eta * 0.7, Qt=lam * (-0.4))
+        rng = random.Random(base + i)
+        for _ in range(count):
+            X = AlgebraElement.from_coeffs(
+                ctx,
+                Px=rng.uniform(-1.0, 1.0),
+                Pt=rng.uniform(-1.0, 1.0),
+                Qx=mu * rng.uniform(-1.0, 1.0),
+                Qt=nu * rng.uniform(-1.0, 1.0),
+            )
+            yield (adjoint_exp(Y, X, series_terms=16) - adjoint_closed_form(Y, X)).norm()
+
+
+def conjugation_residuals(ctx, base, count):
+    for s in range(count):
+        V = random_algebra_element(base + s, ctx)
+        V = AlgebraElement.from_coeffs(
+            ctx, L=1.0, Px=V.c_Px, Pt=V.c_Pt, Qx=V.c_Qx, Qt=V.c_Qt
+        )
+        Y, res = solve_conjugation_to_L(V)
+        img = adjoint_exp(Y, V)
+        yield worst_of((
+            res,
+            img.c_Px.norm(),
+            img.c_Pt.norm(),
+            img.c_Qx.norm(),
+            img.c_Qt.norm(),
+            (img.c_L - V.c_L).norm(),
+        ))
+
+
+# --------------------------------------------------------------------------
+# prolongation suite
+
+# jet signature, named symmetry generators, field shift and shifted field
+_PICTURES = {
+    "superspace": (SSG_SIGNATURE, ssg_named_generators, ssg_shift_spec, "Phi"),
+    "component": (COMPONENT_SIGNATURE, component_named_generators, component_shift_spec, "u"),
+}
+
+
+def _rows(criterion):
+    """The superspace criterion is one supernumber, the component one a triple."""
+    return criterion if isinstance(criterion, tuple) else (criterion,)
+
+
+def prolongation_gaps(picture):
+    """Sampler of recursive against expanded prolongation, one residual per
+    jet point and generator."""
+    sig, named = _PICTURES[picture][:2]
+
+    def residuals(ctx, base, count):
+        gens = named(ctx)
+        for s in range(count):
+            p = random_jet_point(sig, base + s, ctx)
+            for spec in gens.values():
+                a = prolong(spec, p)
+                b = prolong_expanded(spec, p)
+                yield worst_of((a.values[key] - val).norm() for key, val in b.values.items())
+
+    return residuals
+
+
+def symmetry_residuals(picture):
+    """Sampler of the determining equations on shell, one residual per jet
+    point and generator."""
+    sig, named = _PICTURES[picture][:2]
+
+    def residuals(ctx, base, count):
+        gens = named(ctx)
+        for s in range(count):
+            p = random_jet_point(sig, base + s, ctx)
+            for spec in gens.values():
+                yield worst_of(r.norm() for r in _rows(symmetry_residual(spec, p)))
+
+    return residuals
+
+
+def shift_shortfalls(picture):
+    """Sampler of the field-shift control's shortfall below the 0.1 floor.
+
+    The shift is not a symmetry, so its residual body must stay visible;
+    points where the cosine dies carry no signal and are skipped.
+    """
+    sig, _, shift, field = _PICTURES[picture]
+
+    def residuals(ctx, base, count):
+        spec = shift(ctx)
+        for s in range(count):
+            p = random_jet_point(sig, base + s, ctx)
+            if abs(math.cos(p.coordinate(field).body)) < 0.1:
+                continue
+            yield 0.1 - abs(_rows(symmetry_residual(spec, p))[0].body)
+
+    return residuals
+
+
+# --------------------------------------------------------------------------
+# reductions suite
+
+
+_CONSISTENCY_POINTS = ((0.4, 0.7), (1.1, 0.5), (0.8, 1.3), (-0.6, 0.9), (1.5, -0.4), (0.3, 1.8))
+# the scaling case takes sigma = x t to a square root; stay in one quadrant
+_CONSISTENCY_POINTS_POS = ((0.4, 0.7), (1.1, 0.5), (0.8, 1.3), (0.6, 0.9), (1.5, 0.4), (0.3, 1.8))
+
+
+def _case_points(case_id):
+    return _CONSISTENCY_POINTS_POS if case_id == "S1" else _CONSISTENCY_POINTS
+
+
+def consistency_residuals(case_id, idx):
+    """Sampler of one case's reduction consistency; the case's index in the
+    table offsets its profile seeds."""
+
+    def residuals(ctx, base, count):
+        for s in range(count):
+            prof = random_reduction_profiles(case_id, base + idx + s, ctx)
+            yield reduction_consistency(case_id, prof, _case_points(case_id), ctx=ctx)
+
+    return residuals
+
+
+def ansatz_residuals(ctx, base, count):
+    """Generator action on each case's ansatz at three points."""
+    for i, case_id in enumerate(reduction_case_ids()):
+        prof = random_reduction_profiles(case_id, base + i, ctx)
+        yield ansatz_invariance(case_id, prof, _case_points(case_id)[:3], ctx=ctx)
+
+
+def component_profiles(rng, ctx):
+    def fn():
+        return TrigPoly(
+            waves=[(rng.uniform(0.4, 1.0), rng.uniform(0.5, 1.2), rng.uniform(-1.5, 1.5))],
+            poly=[rng.uniform(-0.3, 0.3)],
+        )
+
+    return {
+        "u": profile(ctx, (ctx.scalar(rng.uniform(0.7, 1.3)), fn())),
+        "phi": profile(ctx, (ctx.gen("D1"), fn()), (ctx.gen("mu0"), fn())),
+        "psi": profile(ctx, (ctx.gen("D2"), fn()), (ctx.gen("lambda0"), fn())),
+    }
+
+
+_SLICE_SIGMAS = (0.6, 1.3, 2.1)
+
+
+def slice_residuals(ctx, rngs):
+    """Component rows against the superspace slice, one component case per
+    rng, each at three sigmas."""
+    for lid, rng in zip(component_case_ids(), rngs):
+        yield component_slice_check(lid, component_profiles(rng, ctx), _SLICE_SIGMAS, ctx)
+
+
+def _seeded_slice_residuals(ctx, base, count):
+    return slice_residuals(ctx, (random.Random(base + i) for i in itertools.count()))
+
+
+_DRIFT_SIGMAS = (0.5, 1.1, 1.9, 2.6, 3.0)
+
+
+def drift_residuals(ctx, base, count):
+    """Drift of the scaling case's nilpotent invariant along an on-shell
+    oscillatory family, where it is the generator pair exactly."""
+    d1, d2 = ctx.gen("D1"), ctx.gen("D2")
+    cos2rt = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(COS))
+    sin2rt = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(SIN))
+    damped_cos = TaylorFn(
+        lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(COS)
+    )
+    damped_sin = TaylorFn(
+        lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(SIN)
+    )
+    prof = {
+        "alpha": zero_profile(ctx),
+        "mu": profile(ctx, (d1, damped_cos), (d2 * -1.0, damped_sin)),
+        "nu": profile(ctx, (d1, sin2rt), (d2, cos2rt)),
+        "beta": zero_profile(ctx),
+    }
+    drift = constant_drift("S1", prof, _DRIFT_SIGMAS, ctx)
+    pinned = (reduction_constant("S1", prof, 1.3, ctx) - d1 * d2).norm()
+    return (worst_of((drift, pinned)),)
+
+
+def obstruction_residuals(ctx, base, count):
+    """S5 demonstration plus the no-reduction records for the other five.
+
+    The S5 residual mixes residuals with separation shortfalls: vacuum
+    residuals count directly, while the x-gap, the off-vacuum constant, and
+    the odd probe must clear 0.1 and contribute what they miss.
+    """
+    rec = nonstandard_obstruction("S5", ctx, rng_seed=base)
+    yield worst_of((
+        *rec.details["kpi_residuals"].values(),
+        rec.details["affine_defect"],
+        0.1 - rec.x_gap,
+        0.1 - rec.details["offset_body_residual"],
+        0.1 - rec.details["odd_probe_residual"],
+        0.0 if rec.solution_set == "value = k*pi" else 1.0,
+    ))
+    for sid in nonstandard_ids():
+        r = nonstandard_obstruction(sid, ctx, rng_seed=base)
+        yield 0.0 if r.reducible is False else 1.0
+
+
+# --------------------------------------------------------------------------
+# solutions suite
+
+
+def _solution(name):
+    entry = catalog_entry(name)
+
+    def fn(cfg, ctx):
+        res = verify_entry(name, ctx=ctx)
+        return res.max_residual, res.samples
+
+    tags = (name,) + tuple(s.strip() for s in entry.subalgebra.split(","))
+    return CheckSpec(name, name, entry.tier, fn, min_generators=8, case_tags=tags)
+
+
+# --------------------------------------------------------------------------
+# elliptic suite
+
+
+def elliptic_identities(moduli):
+    """Sampler of sn^2 + cn^2 = 1 and dn^2 + m sn^2 = 1 on a grid of u for
+    each modulus."""
+
+    def residuals(ctx, base, count):
+        for m in moduli:
+            for i in range(13):
+                tr = jacobi(-3.0 + 0.5 * i, m)
+                yield worst_of((
+                    abs(tr.sn ** 2 + tr.cn ** 2 - 1.0),
+                    abs(tr.dn ** 2 + m * tr.sn ** 2 - 1.0),
+                ))
+
+    return residuals
+
+
+def quarter_period_residuals(ctx, base, count):
+    return [
+        abs(ellipk(0.0) - math.pi / 2.0),
+        abs(ellipk(-1.0) - 1.3110287771460598),
+        abs(jacobi(ellipk(0.49), 0.49).sn - 1.0),
+        abs(jacobi(ellipk(0.49), 0.49).cn),
+        abs(jacobi(ellipk(0.81), 0.81).dn - math.sqrt(1.0 - 0.81)),
+    ]
+
+
+def ladder_residuals(ctx, base, count):
+    for m in (-0.5, 0.3, 0.64):
+        for i in range(9):
+            u = -2.0 + 0.5 * i
+            s = JacobiSn(m).derivs(u, 2)
+            c = JacobiCn(m).derivs(u, 2)
+            d = JacobiDn(m).derivs(u, 2)
+            yield worst_of((
+                abs(s[1] - c[0] * d[0]),
+                abs(c[1] + s[0] * d[0]),
+                abs(d[1] + m * s[0] * c[0]),
+                abs(s[2] + s[0] * d[0] ** 2 + m * s[0] * c[0] ** 2),
+            ))
+
+
+def traveling_drifts(ctx, base, count):
+    """First-integral drift at every node of the traveling profile."""
+    system = make_system("rebp", eps=-1.0, ctx=ctx)
+    return energy_drifts(integrate_profile_ode(system, (0.0, 1.0), 0.0, 3.0, 1.0 / 256, ctx=ctx))
+
+
+def rk4_ratio(ctx) -> float:
+    """Drift at step h over drift at h/2 on the traveling profile; ~16 for RK4."""
+    system = make_system("rebp", eps=-1.0, ctx=ctx)
+    return drift_ratio(system, (0.3, 0.9), 0.0, 3.0, 0.1, ctx=ctx)
+
+
+def rk4_residuals(ctx, base, count):
+    return (abs(rk4_ratio(ctx) - 16.0),)
+
+
+# --------------------------------------------------------------------------
+# the registry
+
+# each entry: name, anchor, tier, seed multiplier, sample count, generator
+# floor, sampler (the count is None where the samples are fixed)
+REGISTRY = {
+    "algebra": (
+        _entry("covariant_derivative_squares", "b5", "exact", 1009, 50, 5,
+               b5_residuals(covariant_squares)),
+        _entry("susy_anticommutators", "b5", "exact", 1013, 50, 5,
+               b5_residuals(susy_anticommutators)),
+        _entry("abstract_bracket_table", "Table 3", "exact", 0, None, 6,
+               bracket_table_residuals),
+        _entry("graded_jacobi_identity", "Table 3", "exact", 1021, 100, 6, jacobi_residuals),
+        _entry("realized_superspace_brackets", "Table 3", "exact", 1, 4, 6,
+               structure_residuals("superspace"), points=28),
+        _entry("realized_component_brackets", "c4", "exact", 1, 4, 6,
+               structure_residuals("component"), points=4),
+        _entry("bch_closed_form_vs_series", "symmie14", "trig", 509, 4, 6, bch_residuals),
+        _entry("conjugation_normal_form", "symmie13", "exact", 701, 6, 6,
+               conjugation_residuals),
+    ),
+    "prolongation": (
+        _entry("recursive_vs_expanded", "symmie7A", "exact", 2003, 100, 5,
+               prolongation_gaps("superspace")),
+        _entry("recursive_vs_expanded_component", "prbos", "exact", 2087, 60, 5,
+               prolongation_gaps("component")),
+        _entry("onshell_symmetry_residuals", "symmie8", "exact", 3001, 200, 5,
+               symmetry_residuals("superspace")),
+        _entry("component_symmetry_residuals", "c1G", "exact", 3083, 100, 5,
+               symmetry_residuals("component")),
+        _entry("shift_control_margin", "symmie7", "exact", 4001, 40, 5,
+               shift_shortfalls("superspace")),
+        _entry("component_shift_control_margin", "c1F", "exact", 4099, 40, 5,
+               shift_shortfalls("component")),
+    ),
+    "reductions": tuple(
+        _entry(f"consistency_{case_id}", "Table 5", "trig", 6007, 1, 8,
+               consistency_residuals(case_id, i), points=len(_case_points(case_id)),
+               case_tags=(case_id,))
+        for i, case_id in enumerate(reduction_case_ids())
+    ) + (
+        _entry("ansatz_invariance", "Table 4", "exact", 6343, None, 8, ansatz_residuals,
+               points=3, case_tags=tuple(reduction_case_ids())),
+        _entry("component_slices", "Table 2", "exact", 6661, None, 8, _seeded_slice_residuals,
+               points=len(_SLICE_SIGMAS), case_tags=tuple(component_case_ids())),
+        _entry("scaling_invariant_drift", "d7", "exact", 0, None, 6, drift_residuals,
+               points=len(_DRIFT_SIGMAS), case_tags=("S1",)),
+        _entry("nonstandard_obstructions", "nonstandard2", "exact", 1, None, 8,
+               obstruction_residuals, case_tags=tuple(nonstandard_ids())),
+    ),
+    "solutions": tuple(_solution(name) for name in catalog_names()),
+    "elliptic": (
+        _entry("sn_cn_dn_identities", "d3", "exact", 0, None, 4,
+               elliptic_identities((-1.0, -0.3, 0.0, 0.2, 0.49, 0.81, 0.9025))),
+        _entry("quarter_period_values", "ginv15", "exact", 0, None, 4,
+               quarter_period_residuals),
+        _entry("derivative_ladder", "ginv14", "exact", 0, None, 4, ladder_residuals),
+        _entry("traveling_first_integral", "rebp", "elliptic", 0, None, 4, traveling_drifts),
+        _entry("rk4_order_ratio", "rebp", None, 0, None, 4,
+               rk4_residuals, points=2, fixed_tolerance=3.2),
+    ),
+}

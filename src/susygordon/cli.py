@@ -17,11 +17,8 @@ bytes, so regression runs diff at the file level.  Wall-clock times stay on
 the in-memory records (and on stderr) but are never serialized.  Tolerances
 come in four named tiers -- round-off ("exact"), trigonometric identity
 chains ("trig"), special-function accuracy ("elliptic"), and RK4 truncation
-("ode") -- each overridable with ``--tolerance tier=value``.
-
-Negative-control checks invert the usual reading: they record the shortfall
-below a required separation margin, so a healthy control reports 0.0 and a
-control that lost its teeth reports how far under the margin it fell.
+("ode") -- each overridable with ``--tolerance tier=value``.  The checks
+themselves live in the ``checks`` registry.
 """
 
 from __future__ import annotations
@@ -29,76 +26,38 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from .analytic import COS, SIN, Power, TaylorFn, TrigPoly
-from .catalog import catalog_entry, catalog_names, verify_entry
-from .elliptic import JacobiCn, JacobiDn, JacobiSn, ellipk, jacobi
+from .analytic import SIN
+from .catalog import catalog_entry, catalog_names
+from .checks import REGISTRY, CheckSpec
+from .elliptic import jacobi
 from .grassmann import (
-    DEFAULT_CONTEXT,
     DEFAULT_ROLES,
+    TIER_DEFAULTS,
     AlgebraContext,
     apply_analytic,
     scalar,
+    worst_count,
+    worst_of,
 )
 from .odes import (
     ODE_SYSTEM_NAMES,
     NearSingular,
     OdeSample,
     Trajectory,
-    drift_ratio,
     first_integral_check,
     integrate_profile_ode,
     make_system,
 )
-from .prolongation import (
-    COMPONENT_SIGNATURE,
-    SSG_SIGNATURE,
-    component_named_generators,
-    component_shift_spec,
-    prolong,
-    prolong_expanded,
-    random_jet_point,
-    ssg_named_generators,
-    ssg_shift_spec,
-    symmetry_residual,
-)
-from .reductions import (
-    CASES,
-    SingularPoint,
-    ansatz_invariance,
-    component_case_ids,
-    component_slice_check,
-    constant_drift,
-    nonstandard_ids,
-    nonstandard_obstruction,
-    profile,
-    random_reduction_profiles,
-    reduction_case_ids,
-    reduction_constant,
-    reduction_consistency,
-    traveling_rewrite_rows,
-    zero_profile,
-)
-from .superalgebra import (
-    AlgebraElement,
-    adjoint_closed_form,
-    adjoint_exp,
-    basis_element,
-    bracket,
-    solve_conjugation_to_L,
-    subalgebra_catalog,
-    verify_structure,
-)
-from .superfield import evaluate_bundle, op_D, op_Q, random_superfield, superfield_jet
+from .reductions import CASES, SingularPoint, traveling_rewrite_rows
+from .superalgebra import subalgebra_catalog
 
-TIER_DEFAULTS = {"exact": 1e-12, "trig": 1e-10, "elliptic": 1e-8, "ode": 1e-6}
-SUITES = ("algebra", "prolongation", "reductions", "solutions", "elliptic")
+SUITES = tuple(REGISTRY)
 
 # residual recorded when a check raises instead of returning; large but finite
 # so the JSON stays strictly valid
@@ -122,7 +81,6 @@ class RunConfig:
     tiers: dict = field(default_factory=lambda: dict(TIER_DEFAULTS))
     generators: int = 8
     seed: int = 0
-    jobs: int = 1
     fmt: Optional[str] = None
     out: Optional[str] = None
     k0: float = 0.0
@@ -165,17 +123,6 @@ class Report:
         return all(r.status == "pass" for r in self.checks)
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    name: str
-    anchor: str
-    tier: Optional[str]
-    fn: Callable  # fn(cfg, ctx) -> (max_residual, samples)
-    fixed_tolerance: Optional[float] = None
-    min_generators: int = 4
-    case_tags: tuple = ()
-
-
 def _tolerance(spec: CheckSpec, cfg: RunConfig) -> float:
     if spec.fixed_tolerance is not None:
         return spec.fixed_tolerance
@@ -184,8 +131,8 @@ def _tolerance(spec: CheckSpec, cfg: RunConfig) -> float:
 
 def _run_checks(specs, cfg: RunConfig):
     ctx = cfg.context()
-
-    def run_one(spec):
+    results = []
+    for spec in specs:
         t0 = time.perf_counter()
         note = None
         try:
@@ -197,558 +144,8 @@ def _run_checks(specs, cfg: RunConfig):
         tol = _tolerance(spec, cfg)
         status = "pass" if worst <= tol else "fail"
         rec = CheckRecord(spec.name, spec.anchor, status, float(worst), float(tol), int(n), dt)
-        return rec, note
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(run_one, s) for s in specs]
-            results = [f.result() for f in futures]  # submission order
-    else:
-        results = [run_one(s) for s in specs]
+        results.append((rec, note))
     return results
-
-
-# --------------------------------------------------------------------------
-# algebra suite
-
-
-_B5_POINTS = tuple((0.15 + 0.2 * i, -0.45 + 0.17 * i) for i in range(10))
-
-
-def _check_covariant_squares(cfg, ctx):
-    worst, n = 0.0, 0
-    for s in range(50):
-        f = random_superfield(cfg.seed * 1009 + s, ctx)
-        for x0, t0 in _B5_POINTS:
-            x, t = ctx.scalar(x0), ctx.scalar(t0)
-            b = evaluate_bundle(f, x, t)
-            jet = superfield_jet(f, x, t, order=2)
-
-            def DD(a, c):
-                return op_D(op_D(jet, ctx, c), ctx, a).value()
-
-            worst = max(
-                worst,
-                (DD("x", "x") - b.d_x).norm(),
-                (DD("t", "t") - b.d_t).norm(),
-                (DD("x", "t") + DD("t", "x")).norm(),
-            )
-            n += 1
-    return worst, n
-
-
-def _check_susy_anticommutators(cfg, ctx):
-    worst, n = 0.0, 0
-    for s in range(50):
-        f = random_superfield(cfg.seed * 1013 + s, ctx)
-        for x0, t0 in _B5_POINTS:
-            x, t = ctx.scalar(x0), ctx.scalar(t0)
-            b = evaluate_bundle(f, x, t)
-            jet = superfield_jet(f, x, t, order=2)
-
-            def QQ(a, c):
-                return op_Q(op_Q(jet, ctx, c), ctx, a).value()
-
-            def DQ(a, c):
-                return op_D(op_Q(jet, ctx, c), ctx, a).value()
-
-            def QD(a, c):
-                return op_Q(op_D(jet, ctx, c), ctx, a).value()
-
-            devs = [
-                (QQ("x", "x") * 2.0 + b.d_x * 2.0).norm(),
-                (QQ("t", "t") * 2.0 + b.d_t * 2.0).norm(),
-                (QQ("x", "t") + QQ("t", "x")).norm(),
-            ]
-            for da, qb in (("x", "x"), ("x", "t"), ("t", "x"), ("t", "t")):
-                devs.append((DQ(da, qb) + QD(qb, da)).norm())
-            worst = max(worst, *devs)
-            n += 1
-    return worst, n
-
-
-def _check_bracket_table(cfg, ctx):
-    """Every nonzero entry of the frozen supercommutator table, plus zeros."""
-    mu, nu = ctx.gen("mu"), ctx.gen("nu")
-    eta, lam = ctx.gen("D1"), ctx.gen("D2")
-    L, Px, Pt = (basis_element(k, ctx) for k in ("L", "Px", "Pt"))
-
-    def elem(**kw):
-        return AlgebraElement.from_coeffs(ctx, **kw)
-
-    qx, qt = elem(Qx=mu), elem(Qt=nu)
-    devs = [
-        (bracket(L, Px) - Px * 2.0).norm(),
-        (bracket(L, Pt) + Pt * 2.0).norm(),
-        bracket(Px, Pt).norm(),
-        bracket(Px, Px).norm(),
-        bracket(L, L).norm(),
-        (bracket(L, qx) - qx).norm(),
-        (bracket(L, qt) + qt).norm(),
-        (bracket(qx, L) + qx).norm(),
-        bracket(qx, Px).norm(),
-        bracket(qt, Pt).norm(),
-        bracket(qx, qt).norm(),
-        (bracket(qx, elem(Qx=eta)) - elem(Px=(mu * eta) * 2.0)).norm(),
-        (bracket(qt, elem(Qt=lam)) - elem(Pt=(nu * lam) * 2.0)).norm(),
-        bracket(qx, qx).norm(),
-    ]
-    return max(devs), len(devs)
-
-
-def _random_algebra_element(seed, ctx):
-    rng = random.Random(seed)
-    mu, nu = ctx.gen("mu"), ctx.gen("nu")
-    eta, lam = ctx.gen("D1"), ctx.gen("D2")
-    even_soul = mu * nu * rng.uniform(-0.5, 0.5)
-    return AlgebraElement.from_coeffs(
-        ctx,
-        L=ctx.scalar(rng.uniform(-1.0, 1.0)) + even_soul,
-        Px=rng.uniform(-1.0, 1.0),
-        Pt=rng.uniform(-1.0, 1.0),
-        Qx=mu * rng.uniform(-1.0, 1.0) + eta * rng.uniform(-1.0, 1.0),
-        Qt=nu * rng.uniform(-1.0, 1.0) + lam * rng.uniform(-1.0, 1.0),
-    )
-
-
-def _check_graded_jacobi(cfg, ctx):
-    worst, n = 0.0, 0
-    for s in range(100):
-        base = cfg.seed * 1021 + 3 * s
-        X = _random_algebra_element(base, ctx)
-        Y = _random_algebra_element(base + 1, ctx)
-        Z = _random_algebra_element(base + 2, ctx)
-        total = (
-            bracket(X, bracket(Y, Z))
-            + bracket(Y, bracket(Z, X))
-            + bracket(Z, bracket(X, Y))
-        )
-        worst = max(worst, total.norm())
-        n += 1
-    return worst, n
-
-
-def _check_realized_superspace(cfg, ctx):
-    return verify_structure("superspace", n_points=4, seed=cfg.seed, ctx=ctx), 112
-
-
-def _check_realized_component(cfg, ctx):
-    return verify_structure("component", n_points=4, seed=cfg.seed, ctx=ctx), 16
-
-
-def _check_bch_closed_form(cfg, ctx):
-    mu, nu = ctx.gen("mu"), ctx.gen("nu")
-    eta, lam = ctx.gen("D1"), ctx.gen("D2")
-    scalings = [ctx.scalar(-0.5), ctx.scalar(0.3), mu * nu]
-    worst, n = 0.0, 0
-    for i, k in enumerate(scalings):
-        Y = AlgebraElement.from_coeffs(ctx, L=k, Qx=eta * 0.7, Qt=lam * (-0.4))
-        rng = random.Random(cfg.seed * 509 + i)
-        for _ in range(4):
-            X = AlgebraElement.from_coeffs(
-                ctx,
-                Px=rng.uniform(-1.0, 1.0),
-                Pt=rng.uniform(-1.0, 1.0),
-                Qx=mu * rng.uniform(-1.0, 1.0),
-                Qt=nu * rng.uniform(-1.0, 1.0),
-            )
-            gap = adjoint_exp(Y, X, series_terms=16) - adjoint_closed_form(Y, X)
-            worst = max(worst, gap.norm())
-            n += 1
-    return worst, n
-
-
-def _check_conjugation_normal_form(cfg, ctx):
-    worst, n = 0.0, 0
-    for s in range(6):
-        V = _random_algebra_element(cfg.seed * 701 + s, ctx)
-        V = AlgebraElement.from_coeffs(
-            ctx, L=1.0, Px=V.c_Px, Pt=V.c_Pt, Qx=V.c_Qx, Qt=V.c_Qt
-        )
-        Y, res = solve_conjugation_to_L(V)
-        img = adjoint_exp(Y, V)
-        worst = max(
-            worst,
-            res,
-            img.c_Px.norm(),
-            img.c_Pt.norm(),
-            img.c_Qx.norm(),
-            img.c_Qt.norm(),
-            (img.c_L - V.c_L).norm(),
-        )
-        n += 1
-    return worst, n
-
-
-def _algebra_suite():
-    return [
-        CheckSpec("covariant_derivative_squares", "b5", "exact",
-                  _check_covariant_squares, min_generators=5),
-        CheckSpec("susy_anticommutators", "b5", "exact",
-                  _check_susy_anticommutators, min_generators=5),
-        CheckSpec("abstract_bracket_table", "Table 3", "exact",
-                  _check_bracket_table, min_generators=6),
-        CheckSpec("graded_jacobi_identity", "Table 3", "exact",
-                  _check_graded_jacobi, min_generators=6),
-        CheckSpec("realized_superspace_brackets", "Table 3", "exact",
-                  _check_realized_superspace, min_generators=6),
-        CheckSpec("realized_component_brackets", "c4", "exact",
-                  _check_realized_component, min_generators=6),
-        CheckSpec("bch_closed_form_vs_series", "symmie14", "trig",
-                  _check_bch_closed_form, min_generators=6),
-        CheckSpec("conjugation_normal_form", "symmie13", "exact",
-                  _check_conjugation_normal_form, min_generators=6),
-    ]
-
-
-# --------------------------------------------------------------------------
-# prolongation suite
-
-
-def _check_recursive_vs_expanded(cfg, ctx):
-    gens = ssg_named_generators(ctx)
-    worst, n = 0.0, 0
-    for s in range(100):
-        p = random_jet_point(SSG_SIGNATURE, cfg.seed * 2003 + s, ctx)
-        for spec in gens.values():
-            a = prolong(spec, p)
-            b = prolong_expanded(spec, p)
-            for key, val in b.values.items():
-                worst = max(worst, (a.values[key] - val).norm())
-            n += 1
-    return worst, n
-
-
-def _check_recursive_vs_expanded_component(cfg, ctx):
-    gens = component_named_generators(ctx)
-    worst, n = 0.0, 0
-    for s in range(60):
-        p = random_jet_point(COMPONENT_SIGNATURE, cfg.seed * 2087 + s, ctx)
-        for spec in gens.values():
-            a = prolong(spec, p)
-            b = prolong_expanded(spec, p)
-            for key, val in b.values.items():
-                worst = max(worst, (a.values[key] - val).norm())
-            n += 1
-    return worst, n
-
-
-def _check_onshell_symmetry_residuals(cfg, ctx):
-    gens = ssg_named_generators(ctx)
-    worst, n = 0.0, 0
-    for s in range(200):
-        p = random_jet_point(SSG_SIGNATURE, cfg.seed * 3001 + s, ctx)
-        for spec in gens.values():
-            worst = max(worst, symmetry_residual(spec, p).norm())
-            n += 1
-    return worst, n
-
-
-def _check_component_symmetry_residuals(cfg, ctx):
-    gens = component_named_generators(ctx)
-    worst, n = 0.0, 0
-    for s in range(100):
-        p = random_jet_point(COMPONENT_SIGNATURE, cfg.seed * 3083 + s, ctx)
-        for spec in gens.values():
-            worst = max(worst, max(r.norm() for r in symmetry_residual(spec, p)))
-            n += 1
-    return worst, n
-
-
-def _check_shift_control(cfg, ctx):
-    """Shortfall of the field-shift control below the 0.1 separation floor."""
-    spec = ssg_shift_spec(ctx)
-    floor, n = math.inf, 0
-    for s in range(40):
-        p = random_jet_point(SSG_SIGNATURE, cfg.seed * 4001 + s, ctx)
-        if abs(math.cos(p.coordinate("Phi").body)) < 0.1:
-            continue  # no signal where the cosine dies
-        floor = min(floor, abs(symmetry_residual(spec, p).body))
-        n += 1
-    return max(0.0, 0.1 - floor), n
-
-
-def _check_component_shift_control(cfg, ctx):
-    spec = component_shift_spec(ctx)
-    floor, n = math.inf, 0
-    for s in range(40):
-        p = random_jet_point(COMPONENT_SIGNATURE, cfg.seed * 4099 + s, ctx)
-        if abs(math.cos(p.coordinate("u").body)) < 0.1:
-            continue
-        r1, _, _ = symmetry_residual(spec, p)
-        floor = min(floor, abs(r1.body))
-        n += 1
-    return max(0.0, 0.1 - floor), n
-
-
-def _prolongation_suite():
-    return [
-        CheckSpec("recursive_vs_expanded", "symmie7A", "exact",
-                  _check_recursive_vs_expanded, min_generators=5),
-        CheckSpec("recursive_vs_expanded_component", "prbos", "exact",
-                  _check_recursive_vs_expanded_component, min_generators=5),
-        CheckSpec("onshell_symmetry_residuals", "symmie8", "exact",
-                  _check_onshell_symmetry_residuals, min_generators=5),
-        CheckSpec("component_symmetry_residuals", "c1G", "exact",
-                  _check_component_symmetry_residuals, min_generators=5),
-        CheckSpec("shift_control_margin", "symmie7", "exact",
-                  _check_shift_control, min_generators=5),
-        CheckSpec("component_shift_control_margin", "c1F", "exact",
-                  _check_component_shift_control, min_generators=5),
-    ]
-
-
-# --------------------------------------------------------------------------
-# reductions suite
-
-
-_CONSISTENCY_POINTS = ((0.4, 0.7), (1.1, 0.5), (0.8, 1.3), (-0.6, 0.9), (1.5, -0.4), (0.3, 1.8))
-# the scaling case takes sigma = x t to a square root; stay in one quadrant
-_CONSISTENCY_POINTS_POS = ((0.4, 0.7), (1.1, 0.5), (0.8, 1.3), (0.6, 0.9), (1.5, 0.4), (0.3, 1.8))
-
-
-def _case_points(case_id):
-    return _CONSISTENCY_POINTS_POS if case_id == "S1" else _CONSISTENCY_POINTS
-
-
-def _consistency_check(case_id, idx):
-    def run(cfg, ctx):
-        prof = random_reduction_profiles(case_id, cfg.seed * 6007 + idx, ctx)
-        pts = _case_points(case_id)
-        return reduction_consistency(case_id, prof, pts, ctx=ctx), len(pts)
-
-    return run
-
-
-def _check_ansatz_invariance(cfg, ctx):
-    worst, n = 0.0, 0
-    for i, case_id in enumerate(reduction_case_ids()):
-        prof = random_reduction_profiles(case_id, cfg.seed * 6343 + i, ctx)
-        pts = _case_points(case_id)[:3]
-        worst = max(worst, ansatz_invariance(case_id, prof, pts, ctx=ctx))
-        n += len(pts)
-    return worst, n
-
-
-def _component_profiles(seed, ctx):
-    rng = random.Random(seed)
-
-    def fn():
-        return TrigPoly(
-            waves=[(rng.uniform(0.4, 1.0), rng.uniform(0.5, 1.2), rng.uniform(-1.5, 1.5))],
-            poly=[rng.uniform(-0.3, 0.3)],
-        )
-
-    return {
-        "u": profile(ctx, (ctx.scalar(rng.uniform(0.7, 1.3)), fn())),
-        "phi": profile(ctx, (ctx.gen("D1"), fn()), (ctx.gen("mu0"), fn())),
-        "psi": profile(ctx, (ctx.gen("D2"), fn()), (ctx.gen("lambda0"), fn())),
-    }
-
-
-def _check_component_slices(cfg, ctx):
-    sigmas = (0.6, 1.3, 2.1)
-    worst, n = 0.0, 0
-    for i, lid in enumerate(component_case_ids()):
-        prof = _component_profiles(cfg.seed * 6661 + i, ctx)
-        worst = max(worst, component_slice_check(lid, prof, sigmas, ctx))
-        n += len(sigmas)
-    return worst, n
-
-
-def _check_invariant_drift(cfg, ctx):
-    # on-shell oscillatory family of the scaling case; its nilpotent
-    # invariant is the generator pair exactly, at every sigma
-    d1, d2 = ctx.gen("D1"), ctx.gen("D2")
-    cos2rt = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(COS))
-    sin2rt = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(SIN))
-    damped_cos = TaylorFn(
-        lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(COS)
-    )
-    damped_sin = TaylorFn(
-        lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(SIN)
-    )
-    prof = {
-        "alpha": zero_profile(ctx),
-        "mu": profile(ctx, (d1, damped_cos), (d2 * -1.0, damped_sin)),
-        "nu": profile(ctx, (d1, sin2rt), (d2, cos2rt)),
-        "beta": zero_profile(ctx),
-    }
-    sigmas = (0.5, 1.1, 1.9, 2.6, 3.0)
-    drift = constant_drift("S1", prof, sigmas, ctx)
-    pinned = (reduction_constant("S1", prof, 1.3, ctx) - d1 * d2).norm()
-    return max(drift, pinned), len(sigmas)
-
-
-def _check_obstructions(cfg, ctx):
-    """S5 demonstration plus the no-reduction records for the other five.
-
-    The metric mixes residuals with separation shortfalls: vacuum residuals
-    count directly, while the x-gap, the off-vacuum constant, and the odd
-    probe must clear 0.1 and contribute what they miss.
-    """
-    rec = nonstandard_obstruction("S5", ctx, rng_seed=cfg.seed)
-    metric = max(
-        max(rec.details["kpi_residuals"].values()),
-        rec.details["affine_defect"],
-        max(0.0, 0.1 - rec.x_gap),
-        max(0.0, 0.1 - rec.details["offset_body_residual"]),
-        max(0.0, 0.1 - rec.details["odd_probe_residual"]),
-        0.0 if rec.solution_set == "value = k*pi" else 1.0,
-    )
-    n = 1
-    for sid in nonstandard_ids():
-        r = nonstandard_obstruction(sid, ctx, rng_seed=cfg.seed)
-        metric = max(metric, 0.0 if r.reducible is False else 1.0)
-        n += 1
-    return metric, n
-
-
-def _reductions_suite():
-    specs = []
-    for i, case_id in enumerate(reduction_case_ids()):
-        specs.append(
-            CheckSpec(
-                f"consistency_{case_id}", "Table 5", "trig",
-                _consistency_check(case_id, i),
-                min_generators=8, case_tags=(case_id,),
-            )
-        )
-    all_cases = tuple(reduction_case_ids())
-    specs.append(
-        CheckSpec("ansatz_invariance", "Table 4", "exact",
-                  _check_ansatz_invariance, min_generators=8,
-                  case_tags=all_cases)
-    )
-    specs.append(
-        CheckSpec("component_slices", "Table 2", "exact",
-                  _check_component_slices, min_generators=8,
-                  case_tags=tuple(component_case_ids()))
-    )
-    specs.append(
-        CheckSpec("scaling_invariant_drift", "d7", "exact",
-                  _check_invariant_drift, min_generators=6,
-                  case_tags=("S1",))
-    )
-    specs.append(
-        CheckSpec("nonstandard_obstructions", "nonstandard2", "exact",
-                  _check_obstructions, min_generators=8,
-                  case_tags=tuple(nonstandard_ids()))
-    )
-    return specs
-
-
-# --------------------------------------------------------------------------
-# solutions suite
-
-
-_TIER_FOR_TOLERANCE = {1e-12: "exact", 1e-10: "trig", 1e-8: "elliptic", 1e-6: "ode"}
-
-
-def _solution_check(name):
-    def run(cfg, ctx):
-        res = verify_entry(name, ctx=ctx)
-        return res.max_residual, res.samples
-
-    return run
-
-
-def _solutions_suite():
-    specs = []
-    for name in catalog_names():
-        entry = catalog_entry(name)
-        tier = _TIER_FOR_TOLERANCE[entry.tolerance]
-        tags = (name,) + tuple(s.strip() for s in entry.subalgebra.split(","))
-        specs.append(
-            CheckSpec(name, name, tier, _solution_check(name),
-                      min_generators=8, case_tags=tags)
-        )
-    return specs
-
-
-# --------------------------------------------------------------------------
-# elliptic suite
-
-
-def _check_sn_cn_dn_identities(cfg, ctx):
-    worst, n = 0.0, 0
-    for m in (-1.0, -0.3, 0.0, 0.2, 0.49, 0.81, 0.9025):
-        for i in range(13):
-            u = -3.0 + 0.5 * i
-            tr = jacobi(u, m)
-            worst = max(
-                worst,
-                abs(tr.sn ** 2 + tr.cn ** 2 - 1.0),
-                abs(tr.dn ** 2 + m * tr.sn ** 2 - 1.0),
-            )
-            n += 1
-    return worst, n
-
-
-def _check_quarter_period_values(cfg, ctx):
-    devs = [
-        abs(ellipk(0.0) - math.pi / 2.0),
-        abs(ellipk(-1.0) - 1.3110287771460598),
-        abs(jacobi(ellipk(0.49), 0.49).sn - 1.0),
-        abs(jacobi(ellipk(0.49), 0.49).cn),
-        abs(jacobi(ellipk(0.81), 0.81).dn - math.sqrt(1.0 - 0.81)),
-    ]
-    return max(devs), len(devs)
-
-
-def _check_derivative_ladder(cfg, ctx):
-    worst, n = 0.0, 0
-    for m in (-0.5, 0.3, 0.64):
-        for i in range(9):
-            u = -2.0 + 0.5 * i
-            s = JacobiSn(m).derivs(u, 2)
-            c = JacobiCn(m).derivs(u, 2)
-            d = JacobiDn(m).derivs(u, 2)
-            worst = max(
-                worst,
-                abs(s[1] - c[0] * d[0]),
-                abs(c[1] + s[0] * d[0]),
-                abs(d[1] + m * s[0] * c[0]),
-                abs(s[2] + s[0] * d[0] ** 2 + m * s[0] * c[0] ** 2),
-            )
-            n += 1
-    return worst, n
-
-
-def _check_traveling_drift(cfg, ctx):
-    system = make_system("rebp", eps=-1.0, ctx=ctx)
-    traj = integrate_profile_ode(system, (0.0, 1.0), 0.0, 3.0, 1.0 / 256, ctx=ctx)
-    return first_integral_check(traj), len(traj.samples)
-
-
-def _check_rk4_order_ratio(cfg, ctx):
-    system = make_system("rebp", eps=-1.0, ctx=ctx)
-    ratio = drift_ratio(system, (0.3, 0.9), 0.0, 3.0, 0.1, ctx=ctx)
-    return abs(ratio - 16.0), 2
-
-
-def _elliptic_suite():
-    return [
-        CheckSpec("sn_cn_dn_identities", "d3", "exact",
-                  _check_sn_cn_dn_identities),
-        CheckSpec("quarter_period_values", "ginv15", "exact",
-                  _check_quarter_period_values),
-        CheckSpec("derivative_ladder", "ginv14", "exact",
-                  _check_derivative_ladder),
-        CheckSpec("traveling_first_integral", "rebp", "elliptic",
-                  _check_traveling_drift),
-        CheckSpec("rk4_order_ratio", "rebp", None,
-                  _check_rk4_order_ratio, fixed_tolerance=3.2),
-    ]
-
-
-_SUITE_BUILDERS = {
-    "algebra": _algebra_suite,
-    "prolongation": _prolongation_suite,
-    "reductions": _reductions_suite,
-    "solutions": _solutions_suite,
-    "elliptic": _elliptic_suite,
-}
 
 
 # --------------------------------------------------------------------------
@@ -791,9 +188,20 @@ _RENDERERS = {"json": _render_json, "csv": _render_csv, "md": _render_md}
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        return
+    # write beside the target and rename over it, so a failed write leaves
+    # the target as it was instead of a partial report
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -806,7 +214,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     wanted = SUITES if cfg.suite == "all" else (cfg.suite,)
     specs = []
     for name in wanted:
-        suite_specs = _SUITE_BUILDERS[name]()
+        suite_specs = REGISTRY[name]
         if cfg.case is not None:
             suite_specs = [s for s in suite_specs if cfg.case in s.case_tags]
         need = max((s.min_generators for s in suite_specs), default=4)
@@ -999,8 +407,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     tol = cfg.tiers["ode"]
     lines = ["sigma,alpha,g,f,residual_body,residual_soul_norm"]
-    worst_body, worst_soul = 0.0, 0.0
-    emitted = 0
+    bodies, souls = [], []
     for node in samples:
         try:
             rows, alpha, gval, fval = _node_row(ode, case_id, node, cfg, ctx)
@@ -1008,21 +415,22 @@ def cmd_solve(cfg: RunConfig) -> int:
             flagged.append((node.sigma, node.sigma))
             lines.append(f"{node.sigma!r},,,,,")
             continue
-        body = max(abs(r.body) for r in rows)
-        soul = max(r.soul().norm() for r in rows)
-        worst_body = max(worst_body, body)
-        worst_soul = max(worst_soul, soul)
-        emitted += 1
+        body = worst_of(abs(r.body) for r in rows)
+        soul = worst_of(r.soul().norm() for r in rows)
+        bodies.append(body)
+        souls.append(soul)
         lines.append(
             f"{node.sigma!r},{_format_cell(alpha)},{_format_cell(gval)},"
             f"{_format_cell(fval)},{body!r},{soul!r}"
         )
     csv_text = "\n".join(lines) + "\n"
+    worst_body, emitted = worst_count(bodies)
+    worst_soul = worst_of(souls)
 
     drift = None
     if system.energy is not None and len(samples) >= 2:
         drift = first_integral_check(Trajectory(system, step, list(samples)))
-    passed = emitted > 0 and max(worst_body, worst_soul) <= tol
+    passed = emitted > 0 and worst_of((worst_body, worst_soul)) <= tol
     summary = {
         "ode": ode,
         "case": case_id,
@@ -1110,8 +518,8 @@ def _parse_tolerances(pairs):
             value = float(raw)
         except ValueError:
             raise UsageError(f"bad --tolerance value {raw!r}")
-        if value <= 0.0:
-            raise UsageError(f"tolerance must be positive, got {value}")
+        if not 0.0 < value < math.inf:  # also false for NaN
+            raise UsageError(f"tolerance must be positive and finite, got {value}")
         tiers[name] = value
     return tiers
 
@@ -1161,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=SUITES + ("all",), default="all")
     pv.add_argument("--case", help="restrict to one reduction case or catalog entry")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="checks run concurrently up to this bound")
     common(pv)
 
     ps = sub.add_parser("solve", help="integrate a reduced profile equation")
@@ -1191,7 +597,6 @@ def _config_from(ns) -> RunConfig:
         tiers=_parse_tolerances(ns.tolerance),
         generators=ns.generators,
         seed=ns.seed,
-        jobs=getattr(ns, "jobs", 1),
         fmt=ns.fmt,
         out=ns.out,
         k0=getattr(ns, "k0", 0.0),
@@ -1201,8 +606,6 @@ def _config_from(ns) -> RunConfig:
     )
     if cfg.generators < 4:
         raise UsageError(f"need at least 4 generators, got {cfg.generators}")
-    if cfg.jobs < 1:
-        raise UsageError(f"--jobs must be positive, got {cfg.jobs}")
     return cfg
 
 

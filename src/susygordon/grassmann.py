@@ -134,7 +134,7 @@ class GrassmannNumber:
 
     def norm(self) -> float:
         """Max-abs coefficient; the norm used by every tolerance check."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return worst_of(abs(c) for c in self.terms.values())
 
     # ------------------------------------------------------------------ arithmetic
 
@@ -402,10 +402,6 @@ def drop_gens(a: GrassmannNumber, gens_mask: int) -> GrassmannNumber:
     )
 
 
-def involves_gens(a: GrassmannNumber, gens_mask: int) -> bool:
-    return any(m & gens_mask for m in a.terms)
-
-
 # ------------------------------------------------------------------ text form
 
 
@@ -585,3 +581,29 @@ def gen(i: int, ngen: int = 8) -> GrassmannNumber:
 def isclose(a: GrassmannNumber, b, tol: float = 1e-12) -> bool:
     diff = a - b
     return diff.norm() <= tol
+
+
+# ------------------------------------------------------ residuals and tiers
+
+# named tolerance tiers: round-off, trigonometric identity chains,
+# special-function accuracy and RK4 truncation
+TIER_DEFAULTS = {"exact": 1e-12, "trig": 1e-10, "elliptic": 1e-8, "ode": 1e-6}
+
+
+def worst_count(values) -> tuple:
+    """The largest of ``values`` (0.0 when there are none) and their count.
+
+    Unlike ``max``, a NaN anywhere makes the result NaN, so a residual that
+    is not a number can never pass a tolerance test.
+    """
+    worst, n = 0.0, 0
+    for v in values:
+        n += 1
+        if v > worst or v != v:
+            worst = v
+    return worst, n
+
+
+def worst_of(values) -> float:
+    """The largest of ``values`` as :func:`worst_count` finds it."""
+    return worst_count(values)[0]

@@ -34,6 +34,7 @@ from .grassmann import (
     GrassmannNumber,
     apply_analytic,
     scalar,
+    worst_of,
 )
 
 ODE_SYSTEM_NAMES = ("rebp", "ginv12", "ginv17", "d16nu")
@@ -338,17 +339,19 @@ def integrate_two_sided(
 
 def first_integral_check(traj: Trajectory) -> float:
     """Max norm of E(sigma) - E(start) along the trajectory."""
+    return worst_of(energy_drifts(traj))
+
+
+def energy_drifts(traj: Trajectory):
+    """Norm of E(sigma) - E(start) at every sample, the start included."""
     if traj.system.energy is None:
         raise ValueError(f"system {traj.system.name!r} has no first integral")
     e0 = None
-    worst = 0.0
     for s in traj.samples:
         e = traj.system.energy(s.sigma, s.value, s.d1)
         if e0 is None:
             e0 = e
-        else:
-            worst = max(worst, (e - e0).norm())
-    return worst
+        yield (e - e0).norm()
 
 
 def drift_ratio(system, ics, sigma0, sigma1, step, ctx=DEFAULT_CONTEXT) -> float:

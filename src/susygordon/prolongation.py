@@ -338,10 +338,6 @@ def total_derivative_expr(
     return collect(out)
 
 
-def expr_times_coord(expr: JetExpr, coord: CoordF) -> JetExpr:
-    return [(c, fs + (coord,)) for c, fs in expr]
-
-
 def expr_sub(a: JetExpr, b: JetExpr) -> JetExpr:
     return collect(a + [(-c, fs) for c, fs in b])
 

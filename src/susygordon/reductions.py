@@ -37,6 +37,7 @@ from .grassmann import (
     ParityError,
     apply_analytic,
     scalar,
+    worst_of,
 )
 from .superalgebra import AlgebraElement
 from .superfield import Superfield, evaluate_bundle, ssg_residual, theta_coefficients
@@ -668,8 +669,8 @@ def reduction_consistency(case, profiles, points, params=None,
     p = _fill_params(case, params, ctx)
     sf = build_ansatz(case, profiles, params, ctx)
     spec0 = JetSpec(("x", "t"), 0)
-    worst = 0.0
-    for x, t in points:
+
+    def gap(x, t):
         xg, tg = _promote(x, ctx), _promote(t, ctx)
         full = ssg_residual(sf, xg, tg)
         jx = jet_variable(spec0, "x", xg)
@@ -682,8 +683,9 @@ def reduction_consistency(case, profiles, points, params=None,
         s = case.signs
         rec = rows[0] * s[0] + m1 * rows[1] * s[1] + m2 * rows[2] * s[2] \
             + (m1 * m2) * rows[3] * s[3]
-        worst = max(worst, (full - rec).norm())
-    return worst
+        return (full - rec).norm()
+
+    return worst_of(gap(x, t) for x, t in points)
 
 
 def case_generator(case, params=None, ctx: AlgebraContext = DEFAULT_CONTEXT) -> AlgebraElement:
@@ -715,13 +717,13 @@ def ansatz_invariance(case, profiles, points, params=None,
     p = _fill_params(case, params, ctx)
     sf = build_ansatz(case, profiles, params, ctx)
     X = case.generator(p, ctx)
-    worst = 0.0
-    for x, t in points:
+
+    def action(x, t):
         b = evaluate_bundle(sf, x, t)
         xi, tau, rho, sv = _coefficient_values(X, x, t, ctx)
-        act = xi * b.d_x + tau * b.d_t + rho * b.d_th1 + sv * b.d_th2
-        worst = max(worst, act.norm())
-    return worst
+        return (xi * b.d_x + tau * b.d_t + rho * b.d_th1 + sv * b.d_th2).norm()
+
+    return worst_of(action(x, t) for x, t in points)
 
 
 def reduction_constant(case, profiles, sigma, ctx: AlgebraContext = DEFAULT_CONTEXT) -> GrassmannNumber:
@@ -741,7 +743,7 @@ def reduction_constant(case, profiles, sigma, ctx: AlgebraContext = DEFAULT_CONT
 
 def constant_drift(case, profiles, sigmas, ctx: AlgebraContext = DEFAULT_CONTEXT) -> float:
     vals = [reduction_constant(case, profiles, s, ctx) for s in sigmas]
-    return max(((v - vals[0]).norm() for v in vals), default=0.0)
+    return worst_of((v - vals[0]).norm() for v in vals)
 
 
 # --------------------------------------------------------------------------
@@ -804,8 +806,8 @@ def component_slice_check(l_id, profiles, sigmas,
     case = CASES[s_id]
     p = {"eps": eps} if eps is not None else None
     pp = _fill_params(case, p, ctx)
-    worst = 0.0
-    for sigma in sigmas:
+
+    def dev(sigma):
         sg = _promote(sigma, ctx)
         rows_l = component_reduced_residual(l_id, profiles, sg, ctx)
         u = profiles["u"].derivs_at(sg, 2)
@@ -822,13 +824,13 @@ def component_slice_check(l_id, profiles, sigmas,
             ],
         }
         rows_s = case.equations(pv, sg, pp, ctx)
-        dev = max(
+        return worst_of((
             (rows_l[0] - rows_s[3] * fac[0]).norm(),
             (rows_l[1] - rows_s[2] * fac[1]).norm(),
             (rows_l[2] - rows_s[1] * fac[2]).norm(),
-        )
-        worst = max(worst, dev)
-    return worst
+        ))
+
+    return worst_of(dev(sigma) for sigma in sigmas)
 
 
 def component_case_ids() -> tuple:
@@ -995,14 +997,15 @@ def scaling_complex_transform_check(rng_seed=0, n_points=12) -> float:
     half-integer powers cannot hide.
     """
     rng = random.Random(rng_seed)
-    worst = 0.0
-    for _ in range(n_points):
+
+    def gap():
         sigma, y, y1, y2, alpha, a1, a2 = _complex_sample(rng)
         c0 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         lhs = _r_exponential(y, y1, y2, sigma, c0)
         rhs = (y / (1j * sigma)) * _r_scaling(alpha, a1, a2, sigma, c0)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        return abs(lhs - rhs)
+
+    return worst_of(gap() for _ in range(n_points))
 
 
 def scaled_complex_argument_check(rng_seed=0, n_points=10) -> float:
@@ -1013,15 +1016,17 @@ def scaled_complex_argument_check(rng_seed=0, n_points=10) -> float:
     residuals agree after dividing by the square of the scale.
     """
     rng = random.Random(rng_seed)
-    worst = 0.0
-    for _ in range(n_points):
-        sigma, y, y1, y2, _, _, _ = _complex_sample(rng)
-        base = _r_exponential(y, y1, y2, sigma, 0.0)
-        for s in (1.0, -1.0):
-            c = 2j * s
-            z = c * sigma
-            w, wz, wzz = y, y1 / c, y2 / (c * c)
-            r = (wzz - wz * wz / w + wz / z
-                 - s * (1j / (8.0 * z)) * (w ** 3 - 1.0 / w))
-            worst = max(worst, abs(r - base / (c * c)))
-    return worst
+
+    def gaps():
+        for _ in range(n_points):
+            sigma, y, y1, y2, _, _, _ = _complex_sample(rng)
+            base = _r_exponential(y, y1, y2, sigma, 0.0)
+            for s in (1.0, -1.0):
+                c = 2j * s
+                z = c * sigma
+                w, wz, wzz = y, y1 / c, y2 / (c * c)
+                r = (wzz - wz * wz / w + wz / z
+                     - s * (1j / (8.0 * z)) * (w ** 3 - 1.0 / w))
+                yield abs(r - base / (c * c))
+
+    return worst_of(gaps())

@@ -22,6 +22,7 @@ from .grassmann import (
     ParityError,
     apply_analytic,
     exp_even,
+    worst_of,
 )
 from .prolongation import (
     COMPONENT_SIGNATURE,
@@ -115,7 +116,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        return max(self.coeff(b).norm() for b in _BASIS)
+        return worst_of(self.coeff(b).norm() for b in _BASIS)
 
     def is_zero(self) -> bool:
         return all(self.coeff(b).is_zero() for b in _BASIS)
@@ -294,16 +295,18 @@ def verify_structure(
             AlgebraElement.from_coeffs(ctx, Qt=nu),
             AlgebraElement.from_coeffs(ctx, Qt=nu2),
         ]
-        worst = 0.0
-        for s in range(n_points):
-            p = random_jet_point(SSG_SIGNATURE, 9000 + seed + s, ctx)
-            for i, A in enumerate(elements):
-                for B in elements[i:]:
-                    got = realized_bracket_coefficients(realize(A, ctx), realize(B, ctx), p)
-                    want = evaluate_spec(realize(bracket(A, B), ctx), p)
-                    for name, val in got.items():
-                        worst = max(worst, (val - want[name].partial(())).norm())
-        return worst
+
+        def deviations():
+            for s in range(n_points):
+                p = random_jet_point(SSG_SIGNATURE, 9000 + seed + s, ctx)
+                for i, A in enumerate(elements):
+                    for B in elements[i:]:
+                        got = realized_bracket_coefficients(realize(A, ctx), realize(B, ctx), p)
+                        want = evaluate_spec(realize(bracket(A, B), ctx), p)
+                        for name, val in got.items():
+                            yield (val - want[name].partial(())).norm()
+
+        return worst_of(deviations())
     if realization == "component":
         D = component_symmetry_spec(C1=2.0, ctx=ctx)
         Px = component_symmetry_spec(C2=1.0, ctx=ctx)
@@ -315,15 +318,17 @@ def verify_structure(
             (Px, Pt, component_symmetry_spec(ctx=ctx)),
             (D, D, component_symmetry_spec(ctx=ctx)),
         ]
-        worst = 0.0
-        for s in range(n_points):
-            p = random_jet_point(COMPONENT_SIGNATURE, 9500 + seed + s, ctx)
-            for A, B, expect in cases:
-                got = realized_bracket_coefficients(A, B, p)
-                want = evaluate_spec(expect, p)
-                for name, val in got.items():
-                    worst = max(worst, (val - want[name].partial(())).norm())
-        return worst
+
+        def deviations():
+            for s in range(n_points):
+                p = random_jet_point(COMPONENT_SIGNATURE, 9500 + seed + s, ctx)
+                for A, B, expect in cases:
+                    got = realized_bracket_coefficients(A, B, p)
+                    want = evaluate_spec(expect, p)
+                    for name, val in got.items():
+                        yield (val - want[name].partial(())).norm()
+
+        return worst_of(deviations())
     raise ValueError(f"unknown realization {realization!r}")
 
 

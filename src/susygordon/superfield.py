@@ -31,6 +31,7 @@ from .grassmann import (
     drop_gens,
     gen_derivative,
     scalar,
+    worst_of,
 )
 from .superjet import (
     JetSpec,
@@ -117,10 +118,6 @@ def evaluate_bundle(f: Superfield, x, t) -> SuperfieldValueBundle:
 
 
 # ---------------------------------------------------- superspace derivations
-
-
-def op_partial(jet: SuperJet, seed: str) -> SuperJet:
-    return jet_partial(jet, seed)
 
 
 def _op_theta(jet: SuperJet, ctx: AlgebraContext, which: str, sign: float) -> SuperJet:
@@ -238,7 +235,7 @@ def component_equivalence(f: Superfield, x, t) -> float:
         c2 + d2,
         c3 - (d1 * 0.5 - dF * cos_half),
     )
-    return max(c.norm() for c in checks)
+    return worst_of(c.norm() for c in checks)
 
 
 # ------------------------------------------------------------ handle builders

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
-from susygordon.cli import main
+from susygordon import cli
+from susygordon.checks import _entry
+from susygordon.cli import RunConfig, _emit, _run_checks, main
 
 
 def run_cli(argv, capsys):
@@ -76,12 +79,25 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_jobs_does_not_change_bytes(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["verify", "--suite", "elliptic", "--seed", "3"]
-    assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
-    assert run_cli(args + ["--jobs", "4", "--out", str(b)], capsys)[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_nan_residual_fails_its_check():
+    # max() would drop the NaN and pass the check on the finite samples
+    spec = _entry("nan_probe", "none", "exact", 1, 3, 4,
+                  lambda ctx, base, count: [0.0, math.nan, 1e-13])
+    [(rec, note)] = _run_checks([spec], RunConfig())
+    assert rec.status == "fail" and math.isnan(rec.max_residual)
+    assert rec.samples == 3 and note is None
+
+
+def test_emit_leaves_no_partial_report(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("old report\n")
+    with pytest.raises(UnicodeEncodeError):
+        _emit("new report\n\ud800", str(out))  # a lone surrogate cannot be written
+    assert out.read_text() == "old report\n"
+    assert list(tmp_path.iterdir()) == [out]
+    _emit("new report\n", str(out))
+    assert out.read_text() == "new report\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_verify_case_filter(capsys):
@@ -122,7 +138,8 @@ def test_verify_tolerance_override_binds(capsys):
 
 
 def test_verify_bad_tolerance_is_usage_error(capsys):
-    for bad in ("elliptic=zero", "bogus=1e-3", "elliptic=-1e-8", "elliptic"):
+    for bad in ("elliptic=zero", "bogus=1e-3", "elliptic=-1e-8", "elliptic",
+                "exact=inf", "exact=nan"):
         code, _, _ = run_cli(
             ["verify", "--suite", "elliptic", "--tolerance", bad], capsys
         )
@@ -266,6 +283,22 @@ def test_solve_custom_ics(capsys):
     )
     assert code == 0
     assert json.loads(err)["status"] == "pass"
+
+
+def test_solve_nan_residual_fails(monkeypatch, capsys):
+    real = cli._node_row
+
+    def poisoned(ode, case_id, sample, cfg, ctx):
+        rows, *rest = real(ode, case_id, sample, cfg, ctx)
+        if sample.sigma >= 1.0:  # a NaN row behind finite ones
+            rows = list(rows) + [ctx.scalar(math.nan)]
+        return (rows, *rest)
+
+    monkeypatch.setattr(cli, "_node_row", poisoned)
+    code, _, err = run_cli(["solve", "--ode", "rebp"], capsys)
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["status"] == "fail" and math.isnan(summary["max_residual_body"])
 
 
 def test_solve_rejects_non_csv_format(capsys):

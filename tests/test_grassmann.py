@@ -159,6 +159,12 @@ def test_context_mismatch():
         gen(0, ngen=8) * gen(0, ngen=6)
 
 
+def test_norm_propagates_nan():
+    # max() would drop the NaN and report 1.0
+    assert math.isnan(GrassmannNumber(NGEN, {0: 1.0, 3: math.nan}).norm())
+    assert math.isnan(GrassmannNumber(NGEN, {0: math.nan, 3: 1.0}).norm())
+
+
 # ------------------------------------------------------------ text rendering
 
 

@@ -108,6 +108,12 @@ def test_bracket_bilinear_over_even_weights():
     assert (lhs - rhs).norm() < 1e-13
 
 
+def test_norm_propagates_nan():
+    # max() over the basis would skip a NaN that follows a finite coefficient
+    X = AlgebraElement.from_coeffs(DEFAULT_CONTEXT, L=1.0, Pt=math.nan)
+    assert math.isnan(X.norm())
+
+
 def test_parity_enforcement():
     with pytest.raises(ParityError):
         elem(Qx=1.0)
