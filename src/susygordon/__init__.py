@@ -23,6 +23,8 @@ from .analytic import Poly, TaylorFn, TrigPoly
 from .superjet import SuperJet, jet_constant, jet_variable
 from .superfield import (
     Superfield,
+    component_superfield,
+    constant_superfield,
     evaluate_bundle,
     op_D,
     op_Q,

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from typing import Protocol
 
-from .grassmann import DomainError
+
+class DomainError(ValueError):
+    """Scalar-function domain violated by the body (e.g. log of body <= 0)."""
 
 
 class AnalyticFn(Protocol):

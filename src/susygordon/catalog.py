@@ -44,19 +44,20 @@ from .grassmann import (
 )
 from .odes import NearSingular, integrate_two_sided, make_system
 from .reductions import OutOfDomain, build_ansatz, const_profile, profile, zero_profile
-from .superfield import Superfield, constant_component, ssg_residual, zero_component
+from .superfield import (
+    Superfield,
+    component_superfield,
+    constant_component,
+    constant_superfield,
+    profile_component,
+    ssg_residual,
+)
 from .superjet import (
-    JetSpec,
     jet_add,
     jet_apply_analytic,
     jet_constant,
     jet_scale,
-    jet_variable,
 )
-
-
-def _coord(v, ctx: AlgebraContext) -> GrassmannNumber:
-    return v if isinstance(v, GrassmannNumber) else ctx.scalar(float(v))
 
 
 def _odd_param(value, name: str, ctx: AlgebraContext, role: str | None = None) -> GrassmannNumber:
@@ -114,8 +115,7 @@ class EntryCheck:
 
 def _vacuum_builder(p, ctx):
     k = _whole(p["k"])
-    z = zero_component(ctx)
-    return Superfield(constant_component(ctx.scalar(k * math.pi)), z, z, z, ctx)
+    return constant_superfield(ctx.scalar(k * math.pi), ctx)
 
 
 def _half_weight(k: int) -> float:
@@ -161,22 +161,16 @@ def _build_gian1e(p, ctx):
     fn = p["profile"]
     w = _half_weight(k)
 
-    def phi(x, t, order):
-        spec = JetSpec(("x", "t"), order)
-        jx = jet_variable(spec, "x", _coord(x, ctx))
+    def phi(jx, jt):
         return jet_scale(jet_apply_analytic(jx, fn), mu * lam, from_left=True)
 
-    def psi(x, t, order):
-        spec = JetSpec(("x", "t"), order)
-        jt = jet_variable(spec, "t", _coord(t, ctx))
-        return jet_add(
-            jet_constant(spec, lam), jet_scale(jt, mu * w, from_left=True)
-        )
+    def psi(jx, jt):
+        return jet_add(jet_constant(jt.spec, lam), jet_scale(jt, mu * w, from_left=True))
 
-    return Superfield(
+    return component_superfield(
         constant_component(ctx.scalar((k + 0.5) * math.pi)),
-        phi,
-        psi,
+        profile_component(phi, ctx),
+        profile_component(psi, ctx),
         constant_component(ctx.scalar(w)),
         ctx,
     )
@@ -189,22 +183,16 @@ def _build_gian1g(p, ctx):
     fn = p["profile"]
     w = 1.0 if k % 2 == 0 else -1.0
 
-    def phi(x, t, order):
-        spec = JetSpec(("x", "t"), order)
-        jx = jet_variable(spec, "x", _coord(x, ctx))
-        return jet_add(
-            jet_constant(spec, lam), jet_scale(jx, nu * w, from_left=True)
-        )
+    def phi(jx, jt):
+        return jet_add(jet_constant(jx.spec, lam), jet_scale(jx, nu * w, from_left=True))
 
-    def psi(x, t, order):
-        spec = JetSpec(("x", "t"), order)
-        jt = jet_variable(spec, "t", _coord(t, ctx))
+    def psi(jx, jt):
         return jet_scale(jet_apply_analytic(jt, fn), nu * lam, from_left=True)
 
-    return Superfield(
+    return component_superfield(
         constant_component(ctx.scalar((k + 0.5) * math.pi)),
-        phi,
-        psi,
+        profile_component(phi, ctx),
+        profile_component(psi, ctx),
         constant_component(ctx.scalar(-w)),
         ctx,
     )

@@ -152,9 +152,24 @@ def _run_checks(specs, cfg: RunConfig):
 # report rendering
 
 
+def _json_text(obj) -> str:
+    """Strict JSON (RFC 8259 has no NaN or Infinity): a non-finite float is
+    written as null."""
+
+    def finite(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(obj), indent=2, allow_nan=False) + "\n"
+
+
 def _render_json(report: Report) -> str:
-    obj = {"suite": report.suite, "checks": [r.payload() for r in report.checks]}
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text({"suite": report.suite, "checks": [r.payload() for r in report.checks]})
 
 
 def _render_csv(report: Report) -> str:
@@ -376,12 +391,15 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise UsageError(f"empty or ragged range {lo}:{hi}:{step}")
     ics = cfg.ics or _DEFAULT_ICS[ode]
     ctx = cfg.context()
-    if ode == "rebp":
-        system = make_system("rebp", eps=cfg.eps, coupling=cfg.k0, ctx=ctx)
-    elif ode == "d16nu":
-        system = make_system("d16nu", ctx=ctx)
-    else:
-        system = make_system(ode, eps=cfg.eps, modulus=cfg.modulus, ctx=ctx)
+    try:
+        if ode == "rebp":
+            system = make_system("rebp", eps=cfg.eps, coupling=cfg.k0, ctx=ctx)
+        elif ode == "d16nu":
+            system = make_system("d16nu", ctx=ctx)
+        else:
+            system = make_system(ode, eps=cfg.eps, modulus=cfg.modulus, ctx=ctx)
+    except ValueError as exc:  # eps or modulus out of the system's range
+        raise UsageError(str(exc)) from None
 
     # march one node at a time so a singularity flags a range instead of
     # destroying the run
@@ -443,7 +461,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "flagged": [[a, b] for a, b in flagged],
         "status": "pass" if passed else "fail",
     }
-    summary_text = json.dumps(summary, indent=2) + "\n"
+    summary_text = _json_text(summary)
     _emit(csv_text, cfg.out)
     if cfg.out is None:
         sys.stderr.write(summary_text)
@@ -474,7 +492,7 @@ def cmd_list(cfg: RunConfig) -> int:
                 for e in entries
             ],
         }
-        text = json.dumps(obj, indent=2) + "\n"
+        text = _json_text(obj)
     elif fmt == "md":
         lines = ["# one-dimensional subalgebras", ""]
         lines += [f"- `{t.name}`: `{t.expression}` ({t.picture})" for t in subs]
@@ -524,29 +542,20 @@ def _parse_tolerances(pairs):
     return tiers
 
 
-def _parse_range(raw):
+def _finite_numbers(flag, raw, sep, expected):
+    """The finite numbers of a ``sep``-separated flag value shaped like ``expected``."""
     if raw is None:
         return None
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"bad --range {raw!r}; expected lo:hi:step")
+    parts = raw.split(sep)
+    if len(parts) != len(expected.split(sep)):
+        raise UsageError(f"bad {flag} {raw!r}; expected {expected}")
     try:
-        lo, hi, step = (float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
-        raise UsageError(f"bad --range {raw!r}; expected numbers")
-    return lo, hi, step
-
-
-def _parse_ics(raw):
-    if raw is None:
-        return None
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"bad --ics {raw!r}; expected value,derivative")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"bad --ics {raw!r}; expected numbers")
+        raise UsageError(f"bad {flag} {raw!r}; expected numbers")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"bad {flag} {raw!r}; numbers must be finite")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -593,7 +602,7 @@ def _config_from(ns) -> RunConfig:
         suite=getattr(ns, "suite", "all"),
         case=getattr(ns, "case", None),
         ode=getattr(ns, "ode", None),
-        range_spec=_parse_range(getattr(ns, "range_spec", None)),
+        range_spec=_finite_numbers("--range", getattr(ns, "range_spec", None), ":", "lo:hi:step"),
         tiers=_parse_tolerances(ns.tolerance),
         generators=ns.generators,
         seed=ns.seed,
@@ -602,10 +611,12 @@ def _config_from(ns) -> RunConfig:
         k0=getattr(ns, "k0", 0.0),
         eps=getattr(ns, "eps", -1.0),
         modulus=getattr(ns, "modulus", 0.7),
-        ics=_parse_ics(getattr(ns, "ics", None)),
+        ics=_finite_numbers("--ics", getattr(ns, "ics", None), ",", "value,derivative"),
     )
     if cfg.generators < 4:
         raise UsageError(f"need at least 4 generators, got {cfg.generators}")
+    if not math.isfinite(cfg.k0):
+        raise UsageError(f"--K0 must be finite, got {cfg.k0}")
     return cfg
 
 

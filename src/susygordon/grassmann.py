@@ -14,11 +14,13 @@ can evaluate derivative lists of the scalar function (see ``analytic``).
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
+
+from .analytic import EXP, LOG
+from .analytic import DomainError as DomainError  # re-exported
 
 
 class Parity(Enum):
@@ -37,10 +39,6 @@ class NonInvertible(ZeroDivisionError):
 
 class ParityError(ValueError):
     """A parity-checked operation received the wrong homogeneity."""
-
-
-class DomainError(ValueError):
-    """Scalar-function domain violated by the body (e.g. log of body <= 0)."""
 
 
 _BODY_EPS = 1e-300
@@ -320,32 +318,12 @@ def soul_taylor(f, a: GrassmannNumber) -> GrassmannNumber:
     return out
 
 
-class _Exp:
-    def derivs(self, x, n):
-        e = math.exp(x)
-        return [e] * (n + 1)
-
-
-class _Log:
-    def derivs(self, x, n):
-        if x <= 0.0:
-            raise DomainError(f"log needs positive body, got {x}")
-        out = [math.log(x)]
-        for j in range(1, n + 1):
-            out.append((-1.0) ** (j - 1) * math.factorial(j - 1) / x**j)
-        return out
-
-
-_EXP = _Exp()
-_LOG = _Log()
-
-
 def exp_even(a: GrassmannNumber) -> GrassmannNumber:
-    return apply_analytic(_EXP, a)
+    return apply_analytic(EXP, a)
 
 
 def log_even(a: GrassmannNumber) -> GrassmannNumber:
-    return apply_analytic(_LOG, a)
+    return apply_analytic(LOG, a)
 
 
 def sample_random(parity: Parity, max_degree: int, rng_seed, ngen: int = 8) -> GrassmannNumber:

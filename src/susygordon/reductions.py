@@ -40,13 +40,18 @@ from .grassmann import (
     worst_of,
 )
 from .superalgebra import AlgebraElement
-from .superfield import Superfield, evaluate_bundle, ssg_residual, theta_coefficients
+from .superfield import (
+    Superfield,
+    constant_superfield,
+    coordinate_jets,
+    evaluate_bundle,
+    ssg_residual,
+)
 from .superjet import (
     JetSpec,
     SuperJet,
     jet_apply_analytic,
     jet_constant,
-    jet_map,
     jet_scale,
     jet_variable,
 )
@@ -575,19 +580,12 @@ def build_ansatz(case, profiles, params=None, ctx: AlgebraContext = DEFAULT_CONT
     p = _fill_params(case, params, ctx)
     _check_profiles(case, profiles)
 
-    def component(slot):
-        def handle(x, t, order):
-            if case.guard is not None:
-                case.guard(x, t, p, ctx)
-            spec = JetSpec(("x", "t"), order)
-            jx = jet_variable(spec, "x", _promote(x, ctx))
-            jt = jet_variable(spec, "t", _promote(t, ctx))
-            jet = _phi_jet(case, profiles, p, ctx, jx, jt)
-            return jet_map(jet, lambda v: theta_coefficients(v, ctx)[slot])
+    def jet(x, t, order):
+        if case.guard is not None:
+            case.guard(x, t, p, ctx)
+        return _phi_jet(case, profiles, p, ctx, *coordinate_jets(x, t, order, ctx))
 
-        return handle
-
-    return Superfield(component(0), component(1), component(2), component(3), ctx)
+    return Superfield(jet, ctx)
 
 
 def scaling_rewrite_rows(pv, sigma, ngen: int, constant=None):
@@ -668,13 +666,11 @@ def reduction_consistency(case, profiles, points, params=None,
     case = reduction_case(case)
     p = _fill_params(case, params, ctx)
     sf = build_ansatz(case, profiles, params, ctx)
-    spec0 = JetSpec(("x", "t"), 0)
 
     def gap(x, t):
         xg, tg = _promote(x, ctx), _promote(t, ctx)
         full = ssg_residual(sf, xg, tg)
-        jx = jet_variable(spec0, "x", xg)
-        jt = jet_variable(spec0, "t", tg)
+        jx, jt = coordinate_jets(xg, tg, 0, ctx)
         sig = case.sigma_jet(jx, jt, p, ctx).value()
         m1 = case.m1_jet(jx, jt, p, ctx).value()
         m2 = case.m2_jet(jx, jt, p, ctx).value()
@@ -870,22 +866,17 @@ def _s5_superfield(profiles, mu, ctx):
     """
     th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
 
-    def component(slot):
-        def handle(x, t, order):
-            spec = JetSpec(("x", "t"), order)
-            jx = jet_variable(spec, "x", _promote(x, ctx))
-            jt = jet_variable(spec, "t", _promote(t, ctx))
-            tau = jet_scale(jx, mu * th1, from_left=True)
-            jth2 = jet_constant(spec, th2)
-            jet = profiles["a"].jet(jt)
-            jet = jet + tau * profiles["h"].jet(jt)
-            jet = jet + jth2 * profiles["l"].jet(jt)
-            jet = jet + (tau * jth2) * profiles["b"].jet(jt)
-            return jet_map(jet, lambda v: theta_coefficients(v, ctx)[slot])
+    def jet(x, t, order):
+        jx, jt = coordinate_jets(x, t, order, ctx)
+        tau = jet_scale(jx, mu * th1, from_left=True)
+        jth2 = jet_constant(jx.spec, th2)
+        acc = profiles["a"].jet(jt)
+        acc = acc + tau * profiles["h"].jet(jt)
+        acc = acc + jth2 * profiles["l"].jet(jt)
+        acc = acc + (tau * jth2) * profiles["b"].jet(jt)
+        return acc
 
-        return handle
-
-    return Superfield(component(0), component(1), component(2), component(3), ctx)
+    return Superfield(jet, ctx)
 
 
 def nonstandard_obstruction(sub_id, ctx: AlgebraContext = DEFAULT_CONTEXT,
@@ -926,23 +917,13 @@ def nonstandard_obstruction(sub_id, ctx: AlgebraContext = DEFAULT_CONTEXT,
 
     # even-part reduction: value depends on t and theta2 only; the residual
     # collapses to -sin(value), so constants k pi pass and nothing else does
-    from .superfield import constant_component, zero_component
-
-    kpi = {}
-    for k in (-1, 0, 1, 2):
-        c = Superfield(
-            constant_component(ctx.scalar(k * math.pi)),
-            zero_component(ctx), zero_component(ctx), zero_component(ctx), ctx)
-        kpi[k] = ssg_residual(c, 0.3, -0.8).norm()
-    off = Superfield(
-        constant_component(ctx.scalar(0.4)),
-        zero_component(ctx), zero_component(ctx), zero_component(ctx), ctx)
+    kpi = {
+        k: ssg_residual(constant_superfield(ctx.scalar(k * math.pi), ctx), 0.3, -0.8).norm()
+        for k in (-1, 0, 1, 2)
+    }
+    off = constant_superfield(ctx.scalar(0.4), ctx)
     off_norm = ssg_residual(off, 0.3, -0.8).norm()
-    probe = Superfield(
-        constant_component(ctx.scalar(math.pi)),
-        zero_component(ctx),
-        constant_component(ctx.gen("D1")),
-        zero_component(ctx), ctx)
+    probe = constant_superfield(ctx.scalar(math.pi) + ctx.gen("theta2") * ctx.gen("D1"), ctx)
     probe_norm = ssg_residual(probe, 0.3, -0.8).norm()
 
     return ObstructionRecord(

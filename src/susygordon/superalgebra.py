@@ -11,14 +11,13 @@ generator, [a E, b F] = (-1)^(E~ b~) a b [E, F].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp as _fexp, factorial
+from math import factorial
 
 from .analytic import EXP_RATIO
 from .grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
     GrassmannNumber,
-    Parity,
     ParityError,
     apply_analytic,
     exp_even,
@@ -276,13 +275,9 @@ def realized_bracket_coefficients(
     return out
 
 
-def verify_structure(
-    realization: str = "superspace",
-    n_points: int = 4,
-    seed: int = 0,
-    ctx: AlgebraContext = DEFAULT_CONTEXT,
-) -> float:
-    """Max deviation between realized commutators and the abstract table."""
+def _structure_specs(realization: str, ctx: AlgebraContext):
+    """(X, Y, expected [X, Y]) vector-field triples, with the jet signature
+    and point seed offset of the realization."""
     if realization == "superspace":
         mu, nu = ctx.gen("mu"), ctx.gen("nu")
         mu2, nu2 = ctx.gen("D1"), ctx.gen("D2")
@@ -295,41 +290,47 @@ def verify_structure(
             AlgebraElement.from_coeffs(ctx, Qt=nu),
             AlgebraElement.from_coeffs(ctx, Qt=nu2),
         ]
-
-        def deviations():
-            for s in range(n_points):
-                p = random_jet_point(SSG_SIGNATURE, 9000 + seed + s, ctx)
-                for i, A in enumerate(elements):
-                    for B in elements[i:]:
-                        got = realized_bracket_coefficients(realize(A, ctx), realize(B, ctx), p)
-                        want = evaluate_spec(realize(bracket(A, B), ctx), p)
-                        for name, val in got.items():
-                            yield (val - want[name].partial(())).norm()
-
-        return worst_of(deviations())
+        fields = [realize(A, ctx) for A in elements]
+        specs = [
+            (fields[i], fields[j], realize(bracket(elements[i], elements[j]), ctx))
+            for i in range(len(elements))
+            for j in range(i, len(elements))
+        ]
+        return SSG_SIGNATURE, 9000, specs
     if realization == "component":
         D = component_symmetry_spec(C1=2.0, ctx=ctx)
         Px = component_symmetry_spec(C2=1.0, ctx=ctx)
         Pt = component_symmetry_spec(C3=1.0, ctx=ctx)
         # nonzero relations: [Px, D] = 2 Px and [Pt, D] = -2 Pt
-        cases = [
+        specs = [
             (Px, D, component_symmetry_spec(C2=2.0, ctx=ctx)),
             (Pt, D, component_symmetry_spec(C3=-2.0, ctx=ctx)),
             (Px, Pt, component_symmetry_spec(ctx=ctx)),
             (D, D, component_symmetry_spec(ctx=ctx)),
         ]
-
-        def deviations():
-            for s in range(n_points):
-                p = random_jet_point(COMPONENT_SIGNATURE, 9500 + seed + s, ctx)
-                for A, B, expect in cases:
-                    got = realized_bracket_coefficients(A, B, p)
-                    want = evaluate_spec(expect, p)
-                    for name, val in got.items():
-                        yield (val - want[name].partial(())).norm()
-
-        return worst_of(deviations())
+        return COMPONENT_SIGNATURE, 9500, specs
     raise ValueError(f"unknown realization {realization!r}")
+
+
+def verify_structure(
+    realization: str = "superspace",
+    n_points: int = 4,
+    seed: int = 0,
+    ctx: AlgebraContext = DEFAULT_CONTEXT,
+) -> float:
+    """Max deviation between realized commutators and the abstract table."""
+    sig, offset, specs = _structure_specs(realization, ctx)
+
+    def deviations():
+        for s in range(n_points):
+            p = random_jet_point(sig, offset + seed + s, ctx)
+            for X, Y, expect in specs:
+                got = realized_bracket_coefficients(X, Y, p)
+                want = evaluate_spec(expect, p)
+                for name, val in got.items():
+                    yield (val - want[name].partial(())).norm()
+
+    return worst_of(deviations())
 
 
 # ---------------------------------------------------------- subalgebra data

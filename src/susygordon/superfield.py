@@ -1,13 +1,16 @@
 """Even superfields on the (1,1|2) superspace and the operators acting on them.
 
-A superfield is stored as four component handles over the even coordinates,
-with the two odd coordinates realized as the reserved Grassmann generators
-of an ``AlgebraContext``:
+A superfield is one handle ``jet(x, t, order) -> SuperJet``: the full jet
+over seeds ("x", "t") of the theta-carrying value, with the two odd
+coordinates realized as the reserved Grassmann generators of an
+``AlgebraContext``:
 
     value = u/2 + th1*phi + th2*psi + th1*th2*F
 
-Handles map ``(x, t, order) -> SuperJet`` over seeds ("x", "t"), so the
-whole calculus runs on exact jets; no finite differencing anywhere.
+The components are the theta slots of that one jet (``theta_coefficients``,
+``component_jets``).  ``component_superfield`` builds a field from four
+theta-free component handles and ``constant_superfield`` a constant one.
+The whole calculus runs on exact jets; no finite differencing anywhere.
 
 Odd-coordinate derivatives are left derivatives: d_th1(th1 th2 F) = th2 F
 and d_th2(th1 th2 F) = -th1 F.  A doubly-indexed entry applies the leftmost
@@ -30,7 +33,6 @@ from .grassmann import (
     soul_taylor,
     drop_gens,
     gen_derivative,
-    scalar,
     worst_of,
 )
 from .superjet import (
@@ -44,15 +46,13 @@ from .superjet import (
     jet_variable,
 )
 
-ComponentHandle = Callable[[GrassmannNumber, GrassmannNumber, int], SuperJet]
+# (x, t, order) -> SuperJet over ("x", "t")
+JetHandle = Callable[[GrassmannNumber, GrassmannNumber, int], SuperJet]
 
 
 @dataclass
 class Superfield:
-    u_half: ComponentHandle
-    phi: ComponentHandle
-    psi: ComponentHandle
-    F: ComponentHandle
+    jet: JetHandle  # the full theta-carrying jet
     ctx: AlgebraContext = DEFAULT_CONTEXT
 
 
@@ -73,19 +73,16 @@ class SuperfieldValueBundle:
     d_th1th2: GrassmannNumber
 
 
+def coordinate_jets(x, t, order: int, ctx: AlgebraContext = DEFAULT_CONTEXT):
+    """The jets of the coordinates x and t at a point; floats become scalars."""
+    spec = JetSpec(("x", "t"), order)
+    x, t = (v if isinstance(v, GrassmannNumber) else ctx.scalar(float(v)) for v in (x, t))
+    return jet_variable(spec, "x", x), jet_variable(spec, "t", t)
+
+
 def superfield_jet(f: Superfield, x, t, order: int = 2) -> SuperJet:
     """The full theta-carrying jet of the superfield over ("x", "t")."""
-    th1, th2 = f.ctx.gen("theta1"), f.ctx.gen("theta2")
-    ju = f.u_half(x, t, order)
-    jphi = f.phi(x, t, order)
-    jpsi = f.psi(x, t, order)
-    jF = f.F(x, t, order)
-    return (
-        ju
-        + jet_scale(jphi, th1, from_left=True)
-        + jet_scale(jpsi, th2, from_left=True)
-        + jet_scale(jF, th1 * th2, from_left=True)
-    )
+    return f.jet(x, t, order)
 
 
 def evaluate_bundle(f: Superfield, x, t) -> SuperfieldValueBundle:
@@ -179,18 +176,29 @@ def ssg_residual(f: Superfield, x, t) -> GrassmannNumber:
     )
 
 
-def component_residuals(f: Superfield, x, t):
-    """(D1, D2, D3, DF): the three component equations plus the algebraic tie.
+def theta_coefficients(v: GrassmannNumber, ctx: AlgebraContext):
+    """Split v = c0 + th1 c1 + th2 c2 + th1 th2 c3 with theta-free c_i."""
+    i1, i2 = ctx.roles["theta1"], ctx.roles["theta2"]
+    mask = (1 << i1) | (1 << i2)
+    c0 = drop_gens(v, mask)
+    c1 = drop_gens(gen_derivative(v, i1), mask)
+    c2 = drop_gens(gen_derivative(v, i2), mask)
+    c3 = gen_derivative(gen_derivative(v, i1), i2)
+    return c0, c1, c2, c3
 
-    D1 = u_xt + sin u - 2 phi psi sin(u/2)
-    D2 = phi_t + psi cos(u/2)
-    D3 = psi_x - phi cos(u/2)
-    DF = F + sin(u/2)
-    """
-    ju = f.u_half(x, t, 2)
-    jphi = f.phi(x, t, 1)
-    jpsi = f.psi(x, t, 1)
-    jF = f.F(x, t, 0)
+
+def component_jets(jet: SuperJet, ctx: AlgebraContext):
+    """The theta slots of a superfield jet as four theta-free jets
+    (u/2, phi, psi, F); ``component_superfield`` glues them back exactly."""
+    slots = {J: theta_coefficients(v, ctx) for J, v in jet.comp.items()}
+    return tuple(
+        SuperJet(jet.spec, jet.ngen, {J: c[i] for J, c in slots.items()}) for i in range(4)
+    )
+
+
+def _component_rows(jet: SuperJet, ctx: AlgebraContext):
+    """The component residuals of an order-2 superfield jet, and cos(u/2)."""
+    ju, jphi, jpsi, jF = component_jets(jet, ctx)
     half_u = ju.value()
     sin_half = apply_analytic(SIN, half_u)
     cos_half = apply_analytic(COS, half_u)
@@ -201,18 +209,18 @@ def component_residuals(f: Superfield, x, t):
     d2 = jphi.d("t") + psi_v * cos_half
     d3 = jpsi.d("x") - phi_v * cos_half
     dF = jF.value() + sin_half
-    return d1, d2, d3, dF
+    return (d1, d2, d3, dF), cos_half
 
 
-def theta_coefficients(v: GrassmannNumber, ctx: AlgebraContext):
-    """Split v = c0 + th1 c1 + th2 c2 + th1 th2 c3 with theta-free c_i."""
-    i1, i2 = ctx.roles["theta1"], ctx.roles["theta2"]
-    mask = (1 << i1) | (1 << i2)
-    c0 = drop_gens(v, mask)
-    c1 = drop_gens(gen_derivative(v, i1), mask)
-    c2 = drop_gens(gen_derivative(v, i2), mask)
-    c3 = gen_derivative(gen_derivative(v, i1), i2)
-    return c0, c1, c2, c3
+def component_residuals(f: Superfield, x, t):
+    """(D1, D2, D3, DF): the three component equations plus the algebraic tie.
+
+    D1 = u_xt + sin u - 2 phi psi sin(u/2)
+    D2 = phi_t + psi cos(u/2)
+    D3 = psi_x - phi cos(u/2)
+    DF = F + sin(u/2)
+    """
+    return _component_rows(superfield_jet(f, x, t, 2), f.ctx)[0]
 
 
 def component_equivalence(f: Superfield, x, t) -> float:
@@ -226,9 +234,7 @@ def component_equivalence(f: Superfield, x, t) -> float:
     """
     r = ssg_residual(f, x, t)
     c0, c1, c2, c3 = theta_coefficients(r, f.ctx)
-    d1, d2, d3, dF = component_residuals(f, x, t)
-    u_half = f.u_half(x, t, 0).value()
-    cos_half = apply_analytic(COS, u_half)
+    (d1, d2, d3, dF), cos_half = _component_rows(superfield_jet(f, x, t, 2), f.ctx)
     checks = (
         c0 + dF,
         c1 - d3,
@@ -238,28 +244,46 @@ def component_equivalence(f: Superfield, x, t) -> float:
     return worst_of(c.norm() for c in checks)
 
 
-# ------------------------------------------------------------ handle builders
+# ------------------------------------------------------------------ builders
 
 
-def constant_component(value: GrassmannNumber) -> ComponentHandle:
+def component_superfield(u_half: JetHandle, phi: JetHandle, psi: JetHandle, F: JetHandle,
+                         ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superfield:
+    """value = u/2 + th1 phi + th2 psi + th1 th2 F from four theta-free
+    component handles."""
+    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
+    th12 = th1 * th2
+
+    def jet(x, t, order):
+        return (
+            u_half(x, t, order)
+            + jet_scale(phi(x, t, order), th1, from_left=True)
+            + jet_scale(psi(x, t, order), th2, from_left=True)
+            + jet_scale(F(x, t, order), th12, from_left=True)
+        )
+
+    return Superfield(jet, ctx)
+
+
+def constant_component(value: GrassmannNumber) -> JetHandle:
     def handle(x, t, order):
         return jet_constant(JetSpec(("x", "t"), order), value)
 
     return handle
 
 
-def profile_component(builder) -> ComponentHandle:
+def constant_superfield(value: GrassmannNumber, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superfield:
+    """The superfield whose value is ``value`` everywhere."""
+    return Superfield(constant_component(value), ctx)
+
+
+def profile_component(builder, ctx: AlgebraContext = DEFAULT_CONTEXT) -> JetHandle:
     """builder(jx, jt) -> SuperJet, with jx, jt the coordinate jets."""
 
     def handle(x, t, order):
-        spec = JetSpec(("x", "t"), order)
-        return builder(jet_variable(spec, "x", x), jet_variable(spec, "t", t))
+        return builder(*coordinate_jets(x, t, order, ctx))
 
     return handle
-
-
-def zero_component(ctx: AlgebraContext = DEFAULT_CONTEXT) -> ComponentHandle:
-    return constant_component(ctx.zero())
 
 
 def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superfield:
@@ -282,15 +306,12 @@ def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superf
     def even_builder():
         fx, ft, gx, gt = trig(), trig(), trig(), trig()
 
-        def handle(x, t, order):
-            spec = JetSpec(("x", "t"), order)
-            jx = jet_variable(spec, "x", x)
-            jt = jet_variable(spec, "t", t)
+        def builder(jx, jt):
             return jet_apply_analytic(jx, fx) * jet_apply_analytic(jt, ft) + jet_apply_analytic(
                 jx, gx
             ) * jet_apply_analytic(jt, gt)
 
-        return handle
+        return profile_component(builder, ctx)
 
     def odd_builder():
         k1 = ctx.gen(rng.choice(free))
@@ -298,20 +319,12 @@ def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superf
         k3 = ctx.gen(trip[0]) * ctx.gen(trip[1]) * ctx.gen(trip[2])
         fx, ft, gx, gt = trig(), trig(), trig(), trig()
 
-        def handle(x, t, order):
-            spec = JetSpec(("x", "t"), order)
-            jx = jet_variable(spec, "x", x)
-            jt = jet_variable(spec, "t", t)
+        def builder(jx, jt):
             a = jet_apply_analytic(jx, fx) * jet_apply_analytic(jt, ft)
             b = jet_apply_analytic(jx, gx) * jet_apply_analytic(jt, gt)
             return jet_scale(a, k1, from_left=True) + jet_scale(b, k3, from_left=True)
 
-        return handle
+        return profile_component(builder, ctx)
 
-    return Superfield(
-        u_half=even_builder(),
-        phi=odd_builder(),
-        psi=odd_builder(),
-        F=even_builder(),
-        ctx=ctx,
-    )
+    # builder calls in argument order: even, odd, odd, even
+    return component_superfield(even_builder(), odd_builder(), odd_builder(), even_builder(), ctx)

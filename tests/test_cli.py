@@ -9,7 +9,7 @@ import pytest
 
 from susygordon import cli
 from susygordon.checks import _entry
-from susygordon.cli import RunConfig, _emit, _run_checks, main
+from susygordon.cli import Report, RunConfig, _emit, _render_json, _run_checks, main
 
 
 def run_cli(argv, capsys):
@@ -86,6 +86,14 @@ def test_nan_residual_fails_its_check():
     [(rec, note)] = _run_checks([spec], RunConfig())
     assert rec.status == "fail" and math.isnan(rec.max_residual)
     assert rec.samples == 3 and note is None
+    # the report stays strict JSON: the NaN is written as null, not as NaN
+    text = _render_json(Report("nan", (rec,)))
+    [payload] = json.loads(text, parse_constant=_reject_constant)["checks"]
+    assert payload["status"] == "fail" and payload["max_residual"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def test_emit_leaves_no_partial_report(tmp_path):
@@ -297,8 +305,24 @@ def test_solve_nan_residual_fails(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_node_row", poisoned)
     code, _, err = run_cli(["solve", "--ode", "rebp"], capsys)
     assert code == 1
-    summary = json.loads(err)
-    assert summary["status"] == "fail" and math.isnan(summary["max_residual_body"])
+    summary = json.loads(err, parse_constant=_reject_constant)
+    assert summary["status"] == "fail" and summary["max_residual_body"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ode", "rebp", "--range", "0:inf:1"],
+    ["--ode", "rebp", "--range", "nan:1:0.5"],
+    ["--ode", "rebp", "--eps", "0.5"],
+    ["--ode", "ginv12", "--modulus", "1.5"],
+    ["--ode", "rebp", "--ics", "nan,0"],
+    ["--ode", "rebp", "--K0", "inf"],
+])
+def test_solve_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
+    target = tmp_path / "traj.csv"
+    code, out, err = run_cli(["solve", *argv, "--out", str(target)], capsys)
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_solve_rejects_non_csv_format(capsys):

@@ -55,7 +55,13 @@ from susygordon.reductions import (
     zero_profile,
 )
 from susygordon.superalgebra import realize
-from susygordon.superfield import evaluate_bundle, ssg_residual, superfield_jet
+from susygordon.superfield import (
+    component_jets,
+    component_superfield,
+    evaluate_bundle,
+    ssg_residual,
+    superfield_jet,
+)
 from susygordon.superjet import jet_isclose
 
 ctx = DEFAULT_CONTEXT
@@ -219,6 +225,32 @@ def test_constant_profiles_make_constant_superfield():
     b2 = evaluate_bundle(sf, -1.1, 2.4)
     assert (b1.value - b2.value).norm() < 1e-15
     assert b1.d_x.norm() < 1e-15 and b1.d_t.norm() < 1e-15
+
+
+def test_ansatz_jet_evaluates_each_profile_once(monkeypatch):
+    calls = []
+    real = Profile.jet
+
+    def counted(self, sigma_jet):
+        calls.append(self)
+        return real(self, sigma_jet)
+
+    monkeypatch.setattr(Profile, "jet", counted)
+    for cid in ALL_CASES:
+        prof = random_reduction_profiles(cid, 3)
+        sf = build_ansatz(cid, prof, params_for(cid))
+        calls.clear()
+        superfield_jet(sf, 0.4, 0.7, order=2)
+        assert sorted(map(id, calls)) == sorted(id(prof[n]) for n in CASES[cid].profile_names)
+
+
+@pytest.mark.parametrize("cid", ALL_CASES)
+def test_theta_split_ansatz_jet_glues_back_exactly(cid):
+    sf = build_ansatz(cid, random_reduction_profiles(cid, 5), params_for(cid))
+    jet = superfield_jet(sf, 0.4, 0.7, order=2)
+    handles = [lambda x, t, order, part=part: part for part in component_jets(jet, ctx)]
+    glued = superfield_jet(component_superfield(*handles, ctx), 0.4, 0.7, order=2)
+    assert glued.spec == jet.spec and glued.comp == jet.comp
 
 
 # ---------------------------------------------- recombination and invariance

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from susygordon import checks, superfield
 from susygordon.analytic import ARCTAN, EXP, SECH, SIN
 from susygordon.grassmann import (
     DEFAULT_CONTEXT as CTX,
@@ -14,12 +15,13 @@ from susygordon.grassmann import (
     scalar,
 )
 from susygordon.superfield import (
-    Superfield,
     apply_D,
     apply_DD,
     apply_Q,
     component_equivalence,
+    component_jets,
     component_residuals,
+    component_superfield,
     constant_component,
     evaluate_bundle,
     op_D,
@@ -29,7 +31,6 @@ from susygordon.superfield import (
     ssg_residual,
     superfield_jet,
     theta_coefficients,
-    zero_component,
 )
 from susygordon.superjet import jet_apply_analytic, jet_scale
 
@@ -38,8 +39,8 @@ TH2 = CTX.gen("theta2")
 
 
 def make(u_half=None, phi=None, psi=None, F=None):
-    z = zero_component(CTX)
-    return Superfield(u_half or z, phi or z, psi or z, F or z, CTX)
+    z = constant_component(CTX.zero())
+    return component_superfield(u_half or z, phi or z, psi or z, F or z, CTX)
 
 
 def test_linear_u_component():
@@ -78,10 +79,8 @@ def test_first_theta_derivative_is_phi_plus_theta2_F():
     f = random_superfield(42)
     x, t = scalar(0.4), scalar(0.9)
     b = evaluate_bundle(f, x, t)
-    phi_v = f.phi(x, t, 0).value()
-    F_v = f.F(x, t, 0).value()
+    _, phi_v, psi_v, F_v = (j.value() for j in component_jets(superfield_jet(f, x, t, 0), CTX))
     assert (b.d_th1 - (phi_v + TH2 * F_v)).norm() < 1e-14
-    psi_v = f.psi(x, t, 0).value()
     assert (b.d_th2 - (psi_v - TH1 * F_v)).norm() < 1e-14
 
 
@@ -123,6 +122,21 @@ def test_operator_identities(seed):
         for da, qb in (("x", "x"), ("x", "t"), ("t", "x"), ("t", "t")):
             anti = DQ(da, qb) + QD(qb, da)
             assert anti.norm() < 1e-13, f"D_{da} Q_{qb} anticommutator: {anti}"
+
+
+def test_b5_sampler_builds_one_jet_per_point(monkeypatch):
+    calls = []
+    real = superfield.superfield_jet
+
+    def counted(f, x, t, order=2):
+        calls.append((x.body, t.body))
+        return real(f, x, t, order)
+
+    monkeypatch.setattr(superfield, "superfield_jet", counted)
+    monkeypatch.setattr(checks, "superfield_jet", counted)
+    residuals = list(checks.b5_residuals(checks.covariant_squares)(CTX, 0, 1))
+    assert len(residuals) == len(calls) == 10
+    assert len(set(calls)) == 10
 
 
 def test_apply_wrappers_match_jet_ops():
