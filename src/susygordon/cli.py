@@ -38,6 +38,7 @@ from .checks import REGISTRY, CheckSpec
 from .elliptic import jacobi
 from .grassmann import (
     DEFAULT_ROLES,
+    MAX_GENERATORS,
     TIER_DEFAULTS,
     AlgebraContext,
     apply_analytic,
@@ -615,6 +616,8 @@ def _config_from(ns) -> RunConfig:
     )
     if cfg.generators < 4:
         raise UsageError(f"need at least 4 generators, got {cfg.generators}")
+    if cfg.generators > MAX_GENERATORS:
+        raise UsageError(f"need at most {MAX_GENERATORS} generators, got {cfg.generators}")
     if not math.isfinite(cfg.k0):
         raise UsageError(f"--K0 must be finite, got {cfg.k0}")
     return cfg

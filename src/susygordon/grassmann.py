@@ -43,14 +43,27 @@ class ParityError(ValueError):
 
 _BODY_EPS = 1e-300
 
+MAX_GENERATORS = 32
+
 _SIGN_CACHE: dict[int, float] = {}
+
+
+def check_generator_count(ngen: int) -> int:
+    """``ngen`` if it is in 1..MAX_GENERATORS, else ValueError.
+
+    The sign cache packs two masks into one key of 2 * MAX_GENERATORS bits,
+    so a wider algebra would make different mask pairs share a sign.
+    """
+    if ngen < 1 or ngen > MAX_GENERATORS:
+        raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {ngen}")
+    return ngen
 
 
 def _merge_sign(a: int, b: int) -> float:
     # Parity of the transposition count for merging two ascending generator
     # words: each generator of b hops over every generator of a with a
     # strictly larger index.
-    key = (a << 32) | b
+    key = (a << MAX_GENERATORS) | b
     s = _SIGN_CACHE.get(key)
     if s is None:
         n = 0
@@ -71,9 +84,7 @@ class GrassmannNumber:
     __hash__ = None
 
     def __init__(self, ngen: int, terms: dict[int, float] | None = None):
-        if ngen < 1 or ngen > 32:
-            raise ValueError(f"generator count must be in 1..32, got {ngen}")
-        self.ngen = ngen
+        self.ngen = check_generator_count(ngen)
         limit = 1 << ngen
         clean: dict[int, float] = {}
         if terms:
@@ -199,6 +210,8 @@ class GrassmannNumber:
             raise ContextMismatch(
                 f"mixing algebras with {self.ngen} and {other.ngen} generators"
             )
+        if not self.terms or not other.terms:
+            return GrassmannNumber._make(self.ngen, {})
         out: dict[int, float] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -337,6 +350,7 @@ def sample_random(parity: Parity, max_degree: int, rng_seed, ngen: int = 8) -> G
         parity = Parity[parity.upper()]
     if parity is Parity.MIXED:
         raise ParityError("sample_random draws homogeneous values only")
+    check_generator_count(ngen)
     if max_degree > ngen:
         raise ValueError("max_degree exceeds the generator count")
     rng = random.Random(rng_seed)
@@ -418,6 +432,7 @@ def to_text(a: GrassmannNumber) -> str:
 
 def parse(text: str, ngen: int = 8) -> GrassmannNumber:
     """Parse the ``to_text`` grammar (signs, ``coef*xi^xj`` terms)."""
+    check_generator_count(ngen)
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty supernumber text")
@@ -493,6 +508,7 @@ class AlgebraContext:
     roles: MappingProxyType = field(default_factory=lambda: DEFAULT_ROLES)
 
     def __post_init__(self):
+        check_generator_count(self.generator_count)
         idx = list(self.roles.values())
         if len(set(idx)) != len(idx):
             raise ValueError("reserved role indices must be pairwise distinct")
@@ -547,10 +563,11 @@ DEFAULT_CONTEXT = AlgebraContext()
 
 def scalar(x: float, ngen: int = 8) -> GrassmannNumber:
     c = float(x)
-    return GrassmannNumber._make(ngen, {0: c} if c != 0.0 else {})
+    return GrassmannNumber._make(check_generator_count(ngen), {0: c} if c != 0.0 else {})
 
 
 def gen(i: int, ngen: int = 8) -> GrassmannNumber:
+    check_generator_count(ngen)
     if i < 0 or i >= ngen:
         raise ValueError(f"generator index {i} out of range")
     return GrassmannNumber._make(ngen, {1 << i: 1.0})

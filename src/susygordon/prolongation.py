@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable
 
@@ -57,6 +58,12 @@ ODD = Parity.ODD
 
 @dataclass(frozen=True)
 class ProblemSignature:
+    """Named independents and dependents with their parities.
+
+    The name tables below are pure functions of the frozen fields, so each
+    is computed once per instance, on first use.
+    """
+
     independents: tuple[tuple[str, Parity], ...]
     dependents: tuple[tuple[str, Parity], ...]
     order: int = 2
@@ -66,31 +73,35 @@ class ProblemSignature:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
 
+    @cached_property
+    def _variables(self) -> dict:
+        # name -> (direction index, parity), independents first
+        return {n: (i, p) for i, (n, p) in enumerate(self.independents + self.dependents)}
+
+    @cached_property
+    def _coordinate_keys(self) -> dict:
+        # memo of coordinate_key, filled on use
+        return {}
+
     def parity_of(self, name: str) -> Parity:
-        for n, p in self.independents + self.dependents:
-            if n == name:
-                return p
-        raise KeyError(name)
+        return self._variables[name][1]
 
     def dir_index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.independents + self.dependents):
-            if n == name:
-                return i
-        raise KeyError(name)
+        return self._variables[name][0]
 
-    @property
+    @cached_property
     def even_independents(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.independents if p is EVEN)
 
-    @property
+    @cached_property
     def odd_independents(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.independents if p is ODD)
 
-    @property
+    @cached_property
     def even_dependents(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.dependents if p is EVEN)
 
-    @property
+    @cached_property
     def odd_dependents(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.dependents if p is ODD)
 
@@ -124,6 +135,15 @@ def append_odd(sig: ProblemSignature, jodd: tuple, direction: str):
 
 def coordinate_key(sig: ProblemSignature, dep: str, dirs=()):
     """(sign, key) for the coordinate reached by successive derivatives."""
+    dirs = tuple(dirs)
+    memo = sig._coordinate_keys
+    hit = memo.get((dep, dirs))
+    if hit is None:
+        hit = memo[dep, dirs] = _coordinate_key(sig, dep, dirs)
+    return hit
+
+
+def _coordinate_key(sig: ProblemSignature, dep: str, dirs: tuple):
     jeven = [0] * len(sig.even_independents)
     jodd: tuple = ()
     sign = 1.0
@@ -464,17 +484,34 @@ def evaluate_spec(v: VectorFieldSpec, p: JetPoint) -> dict:
 
 
 def evaluate_expr(expr: JetExpr, coefvals: dict, p: JetPoint) -> GrassmannNumber:
+    """The sum over the terms ``(c, (f1, f2, ...))`` of ``c * f1 * f2 * ...``.
+
+    A term with an empty factor contributes nothing: it is dropped at its
+    first empty factor, before any product is formed, and the factors after
+    that one are not looked up.  For the named generators most terms of a
+    table carry a coefficient-function partial that is zero.  A surviving
+    term is multiplied left to right from ``scalar(c)`` and the terms are
+    summed in table order.  That order keeps every value, and so every
+    report, bit for bit the same as multiplying every term through.
+    """
     acc = p.ctx.zero()
     for c, fs in expr:
-        term = p.ctx.scalar(c)
+        values = []
         for f in fs:
             if isinstance(f, CoordF):
-                term = term * p.get((f.dep, f.jeven, f.jodd))
+                v = p.get((f.dep, f.jeven, f.jodd))
             elif isinstance(f, BaseF):
-                term = term * p.base_value(f.name)
+                v = p.base_value(f.name)
             else:
-                term = term * coefvals[f.target].partial(f.derivs)
-        acc = acc + term
+                v = coefvals[f.target].partial(f.derivs)
+            if not v.terms:
+                break
+            values.append(v)
+        else:
+            term = p.ctx.scalar(c)
+            for v in values:
+                term = term * v
+            acc = acc + term
     return acc
 
 

@@ -164,6 +164,20 @@ def test_verify_generator_floor(capsys):
     assert code == 2
 
 
+def test_generator_ceiling(tmp_path, capsys):
+    # past 32 generators the packed sign-cache keys of the algebra collide
+    target = tmp_path / "out"
+    for argv in (["verify", "--suite", "elliptic", "--generators", "33"],
+                 ["verify", "--suite", "elliptic", "--generators", "40"],
+                 ["solve", "--ode", "rebp", "--generators", "40"]):
+        code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+        assert code == 2 and out == "", argv
+        assert "at most 32 generators" in err
+        assert not target.exists()
+    code, _, _ = run_cli(["verify", "--suite", "elliptic", "--generators", "32"], capsys)
+    assert code == 0
+
+
 def test_verify_bad_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])

@@ -165,6 +165,31 @@ def test_norm_propagates_nan():
     assert math.isnan(GrassmannNumber(NGEN, {0: math.nan, 3: 1.0}).norm())
 
 
+@pytest.mark.parametrize("ngen", [0, 33, 40])
+def test_generator_count_outside_1_to_32_is_rejected(ngen):
+    # the sign cache packs two masks into 64 bits; past 32 generators two
+    # different mask pairs would share one cached sign
+    for build in (
+        lambda: GrassmannNumber(ngen),
+        lambda: AlgebraContext(ngen, {}),
+        lambda: AlgebraContext(ngen),
+        lambda: scalar(1.0, ngen),
+        lambda: gen(0, ngen),
+        lambda: sample_random(Parity.EVEN, 0, 0, ngen),
+        lambda: parse("1", ngen),
+    ):
+        with pytest.raises(ValueError, match="generator count"):
+            build()
+
+
+def test_top_generators_of_a_32_generator_algebra_anticommute():
+    ctx = AlgebraContext(32)
+    low, mid, top = ctx.gen(0), ctx.gen(1), ctx.gen(31)
+    assert top * low == -(low * top)
+    assert to_text(low * top * mid) == "-1*x1^x2^x32"
+    assert (low * top) * mid == mid * (low * top)
+
+
 # ------------------------------------------------------------ text rendering
 
 
@@ -231,6 +256,36 @@ def test_supercommutativity(pa, pb, data):
     b = data.draw(hvalues(pb))
     sign = -1.0 if (pa is Parity.ODD and pb is Parity.ODD) else 1.0
     assert (a * b - b * a * sign).is_zero()
+
+
+def nonfinite_body(body):
+    """``body`` plus a finite soul of up to three terms."""
+    return gvalues().map(lambda a: a.soul() + body)
+
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NONEMPTY = gvalues().filter(lambda b: not b.is_zero())
+
+
+@given(NONFINITE.flatmap(nonfinite_body), NONEMPTY)
+@settings(max_examples=60, deadline=None)
+def test_nonfinite_body_survives_products(a, b):
+    # no coefficient of b is zero, so the body meets each one and leaves a
+    # NaN or an infinity behind
+    assert not math.isfinite((a * b).norm())
+    assert not math.isfinite((b * a).norm())
+
+
+@given(NONFINITE.flatmap(nonfinite_body), gvalues())
+@settings(max_examples=60, deadline=None)
+def test_nonfinite_body_survives_sums(a, b):
+    for v in (a + b, b + a, a - b, b - a):
+        assert not math.isfinite(v.norm())
+
+
+def test_empty_operand_gives_the_exact_zero():
+    bad = scalar(math.nan) + gen(0)
+    assert (bad * scalar(0.0)).is_zero() and (scalar(0.0) * bad).is_zero()
 
 
 @given(gvalues())

@@ -1,12 +1,16 @@
 """Jet points, total derivatives, and the prolongation recursion."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
-from susygordon.grassmann import Parity, apply_analytic
+from susygordon.grassmann import GrassmannNumber, Parity, apply_analytic
 from susygordon.analytic import COS
+from susygordon import checks
+from susygordon.cli import RunConfig, _run_checks
 from susygordon.prolongation import (
     COMPONENT_SIGNATURE,
     SSG_SIGNATURE,
@@ -15,6 +19,7 @@ from susygordon.prolongation import (
     CoordF,
     IncompleteJetPoint,
     JetPoint,
+    ProlongationTable,
     VectorFieldSpec,
     combine_specs,
     component_named_generators,
@@ -22,6 +27,7 @@ from susygordon.prolongation import (
     component_symmetry_spec,
     coordinate_key,
     evaluate_expr,
+    evaluate_spec,
     onshell_substitute,
     prolong,
     prolong_expanded,
@@ -300,3 +306,91 @@ def test_component_scaling_acts_on_fermions():
     # Sigma^t = Sigma_phi phi_t - tau_t phi_t = (-1) phi_t - (-2) phi_t = phi_t
     want = p.coordinate("phi", "t")
     assert (pe.get("phi", ("t",)) - want).norm() < 1e-13
+
+
+# ------------------------------------------- sparse evaluation of the tables
+
+
+def _multiply_through(expr, coefvals, p):
+    """Every term multiplied through, empty factors included: the reference
+    that the sparse ``evaluate_expr`` must match bit for bit."""
+    acc = p.ctx.zero()
+    for c, fs in expr:
+        term = p.ctx.scalar(c)
+        for f in fs:
+            if isinstance(f, CoordF):
+                term = term * p.get((f.dep, f.jeven, f.jodd))
+            elif isinstance(f, BaseF):
+                term = term * p.base_value(f.name)
+            else:
+                term = term * coefvals[f.target].partial(f.derivs)
+        acc = acc + term
+    return acc
+
+
+def _all_specs():
+    """Every named generator and the shift spec of both pictures."""
+    for named, shift in (
+        (ssg_named_generators, ssg_shift_spec),
+        (component_named_generators, component_shift_spec),
+    ):
+        yield from dict(named(CTX), shift=shift(CTX)).items()
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=15, deadline=None)
+def test_sparse_evaluation_matches_multiplying_through(seed):
+    for name, spec in _all_specs():
+        table = ProlongationTable(spec.sig, spec.parity_table())
+        p = random_jet_point(spec.sig, seed, CTX)
+        for q in (p, onshell_substitute(p)):
+            coefvals = evaluate_spec(spec, q)
+            for (dep, dirs), got in prolong(spec, q).values.items():
+                if len(dirs) == 1:
+                    expr = table.first_order(dep, *dirs)
+                else:
+                    expr = table.second_order(dep, *dirs)
+                want = list(_multiply_through(expr, coefvals, q).terms.items())
+                # same coefficients, bit for bit, in the same order
+                assert list(got.terms.items()) == want, (name, dep, dirs)
+                assert list(evaluate_expr(expr, coefvals, q).terms.items()) == want
+
+
+def test_prolongation_product_counts(monkeypatch):
+    # deterministic counts gate the hot path, not wall time; each bound is
+    # the exact count of the sparse table evaluation
+    calls = 0
+    mul = GrassmannNumber.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(GrassmannNumber, "__mul__", counted)
+    list(checks.prolongation_gaps("superspace")(CTX, 2003, 1))
+    assert calls <= 1543
+    calls = 0
+    list(checks.symmetry_residuals("superspace")(CTX, 3001, 1))
+    assert calls <= 278
+
+
+def _nan_phi_x(p):
+    """The point with a NaN body in its Phi_x coordinate, soul kept."""
+    _, key = coordinate_key(p.sig, "Phi", ("x",))
+    assert key == ("Phi", (1, 0), ())
+    v = p.get(key)
+    return p.replace_coords({key: v - v.body + math.nan})
+
+
+def test_nan_coordinate_is_not_skipped(monkeypatch):
+    # the skip drops only terms with an empty factor, which the full
+    # product would drop too; a NaN in a live factor still reaches the report
+    p = _nan_phi_x(random_jet_point(SSG_SIGNATURE, 5, CTX))
+    assert math.isnan(prolong(ssg_named_generators(CTX)["L"], p).get("Phi", ("x",)).norm())
+    monkeypatch.setattr(
+        checks, "random_jet_point", lambda *a, **kw: _nan_phi_x(random_jet_point(*a, **kw))
+    )
+    [spec] = [s for s in checks.REGISTRY["prolongation"] if s.name == "recursive_vs_expanded"]
+    [(rec, note)] = _run_checks([spec], RunConfig())
+    assert rec.status == "fail" and math.isnan(rec.max_residual) and note is None
