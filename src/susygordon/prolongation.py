@@ -432,42 +432,54 @@ class EvaluatedCoefficient:
         for name in sig.even_dependents:
             sgn, key = coordinate_key(sig, name, ())
             jets[name] = jet_variable(spec, name, point.get(key))
-        self.state: dict[tuple, SuperJet] = {
-            S: builder(jets) for S, builder in fn.sectors.items()
+        # per direction prefix, the jet of each sector (a tuple of odd dependents)
+        self._states: dict[tuple, dict[tuple, SuperJet]] = {
+            (): {S: builder(jets) for S, builder in fn.sectors.items()}
         }
         self._memo: dict = {}
+
+    def _state_of(self, dirs: tuple) -> dict:
+        """Sector state after the partials ``dirs``, extending the cached
+        state of ``dirs[:-1]`` by one direction."""
+        state = self._states.get(dirs)
+        if state is not None:
+            return state
+        state = self._state_of(dirs[:-1])
+        d = dirs[-1]
+        sig, ctx = self.sig, self.ctx
+        if d in sig.even_independents or d in sig.even_dependents:
+            state = {S: jet_partial(j, d) for S, j in state.items()}
+        elif d in sig.odd_independents:
+            idx = ctx.roles[d]
+            new = {}
+            for S, j in state.items():
+                sgn = (-1.0) ** len(S)
+                nj = jet_map(j, lambda v: gen_derivative(v, idx))
+                new[S] = nj if sgn == 1.0 else jet_map(nj, lambda v: v * sgn)
+            state = new
+        else:
+            new = {}
+            for S, j in state.items():
+                if d not in S:
+                    continue
+                pos = S.index(d)
+                rest = S[:pos] + S[pos + 1 :]
+                sgn = (-1.0) ** pos
+                nj = j if sgn == 1.0 else jet_map(j, lambda v: v * sgn)
+                if rest in new:
+                    new[rest] = new[rest] + nj
+                else:
+                    new[rest] = nj
+            state = new
+        self._states[dirs] = state
+        return state
 
     def partial(self, dirs: tuple = ()) -> GrassmannNumber:
         dirs = tuple(dirs)
         if dirs in self._memo:
             return self._memo[dirs]
-        state = self.state
+        state = self._state_of(dirs)
         sig, ctx = self.sig, self.ctx
-        for d in dirs:
-            if d in sig.even_independents or d in sig.even_dependents:
-                state = {S: jet_partial(j, d) for S, j in state.items()}
-            elif d in sig.odd_independents:
-                idx = ctx.roles[d]
-                new = {}
-                for S, j in state.items():
-                    sgn = (-1.0) ** len(S)
-                    nj = jet_map(j, lambda v: gen_derivative(v, idx))
-                    new[S] = nj if sgn == 1.0 else jet_map(nj, lambda v: v * sgn)
-                state = new
-            else:
-                new = {}
-                for S, j in state.items():
-                    if d not in S:
-                        continue
-                    pos = S.index(d)
-                    rest = S[:pos] + S[pos + 1 :]
-                    sgn = (-1.0) ** pos
-                    nj = j if sgn == 1.0 else jet_map(j, lambda v: v * sgn)
-                    if rest in new:
-                        new[rest] = new[rest] + nj
-                    else:
-                        new[rest] = nj
-                state = new
         acc = ctx.zero()
         for S, j in state.items():
             term = j.value()

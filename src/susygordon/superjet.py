@@ -8,13 +8,26 @@ Leibniz bookkeeping sign-free as long as factor order is preserved.
 
 Composition with an analytic function uses Faa di Bruno in its set
 partition form over index positions.  The base component must be even.
+
+The index bookkeeping is done once per ``JetSpec``, not once per call: the
+Faa di Bruno plan (every set partition of every multi-index, as the blocks'
+multi-indices) and the Leibniz table (index pair to sum and binomial
+weight) are built on first use and cached per frozen spec.  A Faa di Bruno
+term with an absent component is skipped before any product is formed, and
+a base without a soul reads its derivatives straight off the analytic
+function.  Every value stays bit for bit what multiplying every term
+through gives: an absent component is the empty number, whose product is
+empty, and the surviving terms keep the same partition order and the same
+left-to-right factor order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from types import MappingProxyType
 from typing import Callable
 
 from .analytic import AnalyticFn
@@ -56,7 +69,7 @@ class SuperJet:
 
     def get(self, J) -> GrassmannNumber:
         v = self.comp.get(tuple(J))
-        return v if v is not None else scalar(0.0, self.ngen)
+        return v if v is not None else GrassmannNumber._make(self.ngen, {})
 
     def value(self) -> GrassmannNumber:
         return self.get((0,) * len(self.spec.seeds))
@@ -152,17 +165,35 @@ def _binom_multi(J, I) -> float:
     return out
 
 
+@cache
+def _leibniz_plan(spec: JetSpec) -> MappingProxyType:
+    """``(I, K) -> (I + K, binomial weight)`` for every pair within the order.
+
+    The table is read-only, so a concurrent first fill only builds an equal
+    value.
+    """
+    idx = list(spec.indices())
+    table = {}
+    for I in idx:
+        for K in idx:
+            J = tuple(i + k for i, k in zip(I, K))
+            if sum(J) <= spec.order:
+                table[I, K] = (J, _binom_multi(J, I))
+    return MappingProxyType(table)
+
+
 def jet_multiply(a: SuperJet, b: SuperJet) -> SuperJet:
     """Componentwise Leibniz product; factor order a*b is preserved."""
     _check_same(a, b)
+    plan = _leibniz_plan(a.spec)
     comp: dict = {}
     for I, av in a.comp.items():
         for K, bv in b.comp.items():
-            J = tuple(i + k for i, k in zip(I, K))
-            if sum(J) > a.spec.order:
+            hit = plan.get((I, K))
+            if hit is None:
                 continue
+            J, w = hit
             term = av * bv
-            w = _binom_multi(J, I)
             term = term * w if w != 1.0 else term
             comp[J] = comp[J] + term if J in comp else term
     return SuperJet(a.spec, a.ngen, comp)
@@ -183,10 +214,6 @@ def jet_partial(a: SuperJet, seed: str) -> SuperJet:
     return SuperJet(sub, a.ngen, comp)
 
 
-def _set_partitions(n: int):
-    return _set_partitions_of(list(range(n)))
-
-
 def _set_partitions_of(items):
     if not items:
         yield []
@@ -198,12 +225,48 @@ def _set_partitions_of(items):
         yield [[head]] + rest
 
 
+@cache
+def _faa_plan(spec: JetSpec) -> tuple:
+    """Faa di Bruno terms of every component of degree >= 1.
+
+    One ``(J, terms)`` entry per multi-index ``J`` in ``spec.indices()``
+    order; ``terms`` holds ``(block_count, (K_1, ..., K_b))`` for every set
+    partition of the index positions of ``J``, in ``_set_partitions_of``
+    order, where ``K_i`` is the multi-index that block ``i`` collects.  The
+    plan is an immutable tuple, so a concurrent first fill only builds an
+    equal value.
+    """
+    n = len(spec.seeds)
+    plan = []
+    for J in spec.indices():
+        d = sum(J)
+        if d == 0:
+            continue
+        positions = [ax for ax, cnt in enumerate(J) for _ in range(cnt)]
+        terms = []
+        for part in _set_partitions_of(list(range(d))):
+            blocks = []
+            for block in part:
+                K = [0] * n
+                for pos in block:
+                    K[positions[pos]] += 1
+                blocks.append(tuple(K))
+            terms.append((len(part), tuple(blocks)))
+        plan.append((J, tuple(terms)))
+    return tuple(plan)
+
+
 def _analytic_derivs_at(fn: AnalyticFn, a: GrassmannNumber, kmax: int):
     """[f(a), f'(a), ..., f^(kmax)(a)] for even a, via Taylor in the soul."""
     if not a.is_even():
         raise ParityError("analytic composition needs an even base component")
     b = a.body
     s = a.soul()
+    if s.is_zero():
+        # with no soul the series below is 0 + 1*(d/0!), which is d itself
+        # bit for bit, NaN and -0.0 included
+        return [GrassmannNumber._make(a.ngen, {0: d} if d != 0.0 else {})
+                for d in fn.derivs(b, kmax)]
     powers = [scalar(1.0, a.ngen)]
     p = powers[0]
     while True:
@@ -225,9 +288,12 @@ def jet_apply_analytic(a: SuperJet, fn: AnalyticFn) -> SuperJet:
     """fn composed onto an even jet.
 
     Each component of total degree d expands over set partitions of the d
-    index positions.  Every component must be even: the composition only
-    makes sense for an even-valued function, and evenness is what lets the
-    chain rule factors commute without sign tracking.
+    index positions, walked from the spec's cached plan.  A term is dropped
+    at its first absent component; the others are multiplied left to right
+    from ``f^(b)`` and summed in plan order.  Every component must be even:
+    the composition only makes sense for an even-valued function, and
+    evenness is what lets the chain rule factors commute without sign
+    tracking.
     """
     for v in a.comp.values():
         if not v.is_even():
@@ -235,22 +301,21 @@ def jet_apply_analytic(a: SuperJet, fn: AnalyticFn) -> SuperJet:
     base = a.value()
     fs = _analytic_derivs_at(fn, base, a.spec.order)
     comp = {(0,) * len(a.spec.seeds): fs[0]}
-    for J in a.spec.indices():
-        d = sum(J)
-        if d == 0:
-            continue
-        positions = []
-        for ax, cnt in enumerate(J):
-            positions.extend([ax] * cnt)
-        acc = scalar(0.0, a.ngen)
-        for part in _set_partitions(d):
-            term = fs[len(part)]
-            for block in part:
-                K = [0] * len(a.spec.seeds)
-                for pos in block:
-                    K[positions[pos]] += 1
-                term = term * a.get(tuple(K))
-            acc = acc + term
+    have = a.comp
+    for J, terms in _faa_plan(a.spec):
+        acc = GrassmannNumber._make(a.ngen, {})
+        for b, blocks in terms:
+            factors = []
+            for K in blocks:
+                v = have.get(K)
+                if v is None:
+                    break
+                factors.append(v)
+            else:
+                term = fs[b]
+                for v in factors:
+                    term = term * v
+                acc = acc + term
         comp[J] = acc
     return SuperJet(a.spec, a.ngen, comp)
 

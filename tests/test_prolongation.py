@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
 from susygordon.grassmann import GrassmannNumber, Parity, apply_analytic
 from susygordon.analytic import COS
-from susygordon import checks
+from susygordon import checks, prolongation
 from susygordon.cli import RunConfig, _run_checks
 from susygordon.prolongation import (
     COMPONENT_SIGNATURE,
@@ -373,6 +373,22 @@ def test_prolongation_product_counts(monkeypatch):
     calls = 0
     list(checks.symmetry_residuals("superspace")(CTX, 3001, 1))
     assert calls <= 278
+
+
+def test_coefficient_partials_extend_their_prefix(monkeypatch):
+    # a partial along (a, b) extends the cached sector state of (a,), so
+    # one prolongation of L makes exactly this many jet partials
+    calls = 0
+    partial = prolongation.jet_partial
+
+    def counted(j, seed):
+        nonlocal calls
+        calls += 1
+        return partial(j, seed)
+
+    monkeypatch.setattr(prolongation, "jet_partial", counted)
+    prolong(ssg_named_generators(CTX)["L"], random_jet_point(SSG_SIGNATURE, 31, CTX))
+    assert calls == 36
 
 
 def _nan_phi_x(p):

@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susygordon.analytic import COS, EXP, LOG, SIN, TaylorFn, TrigPoly
+from susygordon import checks
+from susygordon.analytic import COS, EXP, LOG, SIN, TANH, TaylorFn, TrigPoly
+from susygordon.grassmann import DEFAULT_CONTEXT as CTX
 from susygordon.grassmann import GrassmannNumber, ParityError, gen, sample_random, scalar
 from susygordon.superjet import (
     JetSpec,
@@ -221,3 +223,132 @@ def test_constant_jet():
     assert c.d("x").is_zero()
     j = jet_variable(XT, "t", sc(1.5))
     assert (c * j).d("t").body == 4.0
+
+
+# ------------------------------- planned composition and product: references
+
+
+def _partitions_reference(items):
+    if not items:
+        yield []
+        return
+    head, tail = items[0], items[1:]
+    for rest in _partitions_reference(tail):
+        for i in range(len(rest)):
+            yield [rest[j] + ([head] if j == i else []) for j in range(len(rest))]
+        yield [[head]] + rest
+
+
+def _apply_reference(a, fn):
+    """Every Faa di Bruno term multiplied through, absent components
+    included, from the soul series of the base: the reference that the
+    planned ``jet_apply_analytic`` must match bit for bit."""
+    base = a.comp.get((0,) * len(a.spec.seeds), sc(0.0))
+    s = base.soul()
+    powers = [sc(1.0)]
+    while not (p := powers[-1] * s).is_zero():
+        powers.append(p)
+    ds = fn.derivs(base.body, a.spec.order + len(powers) - 1)
+    fs = []
+    for k in range(a.spec.order + 1):
+        acc = sc(0.0)
+        for j, pw in enumerate(powers):
+            acc = acc + pw * (ds[k + j] / math.factorial(j))
+        fs.append(acc)
+    comp = {(0,) * len(a.spec.seeds): fs[0]}
+    for J in a.spec.indices():
+        d = sum(J)
+        if d == 0:
+            continue
+        positions = [ax for ax, cnt in enumerate(J) for _ in range(cnt)]
+        acc = sc(0.0)
+        for part in _partitions_reference(list(range(d))):
+            term = fs[len(part)]
+            for block in part:
+                K = [0] * len(a.spec.seeds)
+                for pos in block:
+                    K[positions[pos]] += 1
+                term = term * a.comp.get(tuple(K), sc(0.0))
+            acc = acc + term
+        comp[J] = acc
+    return SuperJet(a.spec, NG, comp)
+
+
+def _multiply_reference(a, b):
+    comp = {}
+    for I, av in a.comp.items():
+        for K, bv in b.comp.items():
+            J = tuple(i + k for i, k in zip(I, K))
+            if sum(J) > a.spec.order:
+                continue
+            term = av * bv
+            w = 1.0
+            for j, i in zip(J, I):
+                w *= math.comb(j, i)
+            term = term * w if w != 1.0 else term
+            comp[J] = comp[J] + term if J in comp else term
+    return SuperJet(a.spec, NG, comp)
+
+
+def _exact(f, *args):
+    """Components and coefficients in their stored order, any NaN as one
+    token, or the error raised (``math.sin(inf)`` is a ``ValueError``)."""
+    try:
+        jet = f(*args)
+    except ValueError as e:
+        return repr(e)
+    return [
+        (J, [(m, c if c == c else "nan") for m, c in v.terms.items()])
+        for J, v in jet.comp.items()
+    ]
+
+
+@st.composite
+def _even_jet_pair(draw, kind):
+    spec = JetSpec(("x", "t", "y")[: draw(st.integers(1, 3))], draw(st.integers(0, 3)))
+    bodies = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+    def one():
+        comp = {}
+        for J in spec.indices():
+            if kind == "missing" and draw(st.booleans()):
+                continue
+            v = sc(draw(bodies))
+            if kind == "soul" and draw(st.booleans()):
+                v = v + sample_random("even", 4, draw(st.integers(0, 10**6)), NG)
+            comp[J] = v
+        if kind == "nonfinite":
+            J = draw(st.sampled_from(list(spec.indices())))
+            comp[J] = comp[J] + sc(draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+        return SuperJet(spec, NG, comp)
+
+    return one(), one()
+
+
+@pytest.mark.parametrize("kind", ["real", "soul", "missing", "nonfinite"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_planned_jets_match_multiplying_through(kind, data):
+    a, b = data.draw(_even_jet_pair(kind))
+    fn = data.draw(st.sampled_from([SIN, COS, EXP, TANH]))
+    assert _exact(jet_apply_analytic, a, fn) == _exact(_apply_reference, a, fn)
+    assert _exact(jet_multiply, a, b) == _exact(_multiply_reference, a, b)
+
+
+def test_jet_product_counts(monkeypatch):
+    # deterministic counts gate the jet layer, not wall time; each bound is
+    # the exact count of the planned composition with its body-only base
+    calls = 0
+    mul = GrassmannNumber.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(GrassmannNumber, "__mul__", counted)
+    jet_apply_analytic(jet_variable(XT, "x", sc(0.7)), SIN)
+    assert calls == 3
+    calls = 0
+    list(checks.b5_residuals(checks.covariant_squares, checks.susy_anticommutators)(CTX, 900, 1))
+    assert calls == 2385
