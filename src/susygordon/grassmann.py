@@ -554,9 +554,6 @@ class AlgebraContext:
     def sample(self, parity: Parity, max_degree: int, rng_seed) -> GrassmannNumber:
         return sample_random(parity, max_degree, rng_seed, self.generator_count)
 
-    def theta_mask(self) -> int:
-        return (1 << self.roles["theta1"]) | (1 << self.roles["theta2"])
-
 
 DEFAULT_CONTEXT = AlgebraContext()
 

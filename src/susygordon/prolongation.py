@@ -17,8 +17,10 @@ Prolonged coefficients come from the graded recursion
     P^AB = D_B P^A - sum_C (D_B zeta^C) u_AC
 
 with every product kept in exactly this order, built symbolically once
-per signature and then evaluated at sampled points.  The long-hand
-closed forms live in prolong_expanded as an independent transcription.
+per signature and then evaluated at sampled points.  Each coefficient
+function declares the variables it reads, and the terms that a
+declaration makes zero are pruned once per table.  The long-hand closed
+forms live in prolong_expanded as an independent transcription.
 """
 
 from __future__ import annotations
@@ -376,18 +378,34 @@ class CoefficientFn:
     a SuperJet over those seeds of the requested order.  Dependence on
     odd independents lives inside the returned components as reserved
     Grassmann generators.
+
+    ``reads`` declares the variables (independents and dependents, by
+    name) that the function depends on; ``None`` means any of them.  A
+    declaration is a promise that every partial along an undeclared
+    direction is the empty number at every point.  Prolongation relies on
+    it: table terms with such a partial are dropped once per table (the
+    pruned tables are cached as immutable values, built whole before they
+    are published, so a concurrent first fill is harmless), and
+    ``EvaluatedCoefficient.partial`` answers such a partial without jet
+    work.  Declaring too much is safe; declaring too little gives wrong
+    prolongations.
     """
 
     parity: Parity
     sectors: dict[tuple[str, ...], Callable]
+    reads: frozenset | None = None
+
+    def __post_init__(self):
+        if self.reads is not None:
+            self.reads = frozenset(self.reads)
 
     @classmethod
-    def plain(cls, parity: Parity, builder: Callable) -> "CoefficientFn":
-        return cls(parity, {(): builder})
+    def plain(cls, parity: Parity, builder: Callable, reads=None) -> "CoefficientFn":
+        return cls(parity, {(): builder}, reads)
 
     @classmethod
     def zero(cls, parity: Parity = EVEN) -> "CoefficientFn":
-        return cls(parity, {})
+        return cls(parity, {}, frozenset())
 
 
 @dataclass
@@ -406,6 +424,8 @@ class VectorFieldSpec:
                     raise ValueError(f"sector {S} not in canonical order")
                 if any(n not in self.sig.odd_dependents for n in S):
                     raise ValueError(f"sector {S} may only list odd dependents")
+            if c.reads is not None and not c.reads <= self.sig._variables.keys():
+                raise ValueError(f"coefficient of {name} reads unknown variables")
 
     def parity_table(self) -> dict:
         return {name: (1 if c.parity is ODD else 0) for name, c in self.coefficients.items()}
@@ -417,21 +437,14 @@ class EvaluatedCoefficient:
     Even partials come from the stored jets, partials along odd
     independents from generator derivatives of the jet components, and
     partials along odd dependents from sector bookkeeping.  A query lists
-    derivative directions leftmost-first.
+    derivative directions leftmost-first.  ``jets`` are the point's seed
+    jets, shared by every coefficient evaluated at the point.
     """
 
-    def __init__(self, fn: CoefficientFn, point: JetPoint):
-        sig, ctx = point.sig, point.ctx
-        self.sig, self.ctx = sig, ctx
+    def __init__(self, fn: CoefficientFn, point: JetPoint, jets: dict):
+        self.sig, self.ctx = point.sig, point.ctx
         self.point = point
-        seeds = sig.even_independents + sig.even_dependents
-        spec = JetSpec(seeds, sig.order)
-        jets = {}
-        for name in sig.even_independents:
-            jets[name] = jet_variable(spec, name, point.base_value(name))
-        for name in sig.even_dependents:
-            sgn, key = coordinate_key(sig, name, ())
-            jets[name] = jet_variable(spec, name, point.get(key))
+        self.reads = fn.reads
         # per direction prefix, the jet of each sector (a tuple of odd dependents)
         self._states: dict[tuple, dict[tuple, SuperJet]] = {
             (): {S: builder(jets) for S, builder in fn.sectors.items()}
@@ -475,12 +488,21 @@ class EvaluatedCoefficient:
         return state
 
     def partial(self, dirs: tuple = ()) -> GrassmannNumber:
+        """The partial along ``dirs``, memoised in ``_memo``.
+
+        A partial along a direction the function does not declare in
+        ``reads`` is the empty number by the declaration's contract, so it
+        is answered at once, without building any sector state.
+        """
         dirs = tuple(dirs)
         if dirs in self._memo:
             return self._memo[dirs]
-        state = self._state_of(dirs)
         sig, ctx = self.sig, self.ctx
         acc = ctx.zero()
+        if self.reads is not None and not self.reads.issuperset(dirs):
+            self._memo[dirs] = acc
+            return acc
+        state = self._state_of(dirs)
         for S, j in state.items():
             term = j.value()
             for name in reversed(S):
@@ -491,20 +513,37 @@ class EvaluatedCoefficient:
         return acc
 
 
+def _seed_jets(p: JetPoint) -> dict:
+    """The point's jets of the even independents and even dependents."""
+    sig = p.sig
+    spec = JetSpec(sig.even_independents + sig.even_dependents, sig.order)
+    jets = {name: jet_variable(spec, name, p.base_value(name)) for name in sig.even_independents}
+    for name in sig.even_dependents:
+        _, key = coordinate_key(sig, name, ())
+        jets[name] = jet_variable(spec, name, p.get(key))
+    return jets
+
+
 def evaluate_spec(v: VectorFieldSpec, p: JetPoint) -> dict:
-    return {name: EvaluatedCoefficient(fn, p) for name, fn in v.coefficients.items()}
+    """Every coefficient of the field frozen at the point, over one set of
+    seed jets."""
+    jets = _seed_jets(p)
+    return {name: EvaluatedCoefficient(fn, p, jets) for name, fn in v.coefficients.items()}
 
 
 def evaluate_expr(expr: JetExpr, coefvals: dict, p: JetPoint) -> GrassmannNumber:
     """The sum over the terms ``(c, (f1, f2, ...))`` of ``c * f1 * f2 * ...``.
 
-    A term with an empty factor contributes nothing: it is dropped at its
-    first empty factor, before any product is formed, and the factors after
-    that one are not looked up.  For the named generators most terms of a
-    table carry a coefficient-function partial that is zero.  A surviving
-    term is multiplied left to right from ``scalar(c)`` and the terms are
-    summed in table order.  That order keeps every value, and so every
-    report, bit for bit the same as multiplying every term through.
+    ``prolong`` passes tables from which the terms with a partial that a
+    ``CoefficientFn.reads`` declaration rules out are already gone; it
+    prunes each table once and caches the result as an immutable value
+    built before it is published, so a concurrent first fill is harmless.
+    A term that is zero only at some points is still dropped here, at its
+    first empty factor, before any product is formed; the factors after
+    that one are not looked up.  A surviving term is multiplied left to
+    right from ``scalar(c)`` and the terms are summed in table order.  That
+    order keeps every value, and so every report, bit for bit the same as
+    multiplying every term of the full table through.
     """
     acc = p.ctx.zero()
     for c, fs in expr:
@@ -525,20 +564,6 @@ def evaluate_expr(expr: JetExpr, coefvals: dict, p: JetPoint) -> GrassmannNumber
                 term = term * v
             acc = acc + term
     return acc
-
-
-def total_derivative(
-    p: JetPoint, expr: JetExpr, direction: str, coefvals=None, coef_parity=None
-) -> GrassmannNumber:
-    """Evaluate D_direction(expr) at the point.
-
-    ``expr`` is a symbolic jet expression (see BaseF/CoordF/FnF).  Pure
-    coordinate and base-variable expressions need no coefficient values;
-    expressions mentioning coefficient functions need both their
-    evaluations and their parity table.
-    """
-    dexpr = total_derivative_expr(p.sig, coef_parity or {}, expr, direction)
-    return evaluate_expr(dexpr, coefvals or {}, p)
 
 
 # --------------------------------------------------------- prolongation table
@@ -593,6 +618,11 @@ class ProlongationTable:
             self.exprs[key] = collect(e)
         return self.exprs[key]
 
+    def slot(self, dep: str, dirs: tuple) -> JetExpr:
+        """The expression of the prolonged coefficient of ``dep`` along
+        one or two directions."""
+        return self.first_order(dep, *dirs) if len(dirs) == 1 else self.second_order(dep, *dirs)
+
 
 def _table_for(v: VectorFieldSpec) -> ProlongationTable:
     key = (v.sig, tuple(sorted(v.parity_table().items())))
@@ -602,6 +632,50 @@ def _table_for(v: VectorFieldSpec) -> ProlongationTable:
 
 
 SSG_PAIRS = (("x", "t"), ("t", "theta1"), ("x", "theta2"), ("theta1", "theta2"))
+
+
+def _slots(sig: ProblemSignature) -> list:
+    """The (dependent, directions) coefficients the symmetry criterion reads."""
+    if sig.odd_independents:
+        dep = sig.dependents[0][0]
+        return [(dep, (a,)) for a, _ in sig.independents] + [(dep, ab) for ab in SSG_PAIRS]
+    return [(dep, (a,)) for dep in ("u", "phi", "psi") for a in ("x", "t")] + [("u", ("x", "t"))]
+
+
+_LIVE_CACHE: dict = {}
+
+
+def _live_table(v: VectorFieldSpec) -> tuple:
+    """(slot, table expression) pairs without the terms the declarations kill.
+
+    A term dies when one of its coefficient-function factors takes a
+    partial along a direction its target does not read; a total derivative
+    of a dead term has only dead terms, so no live term is lost.  The
+    surviving terms keep their table order and factor order.  The result
+    depends only on the signature, the parities and the declarations; it is
+    an immutable value built whole before it is published in the cache, so
+    a concurrent first fill only builds an equal value twice.
+    """
+    reads = {name: c.reads for name, c in v.coefficients.items()}
+    key = (v.sig, tuple(sorted(v.parity_table().items())), tuple(sorted(reads.items())))
+    live = _LIVE_CACHE.get(key)
+    if live is None:
+        table = _table_for(v)
+
+        def alive(fs):
+            for f in fs:
+                if isinstance(f, FnF):
+                    r = reads[f.target]
+                    if r is not None and not r.issuperset(f.derivs):
+                        return False
+            return True
+
+        live = tuple(
+            ((dep, dirs), tuple(term for term in table.slot(dep, dirs) if alive(term[1])))
+            for dep, dirs in _slots(v.sig)
+        )
+        _LIVE_CACHE[key] = live
+    return live
 
 
 @dataclass
@@ -614,23 +688,13 @@ class ProlongedCoefficients:
 
 def prolong(v: VectorFieldSpec, p: JetPoint) -> ProlongedCoefficients:
     """All needed prolonged coefficients via the graded recursion."""
-    table = _table_for(v)
-    coefvals = evaluate_spec(v, p)
-    out = {}
-    if v.sig.odd_independents:
-        dep = v.sig.dependents[0][0]
-        for a, _ in v.sig.independents:
-            out[(dep, (a,))] = evaluate_expr(table.first_order(dep, a), coefvals, p)
-        for a, b in SSG_PAIRS:
-            out[(dep, (a, b))] = evaluate_expr(table.second_order(dep, a, b), coefvals, p)
-    else:
-        for dep in ("u", "phi", "psi"):
-            for a in ("x", "t"):
-                out[(dep, (a,))] = evaluate_expr(table.first_order(dep, a), coefvals, p)
-        out[("u", ("x", "t"))] = evaluate_expr(
-            table.second_order("u", "x", "t"), coefvals, p
-        )
-    return ProlongedCoefficients(out)
+    return _prolong(v, p, evaluate_spec(v, p))
+
+
+def _prolong(v: VectorFieldSpec, p: JetPoint, coefvals: dict) -> ProlongedCoefficients:
+    return ProlongedCoefficients(
+        {slot: evaluate_expr(expr, coefvals, p) for slot, expr in _live_table(v)}
+    )
 
 
 # ------------------------------------------------- expanded closed-form route
@@ -858,7 +922,7 @@ def symmetry_residual(v: VectorFieldSpec, p: JetPoint):
     """
     q = onshell_substitute(p)
     coefvals = evaluate_spec(v, q)
-    pro = prolong(v, q)
+    pro = _prolong(v, q, coefvals)
     ctx = q.ctx
     if v.sig.odd_independents:
         th1 = q.base_value("theta1")
@@ -926,13 +990,16 @@ def ssg_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, D1=None, D2=None, ctx=DEFAULT_CONT
 
     rho = _const_builder(C1 * -1.0 * th1 + D1)
     sigma = _const_builder(C1 * th2 + D2)
+    # a constant that carries a theta generator makes every coefficient read it
+    extra = {n for n in ("theta1", "theta2")
+             if any(m >> ctx.roles[n] & 1 for c in (C1, C2, C3, D1, D2) for m in c.terms)}
     return VectorFieldSpec(
         SSG_SIGNATURE,
         {
-            "x": CoefficientFn.plain(EVEN, xi),
-            "t": CoefficientFn.plain(EVEN, tau),
-            "theta1": CoefficientFn.plain(ODD, rho),
-            "theta2": CoefficientFn.plain(ODD, sigma),
+            "x": CoefficientFn.plain(EVEN, xi, {"x", "theta1", *extra}),
+            "t": CoefficientFn.plain(EVEN, tau, {"t", "theta2", *extra}),
+            "theta1": CoefficientFn.plain(ODD, rho, {"theta1", *extra}),
+            "theta2": CoefficientFn.plain(ODD, sigma, {"theta2", *extra}),
             "Phi": CoefficientFn.zero(EVEN),
         },
     )
@@ -958,7 +1025,7 @@ def ssg_shift_spec(ctx: AlgebraContext = DEFAULT_CONTEXT) -> VectorFieldSpec:
             "t": CoefficientFn.zero(EVEN),
             "theta1": CoefficientFn.zero(ODD),
             "theta2": CoefficientFn.zero(ODD),
-            "Phi": CoefficientFn.plain(EVEN, _const_builder(ctx.one())),
+            "Phi": CoefficientFn.plain(EVEN, _const_builder(ctx.one()), ()),
         },
     )
 
@@ -976,11 +1043,11 @@ def component_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, ctx=DEFAULT_CONTEXT) -> Vect
     return VectorFieldSpec(
         COMPONENT_SIGNATURE,
         {
-            "x": CoefficientFn.plain(EVEN, xi),
-            "t": CoefficientFn.plain(EVEN, tau),
+            "x": CoefficientFn.plain(EVEN, xi, {"x"}),
+            "t": CoefficientFn.plain(EVEN, tau, {"t"}),
             "u": CoefficientFn.zero(EVEN),
-            "phi": CoefficientFn(ODD, {("phi",): _const_builder(ctx.scalar(-0.5 * C1f))}),
-            "psi": CoefficientFn(ODD, {("psi",): _const_builder(ctx.scalar(0.5 * C1f))}),
+            "phi": CoefficientFn(ODD, {("phi",): _const_builder(ctx.scalar(-0.5 * C1f))}, {"phi"}),
+            "psi": CoefficientFn(ODD, {("psi",): _const_builder(ctx.scalar(0.5 * C1f))}, {"psi"}),
         },
     )
 
@@ -999,7 +1066,7 @@ def component_shift_spec(ctx: AlgebraContext = DEFAULT_CONTEXT) -> VectorFieldSp
         {
             "x": CoefficientFn.zero(EVEN),
             "t": CoefficientFn.zero(EVEN),
-            "u": CoefficientFn.plain(EVEN, _const_builder(ctx.one())),
+            "u": CoefficientFn.plain(EVEN, _const_builder(ctx.one()), ()),
             "phi": CoefficientFn.zero(ODD),
             "psi": CoefficientFn.zero(ODD),
         },
@@ -1015,9 +1082,15 @@ def _summed(b1, w1, b2, w2):
 
 
 def combine_specs(a, v: VectorFieldSpec, b, w: VectorFieldSpec) -> VectorFieldSpec:
-    """a*v + b*w for even supernumber weights, coefficient by coefficient."""
+    """a*v + b*w for even supernumber weights, coefficient by coefficient.
+
+    A combined coefficient reads what either part reads, and every odd
+    independent too when a weight has a soul, which may carry a theta.
+    """
     if v.sig is not w.sig:
         raise ValueError("cannot combine specs over different signatures")
+    souled = any(isinstance(x, GrassmannNumber) and x.terms.keys() - {0} for x in (a, b))
+    extra = frozenset(v.sig.odd_independents if souled else ())
     out = {}
     for name in v.coefficients:
         fv, fw = v.coefficients[name], w.coefficients[name]
@@ -1030,5 +1103,6 @@ def combine_specs(a, v: VectorFieldSpec, b, w: VectorFieldSpec) -> VectorFieldSp
         for S, bld in fw.sectors.items():
             if S not in sectors:
                 sectors[S] = _scaled(bld, b)
-        out[name] = CoefficientFn(fv.parity, sectors)
+        reads = None if fv.reads is None or fw.reads is None else fv.reads | fw.reads | extra
+        out[name] = CoefficientFn(fv.parity, sectors, reads)
     return VectorFieldSpec(v.sig, out)

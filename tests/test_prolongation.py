@@ -1,6 +1,8 @@
 """Jet points, total derivatives, and the prolongation recursion."""
 
+import dataclasses
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from susygordon.prolongation import (
     BaseF,
     CoefficientFn,
     CoordF,
+    FnF,
     IncompleteJetPoint,
     JetPoint,
     ProlongationTable,
@@ -36,9 +39,14 @@ from susygordon.prolongation import (
     ssg_shift_spec,
     ssg_symmetry_spec,
     symmetry_residual,
-    total_derivative,
     total_derivative_expr,
 )
+
+
+def total_derivative(p, expr, direction):
+    """D_direction(expr) at the point, for an expression of coordinates and
+    base variables only."""
+    return evaluate_expr(total_derivative_expr(p.sig, {}, expr, direction), {}, p)
 
 
 def test_total_derivative_of_theta_times_field():
@@ -346,10 +354,7 @@ def test_sparse_evaluation_matches_multiplying_through(seed):
         for q in (p, onshell_substitute(p)):
             coefvals = evaluate_spec(spec, q)
             for (dep, dirs), got in prolong(spec, q).values.items():
-                if len(dirs) == 1:
-                    expr = table.first_order(dep, *dirs)
-                else:
-                    expr = table.second_order(dep, *dirs)
+                expr = table.slot(dep, dirs)
                 want = list(_multiply_through(expr, coefvals, q).terms.items())
                 # same coefficients, bit for bit, in the same order
                 assert list(got.terms.items()) == want, (name, dep, dirs)
@@ -375,9 +380,17 @@ def test_prolongation_product_counts(monkeypatch):
     assert calls <= 278
 
 
+def _undeclared(spec):
+    """The spec with every declaration dropped: each coefficient reads all."""
+    return VectorFieldSpec(
+        spec.sig, {n: dataclasses.replace(c, reads=None) for n, c in spec.coefficients.items()}
+    )
+
+
 def test_coefficient_partials_extend_their_prefix(monkeypatch):
     # a partial along (a, b) extends the cached sector state of (a,), so
-    # one prolongation of L makes exactly this many jet partials
+    # one prolongation of undeclared L makes exactly this many jet partials;
+    # declared, L answers every partial but d/dx xi and d/dt tau at once
     calls = 0
     partial = prolongation.jet_partial
 
@@ -387,8 +400,140 @@ def test_coefficient_partials_extend_their_prefix(monkeypatch):
         return partial(j, seed)
 
     monkeypatch.setattr(prolongation, "jet_partial", counted)
-    prolong(ssg_named_generators(CTX)["L"], random_jet_point(SSG_SIGNATURE, 31, CTX))
+    L = ssg_named_generators(CTX)["L"]
+    p = random_jet_point(SSG_SIGNATURE, 31, CTX)
+    prolong(_undeclared(L), p)
     assert calls == 36
+    calls = 0
+    prolong(L, p)
+    assert calls == 2
+
+
+def test_declared_tables_visit_only_live_terms(monkeypatch):
+    # one prolongation of L hands evaluate_expr exactly this many table
+    # terms (196 with the undeclared tables)
+    visited = 0
+    evaluate = prolongation.evaluate_expr
+
+    def counted(expr, coefvals, p):
+        nonlocal visited
+        visited += len(expr)
+        return evaluate(expr, coefvals, p)
+
+    monkeypatch.setattr(prolongation, "evaluate_expr", counted)
+    L = ssg_named_generators(CTX)["L"]
+    p = random_jet_point(SSG_SIGNATURE, 31, CTX)
+    prolong(_undeclared(L), p)
+    assert visited == 196
+    visited = 0
+    prolong(L, p)
+    assert visited == 18
+
+
+def test_seed_jets_are_built_once_per_point(monkeypatch):
+    # x, t and the even dependent: three seed jets per evaluated spec, not
+    # three per coefficient
+    calls = 0
+    variable = prolongation.jet_variable
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return variable(*args)
+
+    monkeypatch.setattr(prolongation, "jet_variable", counted)
+    for spec, sig in ((ssg_named_generators(CTX)["L"], SSG_SIGNATURE),
+                      (component_named_generators(CTX)["D"], COMPONENT_SIGNATURE)):
+        calls = 0
+        evaluate_spec(spec, random_jet_point(sig, 7, CTX))
+        assert calls == 3
+
+
+# ------------------------------------------------- declared dependencies
+
+
+def _ruled_out(spec):
+    """(target, dirs) of every partial the declarations of ``spec`` rule
+    out: each one- and two-fold partial with an undeclared direction, which
+    covers every query of ``prolong_expanded`` and of the realized
+    brackets, and every coefficient-function factor that the declarations
+    prune from the tables."""
+    sig = spec.sig
+    names = [n for n, _ in sig.independents + sig.dependents]
+    out = set()
+    for target, c in spec.coefficients.items():
+        if c.reads is not None:
+            for k in (1, 2):
+                out.update((target, d) for d in product(names, repeat=k)
+                           if not c.reads.issuperset(d))
+    table = ProlongationTable(sig, spec.parity_table())
+    for dep, dirs in prolongation._slots(sig):
+        for f in (f for _, fs in table.slot(dep, dirs) for f in fs if isinstance(f, FnF)):
+            reads = spec.coefficients[f.target].reads
+            if reads is not None and not reads.issuperset(f.derivs):
+                out.add((f.target, f.derivs))
+    return sorted(out)
+
+
+def _declaration_violations(spec, p):
+    """The ruled-out partials that are not the empty number at ``p``,
+    computed on the undeclared copy of the spec."""
+    coefvals = evaluate_spec(_undeclared(spec), p)
+    return [(t, d) for t, d in _ruled_out(spec) if coefvals[t].partial(d).terms]
+
+
+def _terms(pro):
+    return [(slot, list(v.terms.items())) for slot, v in pro.values.items()]
+
+
+# even weights: reals, and bodies with a soul in the free or the theta generators
+_WEIGHTS = st.one_of(
+    st.floats(-2, 2),
+    st.builds(lambda a, b, pair: CTX.scalar(a) + CTX.gen(pair[0]) * CTX.gen(pair[1]) * b,
+              st.floats(-2, 2), st.floats(-2, 2),
+              st.sampled_from([("mu", "nu"), ("theta1", "theta2")])),
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_declarations_only_rule_out_empty_partials(seed, data):
+    specs = [spec for _, spec in _all_specs()]
+    for sig in (SSG_SIGNATURE, COMPONENT_SIGNATURE):
+        pool = [s for s in specs if s.sig is sig]
+        v, w = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        specs.append(combine_specs(data.draw(_WEIGHTS), v, data.draw(_WEIGHTS), w))
+    # constants may carry theta generators, which widens the declarations
+    th1, th2, mu = CTX.gen("theta1"), CTX.gen("theta2"), CTX.gen("mu")
+    c1, c2 = data.draw(st.floats(-2, 2)), data.draw(st.sampled_from([0.0, 1.0]))
+    d1 = mu * data.draw(st.floats(-2, 2)) + th2 * data.draw(st.sampled_from([0.0, 0.5]))
+    specs.append(ssg_symmetry_spec(C1=c1, C2=th1 * th2 * c2, D1=d1, ctx=CTX))
+    for spec in specs:
+        p = random_jet_point(spec.sig, seed, CTX)
+        bare = _undeclared(spec)
+        for q in (p, onshell_substitute(p)):
+            assert _declaration_violations(spec, q) == []
+            assert _terms(prolong(spec, q)) == _terms(prolong(bare, q))
+            assert _terms(prolong_expanded(spec, q)) == _terms(prolong_expanded(bare, q))
+
+
+def test_declared_reads_must_name_variables():
+    L = ssg_named_generators(CTX)["L"]
+    coefficients = dict(L.coefficients)
+    coefficients["x"] = dataclasses.replace(coefficients["x"], reads=frozenset({"theta"}))
+    with pytest.raises(ValueError):
+        VectorFieldSpec(SSG_SIGNATURE, coefficients)
+
+
+def test_too_narrow_declaration_fails_the_audit():
+    # xi of L is -2x; declaring that it reads only t hides d/dx xi = -2
+    L = ssg_named_generators(CTX)["L"]
+    coefficients = dict(L.coefficients)
+    coefficients["x"] = dataclasses.replace(coefficients["x"], reads=frozenset({"t"}))
+    narrow = VectorFieldSpec(SSG_SIGNATURE, coefficients)
+    p = random_jet_point(SSG_SIGNATURE, 31, CTX)
+    assert ("x", ("x",)) in _declaration_violations(narrow, p)
+    assert _terms(prolong(narrow, p)) != _terms(prolong(L, p))
 
 
 def _nan_phi_x(p):
