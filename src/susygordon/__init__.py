@@ -9,12 +9,8 @@ from .grassmann import (
     GrassmannNumber,
     Parity,
     apply_analytic,
-    body_soul,
     exp_even,
     invert,
-    isclose,
-    log_even,
-    multiply,
     parse,
     sample_random,
     to_text,

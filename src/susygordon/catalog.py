@@ -42,7 +42,7 @@ from .grassmann import (
     ParityError,
     worst_of,
 )
-from .odes import NearSingular, integrate_two_sided, make_system
+from .odes import NEAR_SINGULAR_COS, NearSingular, integrate_two_sided, make_system
 from .reductions import OutOfDomain, build_ansatz, const_profile, profile, zero_profile
 from .superfield import (
     Superfield,
@@ -322,7 +322,7 @@ class _OddQuotientFn:
         gd = self.gfn.derivs(x, n + 1)
         num = TaylorQ([gd[1 + j] / math.factorial(j) for j in range(n + 1)])
         den = TaylorQ.var(x, n).apply(JacobiDn(self.m))
-        if abs(den.c[0]) < 1e-3:
+        if abs(den.c[0]) < NEAR_SINGULAR_COS:
             raise NearSingular(f"cos(alpha) = {den.c[0]} at sigma = {x}")
         return ((num / den) * self.scale).derivs()
 
@@ -372,18 +372,6 @@ def _build_ginv(name: str):
         return build_ansatz(case, profiles, params=params, ctx=ctx)
 
     return build
-
-
-def odd_sector_profiles(name: str, params=None, ctx: AlgebraContext = DEFAULT_CONTEXT):
-    """(case id, reduced profiles, case parameters) behind an integrated entry.
-
-    Only the quadrature-backed entries expose their reduced data this way;
-    it is what the reduced-system residual checks consume.
-    """
-    entry = catalog_entry(name)
-    if entry.name not in ("ginv9", "ginv14"):
-        raise ValueError(f"{name!r} is not an integrated odd-sector entry")
-    return _ginv_parts(entry.name, _merged(entry, params), ctx)
 
 
 # ------------------------------------------------------- default grids
@@ -648,8 +636,7 @@ def verify_entry(
 ) -> EntryCheck:
     """Worst superfield-equation residual of one entry over its grid."""
     entry = catalog_entry(name)
-    p = _merged(entry, params)
-    f = entry.builder(p, ctx)
-    pts = tuple(grid) if grid is not None else tuple(entry.grid_fn(p, ctx))
+    f = catalog_solution(name, params, ctx)
+    pts = tuple(grid) if grid is not None else default_grid(name, params, ctx)
     worst = worst_of(ssg_residual(f, x, t).norm() for x, t in pts)
     return EntryCheck(entry.name, entry.subalgebra, worst, entry.tolerance, len(pts))

@@ -47,6 +47,7 @@ from .grassmann import (
     worst_of,
 )
 from .odes import (
+    NEAR_SINGULAR_COS,
     ODE_SYSTEM_NAMES,
     NearSingular,
     OdeSample,
@@ -268,6 +269,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 _ODE_TO_CASE = {"rebp": "S4", "ginv12": "S12", "ginv17": "S8", "d16nu": "S1"}
 _CASE_TO_ODE = {v: k for k, v in _ODE_TO_CASE.items()}
+# generator role that carries the odd profile in each node row
+_ODE_ROLE = {"ginv12": "nu", "ginv17": "mu", "d16nu": "D1"}
 _DEFAULT_RANGES = {
     "rebp": (0.0, 3.0, 1.0 / 256),
     "ginv12": (0.0, 2.0, 1.0 / 64),
@@ -312,12 +315,12 @@ def _ginv_node_row(ode, case_id, sample, eps, modulus, ctx):
     k = modulus
     m = k * k
     tr = jacobi(sample.sigma, m)
-    if abs(tr.dn) < 1e-3:
+    if abs(tr.dn) < NEAR_SINGULAR_COS:
         raise NearSingular(f"cos(alpha) = {tr.dn} at sigma = {sample.sigma}")
     z = ctx.zero()
     on_s8 = case_id == "S8"
     scale = eps if on_s8 else -1.0
-    role = "mu" if on_s8 else "nu"
+    role = _ODE_ROLE[ode]
     g_ = ctx.gen(role)
     dn1 = -m * tr.sn * tr.cn
     f0 = (sample.d1 * scale) * (1.0 / tr.dn)
@@ -341,7 +344,7 @@ def _ginv_node_row(ode, case_id, sample, eps, modulus, ctx):
 
 def _d16_node_row(sample, ctx):
     z = ctx.zero()
-    g_ = ctx.gen("D1")
+    g_ = ctx.gen(_ODE_ROLE["d16nu"])
     pv = {
         "alpha": [z, z, z],
         "mu": [g_ * sample.d1, g_ * sample.d2, z],
@@ -383,6 +386,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.fmt not in (None, "csv"):
         raise UsageError("solve writes CSV trajectories only")
     ode, case_id = _resolve_solve_target(cfg)
+    role = _ODE_ROLE.get(ode)
+    if role is not None and cfg.generators <= DEFAULT_ROLES[role]:
+        raise UsageError(
+            f"ode {ode!r} needs at least {DEFAULT_ROLES[role] + 1} generators, "
+            f"have {cfg.generators}"
+        )
     lo, hi, step = cfg.range_spec or _DEFAULT_RANGES[ode]
     if step <= 0.0:
         raise UsageError(f"step must be positive, got {step}")
@@ -448,7 +457,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     drift = None
     if system.energy is not None and len(samples) >= 2:
-        drift = first_integral_check(Trajectory(system, step, list(samples)))
+        drift = first_integral_check(Trajectory(system, list(samples)))
     passed = emitted > 0 and worst_of((worst_body, worst_soul)) <= tol
     summary = {
         "ode": ode,

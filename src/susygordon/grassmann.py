@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
-from .analytic import EXP, LOG
+from .analytic import EXP
 from .analytic import DomainError as DomainError  # re-exported
 
 
@@ -266,15 +266,6 @@ class GrassmannNumber:
 # ---------------------------------------------------------------------- [OP]s
 
 
-def multiply(a: GrassmannNumber, b: GrassmannNumber) -> GrassmannNumber:
-    return a * b
-
-
-def body_soul(a: GrassmannNumber) -> tuple[float, GrassmannNumber]:
-    """Split off the real scalar part; body + soul reconstructs ``a``."""
-    return a.body, a.soul()
-
-
 def invert(a: GrassmannNumber) -> GrassmannNumber:
     """Two-sided inverse via the terminating geometric series.
 
@@ -333,10 +324,6 @@ def soul_taylor(f, a: GrassmannNumber) -> GrassmannNumber:
 
 def exp_even(a: GrassmannNumber) -> GrassmannNumber:
     return apply_analytic(EXP, a)
-
-
-def log_even(a: GrassmannNumber) -> GrassmannNumber:
-    return apply_analytic(LOG, a)
 
 
 def sample_random(parity: Parity, max_degree: int, rng_seed, ngen: int = 8) -> GrassmannNumber:
@@ -520,15 +507,6 @@ class AlgebraContext:
             # two theta slots plus one generator per free odd parameter
             raise ValueError("generator count too small for the reserved roles")
 
-    def with_roles(self, **renames: int) -> "AlgebraContext":
-        new = dict(self.roles)
-        for name, idx in renames.items():
-            for old, i in list(new.items()):
-                if i == idx and old != name:
-                    del new[old]
-            new[name] = idx
-        return AlgebraContext(self.generator_count, MappingProxyType(new))
-
     def gen(self, which) -> GrassmannNumber:
         """Generator by role name or raw index."""
         idx = self.roles[which] if isinstance(which, str) else which
@@ -548,9 +526,6 @@ class AlgebraContext:
     def one(self) -> GrassmannNumber:
         return GrassmannNumber._make(self.generator_count, {0: 1.0})
 
-    def parse(self, text: str) -> GrassmannNumber:
-        return parse(text, self.generator_count)
-
     def sample(self, parity: Parity, max_degree: int, rng_seed) -> GrassmannNumber:
         return sample_random(parity, max_degree, rng_seed, self.generator_count)
 
@@ -568,11 +543,6 @@ def gen(i: int, ngen: int = 8) -> GrassmannNumber:
     if i < 0 or i >= ngen:
         raise ValueError(f"generator index {i} out of range")
     return GrassmannNumber._make(ngen, {1 << i: 1.0})
-
-
-def isclose(a: GrassmannNumber, b, tol: float = 1e-12) -> bool:
-    diff = a - b
-    return diff.norm() <= tol
 
 
 # ------------------------------------------------------ residuals and tiers

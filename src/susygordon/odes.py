@@ -15,15 +15,14 @@ Four systems, by selector id:
   ginv12  linear odd-sector profile over the elliptic background,
           y'' = -tan(a) a' y' + eps cos^2(a) y + eps cos(a) a'
   ginv17  same background, opposite forcing sign
-  d16nu   damped odd profile of the scaling reduction,
-          y'' = -(1/(2s) + tan(a) a') y' - (cos^2(a)/s) y
+  d16nu   damped odd profile of the scaling reduction over the
+          background a = 0, y'' = -y'/(2s) - y/s
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .analytic import COS, SIN
@@ -39,6 +38,10 @@ from .grassmann import (
 
 ODE_SYSTEM_NAMES = ("rebp", "ginv12", "ginv17", "d16nu")
 
+# |cos(alpha)| = |dn| below which the elliptic background counts as singular:
+# tan(alpha) and the quotient partner g'/dn blow up there
+NEAR_SINGULAR_COS = 1e-3
+
 
 class NearSingular(RuntimeError):
     """A coefficient of the equation blows up inside the requested range."""
@@ -52,8 +55,6 @@ class OdeSystem:
     name: str
     rhs: Rhs
     energy: Rhs | None = None
-    background: Callable[[float], dict] | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,7 @@ class OdeSample:
 @dataclass
 class Trajectory:
     system: OdeSystem
-    step: float
     samples: list
-
-    def final(self) -> OdeSample:
-        return self.samples[-1]
 
     def grid(self):
         return [s.sigma for s in self.samples]
@@ -86,29 +83,6 @@ class Trajectory:
         if abs(sigmas[best] - sigma) > tol:
             raise KeyError(f"no trajectory node near sigma={sigma}")
         return self.samples[best]
-
-    def profile_fn(self) -> "TrajectoryFn":
-        return TrajectoryFn(self)
-
-
-class TrajectoryFn:
-    """Analytic-function view of a soul-free trajectory, derivatives 0..2.
-
-    Lets trajectory output flow into the same jet machinery as closed-form
-    profiles; the order cap is honest, nothing is differenced.
-    """
-
-    def __init__(self, traj: Trajectory):
-        for s in traj.samples:
-            if not s.value.soul().is_zero() or not s.d1.soul().is_zero():
-                raise ValueError("trajectory carries soul; no float profile view")
-        self.traj = traj
-
-    def derivs(self, x, n):
-        if n > 2:
-            raise ValueError("trajectory nodes hold derivatives up to order 2")
-        s = self.traj.at(x)
-        return [s.value.body, s.d1.body, s.d2.body][: n + 1]
 
 
 def _promote(v, ctx: AlgebraContext) -> GrassmannNumber:
@@ -146,7 +120,7 @@ def traveling_profile_system(
             - k0 * apply_analytic(COS, y)
         )
 
-    return OdeSystem("rebp", rhs, energy=energy, meta={"eps": eps, "coupling": k0})
+    return OdeSystem("rebp", rhs, energy=energy)
 
 
 def _elliptic_background(modulus: float) -> Callable[[float], dict]:
@@ -159,10 +133,9 @@ def _elliptic_background(modulus: float) -> Callable[[float], dict]:
     def bg(sig: float) -> dict:
         trip = jacobi(sig, m)
         cos_a = trip.dn
-        if abs(cos_a) < 1e-3:
+        if abs(cos_a) < NEAR_SINGULAR_COS:
             raise NearSingular(f"cos(alpha) = {cos_a} at sigma = {sig}")
         return {
-            "alpha": math.asin(k * trip.sn),
             "alpha_d1": k * trip.cn,
             "cos_alpha": cos_a,
             "sin_alpha": k * trip.sn,
@@ -192,31 +165,18 @@ def odd_profile_system(
         drive = force * eps * c * b["alpha_d1"]
         return d1 * (-fric) + y * (eps * c * c) + scalar(drive, y.ngen)
 
-    return OdeSystem(
-        name, rhs, background=bg, meta={"eps": eps, "modulus": float(modulus)}
-    )
+    return OdeSystem(name, rhs)
 
 
-def scaling_odd_system(
-    ctx: AlgebraContext = DEFAULT_CONTEXT, background: Callable[[float], dict] | None = None
-) -> OdeSystem:
-    """y'' = -(1/(2s) + tan(a) a') y' - (cos^2(a)/s) y, default background a = 0."""
+def scaling_odd_system(ctx: AlgebraContext = DEFAULT_CONTEXT) -> OdeSystem:
+    """y'' = -y'/(2s) - y/s, the scaling equation over the background a = 0."""
 
     def rhs(sig, y, d1):
         if abs(sig) < 1e-9:
             raise NearSingular("the scaling reduction has a pole at sigma = 0")
-        if background is None:
-            cos_a, tan_term = 1.0, 0.0
-        else:
-            b = background(sig)
-            cos_a = b["cos_alpha"]
-            if abs(cos_a) < 1e-3:
-                raise NearSingular(f"cos(alpha) = {cos_a} at sigma = {sig}")
-            tan_term = b["sin_alpha"] * b["alpha_d1"] / cos_a
-        fric = 0.5 / sig + tan_term
-        return d1 * (-fric) + y * (-(cos_a * cos_a) / sig)
+        return d1 * (-0.5 / sig) + y * (-1.0 / sig)
 
-    return OdeSystem("d16nu", rhs, background=background)
+    return OdeSystem("d16nu", rhs)
 
 
 def make_system(
@@ -255,17 +215,6 @@ def _rk4_step(system: OdeSystem, sig: float, y, d, h: float):
     return ynew, dnew
 
 
-def _advance(system, sig, y, d, h, drift_tol, depth):
-    ynew, dnew = _rk4_step(system, sig, y, d, h)
-    if drift_tol is not None and system.energy is not None and depth < 10:
-        e0 = system.energy(sig, y, d)
-        e1 = system.energy(sig + h, ynew, dnew)
-        if (e1 - e0).norm() > drift_tol:
-            ymid, dmid = _advance(system, sig, y, d, h / 2, drift_tol, depth + 1)
-            return _advance(system, sig + h / 2, ymid, dmid, h / 2, drift_tol, depth + 1)
-    return ynew, dnew
-
-
 def integrate_profile_ode(
     system: OdeSystem,
     ics,
@@ -274,13 +223,10 @@ def integrate_profile_ode(
     step: float,
     *,
     ctx: AlgebraContext = DEFAULT_CONTEXT,
-    drift_tol: float | None = None,
 ) -> Trajectory:
     """Classical RK4 from sigma0 to sigma1 (either direction) at fixed step.
 
-    ics = (value, first derivative) at sigma0.  With drift_tol set and an
-    energy functional available, any step whose energy drift exceeds the
-    threshold is redone as halved substeps; samples stay on the outer grid.
+    ics = (value, first derivative) at sigma0.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -296,12 +242,12 @@ def integrate_profile_ode(
     samples = [OdeSample(sigma0, y, d, system.rhs(sigma0, y, d))]
     for i in range(n):
         sig = sigma0 + i * h
-        y, d = _advance(system, sig, y, d, h, drift_tol, 0)
+        y, d = _rk4_step(system, sig, y, d, h)
         nxt = sigma0 + (i + 1) * h
         samples.append(OdeSample(nxt, y, d, system.rhs(nxt, y, d)))
     if h < 0:
         samples.reverse()
-    return Trajectory(system, step, samples)
+    return Trajectory(system, samples)
 
 
 def integrate_two_sided(
@@ -313,28 +259,19 @@ def integrate_two_sided(
     *,
     origin: float = 0.0,
     ctx: AlgebraContext = DEFAULT_CONTEXT,
-    drift_tol: float | None = None,
 ) -> Trajectory:
     """One trajectory over [lo, hi] with the initial data posed at origin."""
     if not lo <= origin <= hi:
         raise ValueError(f"origin {origin} outside [{lo}, {hi}]")
     parts = []
     if lo < origin:
-        parts.append(
-            integrate_profile_ode(
-                system, ics, origin, lo, step, ctx=ctx, drift_tol=drift_tol
-            ).samples[:-1]
-        )
+        parts.append(integrate_profile_ode(system, ics, origin, lo, step, ctx=ctx).samples[:-1])
     if origin < hi:
-        parts.append(
-            integrate_profile_ode(
-                system, ics, origin, hi, step, ctx=ctx, drift_tol=drift_tol
-            ).samples
-        )
+        parts.append(integrate_profile_ode(system, ics, origin, hi, step, ctx=ctx).samples)
     if not parts:
         raise ValueError("empty integration range")
     samples = [s for chunk in parts for s in chunk]
-    return Trajectory(system, step, samples)
+    return Trajectory(system, samples)
 
 
 def first_integral_check(traj: Trajectory) -> float:

@@ -22,7 +22,6 @@ odd profile values flips a sign, so none of these expressions are symmetric
 in their factors.
 """
 
-import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -709,10 +708,8 @@ def ansatz_invariance(case, profiles, points, params=None,
     Zero (to rounding) certifies that the ansatz really is constant along
     the generator's flow, independently of any equation of motion.
     """
-    case = reduction_case(case)
-    p = _fill_params(case, params, ctx)
     sf = build_ansatz(case, profiles, params, ctx)
-    X = case.generator(p, ctx)
+    X = case_generator(case, params, ctx)
 
     def action(x, t):
         b = evaluate_bundle(sf, x, t)
@@ -940,74 +937,3 @@ def nonstandard_obstruction(sub_id, ctx: AlgebraContext = DEFAULT_CONTEXT,
 
 def nonstandard_ids() -> tuple:
     return tuple(sorted(_NONSTANDARD_FORMS, key=lambda s: int(s[1:])))
-
-
-# --------------------------------------------------------------------------
-# complex-variable cross-checks of the scaling reduction
-
-
-def _complex_sample(rng):
-    p = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3)]
-    sigma = complex(rng.uniform(0.4, 2.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0))
-    y = cmath.exp(p[0] + p[1] * sigma + p[2] * sigma * sigma)
-    y1 = (p[1] + 2.0 * p[2] * sigma) * y
-    y2 = (2.0 * p[2]) * y + (p[1] + 2.0 * p[2] * sigma) * y1
-    alpha = 1j * (p[0] + p[1] * sigma + p[2] * sigma * sigma)
-    a1 = 1j * (p[1] + 2.0 * p[2] * sigma)
-    a2 = 1j * (2.0 * p[2])
-    return sigma, y, y1, y2, alpha, a1, a2
-
-
-def _r_scaling(alpha, a1, a2, sigma, c0):
-    return (sigma * a2 + a1 + 0.5 * cmath.sin(2.0 * alpha)
-            - c0 * cmath.sin(alpha) / cmath.sqrt(sigma))
-
-
-def _r_exponential(y, y1, y2, sigma, c0):
-    return (y2 - y1 * y1 / y + y1 / sigma
-            - (1.0 / (4.0 * sigma)) * (1.0 / y - y ** 3)
-            + (c0 / (2.0 * sigma * cmath.sqrt(sigma))) * (1.0 - y * y))
-
-
-def scaling_complex_transform_check(rng_seed=0, n_points=12) -> float:
-    """The exponential substitution maps one scaling residual onto the other.
-
-    With y = exp(-i alpha) the second-order scaling row times y/(i sigma)
-    equals the rational row in y, identically in alpha and the constant.
-    Checked at complex sigma off the real axis, where branch mistakes in the
-    half-integer powers cannot hide.
-    """
-    rng = random.Random(rng_seed)
-
-    def gap():
-        sigma, y, y1, y2, alpha, a1, a2 = _complex_sample(rng)
-        c0 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        lhs = _r_exponential(y, y1, y2, sigma, c0)
-        rhs = (y / (1j * sigma)) * _r_scaling(alpha, a1, a2, sigma, c0)
-        return abs(lhs - rhs)
-
-    return worst_of(gap() for _ in range(n_points))
-
-
-def scaled_complex_argument_check(rng_seed=0, n_points=10) -> float:
-    """Rescaling the argument by +-2i matches the two signed rational forms.
-
-    The sign of the imaginary argument and the sign in the equation are tied:
-    z = 2i sigma lands on the + form, z = -2i sigma on the - form, and the
-    residuals agree after dividing by the square of the scale.
-    """
-    rng = random.Random(rng_seed)
-
-    def gaps():
-        for _ in range(n_points):
-            sigma, y, y1, y2, _, _, _ = _complex_sample(rng)
-            base = _r_exponential(y, y1, y2, sigma, 0.0)
-            for s in (1.0, -1.0):
-                c = 2j * s
-                z = c * sigma
-                w, wz, wzz = y, y1 / c, y2 / (c * c)
-                r = (wzz - wz * wz / w + wz / z
-                     - s * (1j / (8.0 * z)) * (w ** 3 - 1.0 / w))
-                yield abs(r - base / (c * c))
-
-    return worst_of(gaps())

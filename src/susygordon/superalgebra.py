@@ -11,7 +11,6 @@ generator, [a E, b F] = (-1)^(E~ b~) a b [E, F].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .analytic import EXP_RATIO
 from .grassmann import (
@@ -162,32 +161,6 @@ def adjoint_exp(Y: AlgebraElement, X: AlgebraElement, series_terms: int = 16) ->
         term = bracket(Y, term) * (1.0 / n)
         acc = acc + term
     return acc
-
-
-def adjoint_truncation_bound(Y: AlgebraElement, X: AlgebraElement, series_terms: int) -> float:
-    """Tail bound for the iterated-bracket series.
-
-    Each bracket with Y rescales slots by at most 2|k|; the odd-pair
-    feeds into the translation slots are nilpotent, so they enlarge the
-    slot ceiling once instead of compounding.  Dropped terms therefore
-    sum to below (2|k|)^n / n! e^{2|k|} times that ceiling.
-    """
-    feed = 2.0 * (Y.c_Qx.norm() * X.c_Qx.norm() + Y.c_Qt.norm() * X.c_Qt.norm())
-    ceiling = X.norm() + feed
-    two_k = Y.c_L * 2.0
-    # actual powers of 2k, so a bodiless k truncates the tail exactly
-    p = GrassmannNumber(Y.c_L.ngen, {0: 1.0 / factorial(series_terms)})
-    for j in range(series_terms):
-        p = p * two_k
-    tail, j = 0.0, series_terms
-    while not p.is_zero():
-        tail += p.norm()
-        j += 1
-        p = p * two_k * (1.0 / j)
-        if j > series_terms + 120:
-            tail *= 2.0  # give up summing; the factorials dominate by here
-            break
-    return tail * ceiling
 
 
 def adjoint_closed_form(Y: AlgebraElement, X: AlgebraElement) -> AlgebraElement:
@@ -350,31 +323,6 @@ class SubalgebraTemplate:
             "slots": list(self.slots),
             "picture": self.picture,
         }
-
-    def instantiate(self, ctx: AlgebraContext = DEFAULT_CONTEXT, **params) -> AlgebraElement:
-        if self.picture != "superspace":
-            raise ValueError("only superspace templates instantiate to algebra elements")
-        missing = set(self.slots) - set(params)
-        if missing:
-            raise KeyError(f"missing parameters: {sorted(missing)}")
-        kw = {}
-        terms = {
-            "L": "L" in self.expression,
-            "Px": "P_x" in self.expression,
-            "Pt": "P_t" in self.expression,
-        }
-        if terms["L"]:
-            kw["L"] = 1.0
-        if terms["Px"]:
-            kw["Px"] = 1.0
-        if terms["Pt"]:
-            eps = params.get("eps", 1.0)
-            kw["Pt"] = eps if "eps*P_t" in self.expression else 1.0
-        if "mu*Q_x" in self.expression:
-            kw["Qx"] = params["mu"]
-        if "nu*Q_t" in self.expression:
-            kw["Qt"] = params["nu"]
-        return AlgebraElement.from_coeffs(ctx, **kw)
 
 
 def subalgebra_catalog() -> list[SubalgebraTemplate]:

@@ -24,16 +24,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .analytic import COS, SIN, TrigPoly
+from .analytic import SIN, TrigPoly
 from .grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
     GrassmannNumber,
-    apply_analytic,
     soul_taylor,
     drop_gens,
     gen_derivative,
-    worst_of,
 )
 from .superjet import (
     JetSpec,
@@ -140,19 +138,6 @@ def op_Q(jet: SuperJet, ctx: AlgebraContext, which: str) -> SuperJet:
     return _op_theta(jet, ctx, which, -1.0)
 
 
-def apply_D(f: Superfield, which: str, x, t) -> GrassmannNumber:
-    return op_D(superfield_jet(f, x, t, order=1), f.ctx, which).value()
-
-
-def apply_Q(f: Superfield, which: str, x, t) -> GrassmannNumber:
-    return op_Q(superfield_jet(f, x, t, order=1), f.ctx, which).value()
-
-
-def apply_DD(f: Superfield, outer: str, inner: str, x, t) -> GrassmannNumber:
-    jet = superfield_jet(f, x, t, order=2)
-    return op_D(op_D(jet, f.ctx, inner), f.ctx, outer).value()
-
-
 # ------------------------------------------------------------------ residuals
 
 
@@ -194,54 +179,6 @@ def component_jets(jet: SuperJet, ctx: AlgebraContext):
     return tuple(
         SuperJet(jet.spec, jet.ngen, {J: c[i] for J, c in slots.items()}) for i in range(4)
     )
-
-
-def _component_rows(jet: SuperJet, ctx: AlgebraContext):
-    """The component residuals of an order-2 superfield jet, and cos(u/2)."""
-    ju, jphi, jpsi, jF = component_jets(jet, ctx)
-    half_u = ju.value()
-    sin_half = apply_analytic(SIN, half_u)
-    cos_half = apply_analytic(COS, half_u)
-    u_xt = ju.d("x", "t") * 2.0
-    sin_u = sin_half * cos_half * 2.0
-    phi_v, psi_v = jphi.value(), jpsi.value()
-    d1 = u_xt + sin_u - phi_v * psi_v * sin_half * 2.0
-    d2 = jphi.d("t") + psi_v * cos_half
-    d3 = jpsi.d("x") - phi_v * cos_half
-    dF = jF.value() + sin_half
-    return (d1, d2, d3, dF), cos_half
-
-
-def component_residuals(f: Superfield, x, t):
-    """(D1, D2, D3, DF): the three component equations plus the algebraic tie.
-
-    D1 = u_xt + sin u - 2 phi psi sin(u/2)
-    D2 = phi_t + psi cos(u/2)
-    D3 = psi_x - phi cos(u/2)
-    DF = F + sin(u/2)
-    """
-    return _component_rows(superfield_jet(f, x, t, 2), f.ctx)[0]
-
-
-def component_equivalence(f: Superfield, x, t) -> float:
-    """Max deviation between the residual's theta slots and the component set.
-
-    The identity holds off shell:
-        slot 1     = -DF
-        slot th1   =  D3
-        slot th2   = -D2
-        slot th1th2 = D1/2 - DF cos(u/2)
-    """
-    r = ssg_residual(f, x, t)
-    c0, c1, c2, c3 = theta_coefficients(r, f.ctx)
-    (d1, d2, d3, dF), cos_half = _component_rows(superfield_jet(f, x, t, 2), f.ctx)
-    checks = (
-        c0 + dF,
-        c1 - d3,
-        c2 + d2,
-        c3 - (d1 * 0.5 - dF * cos_half),
-    )
-    return worst_of(c.norm() for c in checks)
 
 
 # ------------------------------------------------------------------ builders

@@ -125,23 +125,6 @@ def jet_variable(spec: JetSpec, seed: str, value: GrassmannNumber) -> SuperJet:
     return SuperJet(spec, value.ngen, comp)
 
 
-def jet_from_derivs(spec: JetSpec, comp: dict) -> SuperJet:
-    """Wrap a raw {multi-index: GrassmannNumber} table as a jet."""
-    ng = None
-    for v in comp.values():
-        ng = v.ngen
-        break
-    if ng is None:
-        raise ValueError("empty component table")
-    clean = {}
-    for J, v in comp.items():
-        J = tuple(J)
-        if len(J) != len(spec.seeds) or sum(J) > spec.order or min(J) < 0:
-            raise ValueError(f"bad multi-index {J} for {spec}")
-        clean[J] = v
-    return SuperJet(spec, ng, clean)
-
-
 def jet_add(a: SuperJet, b: SuperJet) -> SuperJet:
     _check_same(a, b)
     comp = dict(a.comp)
@@ -318,12 +301,6 @@ def jet_apply_analytic(a: SuperJet, fn: AnalyticFn) -> SuperJet:
                 acc = acc + term
         comp[J] = acc
     return SuperJet(a.spec, a.ngen, comp)
-
-
-def jet_isclose(a: SuperJet, b: SuperJet, tol: float = 1e-12) -> bool:
-    _check_same(a, b)
-    keys = set(a.comp) | set(b.comp)
-    return all((a.get(J) - b.get(J)).norm() <= tol for J in keys)
 
 
 def jet_map(a: SuperJet, f: Callable[[GrassmannNumber], GrassmannNumber]) -> SuperJet:

@@ -17,11 +17,11 @@ from susygordon.elliptic import JacobiDn, JacobiSn, jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT, ParityError, apply_analytic
 from susygordon.catalog import (
     EntryCheck,
+    _ginv_parts,
     catalog_entry,
     catalog_names,
     catalog_solution,
     default_grid,
-    odd_sector_profiles,
     verify_entry,
 )
 from susygordon.odes import integrate_two_sided, make_system
@@ -34,6 +34,13 @@ from susygordon.reductions import (
 from susygordon.superfield import evaluate_bundle, ssg_residual, theta_coefficients
 
 CTX = DEFAULT_CONTEXT
+
+
+def odd_sector_profiles(name):
+    """(case id, reduced profiles, case parameters) behind the integrated
+    entry ``name`` (ginv9 or ginv14) at its default parameters."""
+    return _ginv_parts(name, dict(catalog_entry(name).defaults), CTX)
+
 
 EXACT = ("gian1", "gian1A", "gian1B", "gian1C", "gian1D", "gian1E", "gian1F", "gian1G", "gian2")
 

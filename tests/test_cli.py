@@ -10,6 +10,7 @@ import pytest
 from susygordon import cli
 from susygordon.checks import _entry
 from susygordon.cli import Report, RunConfig, _emit, _render_json, _run_checks, main
+from susygordon.odes import integrate_profile_ode, make_system
 
 
 def run_cli(argv, capsys):
@@ -305,6 +306,43 @@ def test_solve_custom_ics(capsys):
     )
     assert code == 0
     assert json.loads(err)["status"] == "pass"
+
+
+def test_solve_generator_floor(tmp_path, capsys):
+    # the d16nu node rows carry the odd profile on the D1 generator, index 4
+    target = tmp_path / "traj.csv"
+    code, out, err = run_cli(
+        ["solve", "--ode", "d16nu", "--generators", "4", "--out", str(target)], capsys
+    )
+    assert code == 2 and out == ""
+    assert "at least 5 generators" in err
+    assert not target.exists()
+    for argv in (["--ode", "rebp", "--generators", "4", "--range", "0:0.5:0.125"],
+                 ["--ode", "ginv12", "--generators", "4", "--range", "0:0.5:0.125"],
+                 ["--ode", "ginv17", "--generators", "4", "--range", "0:0.5:0.125"],
+                 ["--ode", "d16nu", "--generators", "5", "--range", "0.25:0.75:0.125"]):
+        code, _, err = run_cli(["solve", *argv], capsys)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("ode,range_spec,column", [
+    ("rebp", "0:1:0.0625", "alpha"),
+    ("ginv12", "0:0.5:0.03125", "g"),
+])
+def test_solve_march_matches_one_integration(ode, range_spec, column, tmp_path, capsys):
+    # solve marches one node at a time; over a dyadic range its nodes are
+    # bit for bit those of one integrate_profile_ode call
+    target = tmp_path / "traj.csv"
+    code, _, _ = run_cli(["solve", "--ode", ode, "--range", range_spec, "--out", str(target)],
+                         capsys)
+    assert code == 0
+    with open(target, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    lo, hi, step = (float(v) for v in range_spec.split(":"))
+    ctx = RunConfig().context()
+    traj = integrate_profile_ode(make_system(ode, ctx=ctx), (0.0, 1.0), lo, hi, step, ctx=ctx)
+    assert [r["sigma"] for r in rows] == [repr(s.sigma) for s in traj.samples]
+    assert [r[column] for r in rows] == [repr(s.value.body) for s in traj.samples]
 
 
 def test_solve_nan_residual_fails(monkeypatch, capsys):

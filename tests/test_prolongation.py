@@ -24,7 +24,6 @@ from susygordon.prolongation import (
     JetPoint,
     ProlongationTable,
     VectorFieldSpec,
-    combine_specs,
     component_named_generators,
     component_shift_spec,
     component_symmetry_spec,
@@ -47,6 +46,41 @@ def total_derivative(p, expr, direction):
     """D_direction(expr) at the point, for an expression of coordinates and
     base variables only."""
     return evaluate_expr(total_derivative_expr(p.sig, {}, expr, direction), {}, p)
+
+
+def _scaled(builder, weight):
+    return lambda jets: builder(jets) * weight
+
+
+def _summed(b1, w1, b2, w2):
+    return lambda jets: b1(jets) * w1 + b2(jets) * w2
+
+
+def combine_specs(a, v: VectorFieldSpec, b, w: VectorFieldSpec) -> VectorFieldSpec:
+    """a*v + b*w for even supernumber weights, coefficient by coefficient.
+
+    A combined coefficient reads what either part reads, and every odd
+    independent too when a weight has a soul, which may carry a theta.
+    """
+    if v.sig is not w.sig:
+        raise ValueError("cannot combine specs over different signatures")
+    souled = any(isinstance(x, GrassmannNumber) and x.terms.keys() - {0} for x in (a, b))
+    extra = frozenset(v.sig.odd_independents if souled else ())
+    out = {}
+    for name in v.coefficients:
+        fv, fw = v.coefficients[name], w.coefficients[name]
+        sectors: dict = {}
+        for S, bld in fv.sectors.items():
+            if S in fw.sectors:
+                sectors[S] = _summed(bld, a, fw.sectors[S], b)
+            else:
+                sectors[S] = _scaled(bld, a)
+        for S, bld in fw.sectors.items():
+            if S not in sectors:
+                sectors[S] = _scaled(bld, b)
+        reads = None if fv.reads is None or fw.reads is None else fv.reads | fw.reads | extra
+        out[name] = CoefficientFn(fv.parity, sectors, reads)
+    return VectorFieldSpec(v.sig, out)
 
 
 def test_total_derivative_of_theta_times_field():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from susygordon import checks, superfield
-from susygordon.analytic import ARCTAN, EXP, SECH, SIN
+from susygordon.analytic import ARCTAN, COS, EXP, SECH, SIN
 from susygordon.grassmann import (
     DEFAULT_CONTEXT as CTX,
     Parity,
@@ -13,14 +13,10 @@ from susygordon.grassmann import (
     gen_derivative,
     sample_random,
     scalar,
+    worst_of,
 )
 from susygordon.superfield import (
-    apply_D,
-    apply_DD,
-    apply_Q,
-    component_equivalence,
     component_jets,
-    component_residuals,
     component_superfield,
     constant_component,
     evaluate_bundle,
@@ -86,7 +82,8 @@ def test_first_theta_derivative_is_phi_plus_theta2_F():
 
 def test_D_of_pure_theta1():
     f = make(phi=constant_component(CTX.one()))  # value = th1
-    assert (apply_D(f, "x", scalar(1.0), scalar(2.0)) - CTX.one()).is_zero()
+    jet = superfield_jet(f, scalar(1.0), scalar(2.0), order=1)
+    assert (op_D(jet, CTX, "x").value() - CTX.one()).is_zero()
 
 
 POINTS = [(0.3, -0.7), (1.1, 0.45), (-0.6, 0.2)]
@@ -139,15 +136,13 @@ def test_b5_sampler_builds_one_jet_per_point(monkeypatch):
     assert len(set(calls)) == 10
 
 
-def test_apply_wrappers_match_jet_ops():
+def test_theta_operators_match_the_bundle():
     f = random_superfield(7)
     x, t = scalar(0.25), scalar(0.75)
     b = evaluate_bundle(f, x, t)
-    assert (apply_D(f, "x", x, t) - (b.d_th1 + TH1 * b.d_x)).norm() < 1e-14
-    assert (apply_Q(f, "t", x, t) - (b.d_th2 - TH2 * b.d_t)).norm() < 1e-14
-    assert (apply_DD(f, "x", "t", x, t) - op_D(
-        op_D(superfield_jet(f, x, t, 2), CTX, "t"), CTX, "x"
-    ).value()).norm() == 0.0
+    jet = superfield_jet(f, x, t, order=1)
+    assert (op_D(jet, CTX, "x").value() - (b.d_th1 + TH1 * b.d_x)).norm() < 1e-14
+    assert (op_Q(jet, CTX, "t").value() - (b.d_th2 - TH2 * b.d_t)).norm() < 1e-14
 
 
 def test_residual_is_covariant_equation():
@@ -157,7 +152,8 @@ def test_residual_is_covariant_equation():
         for x0, t0 in POINTS:
             x, t = scalar(x0), scalar(t0)
             r = ssg_residual(f, x, t)
-            alt = apply_DD(f, "x", "t", x, t) - apply_analytic(
+            jet = superfield_jet(f, x, t, order=2)
+            alt = op_D(op_D(jet, CTX, "t"), CTX, "x").value() - apply_analytic(
                 SIN, evaluate_bundle(f, x, t).value
             )
             assert (r - alt).norm() < 1e-13
@@ -178,6 +174,54 @@ def test_negative_control_theta1theta2():
     # -value_th1th2 - sin(th1 th2) = -1 - th1 th2
     assert (r + CTX.one() + TH1 * TH2).is_zero()
     assert abs(r.body) >= 0.1
+
+
+def _component_rows(jet, ctx):
+    """The component residuals of an order-2 superfield jet, and cos(u/2)."""
+    ju, jphi, jpsi, jF = component_jets(jet, ctx)
+    half_u = ju.value()
+    sin_half = apply_analytic(SIN, half_u)
+    cos_half = apply_analytic(COS, half_u)
+    u_xt = ju.d("x", "t") * 2.0
+    sin_u = sin_half * cos_half * 2.0
+    phi_v, psi_v = jphi.value(), jpsi.value()
+    d1 = u_xt + sin_u - phi_v * psi_v * sin_half * 2.0
+    d2 = jphi.d("t") + psi_v * cos_half
+    d3 = jpsi.d("x") - phi_v * cos_half
+    dF = jF.value() + sin_half
+    return (d1, d2, d3, dF), cos_half
+
+
+def component_residuals(f, x, t):
+    """(D1, D2, D3, DF): the three component equations plus the algebraic tie.
+
+    D1 = u_xt + sin u - 2 phi psi sin(u/2)
+    D2 = phi_t + psi cos(u/2)
+    D3 = psi_x - phi cos(u/2)
+    DF = F + sin(u/2)
+    """
+    return _component_rows(superfield_jet(f, x, t, 2), f.ctx)[0]
+
+
+def component_equivalence(f, x, t) -> float:
+    """Max deviation between the residual's theta slots and the component set.
+
+    The identity holds off shell:
+        slot 1     = -DF
+        slot th1   =  D3
+        slot th2   = -D2
+        slot th1th2 = D1/2 - DF cos(u/2)
+    """
+    r = ssg_residual(f, x, t)
+    c0, c1, c2, c3 = theta_coefficients(r, f.ctx)
+    (d1, d2, d3, dF), cos_half = _component_rows(superfield_jet(f, x, t, 2), f.ctx)
+    gaps = (
+        c0 + dF,
+        c1 - d3,
+        c2 + d2,
+        c3 - (d1 * 0.5 - dF * cos_half),
+    )
+    return worst_of(g.norm() for g in gaps)
 
 
 def kink_superfield():

@@ -13,11 +13,10 @@ from susygordon.grassmann import GrassmannNumber, ParityError, gen, sample_rando
 from susygordon.superjet import (
     JetSpec,
     SuperJet,
+    _check_same,
     jet_add,
     jet_apply_analytic,
     jet_constant,
-    jet_from_derivs,
-    jet_isclose,
     jet_multiply,
     jet_partial,
     jet_scale,
@@ -30,6 +29,29 @@ XT = JetSpec(("x", "t"), order=2)
 
 def sc(v):
     return scalar(v, NG)
+
+
+def jet_from_derivs(spec: JetSpec, comp: dict) -> SuperJet:
+    """Wrap a raw {multi-index: GrassmannNumber} table as a jet."""
+    ng = None
+    for v in comp.values():
+        ng = v.ngen
+        break
+    if ng is None:
+        raise ValueError("empty component table")
+    clean = {}
+    for J, v in comp.items():
+        J = tuple(J)
+        if len(J) != len(spec.seeds) or sum(J) > spec.order or min(J) < 0:
+            raise ValueError(f"bad multi-index {J} for {spec}")
+        clean[J] = v
+    return SuperJet(spec, ng, clean)
+
+
+def jet_isclose(a: SuperJet, b: SuperJet, tol: float = 1e-12) -> bool:
+    _check_same(a, b)
+    keys = set(a.comp) | set(b.comp)
+    return all((a.get(J) - b.get(J)).norm() <= tol for J in keys)
 
 
 def test_square_of_coordinate():

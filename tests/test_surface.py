@@ -1,0 +1,108 @@
+"""Every definition in the package has a caller in the product.
+
+A top-level function or class, or a public method, of a module in
+``src/susygordon`` must be referenced from ``src/``, ``demos/`` or
+``perfbench/`` somewhere outside its own definition.  Tests do not count:
+code that only tests call belongs in the tests.  The re-exports of
+``__init__.py`` do not count either.  A name inside a string counts,
+because ``perfbench/tracer.py`` resolves what it wraps from strings such as
+``"odes:integrate_profile_ode"``; so does a docstring that names a
+definition as part of its module's interface.  A method counts as
+referenced wherever an attribute of its name is read.
+"""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "susygordon"
+CALLER_DIRS = (SRC, ROOT / "demos", ROOT / "perfbench")
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree):
+    """(qualified name, node) of each top-level def and class, and of each
+    public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, _DEFS[:2]) and not m.name.startswith("_"):
+                    yield f"{node.name}.{m.name}", m
+
+
+def references(tree) -> Counter:
+    """How often each name is read in ``tree``, as a name, an attribute or a
+    word of a string."""
+    seen = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            seen[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            seen[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            seen.update(_WORD.findall(node.value))
+    return seen
+
+
+def unreferenced(modules: dict, callers: list) -> list:
+    """``module.qualname`` of each definition in ``modules`` (name -> tree)
+    that no tree of ``callers`` reads outside the definition itself."""
+    total = Counter()
+    for tree in callers:
+        total.update(references(tree))
+    out = []
+    for mod, tree in modules.items():
+        for qual, node in definitions(tree):
+            name = qual.rpartition(".")[2]
+            if total[name] == references(node)[name]:
+                out.append(f"{mod}.{qual}")
+    return sorted(out)
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_definition_has_a_product_caller():
+    modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    callers = list(modules.values()) + [
+        _parse(p) for d in CALLER_DIRS[1:] for p in sorted(d.glob("*.py"))
+    ]
+    assert unreferenced(modules, callers) == []
+
+
+def test_guard_sees_an_unused_definition():
+    src = '''
+def entry():
+    return helper() + K().n()
+
+def helper():
+    return 1
+
+def lonely(n):
+    """Recursion is no caller."""
+    return lonely(n - 1)
+
+class K:
+    def m(self):
+        pass
+
+    def n(self):
+        return self.m()
+
+    def _private(self):
+        pass
+
+WRAPPED = ("mod:traced",)
+
+def traced():
+    pass
+'''
+    tree = ast.parse(src)
+    assert unreferenced({"mod": tree}, [tree]) == ["mod.entry", "mod.lonely"]
