@@ -277,12 +277,7 @@ _DEFAULT_RANGES = {
     "ginv17": (0.0, 2.0, 1.0 / 64),
     "d16nu": (0.25, 2.25, 1.0 / 64),
 }
-_DEFAULT_ICS = {
-    "rebp": (0.0, 1.0),
-    "ginv12": (0.0, 1.0),
-    "ginv17": (0.0, 1.0),
-    "d16nu": (0.0, 1.0),
-}
+_DEFAULT_ICS = (0.0, 1.0)
 
 
 def _resolve_solve_target(cfg: RunConfig):
@@ -399,15 +394,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     n_steps = int(round(span / step)) if span > 0 else 0
     if n_steps < 1 or abs(span - n_steps * step) > 1e-9 * max(1.0, abs(span)):
         raise UsageError(f"empty or ragged range {lo}:{hi}:{step}")
-    ics = cfg.ics or _DEFAULT_ICS[ode]
+    ics = cfg.ics or _DEFAULT_ICS
     ctx = cfg.context()
     try:
-        if ode == "rebp":
-            system = make_system("rebp", eps=cfg.eps, coupling=cfg.k0, ctx=ctx)
-        elif ode == "d16nu":
-            system = make_system("d16nu", ctx=ctx)
-        else:
-            system = make_system(ode, eps=cfg.eps, modulus=cfg.modulus, ctx=ctx)
+        # each builder ignores the flags its equation does not take
+        system = make_system(ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus, ctx=ctx)
     except ValueError as exc:  # eps or modulus out of the system's range
         raise UsageError(str(exc)) from None
 

@@ -7,8 +7,10 @@ else is the nilpotent soul.  Products carry the transposition sign that
 arises from merging the two ascending index lists.
 
 Analytic functions of even arguments reduce to finite Taylor sums because the
-soul is nilpotent; ``apply_analytic`` implements that, given an object that
-can evaluate derivative lists of the scalar function (see ``analytic``).
+soul is nilpotent.  ``soul_derivs`` is the one loop that sums them, given an
+object that can evaluate derivative lists of the scalar function (see
+``analytic``); ``apply_analytic`` and ``soul_taylor`` are its value-only
+entries, and analytic jets and profiles read whole derivative lists from it.
 """
 
 from __future__ import annotations
@@ -304,21 +306,32 @@ def soul_taylor(f, a: GrassmannNumber) -> GrassmannNumber:
     parity-checked front door, this is the bare core.  Needed for residuals
     of fields whose odd components carry even supernumber coefficients.
     """
-    b = a.body
+    return soul_derivs(f, a, 0)[0]
+
+
+def soul_derivs(f, a: GrassmannNumber, kmax: int) -> list:
+    """[f(a), f'(a), ..., f^(kmax)(a)], each a Taylor sum in the soul.
+
+    f^(k)(b + s) = sum_j f^(k+j)(b) s^j / j!, cut off at the first power of
+    the nilpotent soul s that vanishes.  Without a soul each entry is the
+    body derivative itself, bit for bit, NaN and -0.0 included.  No parity
+    is demanded, as in ``soul_taylor``.
+    """
     s = a.soul()
-    powers = [GrassmannNumber._make(a.ngen, {0: 1.0})]
-    p = powers[0]
-    while True:
-        p = p * s
-        if p.is_zero():
-            break
+    powers = []
+    p = s
+    while p.terms:
         powers.append(p)
-    ds = f.derivs(b, len(powers) - 1)
-    out = GrassmannNumber._make(a.ngen, {0: ds[0]} if ds[0] != 0.0 else {})
-    fact = 1.0
-    for j in range(1, len(powers)):
-        fact *= j
-        out = out + powers[j] * (ds[j] / fact)
+        p = p * s
+    ds = f.derivs(a.body, kmax + len(powers))
+    out = []
+    for k in range(kmax + 1):
+        acc = GrassmannNumber._make(a.ngen, {0: ds[k]} if ds[k] != 0.0 else {})
+        fact = 1.0
+        for j, pw in enumerate(powers, 1):
+            fact *= j
+            acc = acc + pw * (ds[k + j] / fact)
+        out.append(acc)
     return out
 
 

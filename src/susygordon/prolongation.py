@@ -16,18 +16,19 @@ Prolonged coefficients come from the graded recursion
     P^A  = D_A P - sum_B (D_A zeta^B) u_B
     P^AB = D_B P^A - sum_C (D_B zeta^C) u_AC
 
-with every product kept in exactly this order, built symbolically once
-per signature and then evaluated at sampled points.  Each coefficient
-function declares the variables it reads, and the terms that a
-declaration makes zero are pruned once per table.  The long-hand closed
-forms live in prolong_expanded as an independent transcription.
+with every product kept in exactly this order, built symbolically by
+``prolonged_expr`` (one step per direction, once per signature) and then
+evaluated at sampled points.  Each coefficient function declares the
+variables it reads, and the terms that a declaration makes zero are pruned
+once per table.  The long-hand closed forms live in prolong_expanded as an
+independent transcription.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from typing import Callable
 
@@ -427,8 +428,11 @@ class VectorFieldSpec:
             if c.reads is not None and not c.reads <= self.sig._variables.keys():
                 raise ValueError(f"coefficient of {name} reads unknown variables")
 
-    def parity_table(self) -> dict:
-        return {name: (1 if c.parity is ODD else 0) for name, c in self.coefficients.items()}
+    def parity_table(self) -> tuple:
+        """Sorted ``(name, 1 if odd else 0)`` pairs of the coefficients."""
+        return tuple(sorted(
+            (name, 1 if c.parity is ODD else 0) for name, c in self.coefficients.items()
+        ))
 
 
 class EvaluatedCoefficient:
@@ -566,69 +570,33 @@ def evaluate_expr(expr: JetExpr, coefvals: dict, p: JetPoint) -> GrassmannNumber
     return acc
 
 
-# --------------------------------------------------------- prolongation table
+# ----------------------------------------------------- prolongation recursion
 
 
-_TABLE_CACHE: dict = {}
+@cache
+def prolonged_expr(sig: ProblemSignature, parities: tuple, dep: str, dirs: tuple) -> tuple:
+    """Terms of the prolonged coefficient of ``dep`` along ``dirs``.
 
+    One step of the graded recursion per direction, the last one B:
 
-class ProlongationTable:
-    """Symbolic prolonged-coefficient expressions for one signature."""
+        P^{..B} = D_B P^{..} - sum_C (D_B zeta^C) u_{..C}
 
-    def __init__(self, sig: ProblemSignature, coef_parity: dict):
-        self.sig = sig
-        self.coef_parity = coef_parity
-        self.first: dict = {}
-        self.exprs: dict = {}
-
-    def base_expr(self, dep: str) -> JetExpr:
-        return [(1.0, (FnF(dep, ()),))]
-
-    def first_order(self, dep: str, a: str) -> JetExpr:
-        key = (dep, (a,))
-        if key not in self.exprs:
-            sig = self.sig
-            e = total_derivative_expr(sig, self.coef_parity, self.base_expr(dep), a)
-            for b, _ in sig.independents:
-                dz = total_derivative_expr(
-                    sig, self.coef_parity, [(1.0, (FnF(b, ()),))], a
-                )
-                sc, ckey = coordinate_key(sig, dep, (b,))
-                if ckey is None:
-                    continue
-                e = expr_sub(e, [(c * sc, fs + (CoordF(*ckey),)) for c, fs in dz])
-            self.exprs[key] = collect(e)
-        return self.exprs[key]
-
-    def second_order(self, dep: str, a: str, b: str) -> JetExpr:
-        key = (dep, (a, b))
-        if key not in self.exprs:
-            sig = self.sig
-            e = total_derivative_expr(
-                sig, self.coef_parity, self.first_order(dep, a), b
-            )
-            for c_, _ in sig.independents:
-                dz = total_derivative_expr(
-                    sig, self.coef_parity, [(1.0, (FnF(c_, ()),))], b
-                )
-                sc, ckey = coordinate_key(sig, dep, (a, c_))
-                if ckey is None:
-                    continue
-                e = expr_sub(e, [(cc * sc, fs + (CoordF(*ckey),)) for cc, fs in dz])
-            self.exprs[key] = collect(e)
-        return self.exprs[key]
-
-    def slot(self, dep: str, dirs: tuple) -> JetExpr:
-        """The expression of the prolonged coefficient of ``dep`` along
-        one or two directions."""
-        return self.first_order(dep, *dirs) if len(dirs) == 1 else self.second_order(dep, *dirs)
-
-
-def _table_for(v: VectorFieldSpec) -> ProlongationTable:
-    key = (v.sig, tuple(sorted(v.parity_table().items())))
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = ProlongationTable(v.sig, v.parity_table())
-    return _TABLE_CACHE[key]
+    starting from the coefficient function of ``dep`` itself, with every
+    product kept in the order written.  ``parities`` is the field's
+    ``VectorFieldSpec.parity_table()``.  The terms are an immutable tuple,
+    so a concurrent first fill only builds an equal value.
+    """
+    coef_parity = dict(parities)
+    head, b = dirs[:-1], dirs[-1]
+    prev = prolonged_expr(sig, parities, dep, head) if head else [(1.0, (FnF(dep, ()),))]
+    e = total_derivative_expr(sig, coef_parity, prev, b)
+    for c_, _ in sig.independents:
+        dz = total_derivative_expr(sig, coef_parity, [(1.0, (FnF(c_, ()),))], b)
+        sc, ckey = coordinate_key(sig, dep, head + (c_,))
+        if ckey is None:
+            continue
+        e = expr_sub(e, [(cc * sc, fs + (CoordF(*ckey),)) for cc, fs in dz])
+    return tuple(collect(e))
 
 
 SSG_PAIRS = (("x", "t"), ("t", "theta1"), ("x", "theta2"), ("theta1", "theta2"))
@@ -657,11 +625,10 @@ def _live_table(v: VectorFieldSpec) -> tuple:
     a concurrent first fill only builds an equal value twice.
     """
     reads = {name: c.reads for name, c in v.coefficients.items()}
-    key = (v.sig, tuple(sorted(v.parity_table().items())), tuple(sorted(reads.items())))
+    parities = v.parity_table()
+    key = (v.sig, parities, tuple(sorted(reads.items())))
     live = _LIVE_CACHE.get(key)
     if live is None:
-        table = _table_for(v)
-
         def alive(fs):
             for f in fs:
                 if isinstance(f, FnF):
@@ -671,7 +638,8 @@ def _live_table(v: VectorFieldSpec) -> tuple:
             return True
 
         live = tuple(
-            ((dep, dirs), tuple(term for term in table.slot(dep, dirs) if alive(term[1])))
+            ((dep, dirs), tuple(term for term in prolonged_expr(v.sig, parities, dep, dirs)
+                                if alive(term[1])))
             for dep, dirs in _slots(v.sig)
         )
         _LIVE_CACHE[key] = live
@@ -707,16 +675,9 @@ def prolong_expanded(v: VectorFieldSpec, p: JetPoint) -> ProlongedCoefficients:
     def f(target, *dirs):
         return coefvals[target].partial(tuple(dirs))
 
-    def c(dep, *dirs):
-        sgn, key = coordinate_key(v.sig, dep, dirs)
-        if key is None:
-            return p.ctx.zero()
-        val = p.get(key)
-        return val if sgn == 1.0 else val * sgn
-
     if v.sig.odd_independents:
-        return _ssg_expanded(v, p, f, c)
-    return _component_expanded(v, p, f, c)
+        return _ssg_expanded(v, p, f, p.coordinate)
+    return _component_expanded(v, p, f, p.coordinate)
 
 
 def _ssg_expanded(v, p, f, c):

@@ -7,10 +7,10 @@ two odd invariant monomials, and the four profile equations the ansatz
     value = alpha(sigma) + m1 * f1(sigma) + m2 * f2(sigma) + m1 m2 * beta(sigma)
 
 must satisfy.  ``build_ansatz`` turns four one-variable profiles into a full
-superfield; ``reduced_residual`` evaluates the profile equations (appending
-the second-order rewritten rows for the scaling and traveling cases);
-``reduction_consistency`` checks, off shell and with random profiles, that
-the superfield equation's residual recombines exactly from the reduced rows.
+superfield; ``reduction_consistency`` checks, off shell and with random
+profiles, that the superfield equation's residual recombines exactly from
+the reduced rows.  ``traveling_rewrite_rows`` is the second-order rewritten
+form of the traveling case that ``solve`` reports on.
 
 The component-level table (cases L1..L5 for u, phi, psi without the
 auxiliary field) lives here too, with the slice map tying each of its rows
@@ -36,6 +36,7 @@ from .grassmann import (
     ParityError,
     apply_analytic,
     scalar,
+    soul_derivs,
     worst_of,
 )
 from .superalgebra import AlgebraElement
@@ -47,12 +48,10 @@ from .superfield import (
     ssg_residual,
 )
 from .superjet import (
-    JetSpec,
     SuperJet,
     jet_apply_analytic,
     jet_constant,
     jet_scale,
-    jet_variable,
 )
 
 
@@ -107,12 +106,12 @@ class Profile:
     def derivs_at(self, sigma, order: int) -> list:
         """[f, f', ..., f^(order)] at sigma; soul in sigma is Taylor-expanded."""
         sg = sigma if isinstance(sigma, GrassmannNumber) else scalar(float(sigma), self.ngen)
-        base = jet_variable(JetSpec(("s",), order), "s", sg)
+        if self.terms and not sg.is_even():
+            raise ParityError("a profile needs an even argument")
         out = [scalar(0.0, self.ngen) for _ in range(order + 1)]
         for coef, fn in self.terms:
-            j = jet_apply_analytic(base, fn)
-            for k in range(order + 1):
-                out[k] = out[k] + coef * j.get((k,))
+            for k, d in enumerate(soul_derivs(fn, sg, order)):
+                out[k] = out[k] + coef * d
         return out
 
     def value_at(self, sigma) -> GrassmannNumber:
@@ -587,34 +586,6 @@ def build_ansatz(case, profiles, params=None, ctx: AlgebraContext = DEFAULT_CONT
     return Superfield(jet, ctx)
 
 
-def scaling_rewrite_rows(pv, sigma, ngen: int, constant=None):
-    """Second-order form of the scaling reduction, nu as the lead profile.
-
-    Needs sigma > 0; the nilpotent constant defaults to sigma**(1/2) mu nu
-    evaluated from the same profile values.
-    """
-    sg = sigma if isinstance(sigma, GrassmannNumber) else scalar(float(sigma), ngen)
-    if sg.body <= 0.0:
-        raise SingularPoint(f"rewritten scaling rows need sigma > 0, got body {sg.body}")
-    a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
-    sin_a, cos_a = _trig(a[0])
-    if abs(cos_a.body) < 1e-12:
-        raise SingularPoint("cos(alpha) vanishes; tan(alpha) row undefined")
-    inv_cos = apply_analytic(RECIP, cos_a)
-    tan_a = sin_a * inv_cos
-    root = apply_analytic(Power(0.5), sg)
-    inv_root = apply_analytic(Power(-0.5), sg)
-    inv_sig = apply_analytic(RECIP, sg)
-    c0 = constant if constant is not None else root * m[0] * n[0]
-    return (
-        sg * a[2] + a[1] + sin_a * cos_a - c0 * inv_root * sin_a,
-        n[2] + tan_a * a[1] * n[1] + inv_sig * n[1] * 0.5 + inv_sig * cos_a * cos_a * n[0],
-        m[0] - inv_cos * n[1],
-        b[0] + sin_a,
-        root * (m[1] * n[0] + m[0] * n[1]) + inv_root * (m[0] * n[0]) * 0.5,
-    )
-
-
 def traveling_rewrite_rows(pv, eps: float, ngen: int, constant=None):
     """Second-order form of the traveling reduction; constant defaults to mu nu."""
     a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
@@ -631,27 +602,6 @@ def traveling_rewrite_rows(pv, eps: float, ngen: int, constant=None):
         b[0] + sin_a,
         m[1] * n[0] + m[0] * n[1],
     )
-
-
-def reduced_residual(case, profiles, sigma, params=None,
-                     ctx: AlgebraContext = DEFAULT_CONTEXT, constant=None) -> list:
-    """All reduced rows at one value of the invariant variable.
-
-    Four rows for every case; the scaling and traveling cases return nine,
-    the extra five being the rewritten second-order system (with its
-    first-integral row last).
-    """
-    case = reduction_case(case)
-    p = _fill_params(case, params, ctx)
-    _check_profiles(case, profiles)
-    sg = _promote(sigma, ctx)
-    pv = {name: profiles[name].derivs_at(sg, 2) for name in case.profile_names}
-    rows = list(case.equations(pv, sg, p, ctx))
-    if case.case_id == "S1":
-        rows.extend(scaling_rewrite_rows(pv, sg, ctx.generator_count, constant))
-    elif case.case_id == "S4":
-        rows.extend(traveling_rewrite_rows(pv, p["eps"], ctx.generator_count, constant))
-    return rows
 
 
 def reduction_consistency(case, profiles, points, params=None,

@@ -7,8 +7,8 @@ coordinates realized as the reserved Grassmann generators of an
 
     value = u/2 + th1*phi + th2*psi + th1*th2*F
 
-The components are the theta slots of that one jet (``theta_coefficients``,
-``component_jets``).  ``component_superfield`` builds a field from four
+The components are the theta slots of that one jet
+(``theta_coefficients``).  ``component_superfield`` builds a field from four
 theta-free component handles and ``constant_superfield`` a constant one.
 The whole calculus runs on exact jets; no finite differencing anywhere.
 
@@ -170,15 +170,6 @@ def theta_coefficients(v: GrassmannNumber, ctx: AlgebraContext):
     c2 = drop_gens(gen_derivative(v, i2), mask)
     c3 = gen_derivative(gen_derivative(v, i1), i2)
     return c0, c1, c2, c3
-
-
-def component_jets(jet: SuperJet, ctx: AlgebraContext):
-    """The theta slots of a superfield jet as four theta-free jets
-    (u/2, phi, psi, F); ``component_superfield`` glues them back exactly."""
-    slots = {J: theta_coefficients(v, ctx) for J, v in jet.comp.items()}
-    return tuple(
-        SuperJet(jet.spec, jet.ngen, {J: c[i] for J, c in slots.items()}) for i in range(4)
-    )
 
 
 # ------------------------------------------------------------------ builders

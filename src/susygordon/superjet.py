@@ -13,12 +13,13 @@ The index bookkeeping is done once per ``JetSpec``, not once per call: the
 Faa di Bruno plan (every set partition of every multi-index, as the blocks'
 multi-indices) and the Leibniz table (index pair to sum and binomial
 weight) are built on first use and cached per frozen spec.  A Faa di Bruno
-term with an absent component is skipped before any product is formed, and
-a base without a soul reads its derivatives straight off the analytic
-function.  Every value stays bit for bit what multiplying every term
-through gives: an absent component is the empty number, whose product is
-empty, and the surviving terms keep the same partition order and the same
-left-to-right factor order.
+term with an absent component is skipped before any product is formed.  The
+derivatives of the analytic function at the base come from
+``grassmann.soul_derivs``, which also holds the shortcut that reads them
+straight off the function when the base has no soul.  Every value stays
+bit for bit what multiplying every term through gives: an absent component
+is the empty number, whose product is empty, and the surviving terms keep
+the same partition order and the same left-to-right factor order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from .analytic import AnalyticFn
-from .grassmann import GrassmannNumber, ParityError, scalar
+from .grassmann import GrassmannNumber, ParityError, scalar, soul_derivs
 
 
 @dataclass(frozen=True)
@@ -239,34 +240,6 @@ def _faa_plan(spec: JetSpec) -> tuple:
     return tuple(plan)
 
 
-def _analytic_derivs_at(fn: AnalyticFn, a: GrassmannNumber, kmax: int):
-    """[f(a), f'(a), ..., f^(kmax)(a)] for even a, via Taylor in the soul."""
-    if not a.is_even():
-        raise ParityError("analytic composition needs an even base component")
-    b = a.body
-    s = a.soul()
-    if s.is_zero():
-        # with no soul the series below is 0 + 1*(d/0!), which is d itself
-        # bit for bit, NaN and -0.0 included
-        return [GrassmannNumber._make(a.ngen, {0: d} if d != 0.0 else {})
-                for d in fn.derivs(b, kmax)]
-    powers = [scalar(1.0, a.ngen)]
-    p = powers[0]
-    while True:
-        p = p * s
-        if p.is_zero():
-            break
-        powers.append(p)
-    ds = fn.derivs(b, kmax + len(powers) - 1)
-    out = []
-    for k in range(kmax + 1):
-        acc = scalar(0.0, a.ngen)
-        for j, pw in enumerate(powers):
-            acc = acc + pw * (ds[k + j] / math.factorial(j))
-        out.append(acc)
-    return out
-
-
 def jet_apply_analytic(a: SuperJet, fn: AnalyticFn) -> SuperJet:
     """fn composed onto an even jet.
 
@@ -281,8 +254,7 @@ def jet_apply_analytic(a: SuperJet, fn: AnalyticFn) -> SuperJet:
     for v in a.comp.values():
         if not v.is_even():
             raise ParityError("analytic composition needs an even jet")
-    base = a.value()
-    fs = _analytic_derivs_at(fn, base, a.spec.order)
+    fs = soul_derivs(fn, a.value(), a.spec.order)
     comp = {(0,) * len(a.spec.seeds): fs[0]}
     have = a.comp
     for J, terms in _faa_plan(a.spec):

@@ -1,0 +1,97 @@
+"""Helpers that only tests call.
+
+``exact`` makes results comparable bit for bit.  ``component_jets`` splits
+a superfield jet into the jets of its four components.  ``reduced_residual``
+evaluates the reduced rows of a case at one value of the invariant variable
+and appends the rewritten second-order rows of the scaling case
+(``scaling_rewrite_rows``) and of the traveling case.
+"""
+
+from susygordon.analytic import RECIP, Power
+from susygordon.grassmann import (
+    DEFAULT_CONTEXT,
+    AlgebraContext,
+    GrassmannNumber,
+    apply_analytic,
+    scalar,
+)
+from susygordon.reductions import (
+    SingularPoint,
+    _check_profiles,
+    _fill_params,
+    _promote,
+    _trig,
+    reduction_case,
+    traveling_rewrite_rows,
+)
+from susygordon.superfield import theta_coefficients
+from susygordon.superjet import SuperJet
+
+
+def exact(f, *args):
+    """``f(*args)`` as the coefficients of each returned supernumber in their
+    stored order, any NaN as one token, or the type of the error raised."""
+    try:
+        v = f(*args)
+    except ValueError as e:
+        return type(e).__name__
+    return [[(m, c if c == c else "nan") for m, c in x.terms.items()]
+            for x in (v if isinstance(v, list) else [v])]
+
+
+def component_jets(jet: SuperJet, ctx: AlgebraContext):
+    """The theta slots of a superfield jet as four theta-free jets
+    (u/2, phi, psi, F); ``component_superfield`` glues them back exactly."""
+    slots = {J: theta_coefficients(v, ctx) for J, v in jet.comp.items()}
+    return tuple(
+        SuperJet(jet.spec, jet.ngen, {J: c[i] for J, c in slots.items()}) for i in range(4)
+    )
+
+
+def scaling_rewrite_rows(pv, sigma, ngen: int, constant=None):
+    """Second-order form of the scaling reduction, nu as the lead profile.
+
+    Needs sigma > 0; the nilpotent constant defaults to sigma**(1/2) mu nu
+    evaluated from the same profile values.
+    """
+    sg = sigma if isinstance(sigma, GrassmannNumber) else scalar(float(sigma), ngen)
+    if sg.body <= 0.0:
+        raise SingularPoint(f"rewritten scaling rows need sigma > 0, got body {sg.body}")
+    a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
+    sin_a, cos_a = _trig(a[0])
+    if abs(cos_a.body) < 1e-12:
+        raise SingularPoint("cos(alpha) vanishes; tan(alpha) row undefined")
+    inv_cos = apply_analytic(RECIP, cos_a)
+    tan_a = sin_a * inv_cos
+    root = apply_analytic(Power(0.5), sg)
+    inv_root = apply_analytic(Power(-0.5), sg)
+    inv_sig = apply_analytic(RECIP, sg)
+    c0 = constant if constant is not None else root * m[0] * n[0]
+    return (
+        sg * a[2] + a[1] + sin_a * cos_a - c0 * inv_root * sin_a,
+        n[2] + tan_a * a[1] * n[1] + inv_sig * n[1] * 0.5 + inv_sig * cos_a * cos_a * n[0],
+        m[0] - inv_cos * n[1],
+        b[0] + sin_a,
+        root * (m[1] * n[0] + m[0] * n[1]) + inv_root * (m[0] * n[0]) * 0.5,
+    )
+
+
+def reduced_residual(case, profiles, sigma, params=None,
+                     ctx: AlgebraContext = DEFAULT_CONTEXT, constant=None) -> list:
+    """All reduced rows at one value of the invariant variable.
+
+    Four rows for every case; the scaling and traveling cases return nine,
+    the extra five being the rewritten second-order system (with its
+    first-integral row last).
+    """
+    case = reduction_case(case)
+    p = _fill_params(case, params, ctx)
+    _check_profiles(case, profiles)
+    sg = _promote(sigma, ctx)
+    pv = {name: profiles[name].derivs_at(sg, 2) for name in case.profile_names}
+    rows = list(case.equations(pv, sg, p, ctx))
+    if case.case_id == "S1":
+        rows.extend(scaling_rewrite_rows(pv, sg, ctx.generator_count, constant))
+    elif case.case_id == "S4":
+        rows.extend(traveling_rewrite_rows(pv, p["eps"], ctx.generator_count, constant))
+    return rows

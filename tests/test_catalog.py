@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susygordon.analytic import SIN, TANH, DomainError, Poly, TrigPoly
-from susygordon.elliptic import JacobiDn, JacobiSn, jacobi
+from susygordon.elliptic import JacobiSn, jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT, ParityError, apply_analytic
 from susygordon.catalog import (
     EntryCheck,
@@ -25,13 +25,10 @@ from susygordon.catalog import (
     verify_entry,
 )
 from susygordon.odes import integrate_two_sided, make_system
-from susygordon.reductions import (
-    OutOfDomain,
-    build_ansatz,
-    profile,
-    reduced_residual,
-)
+from susygordon.reductions import OutOfDomain, build_ansatz, profile
 from susygordon.superfield import evaluate_bundle, ssg_residual, theta_coefficients
+
+from helpers import reduced_residual
 
 CTX = DEFAULT_CONTEXT
 
@@ -288,7 +285,7 @@ def test_dropping_the_forcing_term_breaks_the_field():
     # integrate the homogeneous variant by flipping the drive off via the
     # wrong system; the assembled field then fails the first-order odd row
     from susygordon.catalog import _OdeBackedFn, _OddQuotientFn
-    from susygordon.analytic import ARCSIN, TaylorFn, TaylorQ
+    from susygordon.analytic import ARCSIN, TaylorFn
 
     k, m, eps = 0.7, 0.49, -1.0
     system = make_system("ginv12", eps=eps, modulus=k, ctx=CTX)  # wrong drive sign for S8

@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susygordon.analytic import LOG
+from susygordon.analytic import EXP, LOG
 from susygordon.grassmann import (
     AlgebraContext,
     ContextMismatch,
@@ -29,8 +29,11 @@ from susygordon.grassmann import (
     parse,
     sample_random,
     scalar,
+    soul_taylor,
     to_text,
 )
+
+from helpers import exact
 
 NGEN = 8
 
@@ -276,6 +279,32 @@ def test_nonfinite_body_survives_products(a, b):
 def test_nonfinite_body_survives_sums(a, b):
     for v in (a + b, b + a, a - b, b - a):
         assert not math.isfinite(v.norm())
+
+
+def _soul_taylor_reference(f, a):
+    """The value-only soul series as written before ``soul_derivs`` held the
+    one loop, with powers from the unit and factorials accumulated; the
+    reference that ``soul_taylor`` must match bit for bit."""
+    s = a.soul()
+    powers = [scalar(1.0)]
+    while not (p := powers[-1] * s).is_zero():
+        powers.append(p)
+    ds = f.derivs(a.body, len(powers) - 1)
+    out = GrassmannNumber(NGEN, {0: ds[0]})
+    fact = 1.0
+    for j in range(1, len(powers)):
+        fact *= j
+        out = out + powers[j] * (ds[j] / fact)
+    return out
+
+
+@given(st.one_of(gvalues(), NONFINITE.flatmap(nonfinite_body)),
+       st.sampled_from([_Sin(), _Cos(), EXP, LOG]))
+@settings(max_examples=150, deadline=None)
+def test_soul_taylor_matches_the_value_only_series(a, f):
+    want = exact(_soul_taylor_reference, f, a)
+    assert exact(soul_taylor, f, a) == want
+    assert exact(apply_analytic, f, a) == (want if a.is_even() else "ParityError")
 
 
 def test_empty_operand_gives_the_exact_zero():

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
 ``__init__.py`` is skipped: its imports are the public API.  A module that
 re-exports a name writes ``from .mod import Name as Name``, the explicit
@@ -10,8 +10,11 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "susygordon"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "susygordon"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    TESTS.glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list:

@@ -8,8 +8,6 @@ from susygordon.elliptic import jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
 from susygordon.odes import (
     NearSingular,
-    OdeSample,
-    Trajectory,
     drift_ratio,
     first_integral_check,
     integrate_profile_ode,

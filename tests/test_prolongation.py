@@ -22,17 +22,19 @@ from susygordon.prolongation import (
     FnF,
     IncompleteJetPoint,
     JetPoint,
-    ProlongationTable,
     VectorFieldSpec,
     component_named_generators,
     component_shift_spec,
     component_symmetry_spec,
+    collect,
     coordinate_key,
     evaluate_expr,
     evaluate_spec,
+    expr_sub,
     onshell_substitute,
     prolong,
     prolong_expanded,
+    prolonged_expr,
     random_jet_point,
     ssg_named_generators,
     ssg_shift_spec,
@@ -379,16 +381,76 @@ def _all_specs():
         yield from dict(named(CTX), shift=shift(CTX)).items()
 
 
+class ReferenceTable:
+    """Prolonged-coefficient expressions with one method per order, as they
+    were written before ``prolonged_expr`` applied the recursion once per
+    direction; the reference whose terms it must equal."""
+
+    def __init__(self, sig, coef_parity: dict):
+        self.sig = sig
+        self.coef_parity = coef_parity
+        self.exprs: dict = {}
+
+    def first_order(self, dep, a):
+        key = (dep, (a,))
+        if key not in self.exprs:
+            sig = self.sig
+            e = total_derivative_expr(sig, self.coef_parity, [(1.0, (FnF(dep, ()),))], a)
+            for b, _ in sig.independents:
+                dz = total_derivative_expr(sig, self.coef_parity, [(1.0, (FnF(b, ()),))], a)
+                sc, ckey = coordinate_key(sig, dep, (b,))
+                if ckey is None:
+                    continue
+                e = expr_sub(e, [(c * sc, fs + (CoordF(*ckey),)) for c, fs in dz])
+            self.exprs[key] = collect(e)
+        return self.exprs[key]
+
+    def second_order(self, dep, a, b):
+        key = (dep, (a, b))
+        if key not in self.exprs:
+            sig = self.sig
+            e = total_derivative_expr(sig, self.coef_parity, self.first_order(dep, a), b)
+            for c_, _ in sig.independents:
+                dz = total_derivative_expr(sig, self.coef_parity, [(1.0, (FnF(c_, ()),))], b)
+                sc, ckey = coordinate_key(sig, dep, (a, c_))
+                if ckey is None:
+                    continue
+                e = expr_sub(e, [(cc * sc, fs + (CoordF(*ckey),)) for cc, fs in dz])
+            self.exprs[key] = collect(e)
+        return self.exprs[key]
+
+    def slot(self, dep, dirs):
+        return self.first_order(dep, *dirs) if len(dirs) == 1 else self.second_order(dep, *dirs)
+
+
+def _expr(spec, dep, dirs):
+    return prolonged_expr(spec.sig, spec.parity_table(), dep, dirs)
+
+
+def test_recursion_matches_the_per_order_table():
+    for name, spec in _all_specs():
+        table = ReferenceTable(spec.sig, dict(spec.parity_table()))
+        for dep, dirs in prolongation._slots(spec.sig):
+            # equal terms in the same order
+            assert list(_expr(spec, dep, dirs)) == table.slot(dep, dirs), (name, dep, dirs)
+        # the pruned tables are the reference's terms minus the ruled-out ones
+        for (dep, dirs), live in prolongation._live_table(spec):
+            want = [(c, fs) for c, fs in table.slot(dep, dirs)
+                    if all(spec.coefficients[f.target].reads is None
+                           or spec.coefficients[f.target].reads.issuperset(f.derivs)
+                           for f in fs if isinstance(f, FnF))]
+            assert list(live) == want, (name, dep, dirs)
+
+
 @given(seed=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=15, deadline=None)
 def test_sparse_evaluation_matches_multiplying_through(seed):
     for name, spec in _all_specs():
-        table = ProlongationTable(spec.sig, spec.parity_table())
         p = random_jet_point(spec.sig, seed, CTX)
         for q in (p, onshell_substitute(p)):
             coefvals = evaluate_spec(spec, q)
             for (dep, dirs), got in prolong(spec, q).values.items():
-                expr = table.slot(dep, dirs)
+                expr = _expr(spec, dep, dirs)
                 want = list(_multiply_through(expr, coefvals, q).terms.items())
                 # same coefficients, bit for bit, in the same order
                 assert list(got.terms.items()) == want, (name, dep, dirs)
@@ -500,9 +562,8 @@ def _ruled_out(spec):
             for k in (1, 2):
                 out.update((target, d) for d in product(names, repeat=k)
                            if not c.reads.issuperset(d))
-    table = ProlongationTable(sig, spec.parity_table())
     for dep, dirs in prolongation._slots(sig):
-        for f in (f for _, fs in table.slot(dep, dirs) for f in fs if isinstance(f, FnF)):
+        for f in (f for _, fs in _expr(spec, dep, dirs) for f in fs if isinstance(f, FnF)):
             reads = spec.coefficients[f.target].reads
             if reads is not None and not reads.issuperset(f.derivs):
                 out.add((f.target, f.derivs))

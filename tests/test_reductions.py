@@ -15,9 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susygordon import reductions, superjet
 from susygordon.analytic import (
     ARCSIN,
+    ARCTAN,
     COS,
+    EXP,
+    RECIP,
     SECH,
     SIN,
     TANH,
@@ -27,7 +31,14 @@ from susygordon.analytic import (
     TaylorFn,
     TrigPoly,
 )
-from susygordon.grassmann import DEFAULT_CONTEXT, ParityError, apply_analytic, worst_of
+from susygordon.grassmann import (
+    DEFAULT_CONTEXT,
+    GrassmannNumber,
+    ParityError,
+    apply_analytic,
+    scalar,
+    worst_of,
+)
 from susygordon.prolongation import SSG_SIGNATURE, JetPoint, coordinate_key, evaluate_spec
 from susygordon.reductions import (
     CASES,
@@ -47,7 +58,6 @@ from susygordon.reductions import (
     nonstandard_obstruction,
     profile,
     random_reduction_profiles,
-    reduced_residual,
     reduction_case,
     reduction_case_ids,
     reduction_consistency,
@@ -56,12 +66,14 @@ from susygordon.reductions import (
 )
 from susygordon.superalgebra import realize
 from susygordon.superfield import (
-    component_jets,
     component_superfield,
     evaluate_bundle,
     ssg_residual,
     superfield_jet,
 )
+from susygordon.superjet import JetSpec, jet_apply_analytic, jet_variable
+
+from helpers import component_jets, exact, reduced_residual
 
 ctx = DEFAULT_CONTEXT
 
@@ -96,6 +108,59 @@ def test_profile_taylor_shift_is_exact(body, c):
     want1 = ctx.scalar(math.cos(body)) - pair * (c * math.sin(body))
     assert (got[0] - want0).norm() < 1e-14
     assert (got[1] - want1).norm() < 1e-14
+
+
+def _derivs_at_reference(prof, sigma, order):
+    """``Profile.derivs_at`` as a one-seed jet composed through Faa di Bruno
+    term by term, as it was written before it read the soul-Taylor kernel
+    directly; the reference it must match bit for bit."""
+    sg = sigma if isinstance(sigma, GrassmannNumber) else scalar(float(sigma), prof.ngen)
+    base = jet_variable(JetSpec(("s",), order), "s", sg)
+    out = [scalar(0.0, prof.ngen) for _ in range(order + 1)]
+    for coef, fn in prof.terms:
+        j = jet_apply_analytic(base, fn)
+        for k in range(order + 1):
+            out[k] = out[k] + coef * j.get((k,))
+    return out
+
+
+_PAIR = ctx.gen("D1") * ctx.gen("D2")
+_QUAD = _PAIR * ctx.gen("mu0") * ctx.gen("lambda0")
+_SIGMAS = [0.7, -1.3, 0.0, ctx.scalar(0.4) + _PAIR * 0.3 - _QUAD * 0.8,
+           math.nan, math.inf, -math.inf, ctx.scalar(math.nan) + _PAIR,
+           ctx.scalar(math.inf) + _PAIR * 0.5 + _QUAD, ctx.gen("mu")]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("sigma", _SIGMAS, ids=range(len(_SIGMAS)))
+def test_derivs_at_matches_the_one_seed_jet(sigma, order):
+    profiles = list(random_reduction_profiles("S8", 5).values()) + [
+        # functions that stay defined at infinite sigma; sin(inf) raises
+        profile(ctx, (1.0, EXP), (_PAIR * 0.5, ARCTAN), (ctx.gen("mu") * 0.3, RECIP)),
+        profile(ctx, (_PAIR, Poly([0.5, -1.0, 0.25]))),
+        zero_profile(ctx),
+    ]
+    for prof in profiles:
+        got = exact(prof.derivs_at, sigma, order)
+        assert got == exact(_derivs_at_reference, prof, sigma, order)
+
+
+def test_derivs_at_composes_no_jet(monkeypatch):
+    # the profile reads its derivative lists from the soul-Taylor kernel; an
+    # exact count of zero jet compositions gates that
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return jet_apply_analytic(*args)
+
+    for module in (reductions, superjet):
+        monkeypatch.setattr(module, "jet_apply_analytic", counted)
+    for prof in random_reduction_profiles("S4", 3).values():
+        prof.derivs_at(ctx.scalar(0.8) + _PAIR * 0.2, 2)
+        prof.value_at(1.1)
+    assert calls == 0
 
 
 def test_profile_parity_bookkeeping():

@@ -11,12 +11,10 @@ from susygordon.grassmann import (
     Parity,
     apply_analytic,
     gen_derivative,
-    sample_random,
     scalar,
     worst_of,
 )
 from susygordon.superfield import (
-    component_jets,
     component_superfield,
     constant_component,
     evaluate_bundle,
@@ -28,6 +26,8 @@ from susygordon.superfield import (
     superfield_jet,
     theta_coefficients,
 )
+
+from helpers import component_jets
 from susygordon.superjet import jet_apply_analytic, jet_scale
 
 TH1 = CTX.gen("theta1")

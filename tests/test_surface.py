@@ -6,9 +6,9 @@ A top-level function or class, or a public method, of a module in
 code that only tests call belongs in the tests.  The re-exports of
 ``__init__.py`` do not count either.  A name inside a string counts,
 because ``perfbench/tracer.py`` resolves what it wraps from strings such as
-``"odes:integrate_profile_ode"``; so does a docstring that names a
-definition as part of its module's interface.  A method counts as
-referenced wherever an attribute of its name is read.
+``"odes:integrate_profile_ode"``.  A docstring does not: prose that names a
+definition calls nothing.  A method counts as referenced wherever an
+attribute of its name is read.
 """
 
 import ast
@@ -38,14 +38,20 @@ def definitions(tree):
 
 def references(tree) -> Counter:
     """How often each name is read in ``tree``, as a name, an attribute or a
-    word of a string."""
+    word of a string that is not a docstring."""
+    docs = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, *_DEFS)) and ast.get_docstring(node) is not None
+    }
     seen = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             seen[node.id] += 1
         elif isinstance(node, ast.Attribute):
             seen[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
             seen.update(_WORD.findall(node.value))
     return seen
 
@@ -106,3 +112,28 @@ def traced():
 '''
     tree = ast.parse(src)
     assert unreferenced({"mod": tree}, [tree]) == ["mod.entry", "mod.lonely"]
+
+
+def test_guard_ignores_docstrings():
+    src = '''"""The interface: ``described`` and ``K.shown``."""
+
+def entry():
+    """Calls ``described`` in prose only."""
+    return K().used()
+
+def described():
+    pass
+
+class K:
+    """``shown`` is documented here."""
+
+    def used(self):
+        pass
+
+    def shown(self):
+        pass
+
+ENTRY = "mod:entry"
+'''
+    tree = ast.parse(src)
+    assert unreferenced({"mod": tree}, [tree]) == ["mod.K.shown", "mod.described"]
