@@ -275,7 +275,8 @@ class TaylorQ:
 
     @classmethod
     def var(cls, x0: float, order: int) -> "TaylorQ":
-        return cls((float(x0), 1.0) + (0.0,) * max(order - 1, 0))
+        """The series variable x0 + h, ``order + 1`` coefficients long."""
+        return cls(((float(x0), 1.0) + (0.0,) * (order - 1))[: order + 1])
 
     @classmethod
     def const(cls, v: float, order: int) -> "TaylorQ":

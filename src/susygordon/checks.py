@@ -95,10 +95,14 @@ _B5_POINTS = tuple((0.15 + 0.2 * i, -0.45 + 0.17 * i) for i in range(10))
 
 
 def covariant_squares(jet, ctx):
-    """D_a D_a = d_a and {D_x, D_t} = 0 (b5)."""
+    """D_a D_a = d_a and {D_x, D_t} = 0 (b5).
+
+    Each first-level D_c jet is built once and read by every outer D.
+    """
+    D = {c: op_D(jet, ctx, c) for c in ("x", "t")}
 
     def DD(a, c):
-        return op_D(op_D(jet, ctx, c), ctx, a).value()
+        return op_D(D[c], ctx, a).value()
 
     return (
         (DD("x", "x") - jet.d("x")).norm(),
@@ -108,16 +112,22 @@ def covariant_squares(jet, ctx):
 
 
 def susy_anticommutators(jet, ctx):
-    """Q_a Q_a = -d_a, {Q_x, Q_t} = 0 and {D_a, Q_b} = 0 (b5)."""
+    """Q_a Q_a = -d_a, {Q_x, Q_t} = 0 and {D_a, Q_b} = 0 (b5).
+
+    Each first-level D_c and Q_c jet is built once and read by every outer
+    operator.
+    """
+    D = {c: op_D(jet, ctx, c) for c in ("x", "t")}
+    Q = {c: op_Q(jet, ctx, c) for c in ("x", "t")}
 
     def QQ(a, c):
-        return op_Q(op_Q(jet, ctx, c), ctx, a).value()
+        return op_Q(Q[c], ctx, a).value()
 
     def DQ(a, c):
-        return op_D(op_Q(jet, ctx, c), ctx, a).value()
+        return op_D(Q[c], ctx, a).value()
 
     def QD(a, c):
-        return op_Q(op_D(jet, ctx, c), ctx, a).value()
+        return op_Q(D[c], ctx, a).value()
 
     devs = [
         (QQ("x", "x") * 2.0 + jet.d("x") * 2.0).norm(),

@@ -212,11 +212,25 @@ class GrassmannNumber:
             raise ContextMismatch(
                 f"mixing algebras with {self.ngen} and {other.ngen} generators"
             )
-        if not self.terms or not other.terms:
+        ta, tb = self.terms, other.terms
+        if not ta or not tb:
             return GrassmannNumber._make(self.ngen, {})
+        # A body-only operand scales the other's terms in their own order and
+        # drops exact zeros, which is what the loop below does bit for bit:
+        # its merge sign is 1.0 and (a * b) * 1.0 == a * b.
+        if len(ta) == 1 and 0 in ta:
+            b = ta[0]
+            return GrassmannNumber._make(
+                self.ngen, {m: v for m, c in tb.items() if (v := b * c) != 0.0}
+            )
+        if len(tb) == 1 and 0 in tb:
+            b = tb[0]
+            return GrassmannNumber._make(
+                self.ngen, {m: v for m, c in ta.items() if (v := c * b) != 0.0}
+            )
         out: dict[int, float] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
                 if ma & mb:
                     continue
                 m = ma | mb
@@ -314,9 +328,14 @@ def soul_derivs(f, a: GrassmannNumber, kmax: int) -> list:
 
     f^(k)(b + s) = sum_j f^(k+j)(b) s^j / j!, cut off at the first power of
     the nilpotent soul s that vanishes.  Without a soul each entry is the
-    body derivative itself, bit for bit, NaN and -0.0 included.  No parity
-    is demanded, as in ``soul_taylor``.
+    body derivative itself, bit for bit, NaN and -0.0 included, read
+    straight off ``f.derivs``.  No parity is demanded, as in ``soul_taylor``.
     """
+    if a.terms.keys() <= {0}:
+        return [
+            GrassmannNumber._make(a.ngen, {0: d} if d != 0.0 else {})
+            for d in f.derivs(a.body, kmax)[: kmax + 1]
+        ]
     s = a.soul()
     powers = []
     p = s

@@ -38,7 +38,6 @@ from .superjet import (
     SuperJet,
     jet_apply_analytic,
     jet_constant,
-    jet_map,
     jet_partial,
     jet_scale,
     jet_variable,
@@ -116,17 +115,23 @@ def evaluate_bundle(f: Superfield, x, t) -> SuperfieldValueBundle:
 
 
 def _op_theta(jet: SuperJet, ctx: AlgebraContext, which: str, sign: float) -> SuperJet:
-    """d_theta + sign * theta * d_even as a jet-to-jet map (order drops 1)."""
+    """d_theta + sign * theta * d_even as a jet-to-jet map (order drops 1).
+
+    The theta derivative is taken only of the components the lower order
+    keeps.  Components follow the ``sign * theta * d_even`` jet's order, then
+    the remaining ones in the input's order; ``SuperJet`` drops the ones that
+    vanish.
+    """
     theta_role, seed = ("theta1", "x") if which == "x" else ("theta2", "t")
     idx = ctx.roles[theta_role]
     th = ctx.gen(theta_role)
-    first = jet_map(jet, lambda v: gen_derivative(v, idx))
     second = jet_scale(jet_partial(jet, seed), th * sign, from_left=True)
     sub = JetSpec(jet.spec.seeds, jet.spec.order - 1)
     comp = dict(second.comp)
-    for J, v in first.comp.items():
+    for J, v in jet.comp.items():
         if sum(J) <= sub.order:
-            comp[J] = comp[J] + v if J in comp else v
+            d = gen_derivative(v, idx)
+            comp[J] = comp[J] + d if J in comp else d
     return SuperJet(sub, jet.ngen, comp)
 
 

@@ -1,13 +1,18 @@
 """Helpers that only tests call.
 
-``exact`` makes results comparable bit for bit.  ``component_jets`` splits
-a superfield jet into the jets of its four components.  ``reduced_residual``
-evaluates the reduced rows of a case at one value of the invariant variable
-and appends the rewritten second-order rows of the scaling case
-(``scaling_rewrite_rows``) and of the traveling case.
+``exact`` makes results comparable bit for bit, and ``bits`` does so for
+the coefficients of a term map, the sign of a zero or a NaN included.
+``derivs_providers`` gives one instance of every derivative-list provider.
+``component_jets`` splits a superfield jet into the jets of its four
+components.  ``reduced_residual`` evaluates the reduced rows of a case at one
+value of the invariant variable and appends the rewritten second-order rows
+of the scaling case (``scaling_rewrite_rows``) and of the traveling case.
 """
 
-from susygordon.analytic import RECIP, Power
+import struct
+
+from susygordon import analytic, elliptic
+from susygordon.analytic import ARCSIN, RECIP, TANH, Power
 from susygordon.grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
@@ -37,6 +42,37 @@ def exact(f, *args):
         return type(e).__name__
     return [[(m, c if c == c else "nan") for m, c in x.terms.items()]
             for x in (v if isinstance(v, list) else [v])]
+
+
+def bits(terms: dict) -> list:
+    """``(mask, IEEE bits of the coefficient)`` in the map's key order."""
+    return [(m, struct.pack("<d", c).hex()) for m, c in terms.items()]
+
+
+# constructor arguments of the providers that take any
+_PROVIDER_ARGS = {
+    "Power": (0.5,),
+    "Poly": ([0.3, -1.0, 0.5],),
+    "Const": (2.0,),
+    "TrigPoly": ([(0.7, 1.3, 0.2)], [0.1, 0.4]),
+    "TaylorFn": (lambda s: s.apply(TANH).apply(ARCSIN),),
+    "JacobiSn": (0.5,),
+    "JacobiCn": (0.5,),
+    "JacobiDn": (0.5,),
+}
+
+
+def derivs_providers():
+    """One instance of every class of ``analytic`` and ``elliptic`` with a
+    ``derivs(x, n)`` method.  A new provider that takes arguments fails to
+    build until it has an entry in ``_PROVIDER_ARGS``."""
+    out = []
+    for mod in (analytic, elliptic):
+        for name, cls in vars(mod).items():
+            if (isinstance(cls, type) and cls.__module__ == mod.__name__
+                    and "derivs" in vars(cls) and name not in ("AnalyticFn", "TaylorQ")):
+                out.append(cls(*_PROVIDER_ARGS.get(name, ())))
+    return out
 
 
 def component_jets(jet: SuperJet, ctx: AlgebraContext):

@@ -27,6 +27,8 @@ from susygordon.analytic import (
 )
 from susygordon.grassmann import DomainError
 
+from helpers import derivs_providers
+
 
 def central_diff(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2 * h)
@@ -222,3 +224,14 @@ def test_sin_sq_plus_cos_sq(x):
     assert abs(d[0] - 1.0) < 1e-12
     for v in d[1:]:
         assert abs(v) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_every_provider_returns_n_plus_one_entries(n):
+    # the AnalyticFn protocol; the order-0 series variable is one
+    # coefficient long, so TaylorFn keeps it too
+    providers = derivs_providers()
+    assert len(providers) == 19
+    for f in providers:
+        assert len(f.derivs(0.3, n)) == n + 1, type(f).__name__
+    assert TaylorQ.var(0.3, n).c == (0.3, 1.0, 0.0, 0.0)[: n + 1]

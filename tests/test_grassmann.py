@@ -29,11 +29,13 @@ from susygordon.grassmann import (
     parse,
     sample_random,
     scalar,
+    soul_derivs,
     soul_taylor,
     to_text,
+    _merge_sign,
 )
 
-from helpers import exact
+from helpers import bits, derivs_providers, exact
 
 NGEN = 8
 
@@ -305,6 +307,67 @@ def test_soul_taylor_matches_the_value_only_series(a, f):
     want = exact(_soul_taylor_reference, f, a)
     assert exact(soul_taylor, f, a) == want
     assert exact(apply_analytic, f, a) == (want if a.is_even() else "ParityError")
+
+
+def _mul_reference(a, b):
+    """The general double loop of ``GrassmannNumber.__mul__`` alone, as
+    bits in key order; its body-only path must match it bit for bit."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            v = ca * cb * _merge_sign(ma, mb)
+            prev = out.get(m)
+            out[m] = v if prev is None else prev + v
+    return bits({m: v for m, v in out.items() if v != 0.0})
+
+
+# every float, plus a -0.0 body, both NaN signs, the infinities and a pair
+# whose product underflows to zero
+RAW = st.one_of(st.sampled_from([-0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-200]),
+                st.floats())
+
+
+@given(RAW, st.dictionaries(st.integers(0, (1 << NGEN) - 1), RAW, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_body_only_product_matches_the_general_loop(body, terms):
+    a = GrassmannNumber._make(NGEN, {0: body})
+    b = GrassmannNumber._make(NGEN, terms)
+    assert bits((a * b).terms) == _mul_reference(a, b)
+    assert bits((b * a).terms) == _mul_reference(b, a)
+
+
+def _soul_derivs_reference(f, a, kmax):
+    """``soul_derivs`` through the soul series alone, with no path for an
+    argument without a soul; the reference that path must match."""
+    s = a.soul()
+    powers = []
+    p = s
+    while p.terms:
+        powers.append(p)
+        p = p * s
+    ds = f.derivs(a.body, kmax + len(powers))
+    out = []
+    for k in range(kmax + 1):
+        acc = GrassmannNumber._make(a.ngen, {0: ds[k]} if ds[k] != 0.0 else {})
+        fact = 1.0
+        for j, pw in enumerate(powers, 1):
+            fact *= j
+            acc = acc + pw * (ds[k + j] / fact)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("kmax", range(4))
+def test_soul_free_series_matches_the_soul_loop(kmax):
+    args = [scalar(b) for b in (0.0, 0.3, -0.7, 1.5, math.nan, math.inf)]
+    args.append(GrassmannNumber._make(NGEN, {0: -0.0}))
+    for f in derivs_providers():
+        for a in args:
+            want = exact(_soul_derivs_reference, f, a, kmax)
+            assert exact(soul_derivs, f, a, kmax) == want, (type(f).__name__, a.terms)
 
 
 def test_empty_operand_gives_the_exact_zero():

@@ -3,11 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susygordon import checks, superfield
 from susygordon.analytic import ARCTAN, COS, EXP, SECH, SIN
 from susygordon.grassmann import (
     DEFAULT_CONTEXT as CTX,
+    GrassmannNumber,
     Parity,
     apply_analytic,
     gen_derivative,
@@ -27,8 +29,15 @@ from susygordon.superfield import (
     theta_coefficients,
 )
 
-from helpers import component_jets
-from susygordon.superjet import jet_apply_analytic, jet_scale
+from helpers import bits, component_jets
+from susygordon.superjet import (
+    JetSpec,
+    SuperJet,
+    jet_apply_analytic,
+    jet_map,
+    jet_partial,
+    jet_scale,
+)
 
 TH1 = CTX.gen("theta1")
 TH2 = CTX.gen("theta2")
@@ -134,6 +143,73 @@ def test_b5_sampler_builds_one_jet_per_point(monkeypatch):
     residuals = list(checks.b5_residuals(checks.covariant_squares)(CTX, 0, 1))
     assert len(residuals) == len(calls) == 10
     assert len(set(calls)) == 10
+
+
+def test_b5_families_build_each_first_level_operator_once(monkeypatch):
+    # exact gate: D_x, D_t, Q_x and Q_t of the order-2 jet once per family
+    # (2 + 4), then one outer operator per pair the families test (4 + 12)
+    orders = []
+    real = superfield._op_theta
+
+    def counted(jet, ctx, which, sign):
+        orders.append(jet.spec.order)
+        return real(jet, ctx, which, sign)
+
+    monkeypatch.setattr(superfield, "_op_theta", counted)
+    jet = superfield_jet(random_superfield(900), scalar(0.15), scalar(-0.45), order=2)
+    checks.covariant_squares(jet, CTX)
+    checks.susy_anticommutators(jet, CTX)
+    assert len(orders) == 22
+    assert orders.count(2) == 6 and orders.count(1) == 16
+
+
+def _op_theta_reference(jet, ctx, which, sign):
+    """The map-then-filter form of ``_op_theta``: the theta derivative of
+    every component, the top order dropped afterwards.  ``_op_theta`` must
+    match it bit for bit, key order included."""
+    theta_role, seed = ("theta1", "x") if which == "x" else ("theta2", "t")
+    idx = ctx.roles[theta_role]
+    th = ctx.gen(theta_role)
+    first = jet_map(jet, lambda v: gen_derivative(v, idx))
+    second = jet_scale(jet_partial(jet, seed), th * sign, from_left=True)
+    sub = JetSpec(jet.spec.seeds, jet.spec.order - 1)
+    comp = dict(second.comp)
+    for J, v in first.comp.items():
+        if sum(J) <= sub.order:
+            comp[J] = comp[J] + v if J in comp else v
+    return SuperJet(sub, jet.ngen, comp)
+
+
+def _jet_bits(jet):
+    return [(J, bits(v.terms)) for J, v in jet.comp.items()]
+
+
+# every float, plus the values whose sign or payload a product could lose
+COEFFS = st.one_of(st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0]),
+                   st.floats())
+# half of the masks carry no theta generator, so their theta derivative vanishes
+MASKS = st.one_of(st.integers(0, 255), st.integers(0, 63).map(lambda m: m << 2))
+
+
+@st.composite
+def superfield_jets(draw):
+    spec = JetSpec(("x", "t"), draw(st.integers(1, 2)))
+    comp = {}
+    for J in spec.indices():
+        if draw(st.booleans()):
+            terms = draw(st.dictionaries(MASKS, COEFFS, min_size=1, max_size=4))
+            comp[J] = GrassmannNumber._make(CTX.generator_count, terms)
+    order = draw(st.permutations(list(comp)))
+    return SuperJet(spec, CTX.generator_count, {J: comp[J] for J in order})
+
+
+@given(superfield_jets())
+@settings(max_examples=200, deadline=None)
+def test_op_theta_matches_the_map_then_filter_form(jet):
+    for which in ("x", "t"):
+        for sign in (1.0, -1.0):
+            want = _op_theta_reference(jet, CTX, which, sign)
+            assert _jet_bits(superfield._op_theta(jet, CTX, which, sign)) == _jet_bits(want)
 
 
 def test_theta_operators_match_the_bundle():
