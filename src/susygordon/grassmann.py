@@ -328,14 +328,9 @@ def soul_derivs(f, a: GrassmannNumber, kmax: int) -> list:
 
     f^(k)(b + s) = sum_j f^(k+j)(b) s^j / j!, cut off at the first power of
     the nilpotent soul s that vanishes.  Without a soul each entry is the
-    body derivative itself, bit for bit, NaN and -0.0 included, read
-    straight off ``f.derivs``.  No parity is demanded, as in ``soul_taylor``.
+    body derivative itself, bit for bit, NaN and -0.0 included.  No parity
+    is demanded, as in ``soul_taylor``.
     """
-    if a.terms.keys() <= {0}:
-        return [
-            GrassmannNumber._make(a.ngen, {0: d} if d != 0.0 else {})
-            for d in f.derivs(a.body, kmax)[: kmax + 1]
-        ]
     s = a.soul()
     powers = []
     p = s

@@ -339,35 +339,23 @@ def test_body_only_product_matches_the_general_loop(body, terms):
     assert bits((b * a).terms) == _mul_reference(b, a)
 
 
-def _soul_derivs_reference(f, a, kmax):
-    """``soul_derivs`` through the soul series alone, with no path for an
-    argument without a soul; the reference that path must match."""
-    s = a.soul()
-    powers = []
-    p = s
-    while p.terms:
-        powers.append(p)
-        p = p * s
-    ds = f.derivs(a.body, kmax + len(powers))
-    out = []
-    for k in range(kmax + 1):
-        acc = GrassmannNumber._make(a.ngen, {0: ds[k]} if ds[k] != 0.0 else {})
-        fact = 1.0
-        for j, pw in enumerate(powers, 1):
-            fact *= j
-            acc = acc + pw * (ds[k + j] / fact)
-        out.append(acc)
-    return out
-
-
 @pytest.mark.parametrize("kmax", range(4))
-def test_soul_free_series_matches_the_soul_loop(kmax):
+def test_soul_free_series_is_the_body_derivatives(kmax):
+    """Without a soul the series has no power to add, so each entry is the
+    body derivative of ``f.derivs`` itself, a zero dropped from the terms."""
     args = [scalar(b) for b in (0.0, 0.3, -0.7, 1.5, math.nan, math.inf)]
     args.append(GrassmannNumber._make(NGEN, {0: -0.0}))
     for f in derivs_providers():
         for a in args:
-            want = exact(_soul_derivs_reference, f, a, kmax)
-            assert exact(soul_derivs, f, a, kmax) == want, (type(f).__name__, a.terms)
+            try:
+                ds = f.derivs(a.body, kmax)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    soul_derivs(f, a, kmax)
+                continue
+            want = [bits({0: d} if d != 0.0 else {}) for d in ds]
+            got = [bits(g.terms) for g in soul_derivs(f, a, kmax)]
+            assert got == want, (type(f).__name__, a.terms)
 
 
 def test_empty_operand_gives_the_exact_zero():
