@@ -26,13 +26,15 @@ class AnalyticFn(Protocol):
 
 class Sin:
     def derivs(self, x, n):
-        cyc = (math.sin(x), math.cos(x), -math.sin(x), -math.cos(x))
+        s, c = math.sin(x), math.cos(x)
+        cyc = (s, c, -s, -c)
         return [cyc[j & 3] for j in range(n + 1)]
 
 
 class Cos:
     def derivs(self, x, n):
-        cyc = (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))
+        s, c = math.sin(x), math.cos(x)
+        cyc = (c, -s, -c, s)
         return [cyc[j & 3] for j in range(n + 1)]
 
 

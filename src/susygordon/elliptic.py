@@ -4,13 +4,15 @@ Parameter convention: everything is indexed by m = k^2, never by the
 modulus itself, so the m < 0 cases stay in real arithmetic.  m in (0, 1)
 goes through descending arithmetic-geometric-mean steps, m < 0 through
 the negative-parameter map onto (0, 1), and m in {0, 1} through the
-trigonometric / hyperbolic limits.  m > 1 is out of scope.
+trigonometric / hyperbolic limits.  m > 1 is out of scope.  The AGM
+ladder of each m is computed once and kept (``_agm_ladder``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .grassmann import GrassmannNumber, ParityError
 
@@ -63,8 +65,10 @@ def ellipk(m: float) -> float:
     return math.pi / (2.0 * a)
 
 
+@lru_cache(maxsize=64)
 def _agm_ladder(m: float):
-    # a_n and c_n = (a_{n-1} - b_{n-1})/2, stopping once c is negligible
+    # a_n and c_n = (a_{n-1} - b_{n-1})/2, stopping once c is negligible;
+    # a pure function of m, so it is kept per m, as tuples
     a, b = 1.0, math.sqrt(1.0 - m)
     avals, cvals = [a], [math.sqrt(m)]
     for _ in range(_AGM_DEPTH):
@@ -74,7 +78,7 @@ def _agm_ladder(m: float):
         cvals.append(c)
         if abs(c) <= _AGM_CUT * a:
             break
-    return avals, cvals
+    return tuple(avals), tuple(cvals)
 
 
 def jacobi(u: float, m: float) -> EllipticTriple:

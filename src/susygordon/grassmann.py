@@ -11,6 +11,8 @@ soul is nilpotent.  ``soul_derivs`` is the one loop that sums them, given an
 object that can evaluate derivative lists of the scalar function (see
 ``analytic``); ``apply_analytic`` and ``soul_taylor`` are its value-only
 entries, and analytic jets and profiles read whole derivative lists from it.
+``apply_analytic`` of a soul-free argument, as every number of a real
+``solve`` is, skips the series: its value is ``f`` at the body.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ class GrassmannNumber:
             if c == 0.0:
                 return GrassmannNumber._make(self.ngen, {})
             return GrassmannNumber._make(
-                self.ngen, {m: v * c for m, v in self.terms.items()}
+                self.ngen, {m: p for m, v in self.terms.items() if (p := v * c) != 0.0}
             )
         if not isinstance(other, GrassmannNumber):
             return NotImplemented
@@ -306,7 +308,14 @@ def apply_analytic(f, a: GrassmannNumber) -> GrassmannNumber:
     """f(a) for even a: Taylor expansion around the body, cut off by nilpotency.
 
     ``f`` must expose ``derivs(x, n) -> [f(x), f'(x), ..., f^(n)(x)]``.
+    A soul-free argument (no terms, or only the body term) is even and has
+    no soul power to add, so its value is the body value of ``f`` itself,
+    exactly what the series below gives, NaN, -0.0 and errors included.
     """
+    t = a.terms
+    if not t or (len(t) == 1 and 0 in t):
+        d = f.derivs(t.get(0, 0.0), 0)[0]
+        return GrassmannNumber._make(a.ngen, {0: d} if d != 0.0 else {})
     if not a.is_even():
         raise ParityError("apply_analytic needs an even argument")
     return soul_taylor(f, a)

@@ -17,12 +17,18 @@ Four systems, by selector id:
   ginv17  same background, opposite forcing sign
   d16nu   damped odd profile of the scaling reduction over the
           background a = 0, y'' = -y'/(2s) - y/s
+
+Each ginv system keeps the elliptic background of the last sigma it was
+asked for, so one RK4 step evaluates ``jacobi`` at its midpoint and its
+endpoint only; with real initial data every state entry is body-only and
+``apply_analytic`` takes its soul-free short path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import copysign
 from typing import Callable
 
 from .analytic import COS, SIN
@@ -124,22 +130,36 @@ def traveling_profile_system(
 
 
 def _elliptic_background(modulus: float) -> Callable[[float], dict]:
-    """Background a(s) = arcsin(k sn(s, k)), so cos a = dn and a' = k cn."""
+    """Background a(s) = arcsin(k sn(s, k)), so cos a = dn and a' = k cn.
+
+    The values of the last sigma asked for are kept: RK4's k2 and k3 share
+    the midpoint, and k4, the node's rhs and the next leg's start share the
+    endpoint.  The key is the exact float, the sign of a zero included, and
+    the slot is replaced as one tuple, so threads sharing a system never
+    read a torn pair.  A sigma that raises ``NearSingular`` is not kept.
+    """
     k = float(modulus)
     if not abs(k) < 1.0:
         raise ValueError(f"modulus must satisfy |k| < 1, got {k}")
     m = k * k
+    last = (None, 0.0, None)  # (sigma, sign of sigma, values)
 
     def bg(sig: float) -> dict:
+        nonlocal last
+        key, sign, values = last
+        if sig == key and copysign(1.0, sig) == sign:
+            return values
         trip = jacobi(sig, m)
         cos_a = trip.dn
         if abs(cos_a) < NEAR_SINGULAR_COS:
             raise NearSingular(f"cos(alpha) = {cos_a} at sigma = {sig}")
-        return {
+        values = {
             "alpha_d1": k * trip.cn,
             "cos_alpha": cos_a,
             "sin_alpha": k * trip.sn,
         }
+        last = (sig, copysign(1.0, sig), values)
+        return values
 
     return bg
 

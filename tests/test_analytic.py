@@ -27,7 +27,7 @@ from susygordon.analytic import (
 )
 from susygordon.grassmann import DomainError
 
-from helpers import derivs_providers
+from helpers import bits, derivs_providers
 
 
 def central_diff(f, x, h=1e-5):
@@ -44,6 +44,13 @@ def test_sin_cos_exp_lists():
     assert dc[4] == math.cos(0.7)
     de = EXP.derivs(1.3, 6)
     assert all(v == math.exp(1.3) for v in de)
+
+
+def test_sin_cos_lists_are_the_four_cycle_bit_for_bit():
+    for x in (0.7, -2.1, 0.0, -0.0, 1e300, math.nan):
+        s, c = math.sin(x), math.cos(x)
+        assert bits(dict(enumerate(SIN.derivs(x, 7)))) == bits(dict(enumerate([s, c, -s, -c] * 2)))
+        assert bits(dict(enumerate(COS.derivs(x, 7)))) == bits(dict(enumerate([c, -s, -c, s] * 2)))
 
 
 def test_log_and_reciprocal():

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from susygordon import cli
+from susygordon import cli, grassmann, odes, reductions, superjet
 from susygordon.checks import _entry
 from susygordon.cli import Report, RunConfig, _emit, _render_json, _run_checks, main
 from susygordon.odes import integrate_profile_ode, make_system
@@ -343,6 +343,41 @@ def test_solve_march_matches_one_integration(ode, range_spec, column, tmp_path, 
     traj = integrate_profile_ode(make_system(ode, ctx=ctx), (0.0, 1.0), lo, hi, step, ctx=ctx)
     assert [r["sigma"] for r in rows] == [repr(s.sigma) for s in traj.samples]
     assert [r[column] for r in rows] == [repr(s.value.body) for s in traj.samples]
+
+
+def _count_calls(monkeypatch, name, modules):
+    calls = []
+    for mod in modules:
+        real = getattr(mod, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("range_spec,n", [(None, 128), ("0:0.5:0.03125", 16)])
+def test_solve_ginv12_evaluates_jacobi_3n_plus_2_times(range_spec, n, monkeypatch, capsys):
+    # the background memo answers k2/k3 from one midpoint and k4, the node's
+    # rhs and the next leg's start from one endpoint: two evaluations per
+    # step, one per node row and one at the first node's rhs
+    calls = _count_calls(monkeypatch, "jacobi", (odes, cli))
+    argv = ["solve", "--ode", "ginv12"] + ([] if range_spec is None else ["--range", range_spec])
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(calls) == 3 * n + 2
+
+
+@pytest.mark.parametrize("ode", ["rebp", "ginv12", "ginv17", "d16nu"])
+def test_real_solve_sums_no_soul_series(ode, monkeypatch, capsys):
+    # with real initial data every supernumber is body-only, so apply_analytic
+    # never reaches the soul-Taylor loop
+    calls = _count_calls(monkeypatch, "soul_derivs", (grassmann, reductions, superjet))
+    code, _, _ = run_cli(["solve", "--ode", ode], capsys)
+    assert code == 0
+    assert calls == []
 
 
 def test_solve_nan_residual_fails(monkeypatch, capsys):

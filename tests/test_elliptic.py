@@ -19,6 +19,7 @@ from susygordon.elliptic import (
     JacobiDn,
     JacobiSn,
     UnsupportedParameter,
+    _agm_ladder,
     ellipk,
     jacobi,
     jacobi_jet,
@@ -49,6 +50,15 @@ def horner(coeffs, u):
 
 
 # ------------------------------------------------------------- fixed values
+
+
+def test_agm_ladder_is_kept_per_parameter():
+    _agm_ladder.cache_clear()
+    first = jacobi(0.9, 0.49)
+    ladder = _agm_ladder(0.49)
+    assert all(isinstance(v, tuple) for v in ladder)
+    assert _agm_ladder(0.49) is ladder
+    assert jacobi(0.9, 0.49) == first
 
 
 def test_initial_conditions():

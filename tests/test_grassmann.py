@@ -358,6 +358,38 @@ def test_soul_free_series_is_the_body_derivatives(kmax):
             assert got == want, (type(f).__name__, a.terms)
 
 
+def _apply_analytic_reference(f, a):
+    """``apply_analytic`` as it was before the soul-free short path: the
+    parity check, then the first entry of the one series loop."""
+    if not a.is_even():
+        raise ParityError("apply_analytic needs an even argument")
+    return soul_derivs(f, a, 0)[0]
+
+
+def _outcome(fn, f, a):
+    try:
+        return bits(fn(f, a).terms)
+    except (ValueError, ArithmeticError) as e:  # both must raise the same type
+        return type(e).__name__
+
+
+def test_soul_free_argument_gives_the_series_value():
+    args = [GrassmannNumber._make(NGEN, {0: b})
+            for b in (0.0, -0.0, 0.3, -0.7, 1.5, math.inf, -math.inf, math.nan)]
+    args.append(GrassmannNumber._make(NGEN, {}))
+    for f in derivs_providers():
+        for a in args:
+            want = _outcome(_apply_analytic_reference, f, a)
+            assert _outcome(apply_analytic, f, a) == want, (type(f).__name__, a.terms)
+
+
+def test_float_operand_drops_an_underflowed_product():
+    tiny = scalar(1e-200)
+    for v in (tiny * 1e-200, 1e-200 * tiny, tiny / 1e200):
+        assert v.terms == {} and v.is_zero() and v == 0
+    assert (tiny * 1e-200).terms == (tiny * scalar(1e-200)).terms
+
+
 def test_empty_operand_gives_the_exact_zero():
     bad = scalar(math.nan) + gen(0)
     assert (bad * scalar(0.0)).is_zero() and (scalar(0.0) * bad).is_zero()

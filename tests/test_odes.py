@@ -1,13 +1,16 @@
 """RK4 trajectories checked against closed forms and conservation laws."""
 
 import math
+import sys
+import threading
 
 import pytest
 
-from susygordon.elliptic import jacobi
+from susygordon.elliptic import ellipk, jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
 from susygordon.odes import (
     NearSingular,
+    _elliptic_background,
     drift_ratio,
     first_integral_check,
     integrate_profile_ode,
@@ -17,6 +20,8 @@ from susygordon.odes import (
     scaling_odd_system,
     traveling_profile_system,
 )
+
+from helpers import bits
 
 
 def test_kink_profile_matches_gudermannian():
@@ -189,3 +194,63 @@ def test_system_registry_and_validation():
         first_integral_check(
             integrate_profile_ode(make_system("d16nu"), (0, 1), 1.0, 2.0, 0.5)
         )
+
+
+def _background_bits(values):
+    return bits(dict(enumerate(values[k] for k in ("alpha_d1", "cos_alpha", "sin_alpha"))))
+
+
+def _fresh_background_bits(sig, k):
+    t = jacobi(sig, k * k)
+    return bits(dict(enumerate((k * t.cn, t.dn, k * t.sn))))
+
+
+@pytest.mark.parametrize("sigmas", [
+    (0.0, -0.0), (-0.0, 0.0), (0.3, 0.3, 0.3), (0.3, 0.0, 0.3), (-1.25, -1.25, 0.5),
+])
+def test_background_memo_gives_the_bits_of_a_fresh_jacobi_call(sigmas):
+    k = 0.7
+    bg = _elliptic_background(k)
+    for sig in sigmas:
+        assert _background_bits(bg(sig)) == _fresh_background_bits(sig, k), sig
+    # the sign of a zero reaches the background: -0.0 must not answer 0.0
+    assert _fresh_background_bits(0.0, k) != _fresh_background_bits(-0.0, k)
+
+
+def test_background_memo_keeps_no_singular_sigma():
+    k = 0.9999999  # dn dips to sqrt(1 - k^2) < NEAR_SINGULAR_COS at sn = 1
+    bg = _elliptic_background(k)
+    quarter = ellipk(k * k)
+    bg(0.5)
+    for _ in range(2):
+        with pytest.raises(NearSingular):
+            bg(quarter)
+    assert _background_bits(bg(0.5)) == _fresh_background_bits(0.5, k)
+
+
+def test_background_memo_is_coherent_across_threads():
+    # threads sharing one system never read one sigma's values for another
+    k = 0.7
+    bg = _elliptic_background(k)
+    sigmas = (0.0, -0.0, 0.3, 1.1, -2.5)
+    want = [_fresh_background_bits(sig, k) for sig in sigmas]
+    bad = []
+
+    def work(first):
+        for j in range(5000):
+            i = (first + j) % len(sigmas)
+            if _background_bits(bg(sigmas[i])) != want[i]:
+                bad.append(sigmas[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
