@@ -29,13 +29,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .analytic import SIN
 from .catalog import catalog_entry, catalog_names
 from .checks import REGISTRY, CheckSpec
-from .elliptic import jacobi
 from .grassmann import (
     DEFAULT_ROLES,
     MAX_GENERATORS,
@@ -47,11 +46,11 @@ from .grassmann import (
     worst_of,
 )
 from .odes import (
-    NEAR_SINGULAR_COS,
     ODE_SYSTEM_NAMES,
     NearSingular,
     OdeSample,
     Trajectory,
+    elliptic_background,
     first_integral_check,
     integrate_profile_ode,
     make_system,
@@ -305,13 +304,12 @@ def _ginv_node_row(ode, case_id, sample, eps, modulus, ctx):
     The integrated profile rides the third expansion slot; its quotient
     partner (scaled derivative over dn) rides the second.  Derivatives of
     the quotient come from the product and quotient rules over the same
-    elliptic data, so every number in the rows shares one source.
+    elliptic data, so every number in the rows shares one source: the
+    ``jacobi`` triple the march kept with the node.
     """
     k = modulus
     m = k * k
-    tr = jacobi(sample.sigma, m)
-    if abs(tr.dn) < NEAR_SINGULAR_COS:
-        raise NearSingular(f"cos(alpha) = {tr.dn} at sigma = {sample.sigma}")
+    tr = sample.elliptic
     z = ctx.zero()
     on_s8 = case_id == "S8"
     scale = eps if on_s8 else -1.0
@@ -397,18 +395,28 @@ def cmd_solve(cfg: RunConfig) -> int:
     ics = cfg.ics or _DEFAULT_ICS
     ctx = cfg.context()
     try:
-        # each builder ignores the flags its equation does not take
-        system = make_system(ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus, ctx=ctx)
+        # the ginv node rows read the background the march kept at each node
+        bg = elliptic_background(cfg.modulus) if ode in ("ginv12", "ginv17") else None
+        system = make_system(
+            ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus, background=bg, ctx=ctx
+        )
     except ValueError as exc:  # eps or modulus out of the system's range
         raise UsageError(str(exc)) from None
 
+    def kept(node):
+        return node if bg is None else replace(node, elliptic=bg(node.sigma)["jacobi"])
+
     # march one node at a time so a singularity flags a range instead of
-    # destroying the run
+    # destroying the run; the state between nodes is real, so each leg
+    # starts from the previous node's floats and marches on floats
     samples = []
     flagged = []
-    y, d = ctx.scalar(ics[0]), ctx.scalar(ics[1])
+    y, d = float(ics[0]), float(ics[1])
     try:
-        samples.append(OdeSample(lo, y, d, system.rhs(lo, y, d)))
+        node = kept(
+            OdeSample(lo, ctx.scalar(y), ctx.scalar(d), ctx.scalar(system.rhs(lo, y, d)))
+        )
+        samples.append(node)
     except NearSingular:
         flagged.append((lo, hi))
     if not flagged:
@@ -416,13 +424,14 @@ def cmd_solve(cfg: RunConfig) -> int:
             s0 = lo + i * step
             s1 = lo + (i + 1) * step
             try:
-                leg = integrate_profile_ode(system, (y, d), s0, s1, step, ctx=ctx)
+                leg = integrate_profile_ode(
+                    system, (node.value.body, node.d1.body), s0, s1, step, ctx=ctx
+                )
             except NearSingular:
                 flagged.append((s0, hi))
                 break
-            node = leg.samples[-1]
+            node = kept(leg.samples[-1])
             samples.append(node)
-            y, d = node.value, node.d1
 
     tol = cfg.tiers["ode"]
     lines = ["sigma,alpha,g,f,residual_body,residual_soul_norm"]
@@ -430,7 +439,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     for node in samples:
         try:
             rows, alpha, gval, fval = _node_row(ode, case_id, node, cfg, ctx)
-        except (NearSingular, SingularPoint):
+        except SingularPoint:
             flagged.append((node.sigma, node.sigma))
             lines.append(f"{node.sigma!r},,,,,")
             continue

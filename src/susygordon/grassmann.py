@@ -470,7 +470,8 @@ def parse(text: str, ngen: int = 8) -> GrassmannNumber:
     pieces: list[tuple[float, str]] = []
     while i <= len(s):
         ch = s[i] if i < len(s) else None
-        if ch in ("+", "-") or ch is None:
+        # a sign right after an exponent's e belongs to the coefficient
+        if ch is None or (ch in "+-" and not term.endswith(("e", "E"))):
             if not term:
                 raise ValueError(f"dangling sign in {text!r}")
             pieces.append((sign, term))

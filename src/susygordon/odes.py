@@ -1,11 +1,14 @@
 """Reduced profile equations integrated as explicit second-order ODEs.
 
 Each system is y'' = f(sigma, y, y') for one profile along the real
-reduction variable, stepped with classical RK4.  State entries are
-Grassmann numbers, so a nilpotent constant in the equation or in the
-initial data propagates exactly alongside the float body.  Every sample
-keeps the second derivative evaluated from the equation itself, which
-gives order-2 jet data at the nodes without any differencing.
+reduction variable, stepped with classical RK4.  The state keeps the type
+of its initial data: real data march on Python floats, and supernumber
+data march as Grassmann numbers, so a nilpotent constant in the initial
+data propagates exactly alongside the float body.  A nilpotent constant in
+the equation (the rebp coupling K0) lifts a real state into the algebra at
+its first rhs call.  Either way every sample leaves the march as Grassmann
+numbers, and keeps the second derivative evaluated from the equation
+itself, which gives order-2 jet data at the nodes without any differencing.
 
 Four systems, by selector id:
 
@@ -20,19 +23,24 @@ Four systems, by selector id:
 
 Each ginv system keeps the elliptic background of the last sigma it was
 asked for, so one RK4 step evaluates ``jacobi`` at its midpoint and its
-endpoint only; with real initial data every state entry is body-only and
-``apply_analytic`` takes its soul-free short path.
+endpoint only.  The float march and the Grassmann march of the same real
+data give the same bits: every sum and product happens in the same order,
+and a float zero leaves the march as the empty number.  That holds while
+the state is finite.  At a non-finite state the two can part: a Grassmann
+product with an exact zero drops an inf or NaN that float arithmetic turns
+into NaN (ginv12 at sigma = 0 from data (inf, inf) has d2 = -inf in the
+algebra and NaN on floats).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import copysign
 from typing import Callable
 
 from .analytic import COS, SIN
-from .elliptic import jacobi
+from .elliptic import EllipticTriple, jacobi
 from .grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
@@ -69,6 +77,8 @@ class OdeSample:
     value: GrassmannNumber
     d1: GrassmannNumber
     d2: GrassmannNumber
+    # the background's jacobi triple at sigma, where a march kept it
+    elliptic: EllipticTriple | None = None
 
 
 @dataclass
@@ -95,6 +105,25 @@ def _promote(v, ctx: AlgebraContext) -> GrassmannNumber:
     return v if isinstance(v, GrassmannNumber) else ctx.scalar(float(v))
 
 
+def _demote(v):
+    """The body of a soul-free supernumber as a float; anything else as is."""
+    if isinstance(v, GrassmannNumber):
+        t = v.terms
+        if not t or (len(t) == 1 and 0 in t):
+            return t.get(0, 0.0)
+    return v
+
+
+_FLOAT_FNS = {SIN: math.sin, COS: math.cos}
+
+
+def _analytic(f, y):
+    """f(y) in the arithmetic of y: the math function on a float, whose
+    value is the body ``apply_analytic`` gives, and ``apply_analytic`` on a
+    supernumber."""
+    return _FLOAT_FNS[f](y) if isinstance(y, float) else apply_analytic(f, y)
+
+
 def _check_eps(eps) -> float:
     eps = float(eps)
     if eps not in (-1.0, 1.0):
@@ -108,28 +137,37 @@ def _check_eps(eps) -> float:
 def traveling_profile_system(
     eps, coupling=0.0, ctx: AlgebraContext = DEFAULT_CONTEXT
 ) -> OdeSystem:
-    """y'' = eps*(sin y cos y - K0 sin y); K0 may be a nilpotent even constant."""
+    """y'' = eps*(sin y cos y - K0 sin y); K0 may be a nilpotent even constant.
+
+    A soul-free K0 is held as a float.  A nilpotent K0 takes a float y into
+    the algebra first, so the rhs has its terms in the order a supernumber
+    state gives them.
+    """
     eps = _check_eps(eps)
     k0 = _promote(coupling, ctx)
     if not k0.is_even():
         raise ValueError("the coupling constant must be even")
+    k0 = _demote(k0)
+    lift = None if isinstance(k0, float) else k0.ngen
 
     def rhs(sig, y, d1):
-        s = apply_analytic(SIN, y)
-        c = apply_analytic(COS, y)
+        if lift is not None and isinstance(y, float):
+            y = scalar(y, lift)
+        s = _analytic(SIN, y)
+        c = _analytic(COS, y)
         return (s * c - k0 * s) * eps
 
     def energy(sig, y, d1):
         return (
             d1 * d1 * (0.5 * eps)
-            + apply_analytic(COS, y * 2.0) * 0.25
-            - k0 * apply_analytic(COS, y)
+            + _analytic(COS, y * 2.0) * 0.25
+            - k0 * _analytic(COS, y)
         )
 
     return OdeSystem("rebp", rhs, energy=energy)
 
 
-def _elliptic_background(modulus: float) -> Callable[[float], dict]:
+def elliptic_background(modulus: float) -> Callable[[float], dict]:
     """Background a(s) = arcsin(k sn(s, k)), so cos a = dn and a' = k cn.
 
     The values of the last sigma asked for are kept: RK4's k2 and k3 share
@@ -137,6 +175,8 @@ def _elliptic_background(modulus: float) -> Callable[[float], dict]:
     endpoint.  The key is the exact float, the sign of a zero included, and
     the slot is replaced as one tuple, so threads sharing a system never
     read a torn pair.  A sigma that raises ``NearSingular`` is not kept.
+    The values hold the raw ``jacobi`` triple too, for callers that form
+    their own products of sn, cn and dn.
     """
     k = float(modulus)
     if not abs(k) < 1.0:
@@ -147,7 +187,7 @@ def _elliptic_background(modulus: float) -> Callable[[float], dict]:
     def bg(sig: float) -> dict:
         nonlocal last
         key, sign, values = last
-        if sig == key and copysign(1.0, sig) == sign:
+        if sig == key and math.copysign(1.0, sig) == sign:
             return values
         trip = jacobi(sig, m)
         cos_a = trip.dn
@@ -157,33 +197,41 @@ def _elliptic_background(modulus: float) -> Callable[[float], dict]:
             "alpha_d1": k * trip.cn,
             "cos_alpha": cos_a,
             "sin_alpha": k * trip.sn,
+            "jacobi": trip,
         }
-        last = (sig, copysign(1.0, sig), values)
+        last = (sig, math.copysign(1.0, sig), values)
         return values
 
     return bg
 
 
 def odd_profile_system(
-    name: str, eps, modulus, ctx: AlgebraContext = DEFAULT_CONTEXT
+    name: str,
+    eps,
+    modulus,
+    ctx: AlgebraContext = DEFAULT_CONTEXT,
+    *,
+    background: Callable[[float], dict] | None = None,
 ) -> OdeSystem:
     """The two linear odd-sector equations over the elliptic background.
 
     They differ only in the sign of the inhomogeneous term: "ginv12" drives
-    with +eps cos(a) a', "ginv17" with -eps cos(a) a'.
+    with +eps cos(a) a', "ginv17" with -eps cos(a) a'.  A caller that reads
+    the background at the march's nodes passes its own
+    ``elliptic_background(modulus)`` and shares the memo.
     """
     if name not in ("ginv12", "ginv17"):
         raise ValueError(f"unknown odd-profile system {name!r}")
     eps = _check_eps(eps)
     force = 1.0 if name == "ginv12" else -1.0
-    bg = _elliptic_background(modulus)
+    bg = background or elliptic_background(modulus)
 
     def rhs(sig, y, d1):
         b = bg(sig)
         c = b["cos_alpha"]
         fric = b["sin_alpha"] * b["alpha_d1"] / c
         drive = force * eps * c * b["alpha_d1"]
-        return d1 * (-fric) + y * (eps * c * c) + scalar(drive, y.ngen)
+        return d1 * (-fric) + y * (eps * c * c) + drive
 
     return OdeSystem(name, rhs)
 
@@ -205,12 +253,14 @@ def make_system(
     eps=-1.0,
     coupling=0.0,
     modulus=0.7,
+    background=None,
     ctx: AlgebraContext = DEFAULT_CONTEXT,
 ) -> OdeSystem:
+    """The system ``name``; each builder ignores the keywords it does not take."""
     if name == "rebp":
         return traveling_profile_system(eps, coupling, ctx)
     if name in ("ginv12", "ginv17"):
-        return odd_profile_system(name, eps, modulus, ctx)
+        return odd_profile_system(name, eps, modulus, ctx, background=background)
     if name == "d16nu":
         return scaling_odd_system(ctx)
     raise ValueError(f"unknown system {name!r}; have {ODE_SYSTEM_NAMES}")
@@ -246,7 +296,9 @@ def integrate_profile_ode(
 ) -> Trajectory:
     """Classical RK4 from sigma0 to sigma1 (either direction) at fixed step.
 
-    ics = (value, first derivative) at sigma0.
+    ics = (value, first derivative) at sigma0.  Real data march on floats,
+    and data with a ``GrassmannNumber`` entry march in the algebra; each
+    sample is stored as Grassmann numbers of ``ctx``.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -257,14 +309,22 @@ def integrate_profile_ode(
     if n < 1 or abs(abs(span) - n * step) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("range must be a whole number of steps")
     h = step if span > 0 else -step
-    y = _promote(ics[0], ctx)
-    d = _promote(ics[1], ctx)
-    samples = [OdeSample(sigma0, y, d, system.rhs(sigma0, y, d))]
+    if isinstance(ics[0], GrassmannNumber) or isinstance(ics[1], GrassmannNumber):
+        y, d = _promote(ics[0], ctx), _promote(ics[1], ctx)
+    else:
+        y, d = float(ics[0]), float(ics[1])
+    rhs = system.rhs
+
+    def sample(sig, y, d):
+        return OdeSample(
+            sig, _promote(y, ctx), _promote(d, ctx), _promote(rhs(sig, y, d), ctx)
+        )
+
+    samples = [sample(sigma0, y, d)]
     for i in range(n):
         sig = sigma0 + i * h
         y, d = _rk4_step(system, sig, y, d, h)
-        nxt = sigma0 + (i + 1) * h
-        samples.append(OdeSample(nxt, y, d, system.rhs(nxt, y, d)))
+        samples.append(sample(sigma0 + (i + 1) * h, y, d))
     if h < 0:
         samples.reverse()
     return Trajectory(system, samples)
@@ -300,15 +360,21 @@ def first_integral_check(traj: Trajectory) -> float:
 
 
 def energy_drifts(traj: Trajectory):
-    """Norm of E(sigma) - E(start) at every sample, the start included."""
-    if traj.system.energy is None:
+    """Norm of E(sigma) - E(start) at every sample, the start included.
+
+    A soul-free sample gives the energy floats, and the drift of a float
+    energy is its absolute value: the norm of the same body.
+    """
+    energy = traj.system.energy
+    if energy is None:
         raise ValueError(f"system {traj.system.name!r} has no first integral")
     e0 = None
     for s in traj.samples:
-        e = traj.system.energy(s.sigma, s.value, s.d1)
+        e = energy(s.sigma, _demote(s.value), _demote(s.d1))
         if e0 is None:
             e0 = e
-        yield (e - e0).norm()
+        drift = e - e0
+        yield abs(drift) if isinstance(drift, float) else drift.norm()
 
 
 def drift_ratio(system, ics, sigma0, sigma1, step, ctx=DEFAULT_CONTEXT) -> float:

@@ -1,13 +1,14 @@
 """Command-line behavior: exit codes, report bytes, trajectory CSVs."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
-from susygordon import cli, grassmann, odes, reductions, superjet
+from susygordon import cli, elliptic, grassmann, odes, reductions, superjet
 from susygordon.checks import _entry
 from susygordon.cli import Report, RunConfig, _emit, _render_json, _run_checks, main
 from susygordon.odes import integrate_profile_ode, make_system
@@ -359,15 +360,16 @@ def _count_calls(monkeypatch, name, modules):
 
 
 @pytest.mark.parametrize("range_spec,n", [(None, 128), ("0:0.5:0.03125", 16)])
-def test_solve_ginv12_evaluates_jacobi_3n_plus_2_times(range_spec, n, monkeypatch, capsys):
+def test_solve_ginv12_evaluates_jacobi_2n_plus_1_times(range_spec, n, monkeypatch, capsys):
     # the background memo answers k2/k3 from one midpoint and k4, the node's
-    # rhs and the next leg's start from one endpoint: two evaluations per
-    # step, one per node row and one at the first node's rhs
-    calls = _count_calls(monkeypatch, "jacobi", (odes, cli))
+    # rhs, the node row and the next leg's start from one endpoint: two
+    # evaluations per step and one at the first node
+    holders = [m for m in (elliptic, odes, cli) if hasattr(m, "jacobi")]
+    calls = _count_calls(monkeypatch, "jacobi", holders)
     argv = ["solve", "--ode", "ginv12"] + ([] if range_spec is None else ["--range", range_spec])
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
-    assert len(calls) == 3 * n + 2
+    assert len(calls) == 2 * n + 1
 
 
 @pytest.mark.parametrize("ode", ["rebp", "ginv12", "ginv17", "d16nu"])
@@ -378,6 +380,61 @@ def test_real_solve_sums_no_soul_series(ode, monkeypatch, capsys):
     code, _, _ = run_cli(["solve", "--ode", ode], capsys)
     assert code == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("ode", ["rebp", "ginv12", "ginv17", "d16nu"])
+def test_real_solve_makes_no_grassmann_product_in_its_rhs(ode, monkeypatch, capsys):
+    # real data march on floats: inside the rhs (and the rebp energy) no
+    # supernumber is ever multiplied
+    depth, products, calls = [], [], []
+    gn = grassmann.GrassmannNumber
+    real_mul = gn.__mul__
+
+    def counted_mul(self, other):
+        if depth:
+            products.append(1)
+        return real_mul(self, other)
+
+    def scoped(fn):
+        def run(*args):
+            calls.append(1)
+            depth.append(1)
+            try:
+                return fn(*args)
+            finally:
+                depth.pop()
+        return run
+
+    real_make = cli.make_system
+
+    def make(*args, **kwargs):
+        system = real_make(*args, **kwargs)
+        energy = system.energy
+        return dataclasses.replace(
+            system, rhs=scoped(system.rhs), energy=energy and scoped(energy)
+        )
+
+    monkeypatch.setattr(gn, "__mul__", counted_mul)
+    monkeypatch.setattr(cli, "make_system", make)
+    code, _, _ = run_cli(["solve", "--ode", ode], capsys)
+    assert code == 0
+    assert calls and products == []
+
+
+@pytest.mark.parametrize("ode,ics", [
+    ("rebp", "-0.0,-0.0"), ("ginv12", "-0.0,0.0"), ("d16nu", "-0.0,-0.0"),
+])
+def test_solve_negative_zero_data_give_the_bytes_of_zero_data(ode, ics, tmp_path, capsys):
+    # a float march keeps -0.0 where a supernumber holds no term; every
+    # node leaves the march as the empty number all the same
+    got = []
+    for given in (ics, ics.replace("-", "")):
+        target = tmp_path / f"{given}.csv"
+        code, out, _ = run_cli(
+            ["solve", "--ode", ode, f"--ics={given}", "--out", str(target)], capsys
+        )
+        got.append((code, out, target.read_bytes()))
+    assert got[0] == got[1]
 
 
 def test_solve_nan_residual_fails(monkeypatch, capsys):

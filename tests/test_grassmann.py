@@ -207,6 +207,26 @@ def test_parse_reorders_and_nils():
     assert parse("0").is_zero()
 
 
+def test_parse_reads_exponent_signs_as_part_of_the_coefficient():
+    assert parse("1 + 1e-105*x1") == scalar(1) + gen(0) * 1e-105
+    assert parse("-2E+20 - 3e-5*x2^x3") == scalar(-2e20) - gen(1) * gen(2) * 3e-5
+
+
+# finite coefficients of every magnitude and sign; repr writes many of them
+# in exponent form
+FINITE = st.one_of(
+    st.sampled_from([1e-300, -1e-05, 1e16, 1e+20, 5e-324, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).filter(lambda c: c != 0.0)
+
+
+@given(st.dictionaries(st.integers(0, (1 << NGEN) - 1), FINITE, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_parse_inverts_to_text(terms):
+    a = GrassmannNumber(NGEN, terms)
+    assert parse(to_text(a), NGEN) == a
+
+
 # ------------------------------------------------------- algebraic properties
 
 

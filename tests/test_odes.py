@@ -1,5 +1,6 @@
 """RK4 trajectories checked against closed forms and conservation laws."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -8,10 +9,12 @@ import pytest
 
 from susygordon.elliptic import ellipk, jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
+from susygordon.grassmann import GrassmannNumber
 from susygordon.odes import (
     NearSingular,
-    _elliptic_background,
     drift_ratio,
+    elliptic_background,
+    energy_drifts,
     first_integral_check,
     integrate_profile_ode,
     integrate_two_sided,
@@ -148,6 +151,66 @@ def test_nilpotent_coupling_rides_along():
     assert first_integral_check(traj) <= 1e-8
 
 
+def _sample_bits(traj):
+    return [
+        (s.sigma, bits(s.value.terms), bits(s.d1.terms), bits(s.d2.terms))
+        for s in traj.samples
+    ]
+
+
+def _grassmann_drifts(traj):
+    # the first integral evaluated on the supernumber samples themselves
+    energy = traj.system.energy
+    e = [energy(s.sigma, s.value, s.d1) for s in traj.samples]
+    return [(x - e[0]).norm() for x in e]
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+def _typed(system, seen):
+    # the system with its rhs recording the type of each state it is given
+    def rhs(sig, y, d1):
+        seen.add((type(y), type(d1)))
+        return system.rhs(sig, y, d1)
+
+    return dataclasses.replace(system, rhs=rhs)
+
+
+@pytest.mark.parametrize("ics", [(0.3, -0.7), (-0.0, -0.0), (-0.0, 0.0)])
+@pytest.mark.parametrize("name,sigma0,sigma1", [
+    ("rebp", 0.0, 1.5), ("ginv12", 0.0, 1.5), ("ginv17", 1.5, -0.5), ("d16nu", 1.0, 2.5),
+])
+def test_float_march_gives_the_bits_of_the_grassmann_march(name, sigma0, sigma1, ics):
+    # real data march on floats and supernumber data in the algebra; every
+    # sum and product keeps its order, and a float zero of either sign
+    # leaves the march as the empty number
+    system = make_system(name)
+    seen_real, seen_super = set(), set()
+    real = integrate_profile_ode(_typed(system, seen_real), ics, sigma0, sigma1, 1.0 / 64)
+    lifted = tuple(CTX.scalar(v) for v in ics)
+    sup = integrate_profile_ode(_typed(system, seen_super), lifted, sigma0, sigma1, 1.0 / 64)
+    assert seen_real == {(float, float)}
+    assert seen_super == {(GrassmannNumber, GrassmannNumber)}
+    assert _sample_bits(real) == _sample_bits(sup)
+    if system.energy is not None:
+        assert _hex(energy_drifts(real)) == _hex(_grassmann_drifts(sup))
+
+
+@pytest.mark.parametrize("body", [0.0, 0.25])
+def test_nilpotent_coupling_lifts_a_float_march_to_the_same_bits(body):
+    # the first rhs call returns a supernumber and lifts the real state;
+    # from there the float march is the Grassmann march term for term
+    k0 = CTX.gen("mu0") * CTX.gen("lambda0") * 0.3 + body
+    system = traveling_profile_system(-1.0, coupling=k0)
+    real = integrate_profile_ode(system, (0.2, 0.9), 0.0, 1.0, 1.0 / 32)
+    sup = integrate_profile_ode(system, (CTX.scalar(0.2), CTX.scalar(0.9)), 0.0, 1.0, 1.0 / 32)
+    assert not real.samples[-1].value.soul().is_zero()
+    assert _sample_bits(real) == _sample_bits(sup)
+    assert _hex(energy_drifts(real)) == _hex(_grassmann_drifts(sup))
+
+
 def test_samples_carry_equation_second_derivative():
     sys = traveling_profile_system(-1.0)
     traj = integrate_profile_ode(sys, (0.2, 0.7), 0.0, 1.0, 0.125)
@@ -210,7 +273,7 @@ def _fresh_background_bits(sig, k):
 ])
 def test_background_memo_gives_the_bits_of_a_fresh_jacobi_call(sigmas):
     k = 0.7
-    bg = _elliptic_background(k)
+    bg = elliptic_background(k)
     for sig in sigmas:
         assert _background_bits(bg(sig)) == _fresh_background_bits(sig, k), sig
     # the sign of a zero reaches the background: -0.0 must not answer 0.0
@@ -219,7 +282,7 @@ def test_background_memo_gives_the_bits_of_a_fresh_jacobi_call(sigmas):
 
 def test_background_memo_keeps_no_singular_sigma():
     k = 0.9999999  # dn dips to sqrt(1 - k^2) < NEAR_SINGULAR_COS at sn = 1
-    bg = _elliptic_background(k)
+    bg = elliptic_background(k)
     quarter = ellipk(k * k)
     bg(0.5)
     for _ in range(2):
@@ -231,7 +294,7 @@ def test_background_memo_keeps_no_singular_sigma():
 def test_background_memo_is_coherent_across_threads():
     # threads sharing one system never read one sigma's values for another
     k = 0.7
-    bg = _elliptic_background(k)
+    bg = elliptic_background(k)
     sigmas = (0.0, -0.0, 0.3, 1.1, -2.5)
     want = [_fresh_background_bits(sig, k) for sig in sigmas]
     bad = []
