@@ -42,7 +42,7 @@ from .grassmann import (
     ParityError,
     worst_of,
 )
-from .odes import NEAR_SINGULAR_COS, NearSingular, integrate_two_sided, make_system
+from .odes import NEAR_SINGULAR_COS, NearSingular, check_eps, integrate_two_sided, make_system
 from .reductions import OutOfDomain, build_ansatz, const_profile, profile, zero_profile
 from .superfield import (
     Superfield,
@@ -181,7 +181,7 @@ def _build_gian1g(p, ctx):
     nu = _odd_param(p["nu"], "nu", ctx)
     lam = _odd_param(p["lambda0"], "lambda0", ctx)
     fn = p["profile"]
-    w = 1.0 if k % 2 == 0 else -1.0
+    w = -_half_weight(k)
 
     def phi(jx, jt):
         return jet_add(jet_constant(jx.spec, lam), jet_scale(jx, nu * w, from_left=True))
@@ -214,24 +214,25 @@ def _build_d5(p, ctx):
 
 _COS_TWO_ROOT = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(COS))
 _SIN_TWO_ROOT = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(SIN))
-_DAMPED_COS = TaylorFn(
-    lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(COS)
-)
-_DAMPED_SIN = TaylorFn(
-    lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(SIN)
-)
+_DAMPED_COS = TaylorFn(lambda s: s.apply(Power(-0.5)) * _COS_TWO_ROOT.builder(s))
+_DAMPED_SIN = TaylorFn(lambda s: s.apply(Power(-0.5)) * _SIN_TWO_ROOT.builder(s))
 
 
-def _build_d18(p, ctx):
-    d1 = _odd_param(p["D1"], "D1", ctx)
-    d2 = _odd_param(p["D2"], "D2", ctx)
-    profiles = {
+def oscillatory_pair_profiles(d1, d2, ctx: AlgebraContext = DEFAULT_CONTEXT) -> dict:
+    """The scaling case's purely odd oscillatory pair with odd amplitudes
+    d1, d2; its nilpotent invariant is d1 d2 exactly."""
+    return {
         "alpha": zero_profile(ctx),
         "mu": profile(ctx, (d1, _DAMPED_COS), (d2 * -1.0, _DAMPED_SIN)),
         "nu": profile(ctx, (d1, _SIN_TWO_ROOT), (d2, _COS_TWO_ROOT)),
         "beta": zero_profile(ctx),
     }
-    return build_ansatz("S1", profiles, ctx=ctx)
+
+
+def _build_d18(p, ctx):
+    d1 = _odd_param(p["D1"], "D1", ctx)
+    d2 = _odd_param(p["D2"], "D2", ctx)
+    return build_ansatz("S1", oscillatory_pair_profiles(d1, d2, ctx), ctx=ctx)
 
 
 def _d3_pq(s: TaylorQ):
@@ -335,9 +336,7 @@ def _check_modulus(k) -> float:
 
 
 def _ginv_parts(name: str, p, ctx):
-    eps = float(p["eps"])
-    if eps not in (-1.0, 1.0):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    eps = check_eps(p["eps"])
     if eps != -1.0:
         raise OutOfDomain(
             "the sn-based background is real only on the eps = -1 branch; "

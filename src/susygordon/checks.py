@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .analytic import COS, SIN, Power, TaylorFn, TrigPoly
-from .catalog import catalog_entry, catalog_names, verify_entry
+from .analytic import TrigPoly
+from .catalog import catalog_entry, catalog_names, oscillatory_pair_profiles, verify_entry
 from .elliptic import JacobiCn, JacobiDn, JacobiSn, ellipk, jacobi
 from .grassmann import worst_count, worst_of
 from .odes import drift_ratio, energy_drifts, integrate_profile_ode, make_system
@@ -49,7 +49,6 @@ from .reductions import (
     reduction_case_ids,
     reduction_constant,
     reduction_consistency,
-    zero_profile,
 )
 from .superalgebra import (
     AlgebraElement,
@@ -392,20 +391,7 @@ def drift_residuals(ctx, base, count):
     """Drift of the scaling case's nilpotent invariant along an on-shell
     oscillatory family, where it is the generator pair exactly."""
     d1, d2 = ctx.gen("D1"), ctx.gen("D2")
-    cos2rt = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(COS))
-    sin2rt = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(SIN))
-    damped_cos = TaylorFn(
-        lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(COS)
-    )
-    damped_sin = TaylorFn(
-        lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(SIN)
-    )
-    prof = {
-        "alpha": zero_profile(ctx),
-        "mu": profile(ctx, (d1, damped_cos), (d2 * -1.0, damped_sin)),
-        "nu": profile(ctx, (d1, sin2rt), (d2, cos2rt)),
-        "beta": zero_profile(ctx),
-    }
+    prof = oscillatory_pair_profiles(d1, d2, ctx)
     drift = constant_drift("S1", prof, _DRIFT_SIGMAS, ctx)
     pinned = (reduction_constant("S1", prof, 1.3, ctx) - d1 * d2).norm()
     return (worst_of((drift, pinned)),)

@@ -29,7 +29,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .analytic import SIN
@@ -298,18 +298,19 @@ def _resolve_solve_target(cfg: RunConfig):
     return ode, case_id
 
 
-def _ginv_node_row(ode, case_id, sample, eps, modulus, ctx):
+def _ginv_node_row(ode, case_id, sample, bg, eps, modulus, ctx):
     """Reduced-row values at one trajectory node.
 
     The integrated profile rides the third expansion slot; its quotient
     partner (scaled derivative over dn) rides the second.  Derivatives of
     the quotient come from the product and quotient rules over the same
     elliptic data, so every number in the rows shares one source: the
-    ``jacobi`` triple the march kept with the node.
+    ``jacobi`` triple of the background ``bg`` at the node.  Called right
+    after the node is marched, ``bg`` answers from its memo.
     """
     k = modulus
     m = k * k
-    tr = sample.elliptic
+    tr = bg(sample.sigma)["jacobi"]
     z = ctx.zero()
     on_s8 = case_id == "S8"
     scale = eps if on_s8 else -1.0
@@ -363,12 +364,12 @@ def _rebp_node_row(sample, eps, k0, ctx):
     return rows, sample.value.body, None, None
 
 
-def _node_row(ode, case_id, sample, cfg, ctx):
+def _node_row(ode, case_id, sample, bg, cfg, ctx):
     if ode == "rebp":
         return _rebp_node_row(sample, cfg.eps, cfg.k0, ctx)
     if ode == "d16nu":
         return _d16_node_row(sample, ctx)
-    return _ginv_node_row(ode, case_id, sample, cfg.eps, cfg.modulus, ctx)
+    return _ginv_node_row(ode, case_id, sample, bg, cfg.eps, cfg.modulus, ctx)
 
 
 def _format_cell(v) -> str:
@@ -395,7 +396,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     ics = cfg.ics or _DEFAULT_ICS
     ctx = cfg.context()
     try:
-        # the ginv node rows read the background the march kept at each node
+        # the ginv node rows read the march's background memo
         bg = elliptic_background(cfg.modulus) if ode in ("ginv12", "ginv17") else None
         system = make_system(
             ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus, background=bg, ctx=ctx
@@ -403,23 +404,38 @@ def cmd_solve(cfg: RunConfig) -> int:
     except ValueError as exc:  # eps or modulus out of the system's range
         raise UsageError(str(exc)) from None
 
-    def kept(node):
-        return node if bg is None else replace(node, elliptic=bg(node.sigma)["jacobi"])
-
     # march one node at a time so a singularity flags a range instead of
-    # destroying the run; the state between nodes is real, so each leg
-    # starts from the previous node's floats and marches on floats
+    # destroying the run; each leg marches on floats from the previous node,
+    # and each node's row is taken at once, while the ginv memo holds its sigma
     samples = []
     flagged = []
+    lines = ["sigma,alpha,g,f,residual_body,residual_soul_norm"]
+    bodies, souls = [], []
+
+    def take(node):
+        samples.append(node)
+        try:
+            rows, alpha, gval, fval = _node_row(ode, case_id, node, bg, cfg, ctx)
+        except SingularPoint:
+            flagged.append((node.sigma, node.sigma))
+            lines.append(f"{node.sigma!r},,,,,")
+            return
+        body = worst_of(abs(r.body) for r in rows)
+        soul = worst_of(r.soul().norm() for r in rows)
+        bodies.append(body)
+        souls.append(soul)
+        lines.append(
+            f"{node.sigma!r},{_format_cell(alpha)},{_format_cell(gval)},"
+            f"{_format_cell(fval)},{body!r},{soul!r}"
+        )
+
     y, d = float(ics[0]), float(ics[1])
     try:
-        node = kept(
-            OdeSample(lo, ctx.scalar(y), ctx.scalar(d), ctx.scalar(system.rhs(lo, y, d)))
-        )
-        samples.append(node)
+        node = OdeSample(lo, ctx.scalar(y), ctx.scalar(d), ctx.scalar(system.rhs(lo, y, d)))
     except NearSingular:
         flagged.append((lo, hi))
-    if not flagged:
+    else:
+        take(node)
         for i in range(n_steps):
             s0 = lo + i * step
             s1 = lo + (i + 1) * step
@@ -430,34 +446,17 @@ def cmd_solve(cfg: RunConfig) -> int:
             except NearSingular:
                 flagged.append((s0, hi))
                 break
-            node = kept(leg.samples[-1])
-            samples.append(node)
+            node = leg.samples[-1]
+            take(node)
 
     tol = cfg.tiers["ode"]
-    lines = ["sigma,alpha,g,f,residual_body,residual_soul_norm"]
-    bodies, souls = [], []
-    for node in samples:
-        try:
-            rows, alpha, gval, fval = _node_row(ode, case_id, node, cfg, ctx)
-        except SingularPoint:
-            flagged.append((node.sigma, node.sigma))
-            lines.append(f"{node.sigma!r},,,,,")
-            continue
-        body = worst_of(abs(r.body) for r in rows)
-        soul = worst_of(r.soul().norm() for r in rows)
-        bodies.append(body)
-        souls.append(soul)
-        lines.append(
-            f"{node.sigma!r},{_format_cell(alpha)},{_format_cell(gval)},"
-            f"{_format_cell(fval)},{body!r},{soul!r}"
-        )
     csv_text = "\n".join(lines) + "\n"
     worst_body, emitted = worst_count(bodies)
     worst_soul = worst_of(souls)
 
     drift = None
     if system.energy is not None and len(samples) >= 2:
-        drift = first_integral_check(Trajectory(system, list(samples)))
+        drift = first_integral_check(Trajectory(system, samples))
     passed = emitted > 0 and worst_of((worst_body, worst_soul)) <= tol
     summary = {
         "ode": ode,

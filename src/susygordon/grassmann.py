@@ -421,7 +421,8 @@ def drop_gens(a: GrassmannNumber, gens_mask: int) -> GrassmannNumber:
 
 
 def _fmt_coeff(c: float) -> str:
-    if c == int(c) and abs(c) < 1e15:
+    # the bound comes first: it is false for nan and inf, which int() refuses
+    if abs(c) < 1e15 and c == int(c):
         return str(int(c))
     return repr(c)
 

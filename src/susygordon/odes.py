@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .analytic import COS, SIN
-from .elliptic import EllipticTriple, jacobi
+from .elliptic import jacobi
 from .grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
@@ -77,8 +77,6 @@ class OdeSample:
     value: GrassmannNumber
     d1: GrassmannNumber
     d2: GrassmannNumber
-    # the background's jacobi triple at sigma, where a march kept it
-    elliptic: EllipticTriple | None = None
 
 
 @dataclass
@@ -124,7 +122,7 @@ def _analytic(f, y):
     return _FLOAT_FNS[f](y) if isinstance(y, float) else apply_analytic(f, y)
 
 
-def _check_eps(eps) -> float:
+def check_eps(eps) -> float:
     eps = float(eps)
     if eps not in (-1.0, 1.0):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
@@ -143,7 +141,7 @@ def traveling_profile_system(
     the algebra first, so the rhs has its terms in the order a supernumber
     state gives them.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     k0 = _promote(coupling, ctx)
     if not k0.is_even():
         raise ValueError("the coupling constant must be even")
@@ -222,7 +220,7 @@ def odd_profile_system(
     """
     if name not in ("ginv12", "ginv17"):
         raise ValueError(f"unknown odd-profile system {name!r}")
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     force = 1.0 if name == "ginv12" else -1.0
     bg = background or elliptic_background(modulus)
 

@@ -39,7 +39,8 @@ from .grassmann import (
     soul_derivs,
     worst_of,
 )
-from .superalgebra import AlgebraElement
+from .odes import check_eps
+from .superalgebra import AlgebraElement, subalgebra
 from .superfield import (
     Superfield,
     constant_superfield,
@@ -210,7 +211,6 @@ class ReductionCase:
     m2_jet: Callable = field(repr=False)
     equations: Callable = field(repr=False)
     guard: Optional[Callable] = field(default=None, repr=False)
-    generator: Optional[Callable] = field(default=None, repr=False)
 
 
 def _fill_params(case: ReductionCase, params, ctx: AlgebraContext) -> dict:
@@ -218,10 +218,7 @@ def _fill_params(case: ReductionCase, params, ctx: AlgebraContext) -> dict:
     out = {}
     for name in case.param_names:
         if name == "eps":
-            eps = float(given.pop("eps", 1.0))
-            if eps not in (-1.0, 1.0):
-                raise ValueError("eps must be +1 or -1")
-            out["eps"] = eps
+            out["eps"] = check_eps(given.pop("eps", 1.0))
         else:
             v = given.pop(name, None)
             if v is None:
@@ -466,80 +463,30 @@ def _rows_s12(pv, sig, p, ctx):
     )
 
 
-def _gen_l(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, L=1.0)
-
-
-def _gen_px(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Px=1.0)
-
-
-def _gen_pt(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Pt=1.0)
-
-
-def _gen_s4(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Px=1.0, Pt=p["eps"])
-
-
-def _gen_s6(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Px=1.0, Qx=p["mu"])
-
-
-def _gen_s7(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Pt=1.0, Qx=p["mu"])
-
-
-def _gen_s8(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Px=1.0, Pt=p["eps"], Qx=p["mu"])
-
-
-def _gen_s10(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Px=1.0, Qt=p["nu"])
-
-
-def _gen_s11(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Pt=1.0, Qt=p["nu"])
-
-
-def _gen_s12(p, ctx):
-    return AlgebraElement.from_coeffs(ctx, Px=1.0, Pt=p["eps"], Qt=p["nu"])
-
-
 _SUPER_NAMES = ("alpha", "mu", "nu", "beta")
 _ODD_NAMES = ("alpha", "eta", "lambda", "beta")
 
 CASES = {
     "S1": ReductionCase("S1", _SUPER_NAMES, (), (-1.0, 1.0, -1.0, 1.0),
-                        _sig_s1, _m1_s1, _m2_s1, _rows_s1, guard=_guard_s1,
-                        generator=_gen_l),
+                        _sig_s1, _m1_s1, _m2_s1, _rows_s1, guard=_guard_s1),
     "S2": ReductionCase("S2", _SUPER_NAMES, (), (-1.0, -1.0, -1.0, -1.0),
-                        _sig_t, _const_th1, _const_th2, _rows_s2,
-                        generator=_gen_px),
+                        _sig_t, _const_th1, _const_th2, _rows_s2),
     "S3": ReductionCase("S3", _SUPER_NAMES, (), (-1.0, 1.0, -1.0, -1.0),
-                        _sig_x, _const_th1, _const_th2, _rows_s3,
-                        generator=_gen_pt),
+                        _sig_x, _const_th1, _const_th2, _rows_s3),
     "S4": ReductionCase("S4", _SUPER_NAMES, ("eps",), (-1.0, 1.0, 1.0, -1.0),
-                        _sig_s4, _const_th1, _const_th2, _rows_s4,
-                        generator=_gen_s4),
+                        _sig_s4, _const_th1, _const_th2, _rows_s4),
     "S6": ReductionCase("S6", _ODD_NAMES, ("mu",), (-1.0, 1.0, -1.0, -1.0),
-                        _sig_t, _tau_s6, _const_th2, _rows_s6,
-                        generator=_gen_s6),
+                        _sig_t, _tau_s6, _const_th2, _rows_s6),
     "S7": ReductionCase("S7", _ODD_NAMES, ("mu",), (-1.0, 1.0, 1.0, -1.0),
-                        _sig_s7, _tau_s7, _const_th2, _rows_s7,
-                        generator=_gen_s7),
+                        _sig_s7, _tau_s7, _const_th2, _rows_s7),
     "S8": ReductionCase("S8", _ODD_NAMES, ("mu", "eps"), (-1.0, 1.0, 1.0, -1.0),
-                        _sig_s8, _tau_s8, _const_th2, _rows_s8,
-                        generator=_gen_s8),
+                        _sig_s8, _tau_s8, _const_th2, _rows_s8),
     "S10": ReductionCase("S10", _ODD_NAMES, ("nu",), (1.0, -1.0, -1.0, 1.0),
-                         _sig_s10, _tau_s10, _const_th1, _rows_s10,
-                         generator=_gen_s10),
+                         _sig_s10, _tau_s10, _const_th1, _rows_s10),
     "S11": ReductionCase("S11", _ODD_NAMES, ("nu",), (1.0, -1.0, 1.0, 1.0),
-                         _sig_x, _tau_s11, _const_th1, _rows_s11,
-                         generator=_gen_s11),
+                         _sig_x, _tau_s11, _const_th1, _rows_s11),
     "S12": ReductionCase("S12", _ODD_NAMES, ("nu", "eps"), (1.0, -1.0, -1.0, 1.0),
-                         _sig_s12, _tau_s10, _const_th1, _rows_s12,
-                         generator=_gen_s12),
+                         _sig_s12, _tau_s10, _const_th1, _rows_s12),
 }
 
 
@@ -636,8 +583,7 @@ def reduction_consistency(case, profiles, points, params=None,
 def case_generator(case, params=None, ctx: AlgebraContext = DEFAULT_CONTEXT) -> AlgebraElement:
     """The algebra element whose invariants the case's ansatz is built from."""
     case = reduction_case(case)
-    p = _fill_params(case, params, ctx)
-    return case.generator(p, ctx)
+    return subalgebra(case.case_id).element(ctx, **_fill_params(case, params, ctx))
 
 
 def _coefficient_values(X: AlgebraElement, x, t, ctx: AlgebraContext):

@@ -309,12 +309,36 @@ def verify_structure(
 # ---------------------------------------------------------- subalgebra data
 
 
+_SHOWN = {"L": "L", "Px": "P_x", "Pt": "P_t", "Qx": "Q_x", "Qt": "Q_t", "D": "D"}
+
+
 @dataclass(frozen=True)
 class SubalgebraTemplate:
+    """A spanning element as (basis, weight) terms; a weight is 1, -1 or the
+    name of a parameter slot."""
+
     name: str
-    expression: str
-    slots: tuple[str, ...]
+    terms: tuple
     picture: str  # "superspace" or "component"
+
+    @property
+    def expression(self) -> str:
+        out = ""
+        for basis, w in self.terms:
+            term = _SHOWN[basis] if w in (1, -1) else f"{w}*{_SHOWN[basis]}"
+            out += ((" - " if w == -1 else " + ") + term) if out else term
+        return out
+
+    @property
+    def slots(self) -> tuple[str, ...]:
+        return tuple(w for _, w in self.terms if isinstance(w, str))
+
+    def element(self, ctx: AlgebraContext = DEFAULT_CONTEXT, **params) -> AlgebraElement:
+        """The algebra element with every slot filled from ``params``."""
+        if self.picture != "superspace":
+            raise ValueError("only superspace templates instantiate to algebra elements")
+        coeffs = {b: params[w] if isinstance(w, str) else float(w) for b, w in self.terms}
+        return AlgebraElement.from_coeffs(ctx, **coeffs)
 
     def payload(self) -> dict:
         return {
@@ -325,34 +349,40 @@ class SubalgebraTemplate:
         }
 
 
+_PX, _PT, _EPS_PT = ("Px", 1), ("Pt", 1), ("Pt", "eps")
+_MU_QX, _NU_QT = ("Qx", "mu"), ("Qt", "nu")
+# parameters are nonvanishing; eps is +1 or -1
+_SUPERSPACE = {
+    "S1": (("L", 1),),
+    "S2": (_PX,),
+    "S3": (_PT,),
+    "S4": (_PX, _EPS_PT),
+    "S5": (_MU_QX,),
+    "S6": (_PX, _MU_QX),
+    "S7": (_PT, _MU_QX),
+    "S8": (_PX, _EPS_PT, _MU_QX),
+    "S9": (_NU_QT,),
+    "S10": (_PX, _NU_QT),
+    "S11": (_PT, _NU_QT),
+    "S12": (_PX, _EPS_PT, _NU_QT),
+    "S13": (_MU_QX, _NU_QT),
+    "S14": (_PX, _MU_QX, _NU_QT),
+    "S15": (_PT, _MU_QX, _NU_QT),
+    "S16": (_PX, _EPS_PT, _MU_QX, _NU_QT),
+}
+_COMPONENT = {
+    "L1": (("D", 1),), "L2": (_PX,), "L3": (_PT,), "L4": (_PX, _PT), "L5": (_PX, ("Pt", -1)),
+}
+
+
+def subalgebra(name: str) -> SubalgebraTemplate:
+    """The superspace template ``name``, S1 to S16."""
+    return SubalgebraTemplate(name, _SUPERSPACE[name], "superspace")
+
+
 def subalgebra_catalog() -> list[SubalgebraTemplate]:
     """The sixteen superspace one-dimensional subalgebra templates plus the
-    five component ones.  Parameters are nonvanishing; eps is +1 or -1."""
-    S = [
-        ("S1", "L", ()),
-        ("S2", "P_x", ()),
-        ("S3", "P_t", ()),
-        ("S4", "P_x + eps*P_t", ("eps",)),
-        ("S5", "mu*Q_x", ("mu",)),
-        ("S6", "P_x + mu*Q_x", ("mu",)),
-        ("S7", "P_t + mu*Q_x", ("mu",)),
-        ("S8", "P_x + eps*P_t + mu*Q_x", ("eps", "mu")),
-        ("S9", "nu*Q_t", ("nu",)),
-        ("S10", "P_x + nu*Q_t", ("nu",)),
-        ("S11", "P_t + nu*Q_t", ("nu",)),
-        ("S12", "P_x + eps*P_t + nu*Q_t", ("eps", "nu")),
-        ("S13", "mu*Q_x + nu*Q_t", ("mu", "nu")),
-        ("S14", "P_x + mu*Q_x + nu*Q_t", ("mu", "nu")),
-        ("S15", "P_t + mu*Q_x + nu*Q_t", ("mu", "nu")),
-        ("S16", "P_x + eps*P_t + mu*Q_x + nu*Q_t", ("eps", "mu", "nu")),
-    ]
-    L = [
-        ("L1", "D", ()),
-        ("L2", "P_x", ()),
-        ("L3", "P_t", ()),
-        ("L4", "P_x + P_t", ()),
-        ("L5", "P_x - P_t", ()),
-    ]
-    return [SubalgebraTemplate(n, e, s, "superspace") for n, e, s in S] + [
-        SubalgebraTemplate(n, e, s, "component") for n, e, s in L
+    five component ones."""
+    return [subalgebra(n) for n in _SUPERSPACE] + [
+        SubalgebraTemplate(n, t, "component") for n, t in _COMPONENT.items()
     ]

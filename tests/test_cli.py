@@ -440,8 +440,8 @@ def test_solve_negative_zero_data_give_the_bytes_of_zero_data(ode, ics, tmp_path
 def test_solve_nan_residual_fails(monkeypatch, capsys):
     real = cli._node_row
 
-    def poisoned(ode, case_id, sample, cfg, ctx):
-        rows, *rest = real(ode, case_id, sample, cfg, ctx)
+    def poisoned(ode, case_id, sample, bg, cfg, ctx):
+        rows, *rest = real(ode, case_id, sample, bg, cfg, ctx)
         if sample.sigma >= 1.0:  # a NaN row behind finite ones
             rows = list(rows) + [ctx.scalar(math.nan)]
         return (rows, *rest)

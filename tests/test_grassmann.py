@@ -212,6 +212,21 @@ def test_parse_reads_exponent_signs_as_part_of_the_coefficient():
     assert parse("-2E+20 - 3e-5*x2^x3") == scalar(-2e20) - gen(1) * gen(2) * 3e-5
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_nonfinite_coefficient_renders(c):
+    # the body and a soul term both take the non-finite value
+    for a in (scalar(c), scalar(1) + gen(0) * c):
+        text = repr(a)
+        assert ("nan" if math.isnan(c) else "inf") in text
+        assert str(a) == text
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf])
+def test_parse_gives_back_an_infinite_coefficient(c):
+    for a in (scalar(c), scalar(1) + gen(0) * c, gen(1) * 2 + scalar(c)):
+        assert parse(to_text(a)) == a
+
+
 # finite coefficients of every magnitude and sign; repr writes many of them
 # in exponent form
 FINITE = st.one_of(

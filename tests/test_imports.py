@@ -1,4 +1,4 @@
-"""Every name a package or test module imports is used in that module.
+"""Every name a package, test or demo module imports is used in that module.
 
 ``__init__.py`` is skipped: its imports are the public API.  A module that
 re-exports a name writes ``from .mod import Name as Name``, the explicit
@@ -12,8 +12,11 @@ import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "susygordon"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
-    TESTS.glob("*.py")
+DEMOS = TESTS.parent / "demos"
+MODULES = (
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py"))
+    + sorted(DEMOS.glob("*.py"))
 )
 
 

@@ -64,7 +64,7 @@ from susygordon.reductions import (
     reduction_constant,
     zero_profile,
 )
-from susygordon.superalgebra import realize
+from susygordon.superalgebra import realize, subalgebra
 from susygordon.superfield import (
     component_superfield,
     evaluate_bundle,
@@ -196,6 +196,11 @@ def test_case_registry():
     assert reduction_case("S4") is CASES["S4"]
     with pytest.raises(KeyError):
         reduction_case("S5")  # no standard reduction for that one
+
+
+@pytest.mark.parametrize("cid", ALL_CASES)
+def test_case_parameters_are_the_slots_of_its_subalgebra(cid):
+    assert set(CASES[cid].param_names) == set(subalgebra(cid).slots)
 
 
 def test_translation_ansatz_assembles_expected_value():

@@ -17,6 +17,7 @@ from susygordon.superalgebra import (
     basis_element,
     bracket,
     solve_conjugation_to_L,
+    subalgebra,
     subalgebra_catalog,
     verify_structure,
 )
@@ -316,49 +317,55 @@ def test_catalog_shape():
     assert back[15]["expression"] == "P_x + eps*P_t + mu*Q_x + nu*Q_t"
 
 
-def instantiate(template, ctx, **params) -> AlgebraElement:
-    """The algebra element of a superspace template with its slots filled."""
-    if template.picture != "superspace":
-        raise ValueError("only superspace templates instantiate to algebra elements")
-    missing = set(template.slots) - set(params)
-    if missing:
-        raise KeyError(f"missing parameters: {sorted(missing)}")
-    kw = {}
-    terms = {
-        "L": "L" in template.expression,
-        "Px": "P_x" in template.expression,
-        "Pt": "P_t" in template.expression,
-    }
-    if terms["L"]:
-        kw["L"] = 1.0
-    if terms["Px"]:
-        kw["Px"] = 1.0
-    if terms["Pt"]:
-        eps = params.get("eps", 1.0)
-        kw["Pt"] = eps if "eps*P_t" in template.expression else 1.0
-    if "mu*Q_x" in template.expression:
-        kw["Qx"] = params["mu"]
-    if "nu*Q_t" in template.expression:
-        kw["Qt"] = params["nu"]
-    return AlgebraElement.from_coeffs(ctx, **kw)
+# the sixteen superspace classes as the paper writes them: the reference the
+# expressions generated from the term tables must match
+PAPER_SUPERSPACE = {
+    "S1": ("L", ()),
+    "S2": ("P_x", ()),
+    "S3": ("P_t", ()),
+    "S4": ("P_x + eps*P_t", ("eps",)),
+    "S5": ("mu*Q_x", ("mu",)),
+    "S6": ("P_x + mu*Q_x", ("mu",)),
+    "S7": ("P_t + mu*Q_x", ("mu",)),
+    "S8": ("P_x + eps*P_t + mu*Q_x", ("eps", "mu")),
+    "S9": ("nu*Q_t", ("nu",)),
+    "S10": ("P_x + nu*Q_t", ("nu",)),
+    "S11": ("P_t + nu*Q_t", ("nu",)),
+    "S12": ("P_x + eps*P_t + nu*Q_t", ("eps", "nu")),
+    "S13": ("mu*Q_x + nu*Q_t", ("mu", "nu")),
+    "S14": ("P_x + mu*Q_x + nu*Q_t", ("mu", "nu")),
+    "S15": ("P_t + mu*Q_x + nu*Q_t", ("mu", "nu")),
+    "S16": ("P_x + eps*P_t + mu*Q_x + nu*Q_t", ("eps", "mu", "nu")),
+}
+PAPER_COMPONENT = {"L1": "D", "L2": "P_x", "L3": "P_t", "L4": "P_x + P_t", "L5": "P_x - P_t"}
+
+
+def test_catalog_expressions_match_the_paper():
+    cat = subalgebra_catalog()
+    superspace = {t.name: (t.expression, t.slots) for t in cat if t.picture == "superspace"}
+    component = {t.name: (t.expression, t.slots) for t in cat if t.picture == "component"}
+    assert list(superspace.items()) == list(PAPER_SUPERSPACE.items())
+    assert component == {n: (e, ()) for n, e in PAPER_COMPONENT.items()}
+    assert [t.name for t in cat] == list(PAPER_SUPERSPACE) + list(PAPER_COMPONENT)
+    assert all(subalgebra(n) == t for n, t in zip(PAPER_SUPERSPACE, cat))
 
 
 def test_catalog_instantiation():
     cat = {t.name: t for t in subalgebra_catalog()}
-    X = instantiate(cat["S16"], ctx, eps=-1.0, mu=MU, nu=NU)
+    X = cat["S16"].element(ctx, eps=-1.0, mu=MU, nu=NU)
     assert X.c_Px.body == 1.0 and X.c_Pt.body == -1.0
     assert (X.c_Qx - MU).norm() == 0.0 and (X.c_Qt - NU).norm() == 0.0
     assert X.c_L.is_zero()
-    lone = instantiate(cat["S1"], ctx)
+    lone = cat["S1"].element(ctx)
     assert lone.c_L.body == 1.0 and lone.c_Px.is_zero()
-    s7 = instantiate(cat["S7"], ctx, mu=MU)
+    s7 = cat["S7"].element(ctx, mu=MU)
     assert s7.c_Pt.body == 1.0 and s7.c_Px.is_zero()
     with pytest.raises(KeyError):
-        instantiate(cat["S13"], ctx, mu=MU)
+        cat["S13"].element(ctx, mu=MU)
     with pytest.raises(ValueError):
-        instantiate(cat["L1"], ctx)
+        cat["L1"].element(ctx)
     with pytest.raises(ParityError):
-        instantiate(cat["S5"], ctx, mu=0.5)
+        cat["S5"].element(ctx, mu=0.5)
 
 
 def test_catalog_entries_are_subalgebras():
@@ -374,5 +381,5 @@ def test_catalog_entries_are_subalgebras():
             params["mu"] = MU
         if "nu" in t.slots:
             params["nu"] = NU
-        X = instantiate(t, ctx, **params)
+        X = t.element(ctx, **params)
         assert bracket(X, X).is_zero(), t.name
