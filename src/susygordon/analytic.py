@@ -255,7 +255,6 @@ COS = Cos()
 EXP = Exp()
 LOG = Log()
 RECIP = Reciprocal()
-SQRT = Power(0.5)
 ARCSIN = Arcsin()
 ARCCOS = Arccos()
 ARCTAN = Arctan()
@@ -324,9 +323,6 @@ class TaylorQ:
         if isinstance(other, (int, float)):
             return self * (1.0 / other)
         return self * other.apply(RECIP)
-
-    def __rtruediv__(self, other):
-        return self.apply(RECIP) * other
 
     def __pow__(self, n: int):
         acc = TaylorQ.const(1.0, self.order)

@@ -123,32 +123,25 @@ def _half_weight(k: int) -> float:
     return -1.0 if k % 2 == 0 else 1.0
 
 
-def _build_gian1a(p, ctx):
-    k = _whole(p["k"])
-    m0 = _odd_param(p["mu0"], "mu0", ctx)
-    fn = p["profile"]
-    w = _half_weight(k)
-    profiles = {
-        "alpha": const_profile((k + 0.5) * math.pi, ctx),
-        "mu": const_profile(m0, ctx),
-        "nu": profile(ctx, (m0, fn)),
-        "beta": const_profile(w, ctx),
-    }
-    return build_ansatz("S2", profiles, ctx=ctx)
+def _dressed_vacuum(case: str, name: str, slot: str):
+    """Builder of the shifted vacuum on ``case`` dressed by the odd constant
+    ``name`` (by default the mu0 generator): both odd slots hold it, and
+    ``slot`` holds it times the entry's profile."""
 
+    def build(p, ctx):
+        k = _whole(p["k"])
+        c = _odd_param(p[name], name, ctx, role="mu0")
+        bare = const_profile(c, ctx)
+        profiles = {
+            "alpha": const_profile((k + 0.5) * math.pi, ctx),
+            "mu": bare,
+            "nu": bare,
+            "beta": const_profile(_half_weight(k), ctx),
+            slot: profile(ctx, (c, p["profile"])),
+        }
+        return build_ansatz(case, profiles, ctx=ctx)
 
-def _build_gian1c(p, ctx):
-    k = _whole(p["k"])
-    n0 = _odd_param(p["nu0"], "nu0", ctx, role="mu0")
-    fn = p["profile"]
-    w = _half_weight(k)
-    profiles = {
-        "alpha": const_profile((k + 0.5) * math.pi, ctx),
-        "mu": profile(ctx, (n0, fn)),
-        "nu": const_profile(n0, ctx),
-        "beta": const_profile(w, ctx),
-    }
-    return build_ansatz("S3", profiles, ctx=ctx)
+    return build
 
 
 def _build_gian1e(p, ctx):
@@ -396,18 +389,31 @@ def _grid_d3(p, ctx):
 _GINV_SIGMAS = (-2.0, -1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
 
 
-def _grid_ginv14(p, ctx):
-    # sigma body is -x - t on the eps = -1 branch; quarter-aligned points
-    # land exactly on trajectory nodes
-    return tuple((-s - t, t) for s in _GINV_SIGMAS for t in (0.25, 0.75))
+def _grid_ginv(sign: float):
+    """Grid of an integrated entry whose sigma body is ``sign * (x + t)`` on
+    the eps = -1 branch, over the sigmas its trajectory covers;
+    quarter-aligned points land exactly on trajectory nodes."""
 
+    def grid(p, ctx):
+        half = float(p["halfwidth"])
+        sigmas = [s for s in _GINV_SIGMAS if abs(s) <= half]
+        return tuple((sign * s - t, t) for s in sigmas for t in (0.25, 0.75))
 
-def _grid_ginv9(p, ctx):
-    # sigma body is t + x on the eps = -1 branch
-    return tuple((s - t, t) for s in _GINV_SIGMAS for t in (0.25, 0.75))
+    return grid
 
 
 # ----------------------------------------------------------- registry
+
+
+# defaults of the two integrated entries, besides their odd constant
+_GINV_DEFAULTS = {
+    "eps": -1.0,
+    "modulus": 0.7,
+    "g0": 0.0,
+    "g1": 1.0,
+    "halfwidth": 2.25,
+    "step": 1.0 / 64.0,
+}
 
 
 def _vacuum_entry(name: str, subalgebra: str) -> SolutionEntry:
@@ -440,7 +446,7 @@ _register(
         "an arbitrary time profile",
         domain="all of superspace",
         defaults={"k": 0, "mu0": None, "profile": Poly((0.0, 0.0, 1.0))},
-        builder=_build_gian1a,
+        builder=_dressed_vacuum("S2", "mu0", "nu"),
         grid_fn=_grid_anywhere,
         notes="the residual vanishes for every profile choice; the default is t**2",
     )
@@ -455,7 +461,7 @@ _register(
         "an arbitrary space profile",
         domain="all of superspace",
         defaults={"k": 0, "nu0": None, "profile": Poly((0.0, 0.0, 1.0))},
-        builder=_build_gian1c,
+        builder=_dressed_vacuum("S3", "nu0", "mu"),
         grid_fn=_grid_anywhere,
         notes="the default odd constant rides the mu0 generator slot",
     )
@@ -549,17 +555,9 @@ _register(
         summary="elliptic background with an integrated odd sector over the "
         "mixed traveling invariant",
         domain="sigma in [-halfwidth, halfwidth], eps = -1 only",
-        defaults={
-            "eps": -1.0,
-            "modulus": 0.7,
-            "g0": 0.0,
-            "g1": 1.0,
-            "nu": None,
-            "halfwidth": 2.25,
-            "step": 1.0 / 64.0,
-        },
+        defaults={**_GINV_DEFAULTS, "nu": None},
         builder=_build_ginv("ginv9"),
-        grid_fn=_grid_ginv9,
+        grid_fn=_grid_ginv(1.0),
         notes="g integrates the damped linear equation; f is its cos-quotient "
         "partner, so both reduced odd rows hold identically at the nodes",
     )
@@ -571,17 +569,9 @@ _register(
         tier="ode",
         summary="mirror entry on the first odd traveling family",
         domain="sigma in [-halfwidth, halfwidth], eps = -1 only",
-        defaults={
-            "eps": -1.0,
-            "modulus": 0.7,
-            "g0": 0.0,
-            "g1": 1.0,
-            "mu": None,
-            "halfwidth": 2.25,
-            "step": 1.0 / 64.0,
-        },
+        defaults={**_GINV_DEFAULTS, "mu": None},
         builder=_build_ginv("ginv14"),
-        grid_fn=_grid_ginv14,
+        grid_fn=_grid_ginv(-1.0),
         notes="the forcing term carries the background slope; dropping it "
         "breaks the first-order odd row and the residual check catches that",
     )

@@ -319,9 +319,10 @@ def _ginv_node_row(ode, case_id, sample, bg, eps, modulus, ctx):
     dn1 = -m * tr.sn * tr.cn
     f0 = (sample.d1 * scale) * (1.0 / tr.dn)
     f1 = (sample.d2 * tr.dn - sample.d1 * dn1) * (scale / tr.dn ** 2)
+    alpha = math.asin(k * tr.sn)
     pv = {
         "alpha": [
-            ctx.scalar(math.asin(k * tr.sn)),
+            ctx.scalar(alpha),
             ctx.scalar(k * tr.cn),
             ctx.scalar(-k * tr.sn * tr.dn),
         ],
@@ -332,7 +333,6 @@ def _ginv_node_row(ode, case_id, sample, bg, eps, modulus, ctx):
     rows = CASES[case_id].equations(
         pv, ctx.scalar(sample.sigma), {"eps": eps, role: g_}, ctx
     )
-    alpha = math.asin(k * tr.sn)
     return rows, alpha, sample.value.body, f0.body
 
 
@@ -574,54 +574,51 @@ def build_parser() -> argparse.ArgumentParser:
         "integrate its reduced equations, or list its catalogs",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # a flag that is not given sets nothing, so RunConfig supplies its default
+    unset = {"argument_default": argparse.SUPPRESS}
 
     def common(p):
         p.add_argument("--tolerance", action="append", metavar="TIER=VALUE",
                        help="override one tolerance tier (repeatable)")
-        p.add_argument("--generators", type=int, default=8, metavar="K",
+        p.add_argument("--generators", type=int, metavar="K",
                        help="width of the underlying Grassmann algebra")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "md"))
         p.add_argument("--out", help="write the report or trajectory here")
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    pv = sub.add_parser("verify", help="run a verification suite", **unset)
+    pv.add_argument("--suite", choices=SUITES + ("all",))
     pv.add_argument("--case", help="restrict to one reduction case or catalog entry")
     common(pv)
 
-    ps = sub.add_parser("solve", help="integrate a reduced profile equation")
+    ps = sub.add_parser("solve", help="integrate a reduced profile equation", **unset)
     ps.add_argument("--case", help="reduction case the equation belongs to")
     ps.add_argument("--ode", choices=ODE_SYSTEM_NAMES)
     ps.add_argument("--range", dest="range_spec", metavar="LO:HI:STEP")
     ps.add_argument("--ics", metavar="VALUE,DERIV",
                     help="initial data at the range start")
-    ps.add_argument("--K0", dest="k0", type=float, default=0.0,
+    ps.add_argument("--K0", dest="k0", type=float,
                     help="nilpotent-free part of the coupling constant")
-    ps.add_argument("--eps", type=float, default=-1.0)
-    ps.add_argument("--modulus", type=float, default=0.7)
+    ps.add_argument("--eps", type=float)
+    ps.add_argument("--modulus", type=float)
     common(ps)
 
-    pl = sub.add_parser("list", help="print the catalogs")
+    pl = sub.add_parser("list", help="print the catalogs", **unset)
     common(pl)
     return ap
 
 
 def _config_from(ns) -> RunConfig:
-    cfg = RunConfig(
-        suite=getattr(ns, "suite", "all"),
-        case=getattr(ns, "case", None),
-        ode=getattr(ns, "ode", None),
-        range_spec=_finite_numbers("--range", getattr(ns, "range_spec", None), ":", "lo:hi:step"),
-        tiers=_parse_tolerances(ns.tolerance),
-        generators=ns.generators,
-        seed=ns.seed,
-        fmt=ns.fmt,
-        out=ns.out,
-        k0=getattr(ns, "k0", 0.0),
-        eps=getattr(ns, "eps", -1.0),
-        modulus=getattr(ns, "modulus", 0.7),
-        ics=_finite_numbers("--ics", getattr(ns, "ics", None), ",", "value,derivative"),
-    )
+    """The run configuration of the given flags; each other field keeps its
+    ``RunConfig`` default."""
+    given = vars(ns).copy()
+    del given["command"]
+    if "range_spec" in given:
+        given["range_spec"] = _finite_numbers("--range", given["range_spec"], ":", "lo:hi:step")
+    given["tiers"] = _parse_tolerances(given.pop("tolerance", None))
+    if "ics" in given:
+        given["ics"] = _finite_numbers("--ics", given["ics"], ",", "value,derivative")
+    cfg = RunConfig(**given)
     if cfg.generators < 4:
         raise UsageError(f"need at least 4 generators, got {cfg.generators}")
     if cfg.generators > MAX_GENERATORS:

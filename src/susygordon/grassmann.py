@@ -142,9 +142,6 @@ class GrassmannNumber:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
-
     def norm(self) -> float:
         """Max-abs coefficient; the norm used by every tolerance check."""
         return worst_of(abs(c) for c in self.terms.values())
@@ -557,6 +554,11 @@ class AlgebraContext:
         return GrassmannNumber._make(
             self.generator_count, {0: c} if c != 0.0 else {}
         )
+
+    def lift(self, v) -> GrassmannNumber:
+        """``v`` as a supernumber: a supernumber unchanged, a real as
+        ``scalar(v)``."""
+        return v if isinstance(v, GrassmannNumber) else self.scalar(v)
 
     def zero(self) -> GrassmannNumber:
         return GrassmannNumber._make(self.generator_count, {})

@@ -99,10 +99,6 @@ class Trajectory:
         return self.samples[best]
 
 
-def _promote(v, ctx: AlgebraContext) -> GrassmannNumber:
-    return v if isinstance(v, GrassmannNumber) else ctx.scalar(float(v))
-
-
 def _demote(v):
     """The body of a soul-free supernumber as a float; anything else as is."""
     if isinstance(v, GrassmannNumber):
@@ -142,7 +138,7 @@ def traveling_profile_system(
     state gives them.
     """
     eps = check_eps(eps)
-    k0 = _promote(coupling, ctx)
+    k0 = ctx.lift(coupling)
     if not k0.is_even():
         raise ValueError("the coupling constant must be even")
     k0 = _demote(k0)
@@ -308,15 +304,13 @@ def integrate_profile_ode(
         raise ValueError("range must be a whole number of steps")
     h = step if span > 0 else -step
     if isinstance(ics[0], GrassmannNumber) or isinstance(ics[1], GrassmannNumber):
-        y, d = _promote(ics[0], ctx), _promote(ics[1], ctx)
+        y, d = ctx.lift(ics[0]), ctx.lift(ics[1])
     else:
         y, d = float(ics[0]), float(ics[1])
     rhs = system.rhs
 
     def sample(sig, y, d):
-        return OdeSample(
-            sig, _promote(y, ctx), _promote(d, ctx), _promote(rhs(sig, y, d), ctx)
-        )
+        return OdeSample(sig, ctx.lift(y), ctx.lift(d), ctx.lift(rhs(sig, y, d)))
 
     samples = [sample(sigma0, y, d)]
     for i in range(n):

@@ -127,15 +127,6 @@ COMPONENT_SIGNATURE = ProblemSignature(
 )
 
 
-def append_odd(sig: ProblemSignature, jodd: tuple, direction: str):
-    """Insert an outermost odd derivative into canonical position."""
-    if direction in jodd:
-        return 0.0, jodd
-    hops = sum(1 for o in jodd if sig.dir_index(o) > sig.dir_index(direction))
-    out = tuple(sorted(jodd + (direction,), key=sig.dir_index))
-    return (-1.0) ** hops, out
-
-
 def coordinate_key(sig: ProblemSignature, dep: str, dirs=()):
     """(sign, key) for the coordinate reached by successive derivatives."""
     dirs = tuple(dirs)
@@ -154,7 +145,7 @@ def _coordinate_key(sig: ProblemSignature, dep: str, dirs: tuple):
         if d in sig.even_independents:
             jeven[sig.even_independents.index(d)] += 1
         else:
-            s, jodd = append_odd(sig, jodd, d)
+            s, jodd = append_fn_deriv(sig, jodd, d)
             sign *= s
             if sign == 0.0:
                 return 0.0, None
@@ -270,19 +261,10 @@ class CoordF:
     jodd: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BaseF:
-    name: str
-
-
-Factor = object
-Term = tuple[float, tuple]
 JetExpr = list
 
 
 def factor_parity(sig: ProblemSignature, coef_parity: dict, f) -> int:
-    if isinstance(f, BaseF):
-        return 1 if sig.parity_of(f.name) is ODD else 0
     if isinstance(f, CoordF):
         return 1 if sig.coordinate_parity(f.dep, f.jeven, f.jodd) is ODD else 0
     p = coef_parity[f.target]
@@ -291,7 +273,8 @@ def factor_parity(sig: ProblemSignature, coef_parity: dict, f) -> int:
 
 
 def append_fn_deriv(sig: ProblemSignature, derivs: tuple, direction: str):
-    """Outermost partial on a coefficient function, canonically ordered."""
+    """Outermost derivative in canonical order, on the directions of a jet
+    coordinate or the partials of a coefficient function alike."""
     if sig.parity_of(direction) is ODD:
         if direction in derivs:
             return 0.0, derivs
@@ -324,14 +307,12 @@ def total_derivative_expr(
 
     def d_factor(f):
         """D of a single factor as a list of (coeff, factor tuple)."""
-        if isinstance(f, BaseF):
-            return [(1.0, ())] if f.name == direction else []
         if isinstance(f, CoordF):
             if direction in sig.even_independents:
                 je = list(f.jeven)
                 je[sig.even_independents.index(direction)] += 1
                 return [(1.0, (CoordF(f.dep, tuple(je), f.jodd),))]
-            s, jodd = append_odd(sig, f.jodd, direction)
+            s, jodd = append_fn_deriv(sig, f.jodd, direction)
             if s == 0.0:
                 return []
             return [(s, (CoordF(f.dep, f.jeven, jodd),))]
@@ -555,8 +536,6 @@ def evaluate_expr(expr: JetExpr, coefvals: dict, p: JetPoint) -> GrassmannNumber
         for f in fs:
             if isinstance(f, CoordF):
                 v = p.get((f.dep, f.jeven, f.jodd))
-            elif isinstance(f, BaseF):
-                v = p.base_value(f.name)
             else:
                 v = coefvals[f.target].partial(f.derivs)
             if not v.terms:
@@ -939,9 +918,7 @@ def ssg_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, D1=None, D2=None, ctx=DEFAULT_CONT
     zero = ctx.zero()
     D1 = D1 if D1 is not None else zero
     D2 = D2 if D2 is not None else zero
-    C1 = C1 if isinstance(C1, GrassmannNumber) else ctx.scalar(C1)
-    C2 = C2 if isinstance(C2, GrassmannNumber) else ctx.scalar(C2)
-    C3 = C3 if isinstance(C3, GrassmannNumber) else ctx.scalar(C3)
+    C1, C2, C3 = ctx.lift(C1), ctx.lift(C2), ctx.lift(C3)
 
     def xi(jets):
         return jets["x"] * (C1 * -2.0) + jet_constant(jets["x"].spec, C2 - D1 * th1)

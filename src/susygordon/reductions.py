@@ -64,12 +64,6 @@ class OutOfDomain(ValueError):
     """The ansatz is not defined at the requested base point."""
 
 
-def _promote(v, ctx: AlgebraContext) -> GrassmannNumber:
-    if isinstance(v, GrassmannNumber):
-        return v
-    return ctx.scalar(float(v))
-
-
 # --------------------------------------------------------------------------
 # profiles
 
@@ -118,21 +112,12 @@ class Profile:
     def value_at(self, sigma) -> GrassmannNumber:
         return self.derivs_at(sigma, 0)[0]
 
-    def scaled(self, c) -> "Profile":
-        cg = c if isinstance(c, GrassmannNumber) else scalar(float(c), self.ngen)
-        return Profile(self.ngen, tuple((cg * coef, fn) for coef, fn in self.terms))
-
-    def __add__(self, other: "Profile") -> "Profile":
-        if self.ngen != other.ngen:
-            raise ValueError("profiles over different generator counts")
-        return Profile(self.ngen, self.terms + other.terms)
-
 
 def profile(ctx: AlgebraContext, *terms) -> Profile:
     """Build a Profile from (coefficient, AnalyticFn) pairs."""
     norm = []
     for coef, fn in terms:
-        norm.append((_promote(coef, ctx), fn))
+        norm.append((ctx.lift(coef), fn))
     return Profile(ctx.generator_count, tuple(norm))
 
 
@@ -270,7 +255,7 @@ def _m2_s1(jx, jt, p, ctx):
 
 
 def _guard_s1(x, t, p, ctx):
-    tb = _promote(t, ctx).body
+    tb = ctx.lift(t).body
     if tb <= 0.0:
         raise OutOfDomain(f"ansatz uses t**(1/2); needs t > 0, got body {tb}")
 
@@ -564,7 +549,7 @@ def reduction_consistency(case, profiles, points, params=None,
     sf = build_ansatz(case, profiles, params, ctx)
 
     def gap(x, t):
-        xg, tg = _promote(x, ctx), _promote(t, ctx)
+        xg, tg = ctx.lift(x), ctx.lift(t)
         full = ssg_residual(sf, xg, tg)
         jx, jt = coordinate_jets(xg, tg, 0, ctx)
         sig = case.sigma_jet(jx, jt, p, ctx).value()
@@ -589,7 +574,7 @@ def case_generator(case, params=None, ctx: AlgebraContext = DEFAULT_CONTEXT) -> 
 def _coefficient_values(X: AlgebraElement, x, t, ctx: AlgebraContext):
     """(xi, tau, rho, sigma) of the realized vector field at a literal point."""
     th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
-    xg, tg = _promote(x, ctx), _promote(t, ctx)
+    xg, tg = ctx.lift(x), ctx.lift(t)
     xi = X.c_L * xg * (-2.0) + X.c_Px - X.c_Qx * th1
     tau = X.c_L * tg * 2.0 + X.c_Pt - X.c_Qt * th2
     rho = X.c_L * th1 * (-1.0) + X.c_Qx
@@ -620,7 +605,7 @@ def reduction_constant(case, profiles, sigma, ctx: AlgebraContext = DEFAULT_CONT
     case = reduction_case(case)
     if case.case_id not in ("S1", "S4"):
         raise ValueError("only the scaling and traveling cases carry this constant")
-    sg = _promote(sigma, ctx)
+    sg = ctx.lift(sigma)
     m = profiles["mu"].value_at(sg)
     n = profiles["nu"].value_at(sg)
     if case.case_id == "S4":
@@ -659,7 +644,7 @@ def component_reduced_residual(l_id, profiles, sigma,
     """
     if l_id not in _L_IDS:
         raise KeyError(f"no component case {l_id!r}; have {_L_IDS}")
-    sg = _promote(sigma, ctx)
+    sg = ctx.lift(sigma)
     u = profiles["u"].derivs_at(sg, 2)
     f = profiles["phi"].derivs_at(sg, 2)
     s = profiles["psi"].derivs_at(sg, 2)
@@ -697,7 +682,7 @@ def component_slice_check(l_id, profiles, sigmas,
     pp = _fill_params(case, p, ctx)
 
     def dev(sigma):
-        sg = _promote(sigma, ctx)
+        sg = ctx.lift(sigma)
         rows_l = component_reduced_residual(l_id, profiles, sg, ctx)
         u = profiles["u"].derivs_at(sg, 2)
         a = [u[0] * 0.5, u[1] * 0.5, u[2] * 0.5]

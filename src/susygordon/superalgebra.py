@@ -79,17 +79,7 @@ class AlgebraElement:
 
     @classmethod
     def from_coeffs(cls, ctx: AlgebraContext, **kw) -> "AlgebraElement":
-        vals = {}
-        for b in _BASIS:
-            v = kw.get(b, ctx.zero())
-            if not isinstance(v, GrassmannNumber):
-                v = ctx.scalar(v)
-            vals["c_" + b] = v
-        return cls(**vals)
-
-    @classmethod
-    def zero(cls, ctx: AlgebraContext = DEFAULT_CONTEXT) -> "AlgebraElement":
-        return cls.from_coeffs(ctx)
+        return cls(**{"c_" + b: ctx.lift(kw.get(b, 0.0)) for b in _BASIS})
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(

@@ -73,8 +73,7 @@ class SuperfieldValueBundle:
 def coordinate_jets(x, t, order: int, ctx: AlgebraContext = DEFAULT_CONTEXT):
     """The jets of the coordinates x and t at a point; floats become scalars."""
     spec = JetSpec(("x", "t"), order)
-    x, t = (v if isinstance(v, GrassmannNumber) else ctx.scalar(float(v)) for v in (x, t))
-    return jet_variable(spec, "x", x), jet_variable(spec, "t", t)
+    return jet_variable(spec, "x", ctx.lift(x)), jet_variable(spec, "t", ctx.lift(t))
 
 
 def superfield_jet(f: Superfield, x, t, order: int = 2) -> SuperJet:

@@ -24,7 +24,6 @@ from susygordon.reductions import (
     SingularPoint,
     _check_profiles,
     _fill_params,
-    _promote,
     _trig,
     reduction_case,
     traveling_rewrite_rows,
@@ -123,7 +122,7 @@ def reduced_residual(case, profiles, sigma, params=None,
     case = reduction_case(case)
     p = _fill_params(case, params, ctx)
     _check_profiles(case, profiles)
-    sg = _promote(sigma, ctx)
+    sg = ctx.lift(sigma)
     pv = {name: profiles[name].derivs_at(sg, 2) for name in case.profile_names}
     rows = list(case.equations(pv, sg, p, ctx))
     if case.case_id == "S1":

@@ -225,6 +225,15 @@ def test_integrated_entries_meet_tolerance(name):
     assert check.max_residual < 1e-10, (name, check.max_residual)
 
 
+@pytest.mark.parametrize("name", ["ginv14", "ginv9"])
+@pytest.mark.parametrize("half,samples", [(1.0, 14), (0.5, 10)])
+def test_integrated_grid_stays_inside_the_halfwidth(name, half, samples):
+    # the grid keeps only the sigmas the shorter trajectory covers
+    check = verify_entry(name, params={"halfwidth": half})
+    assert check.samples == samples
+    assert check.passed and check.max_residual < 1e-10, (name, check.max_residual)
+
+
 @pytest.mark.parametrize(
     "name,sign", [("ginv14", 1.0), ("ginv9", -1.0)]
 )

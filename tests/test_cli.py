@@ -472,3 +472,23 @@ def test_solve_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
 def test_solve_rejects_non_csv_format(capsys):
     code, _, _ = run_cli(["solve", "--ode", "rebp", "--format", "json"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "list"])
+def test_unset_flags_take_the_run_config_defaults(command):
+    # the parser states no default of its own: RunConfig is their one home
+    ns = cli.build_parser().parse_args([command])
+    assert vars(ns) == {"command": command}
+    assert cli._config_from(ns) == RunConfig()
+
+
+def test_given_flags_reach_the_run_config():
+    argv = ["solve", "--ode", "rebp", "--range", "0:1:0.5", "--ics=0.25,-1",
+            "--K0", "0.5", "--eps", "1", "--modulus", "0.3", "--seed", "4",
+            "--generators", "6", "--tolerance", "ode=1e-3", "--out", "t.csv"]
+    cfg = cli._config_from(cli.build_parser().parse_args(argv))
+    assert cfg == RunConfig(
+        ode="rebp", range_spec=(0.0, 1.0, 0.5), ics=(0.25, -1.0), k0=0.5, eps=1.0,
+        modulus=0.3, seed=4, generators=6, out="t.csv",
+        tiers={**grassmann.TIER_DEFAULTS, "ode": 1e-3},
+    )

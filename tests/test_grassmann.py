@@ -514,6 +514,16 @@ def test_context_roles():
         AlgebraContext(8, {"a": 0, "b": 0})
 
 
+def test_lift_keeps_a_supernumber_and_scalars_a_real():
+    ctx = DEFAULT_CONTEXT
+    v = scalar(0.5) + gen(3)
+    assert ctx.lift(v) is v
+    z = ctx.lift(-0.0)
+    assert isinstance(z, GrassmannNumber) and z.terms == {}
+    assert bits(ctx.lift(-1.25).terms) == bits(ctx.scalar(-1.25).terms)
+    assert AlgebraContext(4, {}).lift(2).ngen == 4
+
+
 def test_parity_classification():
     assert scalar(1).parity is Parity.EVEN
     assert gen(0).parity is Parity.ODD

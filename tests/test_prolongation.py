@@ -16,7 +16,6 @@ from susygordon.cli import RunConfig, _run_checks
 from susygordon.prolongation import (
     COMPONENT_SIGNATURE,
     SSG_SIGNATURE,
-    BaseF,
     CoefficientFn,
     CoordF,
     FnF,
@@ -45,8 +44,8 @@ from susygordon.prolongation import (
 
 
 def total_derivative(p, expr, direction):
-    """D_direction(expr) at the point, for an expression of coordinates and
-    base variables only."""
+    """D_direction(expr) at the point, for an expression of jet coordinates
+    only."""
     return evaluate_expr(total_derivative_expr(p.sig, {}, expr, direction), {}, p)
 
 
@@ -85,12 +84,18 @@ def combine_specs(a, v: VectorFieldSpec, b, w: VectorFieldSpec) -> VectorFieldSp
     return VectorFieldSpec(v.sig, out)
 
 
-def test_total_derivative_of_theta_times_field():
+def test_total_derivative_of_odd_coordinate_times_field():
+    # D_theta1(Phi_theta2 Phi) = (D_theta1 Phi_theta2) Phi - Phi_theta2 Phi_theta1:
+    # theta1 hops the odd theta2 in the first term and the odd factor
+    # Phi_theta2 in the second
     p = random_jet_point(SSG_SIGNATURE, 3, CTX)
-    expr = [(1.0, (BaseF("theta1"), CoordF("Phi", (0, 0), ())))]
+    expr = [(1.0, (CoordF("Phi", (0, 0), ("theta2",)), CoordF("Phi", (0, 0), ())))]
     got = total_derivative(p, expr, "theta1")
-    want = p.coordinate("Phi") - p.base_value("theta1") * p.coordinate("Phi", "theta1")
-    assert (got - want).norm() < 1e-14
+    want = (
+        -p.get(("Phi", (0, 0), ("theta1", "theta2"))) * p.get(("Phi", (0, 0), ()))
+        - p.get(("Phi", (0, 0), ("theta2",))) * p.get(("Phi", (0, 0), ("theta1",)))
+    )
+    assert not want.is_zero() and (got - want).norm() < 1e-14
 
 
 def test_even_total_derivatives_commute():
@@ -364,8 +369,6 @@ def _multiply_through(expr, coefvals, p):
         for f in fs:
             if isinstance(f, CoordF):
                 term = term * p.get((f.dep, f.jeven, f.jodd))
-            elif isinstance(f, BaseF):
-                term = term * p.base_value(f.name)
             else:
                 term = term * coefvals[f.target].partial(f.derivs)
         acc = acc + term

@@ -9,6 +9,11 @@ because ``perfbench/tracer.py`` resolves what it wraps from strings such as
 ``"odes:integrate_profile_ode"``.  A docstring does not: prose that names a
 definition calls nothing.  A method counts as referenced wherever an
 attribute of its name is read.
+
+A class must also be called, as ``Name(...)`` or ``mod.Name(...)``, outside
+its own body: a class that is only named in ``isinstance`` checks or
+annotations is never built, so the branches that test for it are dead.
+``Enum`` and ``Protocol`` subclasses are exempt; neither is built by a call.
 """
 
 import ast
@@ -71,16 +76,95 @@ def unreferenced(modules: dict, callers: list) -> list:
     return sorted(out)
 
 
+_NEVER_CALLED = {"Enum", "Protocol"}
+
+
+def calls(tree) -> Counter:
+    """How often each name is called in ``tree``, as ``name(...)`` or
+    ``obj.name(...)``."""
+    seen = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                seen[f.id] += 1
+            elif isinstance(f, ast.Attribute):
+                seen[f.attr] += 1
+    return seen
+
+
+def uncalled_classes(modules: dict, callers: list) -> list:
+    """``module.Class`` of each top-level class in ``modules`` that no tree of
+    ``callers`` calls outside the class itself; ``Enum`` and ``Protocol``
+    subclasses excepted."""
+    total = Counter()
+    for tree in callers:
+        total.update(calls(tree))
+    out = []
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                     for b in node.bases}
+            if bases & _NEVER_CALLED:
+                continue
+            if total[node.name] == calls(node)[node.name]:
+                out.append(f"{mod}.{node.name}")
+    return sorted(out)
+
+
 def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_every_definition_has_a_product_caller():
+def _package():
+    """(module name -> tree, every caller tree) of the product."""
     modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     callers = list(modules.values()) + [
         _parse(p) for d in CALLER_DIRS[1:] for p in sorted(d.glob("*.py"))
     ]
-    assert unreferenced(modules, callers) == []
+    return modules, callers
+
+
+def test_every_definition_has_a_product_caller():
+    assert unreferenced(*_package()) == []
+
+
+def test_every_class_is_built_by_the_product():
+    assert uncalled_classes(*_package()) == []
+
+
+def test_guard_sees_a_class_that_is_only_tested_for():
+    src = '''
+import enum
+from enum import Enum
+from typing import Protocol
+
+class Built:
+    pass
+
+class Checked:
+    pass
+
+class Selfish:
+    def again(self):
+        return Selfish()
+
+class Colour(Enum):
+    RED = 1
+
+class Shade(enum.Enum):
+    DARK = 1
+
+class Shape(Protocol):
+    def area(self) -> float: ...
+
+def entry(f: Shape):
+    return Built() if isinstance(f, Checked) else Colour.RED
+'''
+    tree = ast.parse(src)
+    assert uncalled_classes({"mod": tree}, [tree]) == ["mod.Checked", "mod.Selfish"]
 
 
 def test_guard_sees_an_unused_definition():
