@@ -9,7 +9,6 @@ from .grassmann import (
     GrassmannNumber,
     Parity,
     apply_analytic,
-    exp_even,
     invert,
     parse,
     sample_random,

@@ -17,7 +17,7 @@ from typing import Protocol
 
 
 class DomainError(ValueError):
-    """Scalar-function domain violated by the body (e.g. log of body <= 0)."""
+    """Scalar-function domain violated by the body (e.g. arcsin of |body| >= 1)."""
 
 
 class AnalyticFn(Protocol):
@@ -42,16 +42,6 @@ class Exp:
     def derivs(self, x, n):
         e = math.exp(x)
         return [e] * (n + 1)
-
-
-class Log:
-    def derivs(self, x, n):
-        if x <= 0.0:
-            raise DomainError(f"log needs a positive argument body, got {x}")
-        out = [math.log(x)]
-        for j in range(1, n + 1):
-            out.append((-1.0) ** (j - 1) * math.factorial(j - 1) / x**j)
-        return out
 
 
 class Reciprocal:
@@ -114,18 +104,6 @@ class Arccos:
     def derivs(self, x, n):
         ds = Arcsin().derivs(x, n)
         return [math.acos(x)] + [-d for d in ds[1:]]
-
-
-class Arctan:
-    # (1+x^2) y^(n+2) + 2(n+1) x y^(n+1) + n(n+1) y^(n) = 0
-    def derivs(self, x, n):
-        r = 1.0 + x * x
-        out = [math.atan(x)]
-        if n >= 1:
-            out.append(1.0 / r)
-        for k in range(n - 1):
-            out.append(-(2 * (k + 1) * x * out[k + 1] + k * (k + 1) * out[k]) / r)
-        return out[: n + 1]
 
 
 def _tanh_polys(n: int) -> list[list[float]]:
@@ -253,11 +231,9 @@ class TrigPoly:
 SIN = Sin()
 COS = Cos()
 EXP = Exp()
-LOG = Log()
 RECIP = Reciprocal()
 ARCSIN = Arcsin()
 ARCCOS = Arccos()
-ARCTAN = Arctan()
 TANH = Tanh()
 SECH = Sech()
 EXP_RATIO = ExpRatio()

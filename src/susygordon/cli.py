@@ -41,7 +41,6 @@ from .grassmann import (
     TIER_DEFAULTS,
     AlgebraContext,
     apply_analytic,
-    scalar,
     worst_count,
     worst_of,
 )
@@ -87,7 +86,7 @@ class RunConfig:
     k0: float = 0.0
     eps: float = -1.0
     modulus: float = 0.7
-    ics: Optional[tuple] = None
+    ics: tuple = (0.0, 1.0)
 
     def context(self) -> AlgebraContext:
         roles = {n: i for n, i in DEFAULT_ROLES.items() if i < self.generators}
@@ -276,7 +275,6 @@ _DEFAULT_RANGES = {
     "ginv17": (0.0, 2.0, 1.0 / 64),
     "d16nu": (0.25, 2.25, 1.0 / 64),
 }
-_DEFAULT_ICS = (0.0, 1.0)
 
 
 def _resolve_solve_target(cfg: RunConfig):
@@ -358,9 +356,7 @@ def _rebp_node_row(sample, eps, k0, ctx):
         "nu": [z, z, z],
         "beta": [sin_y * -1.0, z, z],
     }
-    rows = traveling_rewrite_rows(
-        pv, eps, ctx.generator_count, constant=scalar(k0, ctx.generator_count)
-    )
+    rows = traveling_rewrite_rows(pv, eps, constant=ctx.scalar(k0))
     return rows, sample.value.body, None, None
 
 
@@ -393,7 +389,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     n_steps = int(round(span / step)) if span > 0 else 0
     if n_steps < 1 or abs(span - n_steps * step) > 1e-9 * max(1.0, abs(span)):
         raise UsageError(f"empty or ragged range {lo}:{hi}:{step}")
-    ics = cfg.ics or _DEFAULT_ICS
     ctx = cfg.context()
     try:
         # the ginv node rows read the march's background memo
@@ -429,7 +424,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             f"{_format_cell(fval)},{body!r},{soul!r}"
         )
 
-    y, d = float(ics[0]), float(ics[1])
+    y, d = float(cfg.ics[0]), float(cfg.ics[1])
     try:
         node = OdeSample(lo, ctx.scalar(y), ctx.scalar(d), ctx.scalar(system.rhs(lo, y, d)))
     except NearSingular:

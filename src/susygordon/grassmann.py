@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
-from .analytic import EXP
 from .analytic import DomainError as DomainError  # re-exported
 
 
@@ -355,10 +354,6 @@ def soul_derivs(f, a: GrassmannNumber, kmax: int) -> list:
     return out
 
 
-def exp_even(a: GrassmannNumber) -> GrassmannNumber:
-    return apply_analytic(EXP, a)
-
-
 def sample_random(parity: Parity, max_degree: int, rng_seed, ngen: int = 8) -> GrassmannNumber:
     """Dense random supernumber of the requested parity.
 
@@ -576,13 +571,6 @@ DEFAULT_CONTEXT = AlgebraContext()
 def scalar(x: float, ngen: int = 8) -> GrassmannNumber:
     c = float(x)
     return GrassmannNumber._make(check_generator_count(ngen), {0: c} if c != 0.0 else {})
-
-
-def gen(i: int, ngen: int = 8) -> GrassmannNumber:
-    check_generator_count(ngen)
-    if i < 0 or i >= ngen:
-        raise ValueError(f"generator index {i} out of range")
-    return GrassmannNumber._make(ngen, {1 << i: 1.0})
 
 
 # ------------------------------------------------------ residuals and tiers

@@ -811,10 +811,8 @@ def _component_expanded(v, p, f, c):
 # ----------------------------------------------------- on-shell substitution
 
 
-def onshell_substitute(p: JetPoint, instance: ProblemSignature | None = None) -> JetPoint:
-    """Constrain the point to the solution manifold of its instance."""
-    if instance is not None and instance != p.sig:
-        raise ValueError("instance does not match the point's signature")
+def onshell_substitute(p: JetPoint) -> JetPoint:
+    """Constrain the point to the solution manifold of its signature."""
     ctx = p.ctx
     if p.sig.odd_independents:
         th1 = p.base_value("theta1")

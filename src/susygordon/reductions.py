@@ -1,8 +1,9 @@
 """Invariant ansatz construction and the reduced ODE systems.
 
 Every subalgebra whose orbits fill out superspace minus one even direction
-is catalogued as a :class:`ReductionCase`: an invariant variable ``sigma``,
-two odd invariant monomials, and the four profile equations the ansatz
+is catalogued as a :class:`ReductionCase`: one ``invariants`` function that
+returns the invariant variable ``sigma`` and the two odd invariant monomials
+as the paper writes them, and the four profile equations the ansatz
 
     value = alpha(sigma) + m1 * f1(sigma) + m2 * f2(sigma) + m1 m2 * beta(sigma)
 
@@ -180,6 +181,11 @@ def random_reduction_profiles(
 class ReductionCase:
     """One invariant ansatz shape plus its reduced system.
 
+    ``invariants(jx, jt, p, ctx)`` returns the jets of ``(sigma, m1, m2)``
+    over the coordinate jets ``jx``, ``jt``, with the case's parameters
+    ``p``; a case defined only on part of the plane raises
+    :class:`OutOfDomain` there before any profile is evaluated.
+    ``equations(pv, sigma, p, ctx)`` returns the four reduced rows.
     ``signs`` couples the residual of the full superfield equation to the
     reduced rows: residual = sum_i signs[i] * monomial_i * row_i with the
     monomials (1, m1, m2, m1*m2).  The tuples were fixed by evaluating both
@@ -191,11 +197,8 @@ class ReductionCase:
     profile_names: tuple
     param_names: tuple
     signs: tuple
-    sigma_jet: Callable = field(repr=False)
-    m1_jet: Callable = field(repr=False)
-    m2_jet: Callable = field(repr=False)
+    invariants: Callable = field(repr=False)
     equations: Callable = field(repr=False)
-    guard: Optional[Callable] = field(default=None, repr=False)
 
 
 def _fill_params(case: ReductionCase, params, ctx: AlgebraContext) -> dict:
@@ -231,96 +234,90 @@ def _check_profiles(case: ReductionCase, profiles) -> None:
             raise ParityError(f"profile {name!r} must be {want.name.lower()}")
 
 
-def _jc(jref: SuperJet, value: GrassmannNumber) -> SuperJet:
-    return jet_constant(jref.spec, value)
+# The invariants of each case, as the paper's table states them: the even
+# variable sigma and the odd monomials m1, m2.  Each is a jet over the
+# coordinates' spec, so products pick up the right x/t derivatives; a bare
+# theta enters as a constant jet.
 
-
-def _theta(ctx: AlgebraContext, which: str) -> GrassmannNumber:
-    return ctx.gen(which)
-
-
-# sigma / monomial builders.  Each takes the coordinate jets and returns a
-# jet over the same spec, so products pick up the right x/t derivatives.
-
-def _sig_s1(jx, jt, p, ctx):
-    return jx * jt
-
-
-def _m1_s1(jx, jt, p, ctx):
-    return jet_scale(jet_apply_analytic(jt, Power(0.5)), _theta(ctx, "theta1"), from_left=True)
-
-
-def _m2_s1(jx, jt, p, ctx):
-    return jet_scale(jet_apply_analytic(jt, Power(-0.5)), _theta(ctx, "theta2"), from_left=True)
-
-
-def _guard_s1(x, t, p, ctx):
-    tb = ctx.lift(t).body
+def _inv_s1(jx, jt, p, ctx):
+    """sigma = x t, m1 = theta1 t^(1/2), m2 = theta2 t^(-1/2); needs t > 0."""
+    tb = jt.value().body
     if tb <= 0.0:
         raise OutOfDomain(f"ansatz uses t**(1/2); needs t > 0, got body {tb}")
-
-
-def _sig_t(jx, jt, p, ctx):
-    return jt
-
-
-def _sig_x(jx, jt, p, ctx):
-    return jx
-
-
-def _const_th1(jx, jt, p, ctx):
-    return _jc(jx, _theta(ctx, "theta1"))
-
-
-def _const_th2(jx, jt, p, ctx):
-    return _jc(jx, _theta(ctx, "theta2"))
-
-
-def _sig_s4(jx, jt, p, ctx):
-    return jx + jet_scale(jt, -p["eps"])
-
-
-def _sig_s7(jx, jt, p, ctx):
-    return jx + jet_scale(jt, p["mu"] * _theta(ctx, "theta1"), from_left=True)
-
-
-def _tau_s6(jx, jt, p, ctx):
-    return _jc(jx, _theta(ctx, "theta1")) - jet_scale(jx, p["mu"], from_left=True)
-
-
-def _tau_s7(jx, jt, p, ctx):
-    return _jc(jx, _theta(ctx, "theta1")) - jet_scale(jt, p["mu"], from_left=True)
-
-
-def _sig_s8(jx, jt, p, ctx):
     return (
-        jet_scale(jx, p["eps"])
-        - jt
-        + jet_scale(jt, p["mu"] * _theta(ctx, "theta1"), from_left=True)
+        jx * jt,
+        ctx.gen("theta1") * jet_apply_analytic(jt, Power(0.5)),
+        ctx.gen("theta2") * jet_apply_analytic(jt, Power(-0.5)),
     )
 
 
-def _tau_s8(jx, jt, p, ctx):
-    return _jc(jx, _theta(ctx, "theta1")) - jet_scale(jt, p["mu"] * p["eps"], from_left=True)
+def _inv_s2(jx, jt, p, ctx):
+    """sigma = t, m1 = theta1, m2 = theta2."""
+    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
+    return jt, jet_constant(jx.spec, th1), jet_constant(jx.spec, th2)
 
 
-def _sig_s10(jx, jt, p, ctx):
-    return jt + jet_scale(jx, p["nu"] * _theta(ctx, "theta2"), from_left=True)
+def _inv_s3(jx, jt, p, ctx):
+    """sigma = x, m1 = theta1, m2 = theta2."""
+    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
+    return jx, jet_constant(jx.spec, th1), jet_constant(jx.spec, th2)
 
 
-def _tau_s10(jx, jt, p, ctx):
-    return _jc(jx, _theta(ctx, "theta2")) - jet_scale(jx, p["nu"], from_left=True)
+def _inv_s4(jx, jt, p, ctx):
+    """sigma = x - eps t, m1 = theta1, m2 = theta2."""
+    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
+    return jx + jt * -p["eps"], jet_constant(jx.spec, th1), jet_constant(jx.spec, th2)
 
 
-def _tau_s11(jx, jt, p, ctx):
-    return _jc(jx, _theta(ctx, "theta2")) - jet_scale(jt, p["nu"], from_left=True)
+def _inv_s6(jx, jt, p, ctx):
+    """sigma = t, m1 = theta1 - mu x, m2 = theta2."""
+    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
+    return jt, jet_constant(jx.spec, th1) - p["mu"] * jx, jet_constant(jx.spec, th2)
 
 
-def _sig_s12(jx, jt, p, ctx):
+def _inv_s7(jx, jt, p, ctx):
+    """sigma = x + mu theta1 t, m1 = theta1 - mu t, m2 = theta2."""
+    mu, th1, th2 = p["mu"], ctx.gen("theta1"), ctx.gen("theta2")
     return (
-        jt
-        - jet_scale(jx, p["eps"])
-        + jet_scale(jx, p["nu"] * _theta(ctx, "theta2"), from_left=True)
+        jx + mu * th1 * jt,
+        jet_constant(jx.spec, th1) - mu * jt,
+        jet_constant(jx.spec, th2),
+    )
+
+
+def _inv_s8(jx, jt, p, ctx):
+    """sigma = eps x - t + mu theta1 t, m1 = theta1 - mu eps t, m2 = theta2."""
+    mu, e, th1, th2 = p["mu"], p["eps"], ctx.gen("theta1"), ctx.gen("theta2")
+    return (
+        jx * e - jt + mu * th1 * jt,
+        jet_constant(jx.spec, th1) - mu * e * jt,
+        jet_constant(jx.spec, th2),
+    )
+
+
+def _inv_s10(jx, jt, p, ctx):
+    """sigma = t + nu theta2 x, m1 = theta2 - nu x, m2 = theta1."""
+    nu, th1, th2 = p["nu"], ctx.gen("theta1"), ctx.gen("theta2")
+    return (
+        jt + nu * th2 * jx,
+        jet_constant(jx.spec, th2) - nu * jx,
+        jet_constant(jx.spec, th1),
+    )
+
+
+def _inv_s11(jx, jt, p, ctx):
+    """sigma = x, m1 = theta2 - nu t, m2 = theta1."""
+    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
+    return jx, jet_constant(jx.spec, th2) - p["nu"] * jt, jet_constant(jx.spec, th1)
+
+
+def _inv_s12(jx, jt, p, ctx):
+    """sigma = t - eps x + nu theta2 x, m1 = theta2 - nu x, m2 = theta1."""
+    nu, e, th1, th2 = p["nu"], p["eps"], ctx.gen("theta1"), ctx.gen("theta2")
+    return (
+        jt - jx * e + nu * th2 * jx,
+        jet_constant(jx.spec, th2) - nu * jx,
+        jet_constant(jx.spec, th1),
     )
 
 
@@ -452,26 +449,18 @@ _SUPER_NAMES = ("alpha", "mu", "nu", "beta")
 _ODD_NAMES = ("alpha", "eta", "lambda", "beta")
 
 CASES = {
-    "S1": ReductionCase("S1", _SUPER_NAMES, (), (-1.0, 1.0, -1.0, 1.0),
-                        _sig_s1, _m1_s1, _m2_s1, _rows_s1, guard=_guard_s1),
-    "S2": ReductionCase("S2", _SUPER_NAMES, (), (-1.0, -1.0, -1.0, -1.0),
-                        _sig_t, _const_th1, _const_th2, _rows_s2),
-    "S3": ReductionCase("S3", _SUPER_NAMES, (), (-1.0, 1.0, -1.0, -1.0),
-                        _sig_x, _const_th1, _const_th2, _rows_s3),
-    "S4": ReductionCase("S4", _SUPER_NAMES, ("eps",), (-1.0, 1.0, 1.0, -1.0),
-                        _sig_s4, _const_th1, _const_th2, _rows_s4),
-    "S6": ReductionCase("S6", _ODD_NAMES, ("mu",), (-1.0, 1.0, -1.0, -1.0),
-                        _sig_t, _tau_s6, _const_th2, _rows_s6),
-    "S7": ReductionCase("S7", _ODD_NAMES, ("mu",), (-1.0, 1.0, 1.0, -1.0),
-                        _sig_s7, _tau_s7, _const_th2, _rows_s7),
+    "S1": ReductionCase("S1", _SUPER_NAMES, (), (-1.0, 1.0, -1.0, 1.0), _inv_s1, _rows_s1),
+    "S2": ReductionCase("S2", _SUPER_NAMES, (), (-1.0, -1.0, -1.0, -1.0), _inv_s2, _rows_s2),
+    "S3": ReductionCase("S3", _SUPER_NAMES, (), (-1.0, 1.0, -1.0, -1.0), _inv_s3, _rows_s3),
+    "S4": ReductionCase("S4", _SUPER_NAMES, ("eps",), (-1.0, 1.0, 1.0, -1.0), _inv_s4, _rows_s4),
+    "S6": ReductionCase("S6", _ODD_NAMES, ("mu",), (-1.0, 1.0, -1.0, -1.0), _inv_s6, _rows_s6),
+    "S7": ReductionCase("S7", _ODD_NAMES, ("mu",), (-1.0, 1.0, 1.0, -1.0), _inv_s7, _rows_s7),
     "S8": ReductionCase("S8", _ODD_NAMES, ("mu", "eps"), (-1.0, 1.0, 1.0, -1.0),
-                        _sig_s8, _tau_s8, _const_th2, _rows_s8),
-    "S10": ReductionCase("S10", _ODD_NAMES, ("nu",), (1.0, -1.0, -1.0, 1.0),
-                         _sig_s10, _tau_s10, _const_th1, _rows_s10),
-    "S11": ReductionCase("S11", _ODD_NAMES, ("nu",), (1.0, -1.0, 1.0, 1.0),
-                         _sig_x, _tau_s11, _const_th1, _rows_s11),
+                        _inv_s8, _rows_s8),
+    "S10": ReductionCase("S10", _ODD_NAMES, ("nu",), (1.0, -1.0, -1.0, 1.0), _inv_s10, _rows_s10),
+    "S11": ReductionCase("S11", _ODD_NAMES, ("nu",), (1.0, -1.0, 1.0, 1.0), _inv_s11, _rows_s11),
     "S12": ReductionCase("S12", _ODD_NAMES, ("nu", "eps"), (1.0, -1.0, -1.0, 1.0),
-                         _sig_s12, _tau_s10, _const_th1, _rows_s12),
+                         _inv_s12, _rows_s12),
 }
 
 
@@ -493,9 +482,7 @@ def reduction_case_ids() -> tuple:
 
 
 def _phi_jet(case, profiles, p, ctx, jx, jt) -> SuperJet:
-    sj = case.sigma_jet(jx, jt, p, ctx)
-    m1 = case.m1_jet(jx, jt, p, ctx)
-    m2 = case.m2_jet(jx, jt, p, ctx)
+    sj, m1, m2 = case.invariants(jx, jt, p, ctx)
     names = case.profile_names
     acc = profiles[names[0]].jet(sj)
     acc = acc + m1 * profiles[names[1]].jet(sj)
@@ -511,14 +498,12 @@ def build_ansatz(case, profiles, params=None, ctx: AlgebraContext = DEFAULT_CONT
     _check_profiles(case, profiles)
 
     def jet(x, t, order):
-        if case.guard is not None:
-            case.guard(x, t, p, ctx)
         return _phi_jet(case, profiles, p, ctx, *coordinate_jets(x, t, order, ctx))
 
     return Superfield(jet, ctx)
 
 
-def traveling_rewrite_rows(pv, eps: float, ngen: int, constant=None):
+def traveling_rewrite_rows(pv, eps: float, constant=None):
     """Second-order form of the traveling reduction; constant defaults to mu nu."""
     a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
     sin_a, cos_a = _trig(a[0])
@@ -552,9 +537,7 @@ def reduction_consistency(case, profiles, points, params=None,
         xg, tg = ctx.lift(x), ctx.lift(t)
         full = ssg_residual(sf, xg, tg)
         jx, jt = coordinate_jets(xg, tg, 0, ctx)
-        sig = case.sigma_jet(jx, jt, p, ctx).value()
-        m1 = case.m1_jet(jx, jt, p, ctx).value()
-        m2 = case.m2_jet(jx, jt, p, ctx).value()
+        sig, m1, m2 = (j.value() for j in case.invariants(jx, jt, p, ctx))
         pv = {name: profiles[name].derivs_at(sig, 2) for name in case.profile_names}
         rows = case.equations(pv, sig, p, ctx)
         s = case.signs

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytic import EXP_RATIO
+from .analytic import EXP, EXP_RATIO
 from .grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
     GrassmannNumber,
     ParityError,
     apply_analytic,
-    exp_even,
     worst_of,
 )
 from .prolongation import (
@@ -166,14 +165,14 @@ def adjoint_closed_form(Y: AlgebraElement, X: AlgebraElement) -> AlgebraElement:
     eta, lam = Y.c_Qx, Y.c_Qt
     alpha, beta = X.c_Px, X.c_Pt
     mu, nu = X.c_Qx, X.c_Qt
-    ek = exp_even(k)
-    e2k = exp_even(k * 2.0)
-    em2k = exp_even(k * -2.0)
+    ek = apply_analytic(EXP, k)
+    e2k = apply_analytic(EXP, k * 2.0)
+    em2k = apply_analytic(EXP, k * -2.0)
     ratio = apply_analytic(EXP_RATIO, k)
     new_Px = e2k * alpha + (eta * mu) * ek * ratio * 2.0
     new_Pt = em2k * beta + (lam * nu) * em2k * ratio * 2.0
     new_Qx = ek * mu
-    new_Qt = exp_even(k * -1.0) * nu
+    new_Qt = apply_analytic(EXP, k * -1.0) * nu
     zero = GrassmannNumber(X.c_L.ngen)
     return AlgebraElement(zero, new_Px, new_Pt, new_Qx, new_Qt)
 

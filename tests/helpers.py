@@ -2,6 +2,8 @@
 
 ``exact`` makes results comparable bit for bit, and ``bits`` does so for
 the coefficients of a term map, the sign of a zero or a NaN included.
+``LOG`` and ``ARCTAN`` are derivative-list providers that only tests
+compose, for instance into the kink 2·arctan(exp(x - t)).
 ``derivs_providers`` gives one instance of every derivative-list provider.
 ``component_jets`` splits a superfield jet into the jets of its four
 components.  ``reduced_residual`` evaluates the reduced rows of a case at one
@@ -9,10 +11,11 @@ value of the invariant variable and appends the rewritten second-order rows
 of the scaling case (``scaling_rewrite_rows``) and of the traveling case.
 """
 
+import math
 import struct
 
 from susygordon import analytic, elliptic
-from susygordon.analytic import ARCSIN, RECIP, TANH, Power
+from susygordon.analytic import ARCSIN, RECIP, TANH, DomainError, Power
 from susygordon.grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
@@ -48,6 +51,31 @@ def bits(terms: dict) -> list:
     return [(m, struct.pack("<d", c).hex()) for m, c in terms.items()]
 
 
+class Log:
+    def derivs(self, x, n):
+        if x <= 0.0:
+            raise DomainError(f"log needs a positive argument body, got {x}")
+        out = [math.log(x)]
+        for j in range(1, n + 1):
+            out.append((-1.0) ** (j - 1) * math.factorial(j - 1) / x**j)
+        return out
+
+
+class Arctan:
+    # (1+x^2) y^(n+2) + 2(n+1) x y^(n+1) + n(n+1) y^(n) = 0
+    def derivs(self, x, n):
+        r = 1.0 + x * x
+        out = [math.atan(x)]
+        if n >= 1:
+            out.append(1.0 / r)
+        for k in range(n - 1):
+            out.append(-(2 * (k + 1) * x * out[k + 1] + k * (k + 1) * out[k]) / r)
+        return out[: n + 1]
+
+
+LOG = Log()
+ARCTAN = Arctan()
+
 # constructor arguments of the providers that take any
 _PROVIDER_ARGS = {
     "Power": (0.5,),
@@ -63,9 +91,10 @@ _PROVIDER_ARGS = {
 
 def derivs_providers():
     """One instance of every class of ``analytic`` and ``elliptic`` with a
-    ``derivs(x, n)`` method.  A new provider that takes arguments fails to
-    build until it has an entry in ``_PROVIDER_ARGS``."""
-    out = []
+    ``derivs(x, n)`` method, and ``LOG`` and ``ARCTAN``.  A new provider that
+    takes arguments fails to build until it has an entry in
+    ``_PROVIDER_ARGS``."""
+    out = [LOG, ARCTAN]
     for mod in (analytic, elliptic):
         for name, cls in vars(mod).items():
             if (isinstance(cls, type) and cls.__module__ == mod.__name__
@@ -128,5 +157,5 @@ def reduced_residual(case, profiles, sigma, params=None,
     if case.case_id == "S1":
         rows.extend(scaling_rewrite_rows(pv, sg, ctx.generator_count, constant))
     elif case.case_id == "S4":
-        rows.extend(traveling_rewrite_rows(pv, p["eps"], ctx.generator_count, constant))
+        rows.extend(traveling_rewrite_rows(pv, p["eps"], constant))
     return rows

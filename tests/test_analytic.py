@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 from susygordon.analytic import (
     ARCCOS,
     ARCSIN,
-    ARCTAN,
     COS,
     EXP,
     EXP_RATIO,
-    LOG,
     RECIP,
     SECH,
     SIN,
@@ -26,7 +24,7 @@ from susygordon.analytic import (
 )
 from susygordon.grassmann import DomainError
 
-from helpers import bits, derivs_providers
+from helpers import ARCTAN, LOG, bits, derivs_providers
 
 
 def central_diff(f, x, h=1e-5):

@@ -479,7 +479,10 @@ def test_unset_flags_take_the_run_config_defaults(command):
     # the parser states no default of its own: RunConfig is their one home
     ns = cli.build_parser().parse_args([command])
     assert vars(ns) == {"command": command}
-    assert cli._config_from(ns) == RunConfig()
+    cfg = cli._config_from(ns)
+    assert cfg == RunConfig()
+    # solve's initial data too: cmd_solve has no fallback of its own
+    assert cfg.ics == (0.0, 1.0)
 
 
 def test_given_flags_reach_the_run_config():

@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susygordon.analytic import EXP, LOG
+from susygordon.analytic import EXP
 from susygordon.grassmann import (
     AlgebraContext,
     ContextMismatch,
@@ -22,8 +22,6 @@ from susygordon.grassmann import (
     ParityError,
     apply_analytic,
     drop_gens,
-    exp_even,
-    gen,
     gen_derivative,
     invert,
     parse,
@@ -35,9 +33,10 @@ from susygordon.grassmann import (
     _merge_sign,
 )
 
-from helpers import bits, derivs_providers, exact
+from helpers import LOG, bits, derivs_providers, exact
 
 NGEN = 8
+gen = DEFAULT_CONTEXT.gen
 
 
 # --------------------------------------------------------------- slow oracle
@@ -134,10 +133,10 @@ def test_apply_analytic_examples():
 
 def test_exp_log_examples():
     x1x2 = gen(0) * gen(1)
-    assert exp_even(x1x2) == scalar(1) + x1x2
-    assert exp_even(scalar(0)) == scalar(1)
+    assert apply_analytic(EXP, x1x2) == scalar(1) + x1x2
+    assert apply_analytic(EXP, scalar(0)) == scalar(1)
     a = scalar(0.3) + x1x2
-    assert (apply_analytic(LOG, exp_even(a)) - a).norm() <= 1e-12
+    assert (apply_analytic(LOG, apply_analytic(EXP, a)) - a).norm() <= 1e-12
     with pytest.raises(DomainError):
         apply_analytic(LOG, scalar(-1) + x1x2)
 
@@ -156,7 +155,7 @@ def test_sample_random_examples():
 
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
-        gen(0, ngen=8) * gen(0, ngen=6)
+        gen(0) * AlgebraContext(6, {}).gen(0)
 
 
 def test_norm_propagates_nan():
@@ -174,7 +173,6 @@ def test_generator_count_outside_1_to_32_is_rejected(ngen):
         lambda: AlgebraContext(ngen, {}),
         lambda: AlgebraContext(ngen),
         lambda: scalar(1.0, ngen),
-        lambda: gen(0, ngen),
         lambda: sample_random(Parity.EVEN, 0, 0, ngen),
         lambda: parse("1", ngen),
     ):
@@ -459,8 +457,8 @@ def test_exp_additivity_commuting_even():
     for s in range(25):
         a = sample_random(Parity.EVEN, 2, 2000 + s) * 0.3
         b = sample_random(Parity.EVEN, 2, 3000 + s) * 0.3
-        lhs = exp_even(a + b)
-        rhs = exp_even(a) * exp_even(b)
+        lhs = apply_analytic(EXP, a + b)
+        rhs = apply_analytic(EXP, a) * apply_analytic(EXP, b)
         assert (lhs - rhs).norm() <= 1e-12
 
 

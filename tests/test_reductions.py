@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from susygordon import reductions, superjet
 from susygordon.analytic import (
     ARCSIN,
-    ARCTAN,
     COS,
     EXP,
     RECIP,
@@ -67,13 +66,14 @@ from susygordon.reductions import (
 from susygordon.superalgebra import realize, subalgebra
 from susygordon.superfield import (
     component_superfield,
+    coordinate_jets,
     evaluate_bundle,
     ssg_residual,
     superfield_jet,
 )
 from susygordon.superjet import JetSpec, jet_apply_analytic, jet_variable
 
-from helpers import component_jets, exact, reduced_residual
+from helpers import ARCTAN, component_jets, exact, reduced_residual
 
 ctx = DEFAULT_CONTEXT
 
@@ -198,6 +198,44 @@ def test_case_registry():
 @pytest.mark.parametrize("cid", ALL_CASES)
 def test_case_parameters_are_the_slots_of_its_subalgebra(cid):
     assert set(CASES[cid].param_names) == set(subalgebra(cid).slots)
+
+
+def _paper_invariants(cid, x, t, mu, nu, e):
+    """(sigma, m1, m2) of the case as the paper's table writes them, each as
+    (value, d/dx, d/dt) at the point (x, t)."""
+    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
+    X, T, one, zero = ctx.scalar(x), ctx.scalar(t), ctx.one(), ctx.zero()
+    if cid == "S1":
+        # x t, theta1 t^(1/2), theta2 t^(-1/2)
+        root, inv_root = apply_analytic(Power(0.5), T), apply_analytic(Power(-0.5), T)
+        return ((X * T, T, X),
+                (th1 * root, zero, th1 * (inv_root * 0.5)),
+                (th2 * inv_root, zero, th2 * (apply_analytic(Power(-1.5), T) * -0.5)))
+    theta = {1: (th1, zero, zero), 2: (th2, zero, zero)}
+    return {
+        "S2": ((T, zero, one), theta[1], theta[2]),
+        "S3": ((X, one, zero), theta[1], theta[2]),
+        "S4": ((X - T * e, one, one * -e), theta[1], theta[2]),
+        "S6": ((T, zero, one), (th1 - mu * X, -mu, zero), theta[2]),
+        "S7": ((X + mu * th1 * T, one, mu * th1), (th1 - mu * T, zero, -mu), theta[2]),
+        "S8": ((X * e - T + mu * th1 * T, one * e, mu * th1 - one),
+               (th1 - mu * e * T, zero, -(mu * e)), theta[2]),
+        "S10": ((T + nu * th2 * X, nu * th2, one), (th2 - nu * X, -nu, zero), theta[1]),
+        "S11": ((X, one, zero), (th2 - nu * T, zero, -nu), theta[1]),
+        "S12": ((T - X * e + nu * th2 * X, nu * th2 - one * e, one),
+                (th2 - nu * X, -nu, zero), theta[1]),
+    }[cid]
+
+
+@pytest.mark.parametrize("cid", ALL_CASES)
+def test_case_invariants_match_the_paper(cid):
+    x, t, e = 0.4, 0.7, -1.0
+    mu, nu = ctx.gen("mu"), ctx.gen("nu")
+    jx, jt = coordinate_jets(x, t, 1, ctx)
+    got = CASES[cid].invariants(jx, jt, {"mu": mu, "nu": nu, "eps": e}, ctx)
+    want = _paper_invariants(cid, x, t, mu, nu, e)
+    for name, jet, (v, dx, dt) in zip(("sigma", "m1", "m2"), got, want):
+        assert (jet.value(), jet.d("x"), jet.d("t")) == (v, dx, dt), name
 
 
 def test_translation_ansatz_assembles_expected_value():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susygordon import checks, superfield
-from susygordon.analytic import ARCTAN, COS, EXP, SECH, SIN
+from susygordon.analytic import COS, EXP, SECH, SIN
 from susygordon.grassmann import (
     DEFAULT_CONTEXT as CTX,
     GrassmannNumber,
@@ -29,7 +29,7 @@ from susygordon.superfield import (
     theta_coefficients,
 )
 
-from helpers import bits, component_jets
+from helpers import ARCTAN, bits, component_jets
 from susygordon.superjet import (
     JetSpec,
     SuperJet,

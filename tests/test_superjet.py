@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susygordon import checks
-from susygordon.analytic import COS, EXP, LOG, SIN, TANH, TaylorFn, TrigPoly
+from susygordon.analytic import COS, EXP, SIN, TANH, TaylorFn, TrigPoly
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
-from susygordon.grassmann import GrassmannNumber, ParityError, gen, sample_random, scalar
+from susygordon.grassmann import GrassmannNumber, ParityError, sample_random, scalar
 from susygordon.superjet import (
     JetSpec,
     SuperJet,
@@ -22,6 +22,8 @@ from susygordon.superjet import (
     jet_scale,
     jet_variable,
 )
+
+from helpers import LOG
 
 NG = 8
 XT = JetSpec(("x", "t"), order=2)
@@ -108,7 +110,7 @@ def test_mixed_partial_against_finite_differences():
 def test_soul_carrying_composition():
     # sin(alpha + e*beta) = sin(alpha) + e*beta*cos(alpha) when e*e = 0,
     # and the same must hold slotwise for every sigma-derivative
-    e = gen(1, NG) * gen(2, NG)
+    e = CTX.gen(1) * CTX.gen(2)
     alpha = TrigPoly(waves=[(1.2, 0.9, 0.2)], poly=[0.4])
     beta = TrigPoly(waves=[(0.7, 1.4, -0.5)])
     s0 = 0.8
@@ -136,7 +138,7 @@ def test_soul_carrying_composition():
 
 def test_exp_log_round_trip():
     spec = JetSpec(("x",), 3)
-    e = gen(1, NG) * gen(2, NG)
+    e = CTX.gen(1) * CTX.gen(2)
     j = jet_from_derivs(
         spec,
         {
@@ -211,7 +213,7 @@ def test_product_rule(sa, sb):
 
 
 def test_odd_times_odd_jets():
-    th1, th2 = gen(1, NG), gen(2, NG)
+    th1, th2 = CTX.gen(1), CTX.gen(2)
     spec = JetSpec(("x",), 1)
     a = jet_from_derivs(spec, {(0,): th1 * sc(2.0), (1,): th1 * sc(-1.0)})
     b = jet_from_derivs(spec, {(0,): th1 * sc(3.0), (1,): th2})
@@ -223,7 +225,7 @@ def test_odd_times_odd_jets():
 
 
 def test_left_vs_right_scale():
-    th1, th2 = gen(1, NG), gen(2, NG)
+    th1, th2 = CTX.gen(1), CTX.gen(2)
     spec = JetSpec(("x",), 0)
     a = jet_from_derivs(spec, {(0,): th2})
     left = jet_scale(a, th1, from_left=True)
@@ -234,7 +236,7 @@ def test_left_vs_right_scale():
 
 def test_apply_rejects_odd_jet():
     spec = JetSpec(("x",), 1)
-    a = jet_from_derivs(spec, {(0,): gen(1, NG)})
+    a = jet_from_derivs(spec, {(0,): CTX.gen(1)})
     with pytest.raises(ParityError):
         jet_apply_analytic(a, SIN)
 

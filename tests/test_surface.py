@@ -1,14 +1,16 @@
 """Every definition in the package has a caller in the product.
 
-A top-level function or class, or a public method, of a module in
-``src/susygordon`` must be referenced from ``src/``, ``demos/`` or
-``perfbench/`` somewhere outside its own definition.  Tests do not count:
-code that only tests call belongs in the tests.  The re-exports of
-``__init__.py`` do not count either.  A name inside a string counts,
+A top-level function, class or constant, or a public method, of a module in
+``src/susygordon`` must be read from ``src/``, ``demos/`` or
+``perfbench/`` somewhere outside its own definition or binding.  Tests do
+not count: code that only tests call belongs in the tests.  The re-exports
+of ``__init__.py`` do not count either.  A name inside a string counts,
 because ``perfbench/tracer.py`` resolves what it wraps from strings such as
 ``"odes:integrate_profile_ode"``.  A docstring does not: prose that names a
 definition calls nothing.  A method counts as referenced wherever an
-attribute of its name is read.
+attribute of its name is read.  Anything top-level counts only through its
+name or a string: an attribute read such as ``ctx.gen`` reaches a method,
+never a module function ``gen``.
 
 A class must also be called, as ``Name(...)`` or ``mod.Name(...)``, outside
 its own body: a class that is only named in ``isinstance`` checks or
@@ -30,8 +32,9 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(tree):
-    """(qualified name, node) of each top-level def and class, and of each
-    public method of a top-level class."""
+    """(qualified name, node) of each top-level def and class, of each name
+    a top-level assignment binds, and of each public method of a top-level
+    class."""
     for node in tree.body:
         if isinstance(node, _DEFS):
             yield node.name, node
@@ -39,11 +42,18 @@ def definitions(tree):
             for m in node.body:
                 if isinstance(m, _DEFS[:2]) and not m.name.startswith("_"):
                     yield f"{node.name}.{m.name}", m
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
 
 
-def references(tree) -> Counter:
-    """How often each name is read in ``tree``, as a name, an attribute or a
-    word of a string that is not a docstring."""
+def references(tree, attributes: bool = True) -> Counter:
+    """How often each name is read in ``tree``: as a name, as a word of a
+    string that is not a docstring and, if ``attributes``, as an
+    attribute."""
     docs = {
         id(node.body[0].value)
         for node in ast.walk(tree)
@@ -51,9 +61,9 @@ def references(tree) -> Counter:
     }
     seen = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             seen[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and attributes:
             seen[node.attr] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docs):
@@ -63,15 +73,19 @@ def references(tree) -> Counter:
 
 def unreferenced(modules: dict, callers: list) -> list:
     """``module.qualname`` of each definition in ``modules`` (name -> tree)
-    that no tree of ``callers`` reads outside the definition itself."""
-    total = Counter()
+    that no tree of ``callers`` reads outside the definition itself.  A
+    method is read as an attribute; a top-level name only as a name or in a
+    string."""
+    named, anywhere = Counter(), Counter()
     for tree in callers:
-        total.update(references(tree))
+        named.update(references(tree, attributes=False))
+        anywhere.update(references(tree))
     out = []
     for mod, tree in modules.items():
         for qual, node in definitions(tree):
-            name = qual.rpartition(".")[2]
-            if total[name] == references(node)[name]:
+            owner, _, name = qual.rpartition(".")
+            total = anywhere if owner else named
+            if total[name] == references(node, attributes=bool(owner))[name]:
                 out.append(f"{mod}.{qual}")
     return sorted(out)
 
@@ -195,7 +209,8 @@ def traced():
     pass
 '''
     tree = ast.parse(src)
-    assert unreferenced({"mod": tree}, [tree]) == ["mod.entry", "mod.lonely"]
+    # WRAPPED itself is bound and never read
+    assert unreferenced({"mod": tree}, [tree]) == ["mod.WRAPPED", "mod.entry", "mod.lonely"]
 
 
 def test_guard_ignores_docstrings():
@@ -220,4 +235,53 @@ class K:
 ENTRY = "mod:entry"
 '''
     tree = ast.parse(src)
-    assert unreferenced({"mod": tree}, [tree]) == ["mod.K.shown", "mod.described"]
+    assert unreferenced({"mod": tree}, [tree]) == ["mod.ENTRY", "mod.K.shown", "mod.described"]
+
+
+def test_guard_reaches_a_function_only_through_a_name_or_a_string():
+    src = '''
+def entry(ctx):
+    return ctx.gen("theta1") + K().gen() + by_name() + TRACED
+
+def gen(i):
+    pass
+
+def by_name():
+    pass
+
+def by_string():
+    pass
+
+class K:
+    def gen(self):
+        pass
+
+TRACED = "mod:by_string"
+'''
+    tree = ast.parse(src)
+    assert unreferenced({"mod": tree}, [tree]) == ["mod.entry", "mod.gen"]
+
+
+def test_guard_sees_a_constant_that_is_only_bound():
+    src = '''
+LIMIT = 3
+TWICE = LIMIT * 2
+LOG = Log()
+PAIR, SPARE = 1, 2
+TABLE: dict = {}
+NAMED = 4
+
+class Log:
+    pass
+
+def entry():
+    table = TABLE
+    return PAIR + len(table) + K().NAMED
+
+class K:
+    pass
+'''
+    tree = ast.parse(src)
+    assert unreferenced({"mod": tree}, [tree]) == [
+        "mod.LOG", "mod.NAMED", "mod.SPARE", "mod.TWICE", "mod.entry",
+    ]
