@@ -565,6 +565,19 @@ class AlgebraContext:
         return sample_random(parity, max_degree, rng_seed, self.generator_count)
 
 
+def demote(v):
+    """The body of a soul-free supernumber as a float, anything else as is.
+
+    It undoes ``AlgebraContext.lift`` of a real, except that a zero of
+    either sign comes back as 0.0.
+    """
+    if isinstance(v, GrassmannNumber):
+        t = v.terms
+        if not t or (len(t) == 1 and 0 in t):
+            return t.get(0, 0.0)
+    return v
+
+
 DEFAULT_CONTEXT = AlgebraContext()
 
 

@@ -46,6 +46,7 @@ from .grassmann import (
     AlgebraContext,
     GrassmannNumber,
     apply_analytic,
+    demote,
     scalar,
     worst_of,
 )
@@ -99,15 +100,6 @@ class Trajectory:
         return self.samples[best]
 
 
-def _demote(v):
-    """The body of a soul-free supernumber as a float; anything else as is."""
-    if isinstance(v, GrassmannNumber):
-        t = v.terms
-        if not t or (len(t) == 1 and 0 in t):
-            return t.get(0, 0.0)
-    return v
-
-
 _FLOAT_FNS = {SIN: math.sin, COS: math.cos}
 
 
@@ -141,7 +133,7 @@ def traveling_profile_system(
     k0 = ctx.lift(coupling)
     if not k0.is_even():
         raise ValueError("the coupling constant must be even")
-    k0 = _demote(k0)
+    k0 = demote(k0)
     lift = None if isinstance(k0, float) else k0.ngen
 
     def rhs(sig, y, d1):
@@ -362,7 +354,7 @@ def energy_drifts(traj: Trajectory):
         raise ValueError(f"system {traj.system.name!r} has no first integral")
     e0 = None
     for s in traj.samples:
-        e = energy(s.sigma, _demote(s.value), _demote(s.d1))
+        e = energy(s.sigma, demote(s.value), demote(s.d1))
         if e0 is None:
             e0 = e
         drift = e - e0

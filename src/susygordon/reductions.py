@@ -36,7 +36,6 @@ from .grassmann import (
     Parity,
     ParityError,
     apply_analytic,
-    scalar,
     soul_derivs,
     worst_of,
 )
@@ -78,7 +77,7 @@ class Profile:
     nilpotent part of the argument costs nothing extra.
     """
 
-    ngen: int
+    ctx: AlgebraContext
     terms: tuple = ()
 
     @property
@@ -94,17 +93,17 @@ class Profile:
         return all(c.is_zero() for c, _ in self.terms)
 
     def jet(self, sigma_jet: SuperJet) -> SuperJet:
-        acc = jet_constant(sigma_jet.spec, scalar(0.0, self.ngen))
+        acc = jet_constant(sigma_jet.spec, self.ctx.zero())
         for coef, fn in self.terms:
             acc = acc + jet_scale(jet_apply_analytic(sigma_jet, fn), coef, from_left=True)
         return acc
 
     def derivs_at(self, sigma, order: int) -> list:
         """[f, f', ..., f^(order)] at sigma; soul in sigma is Taylor-expanded."""
-        sg = sigma if isinstance(sigma, GrassmannNumber) else scalar(float(sigma), self.ngen)
+        sg = self.ctx.lift(sigma)
         if self.terms and not sg.is_even():
             raise ParityError("a profile needs an even argument")
-        out = [scalar(0.0, self.ngen) for _ in range(order + 1)]
+        out = [self.ctx.zero() for _ in range(order + 1)]
         for coef, fn in self.terms:
             for k, d in enumerate(soul_derivs(fn, sg, order)):
                 out[k] = out[k] + coef * d
@@ -119,7 +118,7 @@ def profile(ctx: AlgebraContext, *terms) -> Profile:
     norm = []
     for coef, fn in terms:
         norm.append((ctx.lift(coef), fn))
-    return Profile(ctx.generator_count, tuple(norm))
+    return Profile(ctx, tuple(norm))
 
 
 def const_profile(value, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Profile:
@@ -127,7 +126,7 @@ def const_profile(value, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Profile:
 
 
 def zero_profile(ctx: AlgebraContext = DEFAULT_CONTEXT) -> Profile:
-    return Profile(ctx.generator_count, ())
+    return Profile(ctx, ())
 
 
 def _random_fn(rng: random.Random) -> TrigPoly:

@@ -29,9 +29,10 @@ from .grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
     GrassmannNumber,
-    soul_taylor,
+    demote,
     drop_gens,
     gen_derivative,
+    soul_taylor,
 )
 from .superjet import (
     JetSpec,
@@ -71,9 +72,14 @@ class SuperfieldValueBundle:
 
 
 def coordinate_jets(x, t, order: int, ctx: AlgebraContext = DEFAULT_CONTEXT):
-    """The jets of the coordinates x and t at a point; floats become scalars."""
+    """The jets of the coordinates x and t at a point; a soul-free coordinate
+    gives a real jet."""
     spec = JetSpec(("x", "t"), order)
-    return jet_variable(spec, "x", ctx.lift(x)), jet_variable(spec, "t", ctx.lift(t))
+    ngen = ctx.generator_count
+    return (
+        jet_variable(spec, "x", demote(ctx.lift(x)), ngen),
+        jet_variable(spec, "t", demote(ctx.lift(t)), ngen),
+    )
 
 
 def superfield_jet(f: Superfield, x, t, order: int = 2) -> SuperJet:

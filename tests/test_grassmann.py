@@ -21,6 +21,7 @@ from susygordon.grassmann import (
     Parity,
     ParityError,
     apply_analytic,
+    demote,
     drop_gens,
     gen_derivative,
     invert,
@@ -520,6 +521,18 @@ def test_lift_keeps_a_supernumber_and_scalars_a_real():
     assert isinstance(z, GrassmannNumber) and z.terms == {}
     assert bits(ctx.lift(-1.25).terms) == bits(ctx.scalar(-1.25).terms)
     assert AlgebraContext(4, {}).lift(2).ngen == 4
+
+
+def test_demote_gives_the_body_of_a_soul_free_number_only():
+    ctx = DEFAULT_CONTEXT
+    for x in (-1.25, 5e-324, math.inf):
+        assert demote(ctx.lift(x)) == x and type(demote(ctx.lift(x))) is float
+    assert bits({0: demote(ctx.lift(-0.0))}) == bits({0: 0.0})
+    assert math.isnan(demote(ctx.lift(math.nan)))
+    v = scalar(0.5) + gen(3) * gen(4)
+    g = gen(3)
+    assert demote(v) is v and demote(g) is g
+    assert demote(0.75) == 0.75
 
 
 def test_parity_classification():

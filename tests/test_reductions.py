@@ -114,9 +114,9 @@ def _derivs_at_reference(prof, sigma, order):
     """``Profile.derivs_at`` as a one-seed jet composed through Faa di Bruno
     term by term, as it was written before it read the soul-Taylor kernel
     directly; the reference it must match bit for bit."""
-    sg = sigma if isinstance(sigma, GrassmannNumber) else scalar(float(sigma), prof.ngen)
+    sg = sigma if isinstance(sigma, GrassmannNumber) else scalar(float(sigma), prof.ctx.generator_count)
     base = jet_variable(JetSpec(("s",), order), "s", sg)
-    out = [scalar(0.0, prof.ngen) for _ in range(order + 1)]
+    out = [scalar(0.0, prof.ctx.generator_count) for _ in range(order + 1)]
     for coef, fn in prof.terms:
         j = jet_apply_analytic(base, fn)
         for k in range(order + 1):

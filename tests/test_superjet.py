@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susygordon import checks
+from susygordon import checks, superfield
 from susygordon.analytic import COS, EXP, SIN, TANH, TaylorFn, TrigPoly
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
 from susygordon.grassmann import GrassmannNumber, ParityError, sample_random, scalar
@@ -23,7 +23,9 @@ from susygordon.superjet import (
     jet_variable,
 )
 
-from helpers import LOG
+from susygordon.superfield import component_superfield, random_superfield
+
+from helpers import LOG, bits
 
 NG = 8
 XT = JetSpec(("x", "t"), order=2)
@@ -327,36 +329,181 @@ def _exact(f, *args):
     ]
 
 
+# ordinary bodies plus -0.0, subnormals and pairs whose products underflow
+_BODIES = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, 1e-160, -3e-170]),
+)
+
+
 @st.composite
 def _even_jet_pair(draw, kind):
+    """Two jets over one spec, and for every kind but ``soul`` their real
+    twins: real jets drawn from the same bodies, -0.0 included."""
     spec = JetSpec(("x", "t", "y")[: draw(st.integers(1, 3))], draw(st.integers(0, 3)))
-    bodies = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
     def one():
-        comp = {}
+        bodies = {}
         for J in spec.indices():
             if kind == "missing" and draw(st.booleans()):
                 continue
-            v = sc(draw(bodies))
-            if kind == "soul" and draw(st.booleans()):
-                v = v + sample_random("even", 4, draw(st.integers(0, 10**6)), NG)
-            comp[J] = v
+            bodies[J] = draw(_BODIES)
         if kind == "nonfinite":
             J = draw(st.sampled_from(list(spec.indices())))
-            comp[J] = comp[J] + sc(draw(st.sampled_from([math.nan, math.inf, -math.inf])))
-        return SuperJet(spec, NG, comp)
+            bodies[J] = bodies[J] + draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        comp = {J: sc(v) for J, v in bodies.items()}
+        if kind == "soul":
+            for J in comp:
+                if draw(st.booleans()):
+                    comp[J] = comp[J] + sample_random("even", 4, draw(st.integers(0, 10**6)), NG)
+            return SuperJet(spec, NG, comp), None
+        return SuperJet(spec, NG, comp), SuperJet(spec, NG, bodies, real=True)
 
-    return one(), one()
+    (a, ra), (b, rb) = one(), one()
+    return a, b, ra, rb
 
 
 @pytest.mark.parametrize("kind", ["real", "soul", "missing", "nonfinite"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_planned_jets_match_multiplying_through(kind, data):
-    a, b = data.draw(_even_jet_pair(kind))
+    a, b, _, _ = data.draw(_even_jet_pair(kind))
     fn = data.draw(st.sampled_from([SIN, COS, EXP, TANH]))
     assert _exact(jet_apply_analytic, a, fn) == _exact(_apply_reference, a, fn)
     assert _exact(jet_multiply, a, b) == _exact(_multiply_reference, a, b)
+
+
+def _stays_real(f, *args):
+    jet = f(*args)
+    assert jet.floats is not None, f.__name__
+    return jet
+
+
+@pytest.mark.parametrize("kind", ["real", "missing"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_real_jets_give_the_grassmann_bits(kind, data):
+    # the same bodies as floats: every operation that keeps two real jets
+    # real gives the all-Grassmann components, keys and coefficients in order
+    a, b, ra, rb = data.draw(_even_jet_pair(kind))
+    fn = data.draw(st.sampled_from([SIN, COS, EXP, TANH]))
+    k = data.draw(_BODIES)
+    seed = a.spec.seeds[data.draw(st.integers(0, len(a.spec.seeds) - 1))]
+    assert _exact(jet_apply_analytic, a, fn) == _exact(_stays_real, jet_apply_analytic, ra, fn)
+    assert _exact(jet_multiply, a, b) == _exact(_stays_real, jet_multiply, ra, rb)
+    assert _exact(jet_add, a, b) == _exact(_stays_real, jet_add, ra, rb)
+    assert _exact(jet_scale, a, k) == _exact(_stays_real, jet_scale, ra, k)
+    if a.spec.order:
+        assert _exact(jet_partial, a, seed) == _exact(_stays_real, jet_partial, ra, seed)
+
+
+@pytest.mark.parametrize("kind", ["real", "missing"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mixed_operations_give_the_grassmann_bits(kind, data):
+    # a real operand beside a supernumber one: the result is the
+    # all-Grassmann one, from either side and for either kind of factor
+    a, b, ra, rb = data.draw(_even_jet_pair(kind))
+    soul = SuperJet(b.spec, NG, {
+        J: v + sample_random(data.draw(st.sampled_from(["even", "odd"])), 3,
+                             data.draw(st.integers(0, 10**6)), NG)
+        for J, v in b.comp.items()
+    })
+    c = sample_random(data.draw(st.sampled_from(["even", "odd"])), 3,
+                      data.draw(st.integers(0, 10**6)), NG)
+    k = data.draw(_BODIES)
+    for op in (jet_add, jet_multiply):
+        assert _exact(op, a, b) == _exact(op, ra, b) == _exact(op, a, rb)
+        assert _exact(op, a, soul) == _exact(op, ra, soul)
+        assert _exact(op, soul, a) == _exact(op, soul, ra)
+    for factor in (k, c):
+        for left in (False, True):
+            assert _exact(jet_scale, a, factor, left) == _exact(jet_scale, ra, factor, left)
+    assert _exact(lambda: c * a) == _exact(lambda: c * ra)
+    assert _exact(lambda: a * c) == _exact(lambda: ra * c)
+    assert _exact(lambda: a - b) == _exact(lambda: ra - b) == _exact(lambda: a - rb)
+
+
+def _bodies(jet):
+    return jet.floats if jet.floats is not None else {J: v.body for J, v in jet.comp.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_nonfinite_components_stay_nonfinite_on_floats(data):
+    # a float zero times inf is NaN where the algebra drops the empty
+    # product, so a real jet may show NaN where the Grassmann walk has a
+    # finite or absent component; it never shows a finite value where the
+    # Grassmann walk has a non-finite one, and it raises what that raises
+    a, b, ra, rb = data.draw(_even_jet_pair("nonfinite"))
+    fn = data.draw(st.sampled_from([SIN, COS, EXP, TANH]))
+    for op, args, real_args in ((jet_apply_analytic, (a, fn), (ra, fn)),
+                                (jet_multiply, (a, b), (ra, rb)),
+                                (jet_add, (a, b), (ra, rb))):
+        try:
+            want = op(*args)
+        except ValueError as e:
+            with pytest.raises(type(e)):
+                op(*real_args)
+            continue
+        g, r = _bodies(want), _bodies(_stays_real(op, *real_args))
+        for J in set(g) | set(r):
+            if J in g and not math.isfinite(g[J]):
+                assert not math.isfinite(r[J]), (op.__name__, J)
+            if J in r and r[J] == r[J]:
+                assert J in g and r[J] == g[J], (op.__name__, J)
+
+
+def test_float_zero_times_inf_is_nan_where_the_algebra_drops_it():
+    # sin at 0 has f'' = 0: the Grassmann walk drops f''(0) * inf * inf and
+    # keeps f'(0) * 1.0, the float walk sums NaN into that component
+    spec = JetSpec(("x",), 2)
+    grassmann = jet_apply_analytic(SuperJet(spec, NG, {(1,): sc(math.inf), (2,): sc(1.0)}), SIN)
+    real = jet_apply_analytic(SuperJet(spec, NG, {(1,): math.inf, (2,): 1.0}, real=True), SIN)
+    assert grassmann.get((2,)).terms == {0: 1.0}
+    assert math.isnan(real.floats[(2,)])
+    assert real.floats[(1,)] == grassmann.get((1,)).body == math.inf
+
+
+def test_real_jet_comp_is_body_only_supernumbers_in_float_order():
+    # the benchmark tracer reads v.terms of every component of comp
+    bodies = {(0, 2): -1.5, (1, 0): 5e-324, (0, 0): 2.0, (1, 1): math.nan, (0, 1): -0.0}
+    jet = SuperJet(XT, NG, bodies, real=True)
+    assert list(jet.floats) == [(0, 2), (1, 0), (0, 0), (1, 1)]
+    comp = jet.comp
+    assert list(comp) == list(jet.floats)
+    for (J, v), (K, f) in zip(comp.items(), jet.floats.items()):
+        assert J == K and isinstance(v, GrassmannNumber) and v.ngen == NG
+        assert bits(v.terms) == bits({0: f})
+    assert jet.comp is comp and jet.floats is not None
+    assert jet.value().terms == {0: 2.0} and jet.d("t").is_zero()
+    assert all(v.terms.keys() <= {0} for v in jet_apply_analytic(jet, COS).comp.values())
+
+
+def test_even_random_component_makes_no_grassmann_arithmetic(monkeypatch):
+    # an even component of a random superfield is built from real coordinate
+    # jets and real trigonometric profiles: no supernumber is multiplied or
+    # summed until an odd prefactor or a theta slot enters
+    handles = []
+
+    def capture(*args):
+        handles.extend(args[:4])
+        return component_superfield(*args)
+
+    monkeypatch.setattr(superfield, "component_superfield", capture)
+    random_superfield(900, CTX)
+    counts = {"__mul__": 0, "__add__": 0, "__sub__": 0}
+    for name in counts:
+        def counted(a, b, _name=name, _op=getattr(GrassmannNumber, name)):
+            counts[_name] += 1
+            return _op(a, b)
+
+        monkeypatch.setattr(GrassmannNumber, name, counted)
+    for even in (handles[0], handles[3]):
+        for x, t in ((0.3, -0.7), (CTX.scalar(1.1), -0.0)):
+            jet = even(x, t, 2)
+            assert jet.floats is not None and len(jet.floats) == 6
+    assert counts == {"__mul__": 0, "__add__": 0, "__sub__": 0}
 
 
 def test_jet_product_counts(monkeypatch):
@@ -376,4 +523,4 @@ def test_jet_product_counts(monkeypatch):
     calls = 0
     # one b5 superfield at ten points; each first-level D and Q is built once
     list(checks.b5_residuals(checks.covariant_squares, checks.susy_anticommutators)(CTX, 900, 1))
-    assert calls == 1985
+    assert calls == 1025
