@@ -42,8 +42,8 @@ from .grassmann import (
     ParityError,
     worst_of,
 )
-from .odes import NEAR_SINGULAR_COS, NearSingular, check_eps, integrate_two_sided, make_system
-from .reductions import OutOfDomain, build_ansatz, const_profile, profile, zero_profile
+from .odes import NEAR_SINGULAR_COS, REDUCED_ODES, NearSingular, integrate_two_sided, make_system
+from .reductions import build_ansatz, const_profile, profile, zero_profile
 from .superfield import (
     Superfield,
     component_superfield,
@@ -328,42 +328,35 @@ def _check_modulus(k) -> float:
     return k
 
 
+# the reduced equation each integrated entry rides
+_GINV_ODES = {"ginv9": "ginv12", "ginv14": "ginv17"}
+
+
 def _ginv_parts(name: str, p, ctx):
-    eps = check_eps(p["eps"])
-    if eps != -1.0:
-        raise OutOfDomain(
-            "the sn-based background is real only on the eps = -1 branch; "
-            "no catalog entry covers eps = +1"
-        )
+    """(case id, reduced profiles, case parameters) of the integrated entry
+    ``name``; the ODE layer refuses an eps its background does not solve."""
+    ode = _GINV_ODES[name]
+    rec = REDUCED_ODES[ode]
     k = _check_modulus(p["modulus"])
     m = k * k
     half = float(p["halfwidth"])
     step = float(p["step"])
-    on_s8 = name == "ginv14"
-    system = make_system("ginv17" if on_s8 else "ginv12", eps=eps, modulus=k, ctx=ctx)
+    system = make_system(ode, eps=p["eps"], modulus=k, ctx=ctx)
+    eps = float(p["eps"])
     traj = integrate_two_sided(
         system, (float(p["g0"]), float(p["g1"])), -half, half, step, ctx=ctx
     )
-    gfn = _OdeBackedFn(traj, eps, -1.0 if on_s8 else 1.0, k)
-    ffn = _OddQuotientFn(gfn, eps if on_s8 else -1.0, m)
-    odd_name = "mu" if on_s8 else "nu"
-    g = _odd_param(p[odd_name], odd_name, ctx)
+    gfn = _OdeBackedFn(traj, eps, rec.mirror, k)
+    ffn = _OddQuotientFn(gfn, eps, m)
+    g = _odd_param(p[rec.role], rec.role, ctx)
     alpha_fn = TaylorFn(lambda s: (s.apply(JacobiSn(m)) * k).apply(ARCSIN))
     profiles = {
         "alpha": profile(ctx, (1.0, alpha_fn)),
         "eta": profile(ctx, (g, ffn)),
         "lambda": profile(ctx, (g, gfn)),
-        "beta": profile(ctx, (-k if on_s8 else k, JacobiSn(m))),
+        "beta": profile(ctx, (rec.mirror * k, JacobiSn(m))),
     }
-    return ("S8" if on_s8 else "S12"), profiles, {"eps": eps, odd_name: g}
-
-
-def _build_ginv(name: str):
-    def build(p, ctx):
-        case, profiles, params = _ginv_parts(name, p, ctx)
-        return build_ansatz(case, profiles, params=params, ctx=ctx)
-
-    return build
+    return rec.case, profiles, {"eps": eps, rec.role: g}
 
 
 # ------------------------------------------------------- default grids
@@ -426,6 +419,28 @@ def _vacuum_entry(name: str, subalgebra: str) -> SolutionEntry:
         defaults={"k": 1},
         builder=_vacuum_builder,
         grid_fn=_grid_anywhere,
+    )
+
+
+def _ginv_entry(name: str, summary: str, notes: str) -> SolutionEntry:
+    """An integrated entry; its subalgebra, odd constant and grid sign come
+    from the record of the equation it rides."""
+    rec = REDUCED_ODES[_GINV_ODES[name]]
+
+    def build(p, ctx):
+        case, profiles, params = _ginv_parts(name, p, ctx)
+        return build_ansatz(case, profiles, params=params, ctx=ctx)
+
+    return SolutionEntry(
+        name=name,
+        subalgebra=rec.case,
+        tier="ode",
+        summary=summary,
+        domain="sigma in [-halfwidth, halfwidth], eps = -1 only",
+        defaults={**_GINV_DEFAULTS, rec.role: None},
+        builder=build,
+        grid_fn=_grid_ginv(rec.mirror),
+        notes=notes,
     )
 
 
@@ -548,30 +563,18 @@ _register(
     )
 )
 _register(
-    SolutionEntry(
-        name="ginv9",
-        subalgebra="S12",
-        tier="ode",
+    _ginv_entry(
+        "ginv9",
         summary="elliptic background with an integrated odd sector over the "
         "mixed traveling invariant",
-        domain="sigma in [-halfwidth, halfwidth], eps = -1 only",
-        defaults={**_GINV_DEFAULTS, "nu": None},
-        builder=_build_ginv("ginv9"),
-        grid_fn=_grid_ginv(1.0),
         notes="g integrates the damped linear equation; f is its cos-quotient "
         "partner, so both reduced odd rows hold identically at the nodes",
     )
 )
 _register(
-    SolutionEntry(
-        name="ginv14",
-        subalgebra="S8",
-        tier="ode",
+    _ginv_entry(
+        "ginv14",
         summary="mirror entry on the first odd traveling family",
-        domain="sigma in [-halfwidth, halfwidth], eps = -1 only",
-        defaults={**_GINV_DEFAULTS, "mu": None},
-        builder=_build_ginv("ginv14"),
-        grid_fn=_grid_ginv(-1.0),
         notes="the forcing term carries the background slope; dropping it "
         "breaks the first-order odd row and the residual check catches that",
     )
@@ -617,15 +620,10 @@ def default_grid(name: str, params=None, ctx: AlgebraContext = DEFAULT_CONTEXT) 
     return tuple(entry.grid_fn(_merged(entry, params), ctx))
 
 
-def verify_entry(
-    name: str,
-    params=None,
-    grid=None,
-    ctx: AlgebraContext = DEFAULT_CONTEXT,
-) -> EntryCheck:
-    """Worst superfield-equation residual of one entry over its grid."""
+def verify_entry(name: str, params=None, ctx: AlgebraContext = DEFAULT_CONTEXT) -> EntryCheck:
+    """Worst superfield-equation residual of one entry over its default grid."""
     entry = catalog_entry(name)
     f = catalog_solution(name, params, ctx)
-    pts = tuple(grid) if grid is not None else default_grid(name, params, ctx)
+    pts = default_grid(name, params, ctx)
     worst = worst_of(ssg_residual(f, x, t).norm() for x, t in pts)
     return EntryCheck(entry.name, entry.subalgebra, worst, entry.tolerance, len(pts))

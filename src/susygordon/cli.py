@@ -45,11 +45,10 @@ from .grassmann import (
     worst_of,
 )
 from .odes import (
-    ODE_SYSTEM_NAMES,
+    REDUCED_ODES,
     NearSingular,
     OdeSample,
     Trajectory,
-    elliptic_background,
     first_integral_check,
     integrate_profile_ode,
     make_system,
@@ -265,10 +264,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 # solve
 
 
-_ODE_TO_CASE = {"rebp": "S4", "ginv12": "S12", "ginv17": "S8", "d16nu": "S1"}
-_CASE_TO_ODE = {v: k for k, v in _ODE_TO_CASE.items()}
-# generator role that carries the odd profile in each node row
-_ODE_ROLE = {"ginv12": "nu", "ginv17": "mu", "d16nu": "D1"}
 _DEFAULT_RANGES = {
     "rebp": (0.0, 3.0, 1.0 / 256),
     "ginv12": (0.0, 2.0, 1.0 / 64),
@@ -277,46 +272,45 @@ _DEFAULT_RANGES = {
 }
 
 
-def _resolve_solve_target(cfg: RunConfig):
+def _resolve_solve_target(cfg: RunConfig) -> str:
     if cfg.ode is None and cfg.case is None:
         raise UsageError("solve needs --ode or --case")
     ode = cfg.ode
     if ode is None:
-        ode = _CASE_TO_ODE.get(cfg.case)
+        by_case = {rec.case: name for name, rec in REDUCED_ODES.items()}
+        ode = by_case.get(cfg.case)
         if ode is None:
             raise UsageError(
                 f"no integrated equation attached to case {cfg.case!r}; "
-                f"have {sorted(_CASE_TO_ODE)}"
+                f"have {sorted(by_case)}"
             )
-    if ode not in _ODE_TO_CASE:
-        raise UsageError(f"unknown ode {ode!r}; have {sorted(_ODE_TO_CASE)}")
-    case_id = _ODE_TO_CASE[ode]
+    if ode not in REDUCED_ODES:
+        raise UsageError(f"unknown ode {ode!r}; have {sorted(REDUCED_ODES)}")
+    case_id = REDUCED_ODES[ode].case
     if cfg.case is not None and cfg.case != case_id:
         raise UsageError(f"ode {ode!r} reduces case {case_id!r}, not {cfg.case!r}")
-    return ode, case_id
+    return ode
 
 
-def _ginv_node_row(ode, case_id, sample, bg, eps, modulus, ctx):
+def _ginv_node_row(system, sample, eps, modulus, ctx):
     """Reduced-row values at one trajectory node.
 
     The integrated profile rides the third expansion slot; its quotient
     partner (scaled derivative over dn) rides the second.  Derivatives of
     the quotient come from the product and quotient rules over the same
     elliptic data, so every number in the rows shares one source: the
-    ``jacobi`` triple of the background ``bg`` at the node.  Called right
-    after the node is marched, ``bg`` answers from its memo.
+    ``jacobi`` triple of the system's background at the node.  Called right
+    after the node is marched, the background answers from its memo.
     """
+    rec = REDUCED_ODES[system.name]
     k = modulus
     m = k * k
-    tr = bg(sample.sigma)["jacobi"]
+    tr = system.background(sample.sigma)["jacobi"]
     z = ctx.zero()
-    on_s8 = case_id == "S8"
-    scale = eps if on_s8 else -1.0
-    role = _ODE_ROLE[ode]
-    g_ = ctx.gen(role)
+    g_ = ctx.gen(rec.role)
     dn1 = -m * tr.sn * tr.cn
-    f0 = (sample.d1 * scale) * (1.0 / tr.dn)
-    f1 = (sample.d2 * tr.dn - sample.d1 * dn1) * (scale / tr.dn ** 2)
+    f0 = (sample.d1 * eps) * (1.0 / tr.dn)
+    f1 = (sample.d2 * tr.dn - sample.d1 * dn1) * (eps / tr.dn ** 2)
     alpha = math.asin(k * tr.sn)
     pv = {
         "alpha": [
@@ -326,24 +320,25 @@ def _ginv_node_row(ode, case_id, sample, bg, eps, modulus, ctx):
         ],
         "eta": [g_ * f0, g_ * f1, z],
         "lambda": [g_ * sample.value, g_ * sample.d1, g_ * sample.d2],
-        "beta": [ctx.scalar((-k if on_s8 else k) * tr.sn), z, z],
+        "beta": [ctx.scalar(rec.mirror * k * tr.sn), z, z],
     }
-    rows = CASES[case_id].equations(
-        pv, ctx.scalar(sample.sigma), {"eps": eps, role: g_}, ctx
+    rows = CASES[rec.case].equations(
+        pv, ctx.scalar(sample.sigma), {"eps": eps, rec.role: g_}, ctx
     )
     return rows, alpha, sample.value.body, f0.body
 
 
 def _d16_node_row(sample, ctx):
+    rec = REDUCED_ODES["d16nu"]
     z = ctx.zero()
-    g_ = ctx.gen(_ODE_ROLE["d16nu"])
+    g_ = ctx.gen(rec.role)
     pv = {
         "alpha": [z, z, z],
         "mu": [g_ * sample.d1, g_ * sample.d2, z],
         "nu": [g_ * sample.value, g_ * sample.d1, z],
         "beta": [z, z, z],
     }
-    rows = CASES["S1"].equations(pv, ctx.scalar(sample.sigma), {}, ctx)
+    rows = CASES[rec.case].equations(pv, ctx.scalar(sample.sigma), {}, ctx)
     return rows, 0.0, sample.value.body, sample.d1.body
 
 
@@ -360,12 +355,12 @@ def _rebp_node_row(sample, eps, k0, ctx):
     return rows, sample.value.body, None, None
 
 
-def _node_row(ode, case_id, sample, bg, cfg, ctx):
-    if ode == "rebp":
+def _node_row(system, sample, cfg, ctx):
+    if system.background is not None:
+        return _ginv_node_row(system, sample, cfg.eps, cfg.modulus, ctx)
+    if system.name == "rebp":
         return _rebp_node_row(sample, cfg.eps, cfg.k0, ctx)
-    if ode == "d16nu":
-        return _d16_node_row(sample, ctx)
-    return _ginv_node_row(ode, case_id, sample, bg, cfg.eps, cfg.modulus, ctx)
+    return _d16_node_row(sample, ctx)
 
 
 def _format_cell(v) -> str:
@@ -375,8 +370,8 @@ def _format_cell(v) -> str:
 def cmd_solve(cfg: RunConfig) -> int:
     if cfg.fmt not in (None, "csv"):
         raise UsageError("solve writes CSV trajectories only")
-    ode, case_id = _resolve_solve_target(cfg)
-    role = _ODE_ROLE.get(ode)
+    ode = _resolve_solve_target(cfg)
+    role = REDUCED_ODES[ode].role
     if role is not None and cfg.generators <= DEFAULT_ROLES[role]:
         raise UsageError(
             f"ode {ode!r} needs at least {DEFAULT_ROLES[role] + 1} generators, "
@@ -391,11 +386,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise UsageError(f"empty or ragged range {lo}:{hi}:{step}")
     ctx = cfg.context()
     try:
-        # the ginv node rows read the march's background memo
-        bg = elliptic_background(cfg.modulus) if ode in ("ginv12", "ginv17") else None
-        system = make_system(
-            ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus, background=bg, ctx=ctx
-        )
+        system = make_system(ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus, ctx=ctx)
     except ValueError as exc:  # eps or modulus out of the system's range
         raise UsageError(str(exc)) from None
 
@@ -410,7 +401,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     def take(node):
         samples.append(node)
         try:
-            rows, alpha, gval, fval = _node_row(ode, case_id, node, bg, cfg, ctx)
+            rows, alpha, gval, fval = _node_row(system, node, cfg, ctx)
         except SingularPoint:
             flagged.append((node.sigma, node.sigma))
             lines.append(f"{node.sigma!r},,,,,")
@@ -455,7 +446,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     passed = emitted > 0 and worst_of((worst_body, worst_soul)) <= tol
     summary = {
         "ode": ode,
-        "case": case_id,
+        "case": REDUCED_ODES[ode].case,
         "range": [lo, hi, step],
         "samples": emitted,
         "max_residual_body": worst_body,
@@ -588,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="integrate a reduced profile equation", **unset)
     ps.add_argument("--case", help="reduction case the equation belongs to")
-    ps.add_argument("--ode", choices=ODE_SYSTEM_NAMES)
+    ps.add_argument("--ode", choices=tuple(REDUCED_ODES))
     ps.add_argument("--range", dest="range_spec", metavar="LO:HI:STEP")
     ps.add_argument("--ics", metavar="VALUE,DERIV",
                     help="initial data at the range start")

@@ -21,15 +21,20 @@ Four systems, by selector id:
   d16nu   damped odd profile of the scaling reduction over the
           background a = 0, y'' = -y'/(2s) - y/s
 
-Each ginv system keeps the elliptic background of the last sigma it was
-asked for, so one RK4 step evaluates ``jacobi`` at its midpoint and its
-endpoint only.  The float march and the Grassmann march of the same real
-data give the same bits: every sum and product happens in the same order,
-and a float zero leaves the march as the empty number.  That holds while
-the state is finite.  At a non-finite state the two can part: a Grassmann
-product with an exact zero drops an inf or NaN that float arithmetic turns
-into NaN (ginv12 at sigma = 0 from data (inf, inf) has d2 = -inf in the
-algebra and NaN on floats).
+``REDUCED_ODES`` holds what the rest of the program knows of each system:
+its reduction case, the generator of its odd profile, and the mirror sign
+of ginv12 (+1) and ginv17 (-1).  The background a = arcsin(k sn) solves the
+reduced even rows at eps = -1 only, so a ginv system refuses eps = +1 with
+``OutOfDomain``.  A ginv system carries its background, which keeps the
+values of the last sigma it was asked for: one RK4 step evaluates
+``jacobi`` at its midpoint and its endpoint only, and a caller that reads
+the node just marched is answered from the memo.  The float march and the
+Grassmann march of the same real data give the same bits: every sum and
+product happens in the same order, and a float zero leaves the march as the
+empty number.  That holds while the state is finite.  At a non-finite
+state the two can part: a Grassmann product with an exact zero drops an inf
+or NaN that float arithmetic turns into NaN (ginv12 at sigma = 0 from data
+(inf, inf) has d2 = -inf in the algebra and NaN on floats).
 """
 
 from __future__ import annotations
@@ -51,7 +56,25 @@ from .grassmann import (
     worst_of,
 )
 
-ODE_SYSTEM_NAMES = ("rebp", "ginv12", "ginv17", "d16nu")
+
+@dataclass(frozen=True)
+class ReducedOde:
+    """One reduced equation's place among the reductions: its case, the
+    generator that carries its odd profile in a node row, and, over the
+    elliptic background only, the mirror sign of its forcing term, of
+    beta = mirror*k*sn and of the catalog grid's sigma."""
+
+    case: str
+    role: str | None = None
+    mirror: float | None = None
+
+
+REDUCED_ODES = {
+    "rebp": ReducedOde("S4"),
+    "ginv12": ReducedOde("S12", "nu", 1.0),
+    "ginv17": ReducedOde("S8", "mu", -1.0),
+    "d16nu": ReducedOde("S1", "D1"),
+}
 
 # |cos(alpha)| = |dn| below which the elliptic background counts as singular:
 # tan(alpha) and the quotient partner g'/dn blow up there
@@ -62,6 +85,10 @@ class NearSingular(RuntimeError):
     """A coefficient of the equation blows up inside the requested range."""
 
 
+class OutOfDomain(ValueError):
+    """The construction is not defined at the requested point or parameters."""
+
+
 Rhs = Callable[[float, GrassmannNumber, GrassmannNumber], GrassmannNumber]
 
 
@@ -70,6 +97,7 @@ class OdeSystem:
     name: str
     rhs: Rhs
     energy: Rhs | None = None
+    background: Callable[[float], dict] | None = None  # what the rhs reads
 
 
 @dataclass(frozen=True)
@@ -88,14 +116,14 @@ class Trajectory:
     def grid(self):
         return [s.sigma for s in self.samples]
 
-    def at(self, sigma: float, tol: float = 1e-9) -> OdeSample:
+    def at(self, sigma: float) -> OdeSample:
         sigmas = self.grid()
         i = bisect_left(sigmas, sigma)
         best = min(
             (j for j in (i - 1, i, i + 1) if 0 <= j < len(sigmas)),
             key=lambda j: abs(sigmas[j] - sigma),
         )
-        if abs(sigmas[best] - sigma) > tol:
+        if abs(sigmas[best] - sigma) > 1e-9:
             raise KeyError(f"no trajectory node near sigma={sigma}")
         return self.samples[best]
 
@@ -192,34 +220,33 @@ def elliptic_background(modulus: float) -> Callable[[float], dict]:
 
 
 def odd_profile_system(
-    name: str,
-    eps,
-    modulus,
-    ctx: AlgebraContext = DEFAULT_CONTEXT,
-    *,
-    background: Callable[[float], dict] | None = None,
+    name: str, eps, modulus, ctx: AlgebraContext = DEFAULT_CONTEXT
 ) -> OdeSystem:
     """The two linear odd-sector equations over the elliptic background.
 
-    They differ only in the sign of the inhomogeneous term: "ginv12" drives
-    with +eps cos(a) a', "ginv17" with -eps cos(a) a'.  A caller that reads
-    the background at the march's nodes passes its own
-    ``elliptic_background(modulus)`` and shares the memo.
+    They differ only in the sign of the inhomogeneous term, the record's
+    mirror: "ginv12" drives with +eps cos(a) a', "ginv17" with -eps cos(a) a'.
+    The background a = arcsin(k sn) has a'' = -sin a cos a while the reduced
+    even rows ask a'' = eps sin a cos a, so eps = +1 is out of its domain.
     """
-    if name not in ("ginv12", "ginv17"):
+    mirror = REDUCED_ODES[name].mirror if name in REDUCED_ODES else None
+    if mirror is None:
         raise ValueError(f"unknown odd-profile system {name!r}")
     eps = check_eps(eps)
-    force = 1.0 if name == "ginv12" else -1.0
-    bg = background or elliptic_background(modulus)
+    if eps != -1.0:
+        raise OutOfDomain(
+            f"the background arcsin(k sn) solves the reduced rows at eps = -1 only, got {eps}"
+        )
+    bg = elliptic_background(modulus)
 
     def rhs(sig, y, d1):
         b = bg(sig)
         c = b["cos_alpha"]
         fric = b["sin_alpha"] * b["alpha_d1"] / c
-        drive = force * eps * c * b["alpha_d1"]
+        drive = mirror * eps * c * b["alpha_d1"]
         return d1 * (-fric) + y * (eps * c * c) + drive
 
-    return OdeSystem(name, rhs)
+    return OdeSystem(name, rhs, background=bg)
 
 
 def scaling_odd_system(ctx: AlgebraContext = DEFAULT_CONTEXT) -> OdeSystem:
@@ -239,17 +266,18 @@ def make_system(
     eps=-1.0,
     coupling=0.0,
     modulus=0.7,
-    background=None,
     ctx: AlgebraContext = DEFAULT_CONTEXT,
 ) -> OdeSystem:
-    """The system ``name``; each builder ignores the keywords it does not take."""
+    """The system ``name``; each builder ignores the keywords it does not take,
+    and is looked up as a module global, so a wrapper bound over it sees
+    every system made here."""
+    if name not in REDUCED_ODES:
+        raise ValueError(f"unknown system {name!r}; have {tuple(REDUCED_ODES)}")
+    if REDUCED_ODES[name].mirror is not None:
+        return odd_profile_system(name, eps, modulus, ctx)
     if name == "rebp":
         return traveling_profile_system(eps, coupling, ctx)
-    if name in ("ginv12", "ginv17"):
-        return odd_profile_system(name, eps, modulus, ctx, background=background)
-    if name == "d16nu":
-        return scaling_odd_system(ctx)
-    raise ValueError(f"unknown system {name!r}; have {ODE_SYSTEM_NAMES}")
+    return scaling_odd_system(ctx)
 
 
 # --------------------------------------------------------------- integration
@@ -321,17 +349,16 @@ def integrate_two_sided(
     hi: float,
     step: float,
     *,
-    origin: float = 0.0,
     ctx: AlgebraContext = DEFAULT_CONTEXT,
 ) -> Trajectory:
-    """One trajectory over [lo, hi] with the initial data posed at origin."""
-    if not lo <= origin <= hi:
-        raise ValueError(f"origin {origin} outside [{lo}, {hi}]")
+    """One trajectory over [lo, hi] with the initial data posed at 0."""
+    if not lo <= 0.0 <= hi:
+        raise ValueError(f"origin 0 outside [{lo}, {hi}]")
     parts = []
-    if lo < origin:
-        parts.append(integrate_profile_ode(system, ics, origin, lo, step, ctx=ctx).samples[:-1])
-    if origin < hi:
-        parts.append(integrate_profile_ode(system, ics, origin, hi, step, ctx=ctx).samples)
+    if lo < 0.0:
+        parts.append(integrate_profile_ode(system, ics, 0.0, lo, step, ctx=ctx).samples[:-1])
+    if 0.0 < hi:
+        parts.append(integrate_profile_ode(system, ics, 0.0, hi, step, ctx=ctx).samples)
     if not parts:
         raise ValueError("empty integration range")
     samples = [s for chunk in parts for s in chunk]

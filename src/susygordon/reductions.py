@@ -39,7 +39,7 @@ from .grassmann import (
     soul_derivs,
     worst_of,
 )
-from .odes import check_eps
+from .odes import OutOfDomain, check_eps
 from .superalgebra import AlgebraElement, subalgebra
 from .superfield import (
     Superfield,
@@ -58,10 +58,6 @@ from .superjet import (
 
 class SingularPoint(ValueError):
     """A reduced equation was evaluated where one of its terms blows up."""
-
-
-class OutOfDomain(ValueError):
-    """The ansatz is not defined at the requested base point."""
 
 
 # --------------------------------------------------------------------------
@@ -138,12 +134,7 @@ def _random_fn(rng: random.Random) -> TrigPoly:
     return TrigPoly(waves=waves, poly=poly)
 
 
-def random_reduction_profiles(
-    case,
-    rng_seed,
-    ctx: AlgebraContext = DEFAULT_CONTEXT,
-    gens=("D1", "D2", "mu0", "lambda0"),
-) -> dict:
+def random_reduction_profiles(case, rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> dict:
     """Smooth random profiles with the right parities for the case's slots.
 
     Odd slots get one linear generator plus one cubic product so that
@@ -152,7 +143,7 @@ def random_reduction_profiles(
     """
     case = reduction_case(case)
     rng = random.Random(rng_seed)
-    g = [ctx.gen(r) for r in gens]
+    g = [ctx.gen(r) for r in ("D1", "D2", "mu0", "lambda0")]
     pair = g[0] * g[1]
     triple1 = g[0] * g[1] * g[2]
     triple2 = g[1] * g[2] * g[3]

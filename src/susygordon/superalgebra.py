@@ -177,23 +177,22 @@ def adjoint_closed_form(Y: AlgebraElement, X: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(zero, new_Px, new_Pt, new_Qx, new_Qt)
 
 
-def solve_conjugation_to_L(
-    V: AlgebraElement, max_iter: int = 12, tol: float = 1e-12
-) -> tuple[AlgebraElement, float]:
+def solve_conjugation_to_L(V: AlgebraElement) -> tuple[AlgebraElement, float]:
     """Find Y in the ideal with Ad_exp(Y) V proportional to L.
 
     Newton iteration on the four ideal slots of the adjoint image, with
     the diagonal of the linearized system ([Y, L] shifts m, n, eta, lam
     by -2m, 2n, -eta, lam).  Converges in a couple of steps because the
-    remaining couplings are nilpotent.
+    remaining couplings are nilpotent; it stops once the residual falls
+    below 1e-12, or after 12 steps with the residual reached.
     """
     ctx_zero = GrassmannNumber(V.c_L.ngen)
     Y = AlgebraElement(ctx_zero, ctx_zero, ctx_zero, ctx_zero, ctx_zero)
     res = float("inf")
-    for _ in range(max_iter):
+    for _ in range(12):
         img = adjoint_exp(Y, V)
         res = max(img.c_Px.norm(), img.c_Pt.norm(), img.c_Qx.norm(), img.c_Qt.norm())
-        if res < tol:
+        if res < 1e-12:
             break
         Y = AlgebraElement(
             ctx_zero,

@@ -61,13 +61,9 @@ class SuperfieldValueBundle:
     d_t: GrassmannNumber
     d_th1: GrassmannNumber
     d_th2: GrassmannNumber
-    d_xx: GrassmannNumber
     d_xt: GrassmannNumber
-    d_tt: GrassmannNumber
-    d_xth1: GrassmannNumber
     d_xth2: GrassmannNumber
     d_tth1: GrassmannNumber
-    d_tth2: GrassmannNumber
     d_th1th2: GrassmannNumber
 
 
@@ -105,13 +101,9 @@ def evaluate_bundle(f: Superfield, x, t) -> SuperfieldValueBundle:
         d_t=jet.d("t"),
         d_th1=dth1(v),
         d_th2=dth2(v),
-        d_xx=jet.d("x", "x"),
         d_xt=jet.d("x", "t"),
-        d_tt=jet.d("t", "t"),
-        d_xth1=dth1(jet.d("x")),
         d_xth2=dth2(jet.d("x")),
         d_tth1=dth1(jet.d("t")),
-        d_tth2=dth2(jet.d("t")),
         d_th1th2=dth2(dth1(v)),
     )
 

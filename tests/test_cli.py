@@ -9,6 +9,7 @@ import math
 import pytest
 
 from susygordon import cli, elliptic, grassmann, odes, reductions, superjet
+from susygordon.catalog import _ginv_parts, catalog_entry
 from susygordon.checks import _entry
 from susygordon.cli import Report, RunConfig, _emit, _render_json, _run_checks, main
 from susygordon.odes import integrate_profile_ode, make_system
@@ -329,6 +330,8 @@ def test_solve_generator_floor(tmp_path, capsys):
 @pytest.mark.parametrize("ode,range_spec,column", [
     ("rebp", "0:1:0.0625", "alpha"),
     ("ginv12", "0:0.5:0.03125", "g"),
+    ("ginv17", "0:0.5:0.03125", "g"),
+    ("d16nu", "0.25:0.75:0.03125", "g"),
 ])
 def test_solve_march_matches_one_integration(ode, range_spec, column, tmp_path, capsys):
     # solve marches one node at a time; over a dyadic range its nodes are
@@ -344,6 +347,25 @@ def test_solve_march_matches_one_integration(ode, range_spec, column, tmp_path, 
     traj = integrate_profile_ode(make_system(ode, ctx=ctx), (0.0, 1.0), lo, hi, step, ctx=ctx)
     assert [r["sigma"] for r in rows] == [repr(s.sigma) for s in traj.samples]
     assert [r[column] for r in rows] == [repr(s.value.body) for s in traj.samples]
+
+
+@pytest.mark.parametrize("entry,ode", [("ginv9", "ginv12"), ("ginv14", "ginv17")])
+def test_integrated_entry_has_the_nodes_of_the_default_solve(entry, ode, tmp_path, capsys):
+    # the catalog entry and solve read one record of the equation: over
+    # [0, 2] the entry's trajectory nodes are the solve's g column, bit for bit
+    target = tmp_path / "traj.csv"
+    code, _, _ = run_cli(["solve", "--ode", ode, "--out", str(target)], capsys)
+    assert code == 0
+    with open(target, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    defaults = dict(catalog_entry(entry).defaults)
+    _, profiles, _ = _ginv_parts(entry, defaults, grassmann.DEFAULT_CONTEXT)
+    traj = profiles["lambda"].terms[0][1].traj
+    nodes = [s for s in traj.samples if 0.0 <= s.sigma <= 2.0]
+    assert len(nodes) == len(rows) == 129
+    assert [(r["sigma"], r["g"]) for r in rows] == [
+        (repr(s.sigma), repr(s.value.body)) for s in nodes
+    ]
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -440,8 +462,8 @@ def test_solve_negative_zero_data_give_the_bytes_of_zero_data(ode, ics, tmp_path
 def test_solve_nan_residual_fails(monkeypatch, capsys):
     real = cli._node_row
 
-    def poisoned(ode, case_id, sample, bg, cfg, ctx):
-        rows, *rest = real(ode, case_id, sample, bg, cfg, ctx)
+    def poisoned(system, sample, cfg, ctx):
+        rows, *rest = real(system, sample, cfg, ctx)
         if sample.sigma >= 1.0:  # a NaN row behind finite ones
             rows = list(rows) + [ctx.scalar(math.nan)]
         return (rows, *rest)
@@ -458,6 +480,8 @@ def test_solve_nan_residual_fails(monkeypatch, capsys):
     ["--ode", "rebp", "--range", "nan:1:0.5"],
     ["--ode", "rebp", "--eps", "0.5"],
     ["--ode", "ginv12", "--modulus", "1.5"],
+    ["--ode", "ginv12", "--eps", "1"],
+    ["--ode", "ginv17", "--eps", "1"],
     ["--ode", "rebp", "--ics", "nan,0"],
     ["--ode", "rebp", "--K0", "inf"],
 ])

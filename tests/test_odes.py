@@ -7,11 +7,13 @@ import threading
 
 import pytest
 
+from susygordon import odes
 from susygordon.elliptic import ellipk, jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
 from susygordon.grassmann import GrassmannNumber
 from susygordon.odes import (
     NearSingular,
+    OutOfDomain,
     drift_ratio,
     elliptic_background,
     energy_drifts,
@@ -257,6 +259,39 @@ def test_system_registry_and_validation():
         first_integral_check(
             integrate_profile_ode(make_system("d16nu"), (0, 1), 1.0, 2.0, 0.5)
         )
+
+
+@pytest.mark.parametrize("name,builder", [
+    ("rebp", "traveling_profile_system"),
+    ("ginv12", "odd_profile_system"),
+    ("ginv17", "odd_profile_system"),
+    ("d16nu", "scaling_odd_system"),
+])
+def test_make_system_reaches_its_builder_through_the_module_globals(name, builder, monkeypatch):
+    # a wrapper bound over the module name sees every system make_system makes
+    calls = []
+    real = getattr(odes, builder)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(odes, builder, counted)
+    assert make_system(name).name == name
+    assert calls == [name]
+
+
+@pytest.mark.parametrize("name", ["ginv12", "ginv17"])
+def test_background_systems_take_eps_minus_one_only(name):
+    # arcsin(k sn) solves the reduced even rows at eps = -1 only
+    system = odd_profile_system(name, -1.0, 0.7)
+    assert system.background is not None
+    with pytest.raises(OutOfDomain, match="eps = -1"):
+        odd_profile_system(name, 1.0, 0.7)
+    with pytest.raises(OutOfDomain, match="eps = -1"):
+        make_system(name, eps=1.0)
+    assert make_system("rebp", eps=1.0).background is None
+    assert make_system("d16nu", eps=1.0).background is None
 
 
 def _background_bits(values):
