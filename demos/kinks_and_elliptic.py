@@ -13,7 +13,6 @@ command line does.
 import math
 
 from susygordon import (
-    DEFAULT_CONTEXT as CTX,
     catalog_names,
     first_integral_check,
     integrate_profile_ode,
@@ -24,15 +23,15 @@ from susygordon import (
 from susygordon.odes import drift_ratio
 
 print("== kink vs integrator ==")
-system = make_system("rebp", eps=-1.0, ctx=CTX)
-traj = integrate_profile_ode(system, (0.0, 1.0), 0.0, 3.0, 1.0 / 256, ctx=CTX)
+system = make_system("rebp", eps=-1.0)
+traj = integrate_profile_ode(system, (0.0, 1.0), 0.0, 3.0, 1.0 / 256)
 worst = max(
-    abs(s.value.body - math.asin(math.tanh(s.sigma)))
+    abs(s.value - math.asin(math.tanh(s.sigma)))
     for s in traj.samples
 )
 print(f"  max |numeric - arcsin(tanh)| over [0,3]: {worst:.2e}")
 print(f"  energy drift along the run:              {first_integral_check(traj):.2e}")
-ratio = drift_ratio(system, (0.3, 0.9), 0.0, 3.0, 0.1, ctx=CTX)
+ratio = drift_ratio(system, (0.3, 0.9), 0.0, 3.0, 0.1)
 print(f"  drift ratio when halving the step:       {ratio:.1f}  (16 = 4th order)")
 
 print()

@@ -283,7 +283,7 @@ class _OdeBackedFn:
         if n > 4:
             raise ValueError("the equation closes derivatives up to order 4 only")
         s = self.traj.at(x)
-        out = [s.value.body, s.d1.body, s.d2.body]
+        out = [s.value, s.d1, s.d2]
         if n <= 2:
             return out[: n + 1]
         fd, dd, cd = self._coeff_series(x, n - 2)
@@ -321,31 +321,23 @@ class _OddQuotientFn:
         return ((num / den) * self.scale).derivs()
 
 
-def _check_modulus(k) -> float:
-    k = float(k)
-    if not 0.0 < abs(k) < 1.0:
-        raise ValueError(f"modulus must satisfy 0 < |k| < 1, got {k}")
-    return k
-
-
 # the reduced equation each integrated entry rides
 _GINV_ODES = {"ginv9": "ginv12", "ginv14": "ginv17"}
 
 
 def _ginv_parts(name: str, p, ctx):
     """(case id, reduced profiles, case parameters) of the integrated entry
-    ``name``; the ODE layer refuses an eps its background does not solve."""
+    ``name``; the ODE layer refuses an eps or a modulus its background does
+    not take."""
     ode = _GINV_ODES[name]
     rec = REDUCED_ODES[ode]
-    k = _check_modulus(p["modulus"])
+    k = float(p["modulus"])
     m = k * k
     half = float(p["halfwidth"])
     step = float(p["step"])
-    system = make_system(ode, eps=p["eps"], modulus=k, ctx=ctx)
+    system = make_system(ode, eps=p["eps"], modulus=k)
     eps = float(p["eps"])
-    traj = integrate_two_sided(
-        system, (float(p["g0"]), float(p["g1"])), -half, half, step, ctx=ctx
-    )
+    traj = integrate_two_sided(system, (float(p["g0"]), float(p["g1"])), -half, half, step)
     gfn = _OdeBackedFn(traj, eps, rec.mirror, k)
     ffn = _OddQuotientFn(gfn, eps, m)
     g = _odd_param(p[rec.role], rec.role, ctx)

@@ -480,18 +480,18 @@ def ladder_residuals(ctx, base, count):
 
 def traveling_drifts(ctx, base, count):
     """First-integral drift at every node of the traveling profile."""
-    system = make_system("rebp", eps=-1.0, ctx=ctx)
-    return energy_drifts(integrate_profile_ode(system, (0.0, 1.0), 0.0, 3.0, 1.0 / 256, ctx=ctx))
+    system = make_system("rebp", eps=-1.0)
+    return energy_drifts(integrate_profile_ode(system, (0.0, 1.0), 0.0, 3.0, 1.0 / 256))
 
 
-def rk4_ratio(ctx) -> float:
+def rk4_ratio() -> float:
     """Drift at step h over drift at h/2 on the traveling profile; ~16 for RK4."""
-    system = make_system("rebp", eps=-1.0, ctx=ctx)
-    return drift_ratio(system, (0.3, 0.9), 0.0, 3.0, 0.1, ctx=ctx)
+    system = make_system("rebp", eps=-1.0)
+    return drift_ratio(system, (0.3, 0.9), 0.0, 3.0, 0.1)
 
 
 def rk4_residuals(ctx, base, count):
-    return (abs(rk4_ratio(ctx) - 16.0),)
+    return (abs(rk4_ratio() - 16.0),)
 
 
 # --------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def _ginv_node_row(system, sample, eps, modulus, ctx):
     rows = CASES[rec.case].equations(
         pv, ctx.scalar(sample.sigma), {"eps": eps, rec.role: g_}, ctx
     )
-    return rows, alpha, sample.value.body, f0.body
+    return rows, alpha, sample.value + 0.0, f0 + 0.0
 
 
 def _d16_node_row(sample, ctx):
@@ -339,23 +339,31 @@ def _d16_node_row(sample, ctx):
         "beta": [z, z, z],
     }
     rows = CASES[rec.case].equations(pv, ctx.scalar(sample.sigma), {}, ctx)
-    return rows, 0.0, sample.value.body, sample.d1.body
+    return rows, 0.0, sample.value + 0.0, sample.d1 + 0.0
 
 
 def _rebp_node_row(sample, eps, k0, ctx):
     z = ctx.zero()
-    sin_y = apply_analytic(SIN, sample.value)
+    # apply_analytic and the rewrite rows take supernumbers
+    alpha = [ctx.lift(v) for v in (sample.value, sample.d1, sample.d2)]
+    sin_y = apply_analytic(SIN, alpha[0])
     pv = {
-        "alpha": [sample.value, sample.d1, sample.d2],
+        "alpha": alpha,
         "mu": [z, z, z],
         "nu": [z, z, z],
         "beta": [sin_y * -1.0, z, z],
     }
     rows = traveling_rewrite_rows(pv, eps, constant=ctx.scalar(k0))
-    return rows, sample.value.body, None, None
+    return rows, sample.value + 0.0, None, None
 
 
 def _node_row(system, sample, cfg, ctx):
+    """(rows, alpha, g, f) at one node of a real march.
+
+    A cell of the marched profile adds 0.0, so a zero of either sign prints
+    as 0.0, the bytes solve reports have always had; a ginv row's alpha is
+    the background's own and keeps its sign.
+    """
     if system.background is not None:
         return _ginv_node_row(system, sample, cfg.eps, cfg.modulus, ctx)
     if system.name == "rebp":
@@ -386,7 +394,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise UsageError(f"empty or ragged range {lo}:{hi}:{step}")
     ctx = cfg.context()
     try:
-        system = make_system(ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus, ctx=ctx)
+        system = make_system(ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus)
     except ValueError as exc:  # eps or modulus out of the system's range
         raise UsageError(str(exc)) from None
 
@@ -417,7 +425,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     y, d = float(cfg.ics[0]), float(cfg.ics[1])
     try:
-        node = OdeSample(lo, ctx.scalar(y), ctx.scalar(d), ctx.scalar(system.rhs(lo, y, d)))
+        node = OdeSample(lo, y, d, system.rhs(lo, y, d))
     except NearSingular:
         flagged.append((lo, hi))
     else:
@@ -426,9 +434,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             s0 = lo + i * step
             s1 = lo + (i + 1) * step
             try:
-                leg = integrate_profile_ode(
-                    system, (node.value.body, node.d1.body), s0, s1, step, ctx=ctx
-                )
+                leg = integrate_profile_ode(system, (node.value, node.d1), s0, s1, step)
             except NearSingular:
                 flagged.append((s0, hi))
                 break
@@ -443,7 +449,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     drift = None
     if system.energy is not None and len(samples) >= 2:
         drift = first_integral_check(Trajectory(system, samples))
-    passed = emitted > 0 and worst_of((worst_body, worst_soul)) <= tol
+    # a drift that overflowed is no measurement; its JSON null reads as none
+    passed = (
+        emitted > 0
+        and worst_of((worst_body, worst_soul)) <= tol
+        and (drift is None or math.isfinite(drift))
+    )
     summary = {
         "ode": ode,
         "case": REDUCED_ODES[ode].case,

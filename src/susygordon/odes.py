@@ -1,14 +1,16 @@
 """Reduced profile equations integrated as explicit second-order ODEs.
 
 Each system is y'' = f(sigma, y, y') for one profile along the real
-reduction variable, stepped with classical RK4.  The state keeps the type
-of its initial data: real data march on Python floats, and supernumber
-data march as Grassmann numbers, so a nilpotent constant in the initial
-data propagates exactly alongside the float body.  A nilpotent constant in
-the equation (the rebp coupling K0) lifts a real state into the algebra at
-its first rhs call.  Either way every sample leaves the march as Grassmann
-numbers, and keeps the second derivative evaluated from the equation
-itself, which gives order-2 jet data at the nodes without any differencing.
+reduction variable, stepped with classical RK4.  The march keeps the type
+of its data, in its state and in its samples: real data march on Python
+floats and leave it as floats, and supernumber data march as Grassmann
+numbers of their own algebra, so a nilpotent constant in the initial data
+propagates exactly alongside the float body.  A nilpotent constant in the
+equation (the rebp coupling K0) lifts a real state into the algebra at its
+first rhs call, so the first sample of such a march keeps a float value
+and d1 beside a supernumber d2.  Every sample keeps the second derivative
+evaluated from the equation itself, which gives order-2 jet data at the
+nodes without any differencing.
 
 Four systems, by selector id:
 
@@ -29,12 +31,12 @@ reduced even rows at eps = -1 only, so a ginv system refuses eps = +1 with
 values of the last sigma it was asked for: one RK4 step evaluates
 ``jacobi`` at its midpoint and its endpoint only, and a caller that reads
 the node just marched is answered from the memo.  The float march and the
-Grassmann march of the same real data give the same bits: every sum and
-product happens in the same order, and a float zero leaves the march as the
-empty number.  That holds while the state is finite.  At a non-finite
-state the two can part: a Grassmann product with an exact zero drops an inf
-or NaN that float arithmetic turns into NaN (ginv12 at sigma = 0 from data
-(inf, inf) has d2 = -inf in the algebra and NaN on floats).
+Grassmann march of the same real data give the same bits once the float
+samples are lifted: every sum and product happens in the same order.  That
+holds while the state is finite.  At a non-finite state the two can part:
+a Grassmann product with an exact zero drops an inf or NaN that float
+arithmetic turns into NaN (ginv12 at sigma = 0 from data (inf, inf) has
+d2 = -inf in the algebra and NaN on floats).
 """
 
 from __future__ import annotations
@@ -46,15 +48,7 @@ from typing import Callable
 
 from .analytic import COS, SIN
 from .elliptic import jacobi
-from .grassmann import (
-    DEFAULT_CONTEXT,
-    AlgebraContext,
-    GrassmannNumber,
-    apply_analytic,
-    demote,
-    scalar,
-    worst_of,
-)
+from .grassmann import GrassmannNumber, apply_analytic, demote, scalar, worst_of
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,9 @@ class OutOfDomain(ValueError):
     """The construction is not defined at the requested point or parameters."""
 
 
-Rhs = Callable[[float, GrassmannNumber, GrassmannNumber], GrassmannNumber]
+# a profile value, derivative or rhs: a float on a real march, else a supernumber
+Value = float | GrassmannNumber
+Rhs = Callable[[float, Value, Value], Value]
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,12 @@ class OdeSystem:
 
 @dataclass(frozen=True)
 class OdeSample:
+    """What the march holds at one node, in the type it marched in."""
+
     sigma: float
-    value: GrassmannNumber
-    d1: GrassmannNumber
-    d2: GrassmannNumber
+    value: Value
+    d1: Value
+    d2: Value
 
 
 @dataclass
@@ -148,20 +146,20 @@ def check_eps(eps) -> float:
 # ------------------------------------------------------------------- systems
 
 
-def traveling_profile_system(
-    eps, coupling=0.0, ctx: AlgebraContext = DEFAULT_CONTEXT
-) -> OdeSystem:
+def traveling_profile_system(eps, coupling=0.0) -> OdeSystem:
     """y'' = eps*(sin y cos y - K0 sin y); K0 may be a nilpotent even constant.
 
-    A soul-free K0 is held as a float.  A nilpotent K0 takes a float y into
-    the algebra first, so the rhs has its terms in the order a supernumber
-    state gives them.
+    A soul-free K0 is held as a float, a zero of either sign as 0.0.  A
+    nilpotent K0 takes a float y into its algebra first, so the rhs has its
+    terms in the order a supernumber state gives them.
     """
     eps = check_eps(eps)
-    k0 = ctx.lift(coupling)
-    if not k0.is_even():
-        raise ValueError("the coupling constant must be even")
-    k0 = demote(k0)
+    if isinstance(coupling, GrassmannNumber):
+        if not coupling.is_even():
+            raise ValueError("the coupling constant must be even")
+        k0 = demote(coupling)
+    else:
+        k0 = float(coupling) + 0.0
     lift = None if isinstance(k0, float) else k0.ngen
 
     def rhs(sig, y, d1):
@@ -219,9 +217,7 @@ def elliptic_background(modulus: float) -> Callable[[float], dict]:
     return bg
 
 
-def odd_profile_system(
-    name: str, eps, modulus, ctx: AlgebraContext = DEFAULT_CONTEXT
-) -> OdeSystem:
+def odd_profile_system(name: str, eps, modulus) -> OdeSystem:
     """The two linear odd-sector equations over the elliptic background.
 
     They differ only in the sign of the inhomogeneous term, the record's
@@ -249,7 +245,7 @@ def odd_profile_system(
     return OdeSystem(name, rhs, background=bg)
 
 
-def scaling_odd_system(ctx: AlgebraContext = DEFAULT_CONTEXT) -> OdeSystem:
+def scaling_odd_system() -> OdeSystem:
     """y'' = -y'/(2s) - y/s, the scaling equation over the background a = 0."""
 
     def rhs(sig, y, d1):
@@ -260,24 +256,17 @@ def scaling_odd_system(ctx: AlgebraContext = DEFAULT_CONTEXT) -> OdeSystem:
     return OdeSystem("d16nu", rhs)
 
 
-def make_system(
-    name: str,
-    *,
-    eps=-1.0,
-    coupling=0.0,
-    modulus=0.7,
-    ctx: AlgebraContext = DEFAULT_CONTEXT,
-) -> OdeSystem:
+def make_system(name: str, *, eps=-1.0, coupling=0.0, modulus=0.7) -> OdeSystem:
     """The system ``name``; each builder ignores the keywords it does not take,
     and is looked up as a module global, so a wrapper bound over it sees
     every system made here."""
     if name not in REDUCED_ODES:
         raise ValueError(f"unknown system {name!r}; have {tuple(REDUCED_ODES)}")
     if REDUCED_ODES[name].mirror is not None:
-        return odd_profile_system(name, eps, modulus, ctx)
+        return odd_profile_system(name, eps, modulus)
     if name == "rebp":
-        return traveling_profile_system(eps, coupling, ctx)
-    return scaling_odd_system(ctx)
+        return traveling_profile_system(eps, coupling)
+    return scaling_odd_system()
 
 
 # --------------------------------------------------------------- integration
@@ -300,19 +289,14 @@ def _rk4_step(system: OdeSystem, sig: float, y, d, h: float):
 
 
 def integrate_profile_ode(
-    system: OdeSystem,
-    ics,
-    sigma0: float,
-    sigma1: float,
-    step: float,
-    *,
-    ctx: AlgebraContext = DEFAULT_CONTEXT,
+    system: OdeSystem, ics, sigma0: float, sigma1: float, step: float
 ) -> Trajectory:
     """Classical RK4 from sigma0 to sigma1 (either direction) at fixed step.
 
     ics = (value, first derivative) at sigma0.  Real data march on floats,
-    and data with a ``GrassmannNumber`` entry march in the algebra; each
-    sample is stored as Grassmann numbers of ``ctx``.
+    and data with a ``GrassmannNumber`` entry march in that number's
+    algebra, a real partner lifted to it.  Each sample holds the state the
+    march holds at its node and the rhs there.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -323,14 +307,15 @@ def integrate_profile_ode(
     if n < 1 or abs(abs(span) - n * step) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("range must be a whole number of steps")
     h = step if span > 0 else -step
-    if isinstance(ics[0], GrassmannNumber) or isinstance(ics[1], GrassmannNumber):
-        y, d = ctx.lift(ics[0]), ctx.lift(ics[1])
+    sup = [v for v in ics if isinstance(v, GrassmannNumber)]
+    if sup:
+        y, d = (v if isinstance(v, GrassmannNumber) else scalar(v, sup[0].ngen) for v in ics)
     else:
         y, d = float(ics[0]), float(ics[1])
     rhs = system.rhs
 
     def sample(sig, y, d):
-        return OdeSample(sig, ctx.lift(y), ctx.lift(d), ctx.lift(rhs(sig, y, d)))
+        return OdeSample(sig, y, d, rhs(sig, y, d))
 
     samples = [sample(sigma0, y, d)]
     for i in range(n):
@@ -342,23 +327,15 @@ def integrate_profile_ode(
     return Trajectory(system, samples)
 
 
-def integrate_two_sided(
-    system: OdeSystem,
-    ics,
-    lo: float,
-    hi: float,
-    step: float,
-    *,
-    ctx: AlgebraContext = DEFAULT_CONTEXT,
-) -> Trajectory:
+def integrate_two_sided(system: OdeSystem, ics, lo: float, hi: float, step: float) -> Trajectory:
     """One trajectory over [lo, hi] with the initial data posed at 0."""
     if not lo <= 0.0 <= hi:
         raise ValueError(f"origin 0 outside [{lo}, {hi}]")
     parts = []
     if lo < 0.0:
-        parts.append(integrate_profile_ode(system, ics, 0.0, lo, step, ctx=ctx).samples[:-1])
+        parts.append(integrate_profile_ode(system, ics, 0.0, lo, step).samples[:-1])
     if 0.0 < hi:
-        parts.append(integrate_profile_ode(system, ics, 0.0, hi, step, ctx=ctx).samples)
+        parts.append(integrate_profile_ode(system, ics, 0.0, hi, step).samples)
     if not parts:
         raise ValueError("empty integration range")
     samples = [s for chunk in parts for s in chunk]
@@ -373,7 +350,7 @@ def first_integral_check(traj: Trajectory) -> float:
 def energy_drifts(traj: Trajectory):
     """Norm of E(sigma) - E(start) at every sample, the start included.
 
-    A soul-free sample gives the energy floats, and the drift of a float
+    A float sample gives the energy a float, and the drift of a float
     energy is its absolute value: the norm of the same body.
     """
     energy = traj.system.energy
@@ -381,19 +358,17 @@ def energy_drifts(traj: Trajectory):
         raise ValueError(f"system {traj.system.name!r} has no first integral")
     e0 = None
     for s in traj.samples:
-        e = energy(s.sigma, demote(s.value), demote(s.d1))
+        e = energy(s.sigma, s.value, s.d1)
         if e0 is None:
             e0 = e
         drift = e - e0
         yield abs(drift) if isinstance(drift, float) else drift.norm()
 
 
-def drift_ratio(system, ics, sigma0, sigma1, step, ctx=DEFAULT_CONTEXT) -> float:
+def drift_ratio(system, ics, sigma0, sigma1, step) -> float:
     """First-integral drift at step h over drift at h/2; ~16 for RK4."""
-    a = first_integral_check(integrate_profile_ode(system, ics, sigma0, sigma1, step, ctx=ctx))
-    b = first_integral_check(
-        integrate_profile_ode(system, ics, sigma0, sigma1, step / 2, ctx=ctx)
-    )
+    a = first_integral_check(integrate_profile_ode(system, ics, sigma0, sigma1, step))
+    b = first_integral_check(integrate_profile_ode(system, ics, sigma0, sigma1, step / 2))
     if b == 0.0:
         raise ValueError("zero drift at the halved step; nothing to compare")
     return a / b

@@ -218,8 +218,8 @@ def random_jet_point(
     reserved = {ctx.roles["theta1"], ctx.roles["theta2"]}
     free = [i for i in range(ctx.generator_count) if i not in reserved]
 
-    def even_value(body_scale=1.2):
-        v = ctx.scalar(rng.uniform(-body_scale, body_scale))
+    def even_value():
+        v = ctx.scalar(rng.uniform(-1.2, 1.2))
         for _ in range(2):
             i, j = rng.sample(free, 2)
             v = v + ctx.gen(i) * ctx.gen(j) * rng.uniform(-0.5, 0.5)

@@ -128,7 +128,7 @@ def test_criterion_07_solution_catalog():
 def test_criterion_08_elliptic_layer():
     worst = worst_of(elliptic_identities((-1.0, -0.3, 0.2, 0.49, 0.81))(CTX, 0, None))
     drift = worst_of(traveling_drifts(CTX, 0, None))
-    ratio = rk4_ratio(CTX)
+    ratio = rk4_ratio()
     _verdict(
         8,
         "elliptic layer",

@@ -285,7 +285,7 @@ def test_integrated_entry_parameter_checks():
 
 
 def test_modulus_sweep_stays_within_tolerance():
-    for k in (0.3, 0.5, 0.9):
+    for k in (0.0, 0.3, 0.5, 0.9):
         check = verify_entry("ginv9", params={"modulus": k})
         assert check.passed, (k, check.max_residual)
 
@@ -297,8 +297,8 @@ def test_dropping_the_forcing_term_breaks_the_field():
     from susygordon.analytic import ARCSIN, TaylorFn
 
     k, m, eps = 0.7, 0.49, -1.0
-    system = make_system("ginv12", eps=eps, modulus=k, ctx=CTX)  # wrong drive sign for S8
-    traj = integrate_two_sided(system, (0.0, 1.0), -1.5, 1.5, 1.0 / 64.0, ctx=CTX)
+    system = make_system("ginv12", eps=eps, modulus=k)  # wrong drive sign for S8
+    traj = integrate_two_sided(system, (0.0, 1.0), -1.5, 1.5, 1.0 / 64.0)
     gfn = _OdeBackedFn(traj, eps, 1.0, k)
     ffn = _OddQuotientFn(gfn, eps, m)
     mu = CTX.gen("mu")

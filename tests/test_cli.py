@@ -343,10 +343,9 @@ def test_solve_march_matches_one_integration(ode, range_spec, column, tmp_path, 
     with open(target, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     lo, hi, step = (float(v) for v in range_spec.split(":"))
-    ctx = RunConfig().context()
-    traj = integrate_profile_ode(make_system(ode, ctx=ctx), (0.0, 1.0), lo, hi, step, ctx=ctx)
+    traj = integrate_profile_ode(make_system(ode), (0.0, 1.0), lo, hi, step)
     assert [r["sigma"] for r in rows] == [repr(s.sigma) for s in traj.samples]
-    assert [r[column] for r in rows] == [repr(s.value.body) for s in traj.samples]
+    assert [r[column] for r in rows] == [repr(s.value) for s in traj.samples]
 
 
 @pytest.mark.parametrize("entry,ode", [("ginv9", "ginv12"), ("ginv14", "ginv17")])
@@ -364,7 +363,7 @@ def test_integrated_entry_has_the_nodes_of_the_default_solve(entry, ode, tmp_pat
     nodes = [s for s in traj.samples if 0.0 <= s.sigma <= 2.0]
     assert len(nodes) == len(rows) == 129
     assert [(r["sigma"], r["g"]) for r in rows] == [
-        (repr(s.sigma), repr(s.value.body)) for s in nodes
+        (repr(s.sigma), repr(s.value)) for s in nodes
     ]
 
 
@@ -447,8 +446,8 @@ def test_real_solve_makes_no_grassmann_product_in_its_rhs(ode, monkeypatch, caps
     ("rebp", "-0.0,-0.0"), ("ginv12", "-0.0,0.0"), ("d16nu", "-0.0,-0.0"),
 ])
 def test_solve_negative_zero_data_give_the_bytes_of_zero_data(ode, ics, tmp_path, capsys):
-    # a float march keeps -0.0 where a supernumber holds no term; every
-    # node leaves the march as the empty number all the same
+    # a float march keeps -0.0 where zero data hold 0.0; the profile cells
+    # print a zero of either sign as 0.0 all the same
     got = []
     for given in (ics, ics.replace("-", "")):
         target = tmp_path / f"{given}.csv"
@@ -473,6 +472,18 @@ def test_solve_nan_residual_fails(monkeypatch, capsys):
     assert code == 1
     summary = json.loads(err, parse_constant=_reject_constant)
     assert summary["status"] == "fail" and summary["max_residual_body"] is None
+
+
+def test_solve_overflowed_drift_fails(capsys):
+    # d1*d1 overflows, so the drift is NaN: JSON writes it as null, the same
+    # as no first integral, and the verdict must not pass it
+    code, _, err = run_cli(
+        ["solve", "--ode", "rebp", "--range", "0:1:0.25", "--ics=1e200,1e200"], capsys
+    )
+    assert code == 1
+    summary = json.loads(err, parse_constant=_reject_constant)
+    assert summary["status"] == "fail" and summary["drift"] is None
+    assert summary["max_residual_body"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [

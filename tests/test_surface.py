@@ -16,6 +16,14 @@ A class must also be called, as ``Name(...)`` or ``mod.Name(...)``, outside
 its own body: a class that is only named in ``isinstance`` checks or
 annotations is never built, so the branches that test for it are dead.
 ``Enum`` and ``Protocol`` subclasses are exempt; neither is built by a call.
+
+A parameter with a default, of any function or method in the package,
+nested ones included, must be passed by some call in ``src/``, ``tests/``,
+``demos/`` or ``perfbench/``: by keyword, by position or through a ``*`` or
+``**`` splat, and a call of a class reaches its ``__init__``.  Calls are
+matched by name.  Tests count here, since a test that passes another value
+exercises the parameter; a default that no call ever overrides is a
+constant.
 """
 
 import ast
@@ -284,4 +292,128 @@ class K:
     tree = ast.parse(src)
     assert unreferenced({"mod": tree}, [tree]) == [
         "mod.LOG", "mod.NAMED", "mod.SPARE", "mod.TWICE", "mod.entry",
+    ]
+
+
+SETTER_DIRS = (SRC, ROOT / "tests", ROOT / "demos", ROOT / "perfbench")
+
+
+def defaulted_parameters(tree, scope="", cls=None):
+    """(qualified name, callee names, parameter, position) of each parameter
+    with a default of each function and method in ``tree``, nested ones
+    included.  The callee names are those a call reaches the function by:
+    its own, and for ``__init__`` its class's too.  The position counts the
+    arguments a call passes ahead of the parameter, ``self`` or ``cls``
+    excluded; a keyword-only parameter has none."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from defaulted_parameters(node, f"{scope}{node.name}.", node.name)
+        elif isinstance(node, _DEFS[:2]):
+            qual = f"{scope}{node.name}"
+            names = {node.name, cls} if node.name == "__init__" else {node.name}
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield qual, names, arg.arg, i - skip
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield qual, names, arg.arg, None
+            yield from defaulted_parameters(node, f"{qual}.")
+        else:
+            yield from defaulted_parameters(node, scope, cls)
+
+
+def call_shapes(tree):
+    """(callee name, positional count, keyword names) of each call in
+    ``tree``; a ``*`` splat makes the count infinite and a ``**`` splat
+    passes every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        count = (float("inf") if any(isinstance(x, ast.Starred) for x in node.args)
+                 else len(node.args))
+        keywords = {k.arg for k in node.keywords}
+        yield name, count, keywords
+
+
+def unset_parameters(modules: dict, callers: list) -> list:
+    """``module.qualname(parameter)`` of each defaulted parameter in
+    ``modules`` that no call in ``callers`` passes: by keyword, by position
+    or through a splat."""
+    shapes = {}
+    for tree in callers:
+        for name, count, keywords in call_shapes(tree):
+            shapes.setdefault(name, []).append((count, keywords))
+    out = []
+    for mod, tree in modules.items():
+        for qual, names, param, position in defaulted_parameters(tree):
+            if not any(
+                param in keywords or None in keywords
+                or (position is not None and count > position)
+                for name in names
+                for count, keywords in shapes.get(name, ())
+            ):
+                out.append(f"{mod}.{qual}({param})")
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    modules, _ = _package()
+    callers = [_parse(p) for d in SETTER_DIRS for p in sorted(d.glob("*.py"))]
+    assert unset_parameters(modules, callers) == []
+
+
+def test_guard_sees_a_parameter_that_nothing_sets():
+    src = '''
+def entry(opts):
+    inner()
+    by_keyword(1, scale=2)
+    by_position(1, 2)
+    by_splat(*opts)
+    by_double_splat(**opts)
+    K(3).m(4)
+    K.s(5)
+    return K(size=1).m()
+
+def outer():
+    def inner(depth=3):
+        return depth
+    return inner
+
+def by_keyword(a, scale=1, shift=0):
+    pass
+
+def by_position(a, b=1, c=2):
+    pass
+
+def by_splat(a=1, b=2):
+    pass
+
+def by_double_splat(*, flag=False):
+    pass
+
+class K:
+    def __init__(self, size=0, unused=None):
+        pass
+
+    def m(self, x=1, y=2):
+        pass
+
+    @staticmethod
+    def s(v=1, w=2):
+        pass
+'''
+    tree = ast.parse(src)
+    assert unset_parameters({"mod": tree}, [tree]) == [
+        "mod.K.__init__(unused)",
+        "mod.K.m(y)",
+        "mod.K.s(w)",
+        "mod.by_keyword(shift)",
+        "mod.by_position(c)",
+        "mod.outer.inner(depth)",
     ]
