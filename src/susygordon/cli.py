@@ -40,7 +40,7 @@ from .grassmann import (
     MAX_GENERATORS,
     TIER_DEFAULTS,
     AlgebraContext,
-    apply_analytic,
+    analytic_value,
     worst_count,
     worst_of,
 )
@@ -306,68 +306,59 @@ def _ginv_node_row(system, sample, eps, modulus, ctx):
     k = modulus
     m = k * k
     tr = system.background(sample.sigma)["jacobi"]
-    z = ctx.zero()
     g_ = ctx.gen(rec.role)
     dn1 = -m * tr.sn * tr.cn
     f0 = (sample.d1 * eps) * (1.0 / tr.dn)
     f1 = (sample.d2 * tr.dn - sample.d1 * dn1) * (eps / tr.dn ** 2)
     alpha = math.asin(k * tr.sn)
     pv = {
-        "alpha": [
-            ctx.scalar(alpha),
-            ctx.scalar(k * tr.cn),
-            ctx.scalar(-k * tr.sn * tr.dn),
-        ],
-        "eta": [g_ * f0, g_ * f1, z],
+        "alpha": [alpha, k * tr.cn, -k * tr.sn * tr.dn],
+        "eta": [g_ * f0, g_ * f1, 0.0],
         "lambda": [g_ * sample.value, g_ * sample.d1, g_ * sample.d2],
-        "beta": [ctx.scalar(rec.mirror * k * tr.sn), z, z],
+        "beta": [rec.mirror * k * tr.sn, 0.0, 0.0],
     }
-    rows = CASES[rec.case].equations(
-        pv, ctx.scalar(sample.sigma), {"eps": eps, rec.role: g_}, ctx
-    )
+    rows = CASES[rec.case].equations(pv, sample.sigma, {"eps": eps, rec.role: g_})
     return rows, alpha, sample.value + 0.0, f0 + 0.0
 
 
 def _d16_node_row(sample, ctx):
     rec = REDUCED_ODES["d16nu"]
-    z = ctx.zero()
     g_ = ctx.gen(rec.role)
     pv = {
-        "alpha": [z, z, z],
-        "mu": [g_ * sample.d1, g_ * sample.d2, z],
-        "nu": [g_ * sample.value, g_ * sample.d1, z],
-        "beta": [z, z, z],
+        "alpha": [0.0, 0.0, 0.0],
+        "mu": [g_ * sample.d1, g_ * sample.d2, 0.0],
+        "nu": [g_ * sample.value, g_ * sample.d1, 0.0],
+        "beta": [0.0, 0.0, 0.0],
     }
-    rows = CASES[rec.case].equations(pv, ctx.scalar(sample.sigma), {}, ctx)
+    rows = CASES[rec.case].equations(pv, sample.sigma, {})
     return rows, 0.0, sample.value + 0.0, sample.d1 + 0.0
 
 
-def _rebp_node_row(sample, eps, k0, ctx):
-    z = ctx.zero()
-    # apply_analytic and the rewrite rows take supernumbers
-    alpha = [ctx.lift(v) for v in (sample.value, sample.d1, sample.d2)]
-    sin_y = apply_analytic(SIN, alpha[0])
+def _rebp_node_row(sample, eps, k0):
+    alpha = [sample.value, sample.d1, sample.d2]
     pv = {
         "alpha": alpha,
-        "mu": [z, z, z],
-        "nu": [z, z, z],
-        "beta": [sin_y * -1.0, z, z],
+        "mu": [0.0, 0.0, 0.0],
+        "nu": [0.0, 0.0, 0.0],
+        "beta": [analytic_value(SIN, alpha[0]) * -1.0, 0.0, 0.0],
     }
-    rows = traveling_rewrite_rows(pv, eps, constant=ctx.scalar(k0))
+    rows = traveling_rewrite_rows(pv, eps, constant=k0)
     return rows, sample.value + 0.0, None, None
 
 
 def _node_row(system, sample, cfg, ctx):
     """(rows, alpha, g, f) at one node of a real march.
 
-    A cell of the marched profile adds 0.0, so a zero of either sign prints
-    as 0.0, the bytes solve reports have always had; a ginv row's alpha is
-    the background's own and keeps its sign.
+    The rows compute on the node's floats, and a ginv or d16nu row becomes a
+    supernumber only through ``ctx.gen(role)``, the generator of its odd
+    profile.  A cell of the marched profile adds 0.0, so a zero of either
+    sign prints as 0.0, the bytes solve reports have always had; a ginv
+    row's alpha is the background's own and keeps its sign.
     """
     if system.background is not None:
         return _ginv_node_row(system, sample, cfg.eps, cfg.modulus, ctx)
     if system.name == "rebp":
-        return _rebp_node_row(sample, cfg.eps, cfg.k0, ctx)
+        return _rebp_node_row(sample, cfg.eps, cfg.k0)
     return _d16_node_row(sample, ctx)
 
 
@@ -403,6 +394,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     # and each node's row is taken at once, while the ginv memo holds its sigma
     samples = []
     flagged = []
+    overflowed = False
     lines = ["sigma,alpha,g,f,residual_body,residual_soul_norm"]
     bodies, souls = [], []
 
@@ -414,8 +406,8 @@ def cmd_solve(cfg: RunConfig) -> int:
             flagged.append((node.sigma, node.sigma))
             lines.append(f"{node.sigma!r},,,,,")
             return
-        body = worst_of(abs(r.body) for r in rows)
-        soul = worst_of(r.soul().norm() for r in rows)
+        body = worst_of(abs(r if isinstance(r, float) else r.body) for r in rows)
+        soul = worst_of(r.soul().norm() for r in rows if not isinstance(r, float))
         bodies.append(body)
         souls.append(soul)
         lines.append(
@@ -424,22 +416,19 @@ def cmd_solve(cfg: RunConfig) -> int:
         )
 
     y, d = float(cfg.ics[0]), float(cfg.ics[1])
+    s0 = lo
     try:
         node = OdeSample(lo, y, d, system.rhs(lo, y, d))
-    except NearSingular:
-        flagged.append((lo, hi))
-    else:
         take(node)
         for i in range(n_steps):
             s0 = lo + i * step
             s1 = lo + (i + 1) * step
-            try:
-                leg = integrate_profile_ode(system, (node.value, node.d1), s0, s1, step)
-            except NearSingular:
-                flagged.append((s0, hi))
-                break
-            node = leg.samples[-1]
+            node = integrate_profile_ode(system, (node.value, node.d1), s0, s1, step).samples[-1]
             take(node)
+    except NearSingular:
+        flagged.append((s0, hi))
+    except ValueError:  # every input was checked, so a number the march made overflowed
+        overflowed = True
 
     tol = cfg.tiers["ode"]
     csv_text = "\n".join(lines) + "\n"
@@ -448,10 +437,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     drift = None
     if system.energy is not None and len(samples) >= 2:
-        drift = first_integral_check(Trajectory(system, samples))
+        try:
+            drift = first_integral_check(Trajectory(system, samples))
+        except ValueError:  # cos(2y) of a finite y whose double overflows
+            drift = math.nan
     # a drift that overflowed is no measurement; its JSON null reads as none
     passed = (
-        emitted > 0
+        not overflowed
+        and emitted > 0
         and worst_of((worst_body, worst_soul)) <= tol
         and (drift is None or math.isfinite(drift))
     )

@@ -11,18 +11,21 @@ soul is nilpotent.  ``soul_derivs`` is the one loop that sums them, given an
 object that can evaluate derivative lists of the scalar function (see
 ``analytic``); ``apply_analytic`` and ``soul_taylor`` are its value-only
 entries, and analytic jets and profiles read whole derivative lists from it.
-``apply_analytic`` of a soul-free argument, as every number of a real
-``solve`` is, skips the series: its value is ``f`` at the body.
+``apply_analytic`` of a soul-free argument skips the series: its value is
+``f`` at the body.  ``analytic_value`` keeps a float a float, as every number
+of a real ``solve`` is, and hands a supernumber to ``apply_analytic``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
+from .analytic import COS, RECIP, SIN
 from .analytic import DomainError as DomainError  # re-exported
 
 
@@ -315,6 +318,17 @@ def apply_analytic(f, a: GrassmannNumber) -> GrassmannNumber:
     if not a.is_even():
         raise ParityError("apply_analytic needs an even argument")
     return soul_taylor(f, a)
+
+
+# the float value of each function a reduced equation applies to reals
+_FLOAT_FNS = {SIN: math.sin, COS: math.cos, RECIP: lambda x: 1.0 / x}
+
+
+def analytic_value(f, y):
+    """f(y) in the arithmetic of y: the math function on a float, whose lift
+    has the bits ``apply_analytic`` gives the lifted float, and
+    ``apply_analytic`` on a supernumber."""
+    return _FLOAT_FNS[f](y) if isinstance(y, float) else apply_analytic(f, y)
 
 
 def soul_taylor(f, a: GrassmannNumber) -> GrassmannNumber:

@@ -48,7 +48,7 @@ from typing import Callable
 
 from .analytic import COS, SIN
 from .elliptic import jacobi
-from .grassmann import GrassmannNumber, apply_analytic, demote, scalar, worst_of
+from .grassmann import GrassmannNumber, analytic_value, demote, scalar, worst_of
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,6 @@ class Trajectory:
         return self.samples[best]
 
 
-_FLOAT_FNS = {SIN: math.sin, COS: math.cos}
-
-
-def _analytic(f, y):
-    """f(y) in the arithmetic of y: the math function on a float, whose
-    value is the body ``apply_analytic`` gives, and ``apply_analytic`` on a
-    supernumber."""
-    return _FLOAT_FNS[f](y) if isinstance(y, float) else apply_analytic(f, y)
-
-
 def check_eps(eps) -> float:
     eps = float(eps)
     if eps not in (-1.0, 1.0):
@@ -165,15 +155,15 @@ def traveling_profile_system(eps, coupling=0.0) -> OdeSystem:
     def rhs(sig, y, d1):
         if lift is not None and isinstance(y, float):
             y = scalar(y, lift)
-        s = _analytic(SIN, y)
-        c = _analytic(COS, y)
+        s = analytic_value(SIN, y)
+        c = analytic_value(COS, y)
         return (s * c - k0 * s) * eps
 
     def energy(sig, y, d1):
         return (
             d1 * d1 * (0.5 * eps)
-            + _analytic(COS, y * 2.0) * 0.25
-            - k0 * _analytic(COS, y)
+            + analytic_value(COS, y * 2.0) * 0.25
+            - k0 * analytic_value(COS, y)
         )
 
     return OdeSystem("rebp", rhs, energy=energy)

@@ -108,7 +108,7 @@ class ProblemSignature:
     def odd_dependents(self) -> tuple[str, ...]:
         return tuple(n for n, p in self.dependents if p is ODD)
 
-    def coordinate_parity(self, dep: str, jeven, jodd) -> Parity:
+    def coordinate_parity(self, dep: str, jodd) -> Parity:
         flips = len(jodd) & 1
         base = self.parity_of(dep)
         if flips == 0:
@@ -237,8 +237,8 @@ def random_jet_point(
         base[name] = ctx.gen(name)
     coords = {}
     for key in all_coordinate_keys(sig, order):
-        dep, jeven, jodd = key
-        par = sig.coordinate_parity(dep, jeven, jodd)
+        dep, _, jodd = key
+        par = sig.coordinate_parity(dep, jodd)
         coords[key] = even_value() if par is EVEN else odd_value()
     return JetPoint(sig, ctx, base, coords)
 
@@ -266,7 +266,7 @@ JetExpr = list
 
 def factor_parity(sig: ProblemSignature, coef_parity: dict, f) -> int:
     if isinstance(f, CoordF):
-        return 1 if sig.coordinate_parity(f.dep, f.jeven, f.jodd) is ODD else 0
+        return 1 if sig.coordinate_parity(f.dep, f.jodd) is ODD else 0
     p = coef_parity[f.target]
     flips = sum(1 for d in f.derivs if sig.parity_of(d) is ODD)
     return (p + flips) & 1
@@ -655,11 +655,11 @@ def prolong_expanded(v: VectorFieldSpec, p: JetPoint) -> ProlongedCoefficients:
         return coefvals[target].partial(tuple(dirs))
 
     if v.sig.odd_independents:
-        return _ssg_expanded(v, p, f, p.coordinate)
-    return _component_expanded(v, p, f, p.coordinate)
+        return _ssg_expanded(f, p.coordinate)
+    return _component_expanded(f, p.coordinate)
 
 
-def _ssg_expanded(v, p, f, c):
+def _ssg_expanded(f, c):
     x, t, o1, o2, P = "x", "t", "theta1", "theta2", "Phi"
     Px = (
         f(P, x) + f(P, P) * c(P, x)
@@ -783,7 +783,7 @@ def _ssg_expanded(v, p, f, c):
     )
 
 
-def _component_expanded(v, p, f, c):
+def _component_expanded(f, c):
     # first-order coefficients for the phi_t and psi_x slots
     St = (
         f("phi", "t") + f("phi", "u") * c("u", "t")

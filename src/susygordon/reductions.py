@@ -11,7 +11,8 @@ must satisfy.  ``build_ansatz`` turns four one-variable profiles into a full
 superfield; ``reduction_consistency`` checks, off shell and with random
 profiles, that the superfield equation's residual recombines exactly from
 the reduced rows.  ``traveling_rewrite_rows`` is the second-order rewritten
-form of the traveling case that ``solve`` reports on.
+form of the traveling case that ``solve`` reports on.  The rows compute in
+the arithmetic of their inputs, so real inputs give float rows.
 
 The component-level table (cases L1..L5 for u, phi, psi without the
 auxiliary field) lives here too, with the slice map tying each of its rows
@@ -35,6 +36,7 @@ from .grassmann import (
     GrassmannNumber,
     Parity,
     ParityError,
+    analytic_value,
     apply_analytic,
     soul_derivs,
     worst_of,
@@ -175,7 +177,7 @@ class ReductionCase:
     over the coordinate jets ``jx``, ``jt``, with the case's parameters
     ``p``; a case defined only on part of the plane raises
     :class:`OutOfDomain` there before any profile is evaluated.
-    ``equations(pv, sigma, p, ctx)`` returns the four reduced rows.
+    ``equations(pv, sigma, p)`` returns the four reduced rows.
     ``signs`` couples the residual of the full superfield equation to the
     reduced rows: residual = sum_i signs[i] * monomial_i * row_i with the
     monomials (1, m1, m2, m1*m2).  The tuples were fixed by evaluating both
@@ -312,13 +314,13 @@ def _inv_s12(jx, jt, p, ctx):
 
 
 def _trig(a0):
-    return apply_analytic(SIN, a0), apply_analytic(COS, a0)
+    return analytic_value(SIN, a0), analytic_value(COS, a0)
 
 
 # Reduced rows, one function per case.  pv maps profile name to the list
 # [f, f', f''] at sigma; rows are stated left to right exactly as solved.
 
-def _rows_s1(pv, sig, p, ctx):
+def _rows_s1(pv, sig, p):
     a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
     sin_a, cos_a = _trig(a[0])
     return (
@@ -329,7 +331,7 @@ def _rows_s1(pv, sig, p, ctx):
     )
 
 
-def _rows_s2(pv, sig, p, ctx):
+def _rows_s2(pv, sig, p):
     a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
     sin_a, cos_a = _trig(a[0])
     return (
@@ -340,7 +342,7 @@ def _rows_s2(pv, sig, p, ctx):
     )
 
 
-def _rows_s3(pv, sig, p, ctx):
+def _rows_s3(pv, sig, p):
     a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
     sin_a, cos_a = _trig(a[0])
     return (
@@ -351,7 +353,7 @@ def _rows_s3(pv, sig, p, ctx):
     )
 
 
-def _rows_s4(pv, sig, p, ctx):
+def _rows_s4(pv, sig, p):
     a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
     e = p["eps"]
     sin_a, cos_a = _trig(a[0])
@@ -363,7 +365,7 @@ def _rows_s4(pv, sig, p, ctx):
     )
 
 
-def _rows_s6(pv, sig, p, ctx):
+def _rows_s6(pv, sig, p):
     a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
     mu = p["mu"]
     sin_a, cos_a = _trig(a[0])
@@ -375,7 +377,7 @@ def _rows_s6(pv, sig, p, ctx):
     )
 
 
-def _rows_s7(pv, sig, p, ctx):
+def _rows_s7(pv, sig, p):
     a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
     mu = p["mu"]
     sin_a, cos_a = _trig(a[0])
@@ -387,7 +389,7 @@ def _rows_s7(pv, sig, p, ctx):
     )
 
 
-def _rows_s8(pv, sig, p, ctx):
+def _rows_s8(pv, sig, p):
     a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
     mu, e = p["mu"], p["eps"]
     sin_a, cos_a = _trig(a[0])
@@ -399,7 +401,7 @@ def _rows_s8(pv, sig, p, ctx):
     )
 
 
-def _rows_s10(pv, sig, p, ctx):
+def _rows_s10(pv, sig, p):
     a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
     nu = p["nu"]
     sin_a, cos_a = _trig(a[0])
@@ -411,7 +413,7 @@ def _rows_s10(pv, sig, p, ctx):
     )
 
 
-def _rows_s11(pv, sig, p, ctx):
+def _rows_s11(pv, sig, p):
     a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
     nu = p["nu"]
     sin_a, cos_a = _trig(a[0])
@@ -423,7 +425,7 @@ def _rows_s11(pv, sig, p, ctx):
     )
 
 
-def _rows_s12(pv, sig, p, ctx):
+def _rows_s12(pv, sig, p):
     a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
     nu, e = p["nu"], p["eps"]
     sin_a, cos_a = _trig(a[0])
@@ -497,9 +499,9 @@ def traveling_rewrite_rows(pv, eps: float, constant=None):
     """Second-order form of the traveling reduction; constant defaults to mu nu."""
     a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
     sin_a, cos_a = _trig(a[0])
-    if abs(cos_a.body) < 1e-12:
+    if abs(cos_a if isinstance(cos_a, float) else cos_a.body) < 1e-12:
         raise SingularPoint("cos(alpha) vanishes; tan(alpha) row undefined")
-    inv_cos = apply_analytic(RECIP, cos_a)
+    inv_cos = analytic_value(RECIP, cos_a)
     tan_a = sin_a * inv_cos
     k0 = constant if constant is not None else m[0] * n[0]
     return (
@@ -529,7 +531,7 @@ def reduction_consistency(case, profiles, points, params=None,
         jx, jt = coordinate_jets(xg, tg, 0, ctx)
         sig, m1, m2 = (j.value() for j in case.invariants(jx, jt, p, ctx))
         pv = {name: profiles[name].derivs_at(sig, 2) for name in case.profile_names}
-        rows = case.equations(pv, sig, p, ctx)
+        rows = case.equations(pv, sig, p)
         s = case.signs
         rec = rows[0] * s[0] + m1 * rows[1] * s[1] + m2 * rows[2] * s[2] \
             + (m1 * m2) * rows[3] * s[3]
@@ -670,7 +672,7 @@ def component_slice_check(l_id, profiles, sigmas,
                 sin_a * a[1] * a[1] - cos_a * a[2],
             ],
         }
-        rows_s = case.equations(pv, sg, pp, ctx)
+        rows_s = case.equations(pv, sg, pp)
         return worst_of((
             (rows_l[0] - rows_s[3] * fac[0]).norm(),
             (rows_l[1] - rows_s[2] * fac[1]).norm(),

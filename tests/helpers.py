@@ -153,7 +153,7 @@ def reduced_residual(case, profiles, sigma, params=None,
     _check_profiles(case, profiles)
     sg = ctx.lift(sigma)
     pv = {name: profiles[name].derivs_at(sg, 2) for name in case.profile_names}
-    rows = list(case.equations(pv, sg, p, ctx))
+    rows = list(case.equations(pv, sg, p))
     if case.case_id == "S1":
         rows.extend(scaling_rewrite_rows(pv, sg, ctx.generator_count, constant))
     elif case.case_id == "S4":

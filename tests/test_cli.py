@@ -395,8 +395,8 @@ def test_solve_ginv12_evaluates_jacobi_2n_plus_1_times(range_spec, n, monkeypatc
 
 @pytest.mark.parametrize("ode", ["rebp", "ginv12", "ginv17", "d16nu"])
 def test_real_solve_sums_no_soul_series(ode, monkeypatch, capsys):
-    # with real initial data every supernumber is body-only, so apply_analytic
-    # never reaches the soul-Taylor loop
+    # with real initial data no analytic function meets a soul: sin and cos
+    # take floats, so the soul-Taylor loop never runs
     calls = _count_calls(monkeypatch, "soul_derivs", (grassmann, reductions, superjet))
     code, _, _ = run_cli(["solve", "--ode", ode], capsys)
     assert code == 0
@@ -442,6 +442,25 @@ def test_real_solve_makes_no_grassmann_product_in_its_rhs(ode, monkeypatch, caps
     assert calls and products == []
 
 
+@pytest.mark.parametrize("given", [[], ["--K0", "0.25", "--eps", "1"]])
+def test_real_rebp_solve_makes_no_grassmann_product_or_sum(given, monkeypatch, capsys):
+    # no generator enters a rebp run with real data and a real K0, so its
+    # march, rows and drift all compute on floats
+    ops = []
+    gn = grassmann.GrassmannNumber
+    for name in ("__mul__", "__add__", "__radd__", "__sub__"):
+        real = getattr(gn, name)
+
+        def counted(self, other, _real=real, _name=name):
+            ops.append(_name)
+            return _real(self, other)
+
+        monkeypatch.setattr(gn, name, counted)
+    code, _, _ = run_cli(["solve", "--ode", "rebp", *given], capsys)
+    assert code == 0
+    assert ops == []
+
+
 @pytest.mark.parametrize("ode,ics", [
     ("rebp", "-0.0,-0.0"), ("ginv12", "-0.0,0.0"), ("d16nu", "-0.0,-0.0"),
 ])
@@ -459,19 +478,21 @@ def test_solve_negative_zero_data_give_the_bytes_of_zero_data(ode, ics, tmp_path
 
 
 def test_solve_nan_residual_fails(monkeypatch, capsys):
+    # a row is a supernumber or a float, and take reads both: each must fail
     real = cli._node_row
+    for nan_row in (lambda ctx: ctx.scalar(math.nan), lambda ctx: math.nan):
 
-    def poisoned(system, sample, cfg, ctx):
-        rows, *rest = real(system, sample, cfg, ctx)
-        if sample.sigma >= 1.0:  # a NaN row behind finite ones
-            rows = list(rows) + [ctx.scalar(math.nan)]
-        return (rows, *rest)
+        def poisoned(system, sample, cfg, ctx, nan_row=nan_row):
+            rows, *rest = real(system, sample, cfg, ctx)
+            if sample.sigma >= 1.0:  # a NaN row behind finite ones
+                rows = list(rows) + [nan_row(ctx)]
+            return (rows, *rest)
 
-    monkeypatch.setattr(cli, "_node_row", poisoned)
-    code, _, err = run_cli(["solve", "--ode", "rebp"], capsys)
-    assert code == 1
-    summary = json.loads(err, parse_constant=_reject_constant)
-    assert summary["status"] == "fail" and summary["max_residual_body"] is None
+        monkeypatch.setattr(cli, "_node_row", poisoned)
+        code, _, err = run_cli(["solve", "--ode", "rebp"], capsys)
+        assert code == 1
+        summary = json.loads(err, parse_constant=_reject_constant)
+        assert summary["status"] == "fail" and summary["max_residual_body"] is None
 
 
 def test_solve_overflowed_drift_fails(capsys):
@@ -484,6 +505,21 @@ def test_solve_overflowed_drift_fails(capsys):
     summary = json.loads(err, parse_constant=_reject_constant)
     assert summary["status"] == "fail" and summary["drift"] is None
     assert summary["max_residual_body"] == 0.0
+
+
+@pytest.mark.parametrize("given", [["--K0", "1e308"], ["--ics=1e308,1e308"], ["--ics=1e308,0"]])
+def test_solve_overflowed_march_ends_in_a_report(given, tmp_path, capsys):
+    # finite data whose march or energy overflows, so math.sin or math.cos
+    # meets an infinite number: the run keeps the nodes marched so far, and
+    # fails
+    target = tmp_path / "traj.csv"
+    code, out, _ = run_cli(["solve", "--ode", "rebp", *given, "--out", str(target)], capsys)
+    assert code == 1
+    summary = json.loads(out, parse_constant=_reject_constant)
+    assert summary["status"] == "fail"
+    lines = target.read_text().splitlines()
+    assert lines[0] == "sigma,alpha,g,f,residual_body,residual_soul_norm"
+    assert 1 <= summary["samples"] == len(lines) - 1
 
 
 @pytest.mark.parametrize("argv", [

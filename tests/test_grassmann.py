@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susygordon.analytic import EXP
+from susygordon.analytic import COS, EXP, RECIP, SIN
 from susygordon.grassmann import (
     AlgebraContext,
     ContextMismatch,
@@ -20,6 +20,7 @@ from susygordon.grassmann import (
     NonInvertible,
     Parity,
     ParityError,
+    analytic_value,
     apply_analytic,
     demote,
     drop_gens,
@@ -415,6 +416,22 @@ def test_soul_free_argument_gives_the_series_value():
         for a in args:
             want = _outcome(_apply_analytic_reference, f, a)
             assert _outcome(apply_analytic, f, a) == want, (type(f).__name__, a.terms)
+
+
+@pytest.mark.parametrize("f", [SIN, COS, RECIP], ids=["sin", "cos", "recip"])
+def test_float_dispatch_gives_the_bits_of_apply_analytic(f):
+    # lifted, the float's value has the bits apply_analytic gives the lifted
+    # float: a zero of either sign lifts to the empty map
+    for x in (0.0, -0.0, 5e-324, -5e-324, 0.7, 1e300, -1e300, math.nan):
+        try:
+            want = bits(apply_analytic(f, scalar(x)).terms)
+        except DomainError:  # the reciprocal of zero, refused by both
+            with pytest.raises(ZeroDivisionError):
+                analytic_value(f, x)
+            continue
+        got = analytic_value(f, x)
+        assert type(got) is float and bits(scalar(got).terms) == want, x
+    assert bits(analytic_value(f, scalar(0.7)).terms) == bits(apply_analytic(f, scalar(0.7)).terms)
 
 
 def test_float_operand_drops_an_underflowed_product():

@@ -24,6 +24,13 @@ nested ones included, must be passed by some call in ``src/``, ``tests/``,
 matched by name.  Tests count here, since a test that passes another value
 exercises the parameter; a default that no call ever overrides is a
 constant.
+
+A parameter of a top-level or nested function in ``src/``, ``tests/``,
+``demos/`` or ``perfbench/`` must be read by the function's body when the
+function is only ever called: never read as a value and never named in a
+string outside a docstring.  A function passed as a value (a row or
+invariants function, a registry sampler, an rhs) keeps the signature its
+callers fix, and is exempt, as a method is.
 """
 
 import ast
@@ -416,4 +423,95 @@ class K:
         "mod.by_keyword(shift)",
         "mod.by_position(c)",
         "mod.outer.inner(depth)",
+    ]
+
+
+def called_only(trees) -> set:
+    """The names that ``trees`` read only as the callee of a call."""
+    total, called = Counter(), Counter()
+    for tree in trees:
+        total.update(references(tree))
+        called.update(calls(tree))
+    return {name for name, n in called.items() if total[name] == n}
+
+
+def functions(tree, scope="", in_class=False):
+    """(qualified name, node) of each top-level or nested function in
+    ``tree``; methods are left out, the functions nested in them are not."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from functions(node, f"{scope}{node.name}.", True)
+        elif isinstance(node, _DEFS[:2]):
+            qual = f"{scope}{node.name}"
+            if not in_class:
+                yield qual, node
+            yield from functions(node, f"{qual}.")
+        else:
+            yield from functions(node, scope, in_class)
+
+
+def unread_parameters(modules: dict, callers: list) -> list:
+    """``module.qualname(parameter)`` of each parameter that the body of a
+    function of ``modules`` never reads, where ``callers`` only call it."""
+    only = called_only(callers)
+    out = []
+    for mod, tree in modules.items():
+        for qual, node in functions(tree):
+            if node.name not in only:
+                continue
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None and arg.arg not in read:
+                    out.append(f"{mod}.{qual}({arg.arg})")
+    return sorted(out)
+
+
+def test_every_parameter_of_a_called_function_is_read():
+    modules = {f"{d.name}/{p.stem}": _parse(p)
+               for d in SETTER_DIRS for p in sorted(d.glob("*.py"))}
+    assert unread_parameters(modules, list(modules.values())) == []
+
+
+def test_guard_sees_a_parameter_that_nothing_reads():
+    src = '''
+def entry(rows):
+    helper(1, 2)
+    K().method(3)
+    register(by_value)
+    return outer(rows) + TRACED
+
+def helper(used, unused):
+    return used
+
+def by_value(fixed, signature):
+    return fixed
+
+def traced(unused):
+    pass
+
+def outer(rows, *args, flag=False, **kwargs):
+    def inner(x, y):
+        return x
+
+    def closure(z):
+        return rows
+
+    return inner(1, 2) + closure(0)
+
+class K:
+    def method(self, unused):
+        pass
+
+TRACED = "mod:traced"
+'''
+    tree = ast.parse(src)
+    assert unread_parameters({"mod": tree}, [tree]) == [
+        "mod.helper(unused)",
+        "mod.outer(args)",
+        "mod.outer(flag)",
+        "mod.outer(kwargs)",
+        "mod.outer.closure(z)",
+        "mod.outer.inner(y)",
     ]
