@@ -16,6 +16,16 @@ Odd-coordinate derivatives are left derivatives: d_th1(th1 th2 F) = th2 F
 and d_th2(th1 th2 F) = -th1 F.  A doubly-indexed entry applies the leftmost
 subscript first, so value_th1th2 = d_th2(d_th1 value) and equals +F on the
 pure th1 th2 term.
+
+The covariant derivatives D = d_th + th d and the supersymmetry generators
+Q = d_th - th d lower a jet by one order (``op_D``, ``op_Q``).  Their
+``th d`` part multiplies by a single generator, so it is a mask shift, not
+a general product: each term of a component without theta's bit gains it,
+with the sign (-1)^(number of the term's generators below theta), and a term
+that already holds it dies.  The shift keeps the general product's float
+operations and drops zero products, and it inserts no empty product, so
+the result's values and key order are bit for bit those of the general
+product.
 """
 
 from __future__ import annotations
@@ -35,12 +45,11 @@ from .grassmann import (
     soul_taylor,
 )
 from .superjet import (
-    JetSpec,
     SuperJet,
     jet_apply_analytic,
     jet_constant,
-    jet_partial,
     jet_scale,
+    jet_spec,
     jet_variable,
 )
 
@@ -70,7 +79,7 @@ class SuperfieldValueBundle:
 def coordinate_jets(x, t, order: int, ctx: AlgebraContext = DEFAULT_CONTEXT):
     """The jets of the coordinates x and t at a point; a soul-free coordinate
     gives a real jet."""
-    spec = JetSpec(("x", "t"), order)
+    spec = jet_spec(("x", "t"), order)
     ngen = ctx.generator_count
     return (
         jet_variable(spec, "x", demote(ctx.lift(x)), ngen),
@@ -114,17 +123,40 @@ def evaluate_bundle(f: Superfield, x, t) -> SuperfieldValueBundle:
 def _op_theta(jet: SuperJet, ctx: AlgebraContext, which: str, sign: float) -> SuperJet:
     """d_theta + sign * theta * d_even as a jet-to-jet map (order drops 1).
 
-    The theta derivative is taken only of the components the lower order
-    keeps.  Components follow the ``sign * theta * d_even`` jet's order, then
-    the remaining ones in the input's order; ``SuperJet`` drops the ones that
-    vanish.
+    ``sign * theta * d_even`` is a mask shift, formed in one pass over the
+    components that have a d_even slot inside the lower order.  A term
+    ``c * xi^m`` whose mask lacks theta's bit becomes
+    ``(sign * c) * s * xi^(m | theta)``, where ``s`` is -1.0 when an odd
+    number of m's generators lie below theta, else 1.0: the general
+    product's merge sign, in its float operations and their order, so NaN,
+    -0.0 and underflow keep their bits.  A term holding theta's bit and a
+    zero product are dropped.  A real jet is read through its lifted
+    components, so a float ``v`` gives ``sign * v`` on theta alone.
+
+    An empty theta product is not inserted, so the keys keep the general
+    product's order: the theta products in the input's order, then the theta
+    derivatives of the components the lower order keeps, in the input's
+    order.  ``SuperJet`` drops the sums that vanish.
     """
     theta_role, seed = ("theta1", "x") if which == "x" else ("theta2", "t")
     idx = ctx.roles[theta_role]
-    th = ctx.gen(theta_role)
-    second = jet_scale(jet_partial(jet, seed), th * sign, from_left=True)
-    sub = JetSpec(jet.spec.seeds, jet.spec.order - 1)
-    comp = dict(second.comp)
+    bit = 1 << idx
+    below = bit - 1
+    spec = jet.spec
+    ax = spec.axis(seed)
+    sub = jet_spec(spec.seeds, spec.order - 1)
+    comp = {}
+    for J, v in jet.comp.items():
+        if not J[ax] or sum(J) > spec.order:
+            continue
+        terms = {}
+        for m, c in v.terms.items():
+            if not m & bit:
+                p = sign * c * (-1.0 if (m & below).bit_count() & 1 else 1.0)
+                if p != 0.0:
+                    terms[m | bit] = p
+        if terms:
+            comp[J[:ax] + (J[ax] - 1,) + J[ax + 1:]] = GrassmannNumber._make(jet.ngen, terms)
     for J, v in jet.comp.items():
         if sum(J) <= sub.order:
             d = gen_derivative(v, idx)
@@ -197,7 +229,7 @@ def component_superfield(u_half: JetHandle, phi: JetHandle, psi: JetHandle, F: J
 
 def constant_component(value: GrassmannNumber) -> JetHandle:
     def handle(x, t, order):
-        return jet_constant(JetSpec(("x", "t"), order), value)
+        return jet_constant(jet_spec(("x", "t"), order), value)
 
     return handle
 

@@ -37,6 +37,12 @@ real jet.  Every value stays bit for bit what multiplying every term
 through gives: an absent component is the empty number, whose product is
 empty, and the surviving terms keep the same partition order and the same
 left-to-right factor order.
+
+The specs themselves are cached too: ``jet_spec`` returns one frozen
+``JetSpec`` per shape (seeds, order), so lowering a jet or building the
+coordinate jets of a point validates a shape once, not once per call.  The
+cache keeps no exception, so an invalid shape raises on every request, and
+a concurrent first fill only builds an equal value.
 """
 
 from __future__ import annotations
@@ -75,6 +81,12 @@ class JetSpec:
         for J in product(*ranges):
             if sum(J) <= self.order:
                 yield J
+
+
+@cache
+def jet_spec(seeds: tuple[str, ...], order: int) -> JetSpec:
+    """The one ``JetSpec`` of a shape; an invalid shape raises every time."""
+    return JetSpec(seeds, order)
 
 
 class SuperJet:
@@ -233,7 +245,7 @@ def jet_multiply(a: SuperJet, b: SuperJet) -> SuperJet:
 def jet_partial(a: SuperJet, seed: str) -> SuperJet:
     """Shift one derivative slot down; the result is one order lower."""
     ax = a.spec.axis(seed)
-    sub = JetSpec(a.spec.seeds, a.spec.order - 1)
+    sub = jet_spec(a.spec.seeds, a.spec.order - 1)
     real = a.floats is not None
     comp = {}
     for J, v in (a.floats if real else a.comp).items():

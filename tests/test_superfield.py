@@ -19,6 +19,7 @@ from susygordon.grassmann import (
 from susygordon.superfield import (
     component_superfield,
     constant_component,
+    coordinate_jets,
     evaluate_bundle,
     op_D,
     op_Q,
@@ -37,6 +38,7 @@ from susygordon.superjet import (
     jet_map,
     jet_partial,
     jet_scale,
+    jet_spec,
 )
 
 TH1 = CTX.gen("theta1")
@@ -185,22 +187,29 @@ def _jet_bits(jet):
 
 
 # every float, plus the values whose sign or payload a product could lose
-COEFFS = st.one_of(st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0]),
-                   st.floats())
+COEFFS = st.one_of(
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324]),
+    st.floats(),
+)
 # half of the masks carry no theta generator, so their theta derivative vanishes
 MASKS = st.one_of(st.integers(0, 255), st.integers(0, 63).map(lambda m: m << 2))
 
 
 @st.composite
 def superfield_jets(draw):
+    """A jet of supernumbers, or a real jet of floats, in a drawn key order."""
     spec = JetSpec(("x", "t"), draw(st.integers(1, 2)))
+    real = draw(st.booleans())
     comp = {}
     for J in spec.indices():
         if draw(st.booleans()):
-            terms = draw(st.dictionaries(MASKS, COEFFS, min_size=1, max_size=4))
-            comp[J] = GrassmannNumber._make(CTX.generator_count, terms)
+            if real:
+                comp[J] = draw(COEFFS)
+            else:
+                terms = draw(st.dictionaries(MASKS, COEFFS, min_size=1, max_size=4))
+                comp[J] = GrassmannNumber._make(CTX.generator_count, terms)
     order = draw(st.permutations(list(comp)))
-    return SuperJet(spec, CTX.generator_count, {J: comp[J] for J in order})
+    return SuperJet(spec, CTX.generator_count, {J: comp[J] for J in order}, real)
 
 
 @given(superfield_jets())
@@ -210,6 +219,19 @@ def test_op_theta_matches_the_map_then_filter_form(jet):
         for sign in (1.0, -1.0):
             want = _op_theta_reference(jet, CTX, which, sign)
             assert _jet_bits(superfield._op_theta(jet, CTX, which, sign)) == _jet_bits(want)
+
+
+def test_lowering_an_order_zero_jet_raises():
+    # the spec cache keeps no exception: every request for order -1 is refused
+    jet = superfield_jet(random_superfield(7), scalar(0.25), scalar(0.75), order=0)
+    real = coordinate_jets(0.25, 0.75, 0, CTX)[0]
+    for _ in range(2):
+        for j in (jet, real):
+            for lower in (lambda j: op_D(j, CTX, "x"), lambda j: op_Q(j, CTX, "t"),
+                          lambda j: jet_partial(j, "x")):
+                with pytest.raises(ValueError, match="negative jet order"):
+                    lower(j)
+    assert jet_spec(("x", "t"), 1) is jet_spec(("x", "t"), 1)
 
 
 def test_theta_operators_match_the_bundle():

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from susygordon.superjet import (
     jet_multiply,
     jet_partial,
     jet_scale,
+    jet_spec,
     jet_variable,
 )
 
@@ -523,4 +526,57 @@ def test_jet_product_counts(monkeypatch):
     calls = 0
     # one b5 superfield at ten points; each first-level D and Q is built once
     list(checks.b5_residuals(checks.covariant_squares, checks.susy_anticommutators)(CTX, 900, 1))
-    assert calls == 1025
+    assert calls == 465
+
+
+def test_jet_spec_constructions(monkeypatch):
+    # one b5 superfield at ten points with both families needs three shapes,
+    # orders 2, 1 and 0 over ("x", "t"): each is built once with a cold spec
+    # cache and none with a warm one
+    built = []
+    post_init = JetSpec.__post_init__
+
+    def counted(spec):
+        built.append((spec.seeds, spec.order))
+        post_init(spec)
+
+    monkeypatch.setattr(JetSpec, "__post_init__", counted)
+    run = checks.b5_residuals(checks.covariant_squares, checks.susy_anticommutators)
+    jet_spec.cache_clear()
+    list(run(CTX, 900, 1))
+    assert sorted(built) == [(("x", "t"), 0), (("x", "t"), 1), (("x", "t"), 2)]
+    built.clear()
+    list(run(CTX, 900, 1))
+    assert built == []
+
+
+def test_jet_spec_cache_is_coherent_across_threads():
+    # threads filling a cold spec cache at once get equal specs and lower a
+    # jet to the bits a serial run gives
+    jet = superfield.superfield_jet(random_superfield(900), sc(0.15), sc(-0.45), order=2)
+
+    def lowered():
+        return [(J, bits(v.terms)) for which in ("x", "t")
+                for J, v in superfield.op_Q(superfield.op_D(jet, CTX, which), CTX, "t").comp.items()]
+
+    want = lowered()
+    bad = []
+
+    def work():
+        for _ in range(200):
+            if jet_spec(("x", "t"), 1) != JetSpec(("x", "t"), 1) or lowered() != want:
+                bad.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        jet_spec.cache_clear()
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
