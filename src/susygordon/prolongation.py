@@ -21,7 +21,10 @@ with every product kept in exactly this order, built symbolically by
 evaluated at sampled points.  Each coefficient function declares the
 variables it reads, and the terms that a declaration makes zero are pruned
 once per table.  The long-hand closed forms live in prolong_expanded as an
-independent transcription.
+independent transcription.  Their text stays as written; the partials and
+coordinates it is handed skip the work whose result is known: an empty
+partial is an absorbing zero, which forms no product and adds nothing, and
+each coordinate is looked up once per call.
 """
 
 from __future__ import annotations
@@ -42,11 +45,11 @@ from .grassmann import (
     gen_derivative,
 )
 from .superjet import (
-    JetSpec,
     SuperJet,
     jet_constant,
     jet_map,
     jet_partial,
+    jet_spec,
     jet_variable,
 )
 
@@ -501,7 +504,7 @@ class EvaluatedCoefficient:
 def _seed_jets(p: JetPoint) -> dict:
     """The point's jets of the even independents and even dependents."""
     sig = p.sig
-    spec = JetSpec(sig.even_independents + sig.even_dependents, sig.order)
+    spec = jet_spec(sig.even_independents + sig.even_dependents, sig.order)
     jets = {name: jet_variable(spec, name, p.base_value(name)) for name in sig.even_independents}
     for name in sig.even_dependents:
         _, key = coordinate_key(sig, name, ())
@@ -647,16 +650,65 @@ def _prolong(v: VectorFieldSpec, p: JetPoint, coefvals: dict) -> ProlongedCoeffi
 # ------------------------------------------------- expanded closed-form route
 
 
+class _Absorbing(GrassmannNumber):
+    """The empty number of ``prolong_expanded``, whose results are known.
+
+    A product with it is itself, ``z + x``, ``x + z`` and ``x - z`` are
+    ``x``, and ``z - z`` is ``z``: the values the general operations give,
+    bit for bit.  Being a subclass with its own reflected methods, it is
+    asked first when it is the right operand.  Any other ``z - x`` stays the
+    general ``0.0 - c`` per term, which keeps a NaN's sign where negation
+    would flip it.  Returning an operand shares its terms, which no
+    operation mutates.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if isinstance(other, GrassmannNumber):
+            return other
+        return GrassmannNumber.__add__(self, other)
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return self if other is self else GrassmannNumber.__sub__(self, other)
+
+
 def prolong_expanded(v: VectorFieldSpec, p: JetPoint) -> ProlongedCoefficients:
-    """Term-by-term transcription of the fully expanded coefficient formulas."""
+    """Term-by-term transcription of the fully expanded coefficient formulas.
+
+    The formula text is left as written, as the independent reference for
+    ``prolong``.  The work it does not need is cut below it: ``f`` answers
+    an empty partial with one shared ``_Absorbing`` zero, so a term with an
+    empty partial forms no product and adds nothing, and ``c`` reads each
+    coordinate, and forms its sign, once per call.  A slot that sums to the
+    empty number is returned as a plain empty number.
+    """
     coefvals = evaluate_spec(v, p)
+    zero = _Absorbing(p.ctx.generator_count)
+    coords: dict = {}
 
     def f(target, *dirs):
-        return coefvals[target].partial(tuple(dirs))
+        value = coefvals[target].partial(dirs)
+        return value if value.terms else zero
 
-    if v.sig.odd_independents:
-        return _ssg_expanded(f, p.coordinate)
-    return _component_expanded(f, p.coordinate)
+    def c(dep, *dirs):
+        value = coords.get((dep, dirs))
+        if value is None:
+            value = coords[dep, dirs] = p.coordinate(dep, *dirs)
+        return value
+
+    expanded = _ssg_expanded if v.sig.odd_independents else _component_expanded
+    values = expanded(f, c).values
+    return ProlongedCoefficients(
+        {slot: val if val.terms else p.ctx.zero() for slot, val in values.items()}
+    )
 
 
 def _ssg_expanded(f, c):

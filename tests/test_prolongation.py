@@ -13,6 +13,7 @@ from susygordon.grassmann import GrassmannNumber, Parity, apply_analytic
 from susygordon.analytic import COS
 from susygordon import checks, prolongation
 from susygordon.cli import RunConfig, _run_checks
+from susygordon.superjet import JetSpec, jet_spec
 from susygordon.prolongation import (
     COMPONENT_SIGNATURE,
     SSG_SIGNATURE,
@@ -41,6 +42,9 @@ from susygordon.prolongation import (
     symmetry_residual,
     total_derivative_expr,
 )
+
+from helpers import bits
+from test_grassmann import RAW
 
 
 def total_derivative(p, expr, direction):
@@ -473,10 +477,94 @@ def test_prolongation_product_counts(monkeypatch):
 
     monkeypatch.setattr(GrassmannNumber, "__mul__", counted)
     list(checks.prolongation_gaps("superspace")(CTX, 2003, 1))
-    assert calls <= 1543
+    assert calls == 201
+    calls = 0
+    list(checks.prolongation_gaps("component")(CTX, 2087, 1))
+    assert calls == 124
     calls = 0
     list(checks.symmetry_residuals("superspace")(CTX, 3001, 1))
     assert calls <= 278
+
+
+def test_seed_jet_specs_are_built_once_per_shape(monkeypatch):
+    # one prolongation_gaps sample of each picture: with a cold spec cache
+    # the seed jets' shape and the order-1 shape of their partials are each
+    # built once, with a warm one none is
+    built = []
+    post_init = JetSpec.__post_init__
+
+    def counted(spec):
+        built.append((spec.seeds, spec.order))
+        post_init(spec)
+
+    monkeypatch.setattr(JetSpec, "__post_init__", counted)
+    jet_spec.cache_clear()
+    for picture, base, seeds in (("superspace", 2003, ("x", "t", "Phi")),
+                                 ("component", 2087, ("x", "t", "u"))):
+        list(checks.prolongation_gaps(picture)(CTX, base, 1))
+        assert sorted(built) == [(seeds, 1), (seeds, 2)]
+        built.clear()
+        list(checks.prolongation_gaps(picture)(CTX, base, 1))
+        assert built == []
+
+
+# every float, both NaN signs, the infinities and -0.0, plus the smallest
+# subnormals
+_COEFFS = st.one_of(RAW, st.sampled_from([5e-324, -5e-324]))
+_VALUES = st.dictionaries(st.integers(0, (1 << CTX.generator_count) - 1), _COEFFS,
+                          max_size=6).map(lambda d: GrassmannNumber(CTX.generator_count, d))
+
+
+@given(_VALUES, _COEFFS)
+@settings(max_examples=300, deadline=None)
+def test_absorbing_zero_gives_the_bits_of_the_empty_number(a, r):
+    z = prolongation._Absorbing(CTX.generator_count)
+    for x in (a, r):
+        for op in (lambda e, y: e * y, lambda e, y: y * e, lambda e, y: y + e,
+                   lambda e, y: e + y, lambda e, y: y - e, lambda e, y: e - y):
+            got, want = op(z, x), op(CTX.zero(), x)
+            assert isinstance(got, GrassmannNumber)
+            assert bits(got.terms) == bits(want.terms)
+    for got, want in ((2.0 * z, 2.0 * CTX.zero()), (z + z, CTX.zero() + CTX.zero()),
+                      (z - z, CTX.zero() - CTX.zero())):
+        assert got.terms == want.terms == {}
+
+
+def test_expanded_route_returns_plain_numbers():
+    for sig in (SSG_SIGNATURE, COMPONENT_SIGNATURE):
+        zero = VectorFieldSpec(sig, {n: CoefficientFn.zero(sig.parity_of(n))
+                                     for n, _ in sig.independents + sig.dependents})
+        values = prolong_expanded(zero, random_jet_point(sig, 11, CTX)).values
+        assert values and all(type(v) is GrassmannNumber and not v.terms
+                              for v in values.values())
+
+
+def _plain_expanded(spec, p):
+    """The expanded formulas with the plain partials and coordinates, so
+    every empty partial is multiplied and summed through."""
+    coefvals = evaluate_spec(spec, p)
+
+    def f(target, *dirs):
+        return coefvals[target].partial(dirs)
+
+    expanded = prolongation._ssg_expanded if p.sig.odd_independents else (
+        prolongation._component_expanded)
+    return expanded(f, p.coordinate)
+
+
+def test_absorbing_zero_leaves_the_transcription_bit_for_bit():
+    for sig, named in ((SSG_SIGNATURE, ssg_named_generators),
+                       (COMPONENT_SIGNATURE, component_named_generators)):
+        for seed in range(20):
+            p = random_jet_point(sig, 4000 + seed, CTX)
+            points = (p, _nan_phi_x(p)) if sig is SSG_SIGNATURE and seed < 5 else (p,)
+            for q in points:
+                for name, spec in named(CTX).items():
+                    got = prolong_expanded(spec, q).values
+                    want = _plain_expanded(spec, q).values
+                    assert all(type(v) is GrassmannNumber for v in got.values())
+                    assert ([(slot, bits(v.terms)) for slot, v in got.items()]
+                            == [(slot, bits(v.terms)) for slot, v in want.items()]), (name, seed)
 
 
 def _undeclared(spec):
