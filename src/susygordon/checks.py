@@ -30,6 +30,7 @@ from .prolongation import (
     SSG_SIGNATURE,
     component_named_generators,
     component_shift_spec,
+    evaluate_spec,
     prolong,
     prolong_expanded,
     random_jet_point,
@@ -275,7 +276,8 @@ def _rows(criterion):
 
 def prolongation_gaps(picture):
     """Sampler of recursive against expanded prolongation, one residual per
-    jet point and generator."""
+    jet point and generator; both routes read one evaluation of the
+    generator's coefficients at the point."""
     sig, named = _PICTURES[picture][:2]
 
     def residuals(ctx, base, count):
@@ -283,8 +285,9 @@ def prolongation_gaps(picture):
         for s in range(count):
             p = random_jet_point(sig, base + s, ctx)
             for spec in gens.values():
-                a = prolong(spec, p)
-                b = prolong_expanded(spec, p)
+                coefvals = evaluate_spec(spec, p)
+                a = prolong(spec, p, coefvals)
+                b = prolong_expanded(spec, p, coefvals)
                 yield worst_of((a.values[key] - val).norm() for key, val in b.values.items())
 
     return residuals

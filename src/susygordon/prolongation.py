@@ -25,6 +25,15 @@ independent transcription.  Their text stays as written; the partials and
 coordinates it is handed skip the work whose result is known: an empty
 partial is an absorbing zero, which forms no product and adds nothing, and
 each coordinate is looked up once per call.
+
+What depends only on a jet point is built once per point: a ``JetPoint``
+keeps its on-shell restriction and its seed jets after the first read, so
+the generators checked at one point share them.  This is safe because a
+point's base values and coordinates are read-only copies, which no caller
+can change under a kept value; a concurrent first read only builds an equal
+value.  What depends on a (field, point) pair, the frozen coefficients of
+``evaluate_spec``, is built once per check and handed to both prolongation
+routes, and each field's constants are formed once, when it is built.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Callable
 
 from .analytic import COS, SIN
@@ -41,6 +51,7 @@ from .grassmann import (
     AlgebraContext,
     GrassmannNumber,
     Parity,
+    _merge_sign,
     apply_analytic,
     gen_derivative,
 )
@@ -157,10 +168,26 @@ def _coordinate_key(sig: ProblemSignature, dep: str, dirs: tuple):
 
 @dataclass
 class JetPoint:
+    """Read-only copies of base values and jet coordinates; the on-shell
+    restriction ``onshell`` and the ``seed_jets`` are kept after the first
+    read, as the module docstring says."""
+
     sig: ProblemSignature
     ctx: AlgebraContext
     base: dict
     coords: dict
+
+    def __post_init__(self):
+        self.base = MappingProxyType(dict(self.base))
+        self.coords = MappingProxyType(dict(self.coords))
+
+    @cached_property
+    def onshell(self) -> "JetPoint":
+        return onshell_substitute(self)
+
+    @cached_property
+    def seed_jets(self) -> MappingProxyType:
+        return MappingProxyType(_seed_jets(self))
 
     def get(self, key) -> GrassmannNumber:
         try:
@@ -182,9 +209,7 @@ class JetPoint:
             raise IncompleteJetPoint(f"base variable {name} missing") from None
 
     def replace_coords(self, updates: dict) -> "JetPoint":
-        coords = dict(self.coords)
-        coords.update(updates)
-        return JetPoint(self.sig, self.ctx, dict(self.base), coords)
+        return JetPoint(self.sig, self.ctx, self.base, {**self.coords, **updates})
 
 
 def all_coordinate_keys(sig: ProblemSignature, order: int | None = None):
@@ -216,34 +241,58 @@ def random_jet_point(
     stay nontrivial without saturating the algebra.  ``order`` deepens
     the point past the signature's order; total derivatives of top-order
     expressions reference those extra slots.
+
+    Each value is ``body + g_i g_j w + g_k g_l w'`` (even) or
+    ``g_a u + g_i g_j g_k w`` (odd), written straight into its term map:
+    a product of distinct generators is one mask with its merge sign, so
+    the map holds the bits, and the key order, that forming those products
+    and sums through the general operations gives.
     """
     rng = random.Random(rng_seed)
     reserved = {ctx.roles["theta1"], ctx.roles["theta2"]}
     free = [i for i in range(ctx.generator_count) if i not in reserved]
 
+    def add(terms, mask, c):
+        # ``terms + {mask: c}`` as ``GrassmannNumber.__add__`` forms it
+        if c != 0.0:
+            v = terms.get(mask, 0.0) + c
+            if v == 0.0:
+                terms.pop(mask, None)
+            else:
+                terms[mask] = v
+
     def even_value():
-        v = ctx.scalar(rng.uniform(-1.2, 1.2))
+        terms: dict = {}
+        add(terms, 0, rng.uniform(-1.2, 1.2))
         for _ in range(2):
             i, j = rng.sample(free, 2)
-            v = v + ctx.gen(i) * ctx.gen(j) * rng.uniform(-0.5, 0.5)
-        return v
+            add(terms, 1 << i | 1 << j, _merge_sign(1 << i, 1 << j) * rng.uniform(-0.5, 0.5))
+        return terms
 
     def odd_value():
-        v = ctx.gen(rng.choice(free)) * rng.uniform(-1.0, 1.0)
+        terms: dict = {}
+        add(terms, 1 << rng.choice(free), rng.uniform(-1.0, 1.0))
         i, j, k = rng.sample(free, 3)
-        return v + ctx.gen(i) * ctx.gen(j) * ctx.gen(k) * rng.uniform(-0.5, 0.5)
+        sign = _merge_sign(1 << i, 1 << j) * _merge_sign(1 << i | 1 << j, 1 << k)
+        add(terms, 1 << i | 1 << j | 1 << k, sign * rng.uniform(-0.5, 0.5))
+        return terms
 
     base = {}
     for name in sig.even_independents:
         base[name] = ctx.scalar(rng.uniform(-1.5, 1.5))
     for name in sig.odd_independents:
         base[name] = ctx.gen(name)
-    coords = {}
-    for key in all_coordinate_keys(sig, order):
-        dep, _, jodd = key
-        par = sig.coordinate_parity(dep, jodd)
-        coords[key] = even_value() if par is EVEN else odd_value()
+    ngen = ctx.generator_count
+    coords = {key: GrassmannNumber._make(ngen, even_value() if even else odd_value())
+              for key, even in _sample_layout(sig, order)}
     return JetPoint(sig, ctx, base, coords)
+
+
+@cache
+def _sample_layout(sig: ProblemSignature, order: int | None) -> tuple:
+    """``(key, is_even)`` for each coordinate ``random_jet_point`` draws."""
+    return tuple((key, sig.coordinate_parity(key[0], key[2]) is EVEN)
+                 for key in all_coordinate_keys(sig, order))
 
 
 # ------------------------------------------------------- symbolic expressions
@@ -513,9 +562,9 @@ def _seed_jets(p: JetPoint) -> dict:
 
 
 def evaluate_spec(v: VectorFieldSpec, p: JetPoint) -> dict:
-    """Every coefficient of the field frozen at the point, over one set of
+    """Every coefficient of the field frozen at the point, over the point's
     seed jets."""
-    jets = _seed_jets(p)
+    jets = p.seed_jets
     return {name: EvaluatedCoefficient(fn, p, jets) for name, fn in v.coefficients.items()}
 
 
@@ -636,12 +685,15 @@ class ProlongedCoefficients:
         return self.values[(dep, tuple(dirs))]
 
 
-def prolong(v: VectorFieldSpec, p: JetPoint) -> ProlongedCoefficients:
-    """All needed prolonged coefficients via the graded recursion."""
-    return _prolong(v, p, evaluate_spec(v, p))
+def prolong(
+    v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None
+) -> ProlongedCoefficients:
+    """All needed prolonged coefficients via the graded recursion.
 
-
-def _prolong(v: VectorFieldSpec, p: JetPoint, coefvals: dict) -> ProlongedCoefficients:
+    ``coefvals`` is ``evaluate_spec(v, p)``, evaluated here when not given.
+    """
+    if coefvals is None:
+        coefvals = evaluate_spec(v, p)
     return ProlongedCoefficients(
         {slot: evaluate_expr(expr, coefvals, p) for slot, expr in _live_table(v)}
     )
@@ -680,7 +732,9 @@ class _Absorbing(GrassmannNumber):
         return self if other is self else GrassmannNumber.__sub__(self, other)
 
 
-def prolong_expanded(v: VectorFieldSpec, p: JetPoint) -> ProlongedCoefficients:
+def prolong_expanded(
+    v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None
+) -> ProlongedCoefficients:
     """Term-by-term transcription of the fully expanded coefficient formulas.
 
     The formula text is left as written, as the independent reference for
@@ -688,9 +742,12 @@ def prolong_expanded(v: VectorFieldSpec, p: JetPoint) -> ProlongedCoefficients:
     an empty partial with one shared ``_Absorbing`` zero, so a term with an
     empty partial forms no product and adds nothing, and ``c`` reads each
     coordinate, and forms its sign, once per call.  A slot that sums to the
-    empty number is returned as a plain empty number.
+    empty number is returned as a plain empty number.  ``coefvals`` is
+    ``evaluate_spec(v, p)``, evaluated here when not given; handing ``prolong``
+    and this route the same one shares their partials, not their formulas.
     """
-    coefvals = evaluate_spec(v, p)
+    if coefvals is None:
+        coefvals = evaluate_spec(v, p)
     zero = _Absorbing(p.ctx.generator_count)
     coords: dict = {}
 
@@ -910,9 +967,9 @@ def symmetry_residual(v: VectorFieldSpec, p: JetPoint):
     Superspace instance: one even supernumber, zero for true symmetries.
     Component instance: the triple of slot conditions.
     """
-    q = onshell_substitute(p)
+    q = p.onshell
     coefvals = evaluate_spec(v, q)
-    pro = _prolong(v, q, coefvals)
+    pro = prolong(v, q, coefvals)
     ctx = q.ctx
     if v.sig.odd_independents:
         th1 = q.base_value("theta1")
@@ -969,12 +1026,15 @@ def ssg_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, D1=None, D2=None, ctx=DEFAULT_CONT
     D1 = D1 if D1 is not None else zero
     D2 = D2 if D2 is not None else zero
     C1, C2, C3 = ctx.lift(C1), ctx.lift(C2), ctx.lift(C3)
+    # the builders' constants, formed once per spec
+    x_rate, x_shift = C1 * -2.0, C2 - D1 * th1
+    t_rate, t_shift = C1 * 2.0, C3 - D2 * th2
 
     def xi(jets):
-        return jets["x"] * (C1 * -2.0) + jet_constant(jets["x"].spec, C2 - D1 * th1)
+        return jets["x"] * x_rate + jet_constant(jets["x"].spec, x_shift)
 
     def tau(jets):
-        return jets["t"] * (C1 * 2.0) + jet_constant(jets["t"].spec, C3 - D2 * th2)
+        return jets["t"] * t_rate + jet_constant(jets["t"].spec, t_shift)
 
     rho = _const_builder(C1 * -1.0 * th1 + D1)
     sigma = _const_builder(C1 * th2 + D2)
@@ -1021,12 +1081,13 @@ def ssg_shift_spec(ctx: AlgebraContext = DEFAULT_CONTEXT) -> VectorFieldSpec:
 def component_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, ctx=DEFAULT_CONTEXT) -> VectorFieldSpec:
     """xi = C1 x + C2, tau = -C1 t + C3, U = 0, Sigma = -C1 phi/2, Psi = C1 psi/2."""
     C1f = float(C1)
+    x_shift, t_shift = ctx.scalar(float(C2)), ctx.scalar(float(C3))
 
     def xi(jets):
-        return jets["x"] * C1f + jet_constant(jets["x"].spec, ctx.scalar(float(C2)))
+        return jets["x"] * C1f + jet_constant(jets["x"].spec, x_shift)
 
     def tau(jets):
-        return jets["t"] * -C1f + jet_constant(jets["t"].spec, ctx.scalar(float(C3)))
+        return jets["t"] * -C1f + jet_constant(jets["t"].spec, t_shift)
 
     return VectorFieldSpec(
         COMPONENT_SIGNATURE,

@@ -187,7 +187,16 @@ def jet_add(a: SuperJet, b: SuperJet) -> SuperJet:
 
 
 def jet_scale(a: SuperJet, c, from_left: bool = False) -> SuperJet:
+    """``a`` scaled by a real or a supernumber ``c``.
+
+    An empty supernumber of ``a``'s algebra gives the empty jet of
+    supernumbers without forming a product: every product with it is
+    empty, whatever the component, NaN and inf included.  A float 0.0
+    takes the general path, since a real jet's ``inf * 0.0`` is NaN.
+    """
     if isinstance(c, GrassmannNumber):
+        if not c.terms and c.ngen == a.ngen:
+            return SuperJet(a.spec, a.ngen, {})
         if a.floats is not None:
             # c * v by a float v is v * c bit for bit, in c's key order
             return SuperJet(a.spec, a.ngen, {J: c * v for J, v in a.floats.items()})

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
-from susygordon.grassmann import GrassmannNumber, Parity, apply_analytic
+from susygordon.grassmann import AlgebraContext, GrassmannNumber, Parity, apply_analytic
 from susygordon.analytic import COS
 from susygordon import checks, prolongation
 from susygordon.cli import RunConfig, _run_checks
@@ -23,6 +25,7 @@ from susygordon.prolongation import (
     IncompleteJetPoint,
     JetPoint,
     VectorFieldSpec,
+    all_coordinate_keys,
     component_named_generators,
     component_shift_spec,
     component_symmetry_spec,
@@ -477,13 +480,59 @@ def test_prolongation_product_counts(monkeypatch):
 
     monkeypatch.setattr(GrassmannNumber, "__mul__", counted)
     list(checks.prolongation_gaps("superspace")(CTX, 2003, 1))
-    assert calls == 201
+    assert calls == 93
     calls = 0
     list(checks.prolongation_gaps("component")(CTX, 2087, 1))
-    assert calls == 124
+    assert calls == 40
     calls = 0
     list(checks.symmetry_residuals("superspace")(CTX, 3001, 1))
-    assert calls <= 278
+    assert calls == 136
+    calls = 0
+    list(checks.symmetry_residuals("component")(CTX, 3001, 1))
+    assert calls == 148
+
+
+def test_point_values_are_built_once(monkeypatch):
+    # one sample of each picture: the on-shell point and the seed jets are
+    # built once per point, not once per generator, and the two routes of a
+    # gap share one coefficient evaluation per generator
+    calls = Counter()
+
+    def count(name):
+        fn = getattr(prolongation, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(prolongation, name, counted)
+        return counted
+
+    count("onshell_substitute")
+    count("_seed_jets")
+    monkeypatch.setattr(checks, "evaluate_spec", count("evaluate_spec"))
+    for picture, named in (("superspace", ssg_named_generators),
+                           ("component", component_named_generators)):
+        calls.clear()
+        list(checks.symmetry_residuals(picture)(CTX, 3001, 1))
+        assert calls["onshell_substitute"] == calls["_seed_jets"] == 1
+        calls.clear()
+        list(checks.prolongation_gaps(picture)(CTX, 2003, 1))
+        assert calls == {"evaluate_spec": len(named(CTX)), "_seed_jets": 1}
+
+
+def test_points_are_read_only():
+    p = random_jet_point(SSG_SIGNATURE, 1, CTX)
+    _, key = coordinate_key(SSG_SIGNATURE, "Phi", ())
+    with pytest.raises(TypeError):
+        p.coords[key] = CTX.zero()
+    with pytest.raises(TypeError):
+        p.base["x"] = CTX.zero()
+    # a point keeps its own copy of the mappings it is built from
+    coords = dict(p.coords)
+    q = JetPoint(p.sig, p.ctx, p.base, coords)
+    coords[key] = CTX.zero()
+    assert q.get(key) is p.get(key)
 
 
 def test_seed_jet_specs_are_built_once_per_shape(monkeypatch):
@@ -617,9 +666,53 @@ def test_declared_tables_visit_only_live_terms(monkeypatch):
     assert visited == 18
 
 
+def _random_jet_point_reference(sig, rng_seed, ctx):
+    """The base values and coordinates of ``random_jet_point``, each value
+    formed through general products and sums of generators."""
+    rng = random.Random(rng_seed)
+    reserved = {ctx.roles["theta1"], ctx.roles["theta2"]}
+    free = [i for i in range(ctx.generator_count) if i not in reserved]
+
+    def even_value():
+        v = ctx.scalar(rng.uniform(-1.2, 1.2))
+        for _ in range(2):
+            i, j = rng.sample(free, 2)
+            v = v + ctx.gen(i) * ctx.gen(j) * rng.uniform(-0.5, 0.5)
+        return v
+
+    def odd_value():
+        v = ctx.gen(rng.choice(free)) * rng.uniform(-1.0, 1.0)
+        i, j, k = rng.sample(free, 3)
+        return v + ctx.gen(i) * ctx.gen(j) * ctx.gen(k) * rng.uniform(-0.5, 0.5)
+
+    base = {name: ctx.scalar(rng.uniform(-1.5, 1.5)) for name in sig.even_independents}
+    base.update({name: ctx.gen(name) for name in sig.odd_independents})
+    coords = {}
+    for key in all_coordinate_keys(sig):
+        dep, _, jodd = key
+        even = sig.coordinate_parity(dep, jodd) is Parity.EVEN
+        coords[key] = even_value() if even else odd_value()
+    return base, coords
+
+
+@pytest.mark.parametrize("ngen", [8, 32])
+def test_sampled_points_keep_the_general_product_bits(ngen):
+    ctx = CTX if ngen == 8 else AlgebraContext(ngen)
+
+    def terms(values):
+        return [(k, bits(v.terms)) for k, v in values.items()]
+
+    for sig in (SSG_SIGNATURE, COMPONENT_SIGNATURE):
+        for seed in range(200):
+            p = random_jet_point(sig, seed, ctx)
+            base, coords = _random_jet_point_reference(sig, seed, ctx)
+            assert terms(p.coords) == terms(coords), (sig, seed)
+            assert terms(p.base) == terms(base), (sig, seed)
+
+
 def test_seed_jets_are_built_once_per_point(monkeypatch):
-    # x, t and the even dependent: three seed jets per evaluated spec, not
-    # three per coefficient
+    # x, t and the even dependent: three seed jets per point, not three per
+    # coefficient
     calls = 0
     variable = prolongation.jet_variable
 

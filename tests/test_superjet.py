@@ -427,6 +427,40 @@ def test_mixed_operations_give_the_grassmann_bits(kind, data):
     assert _exact(lambda: a - b) == _exact(lambda: ra - b) == _exact(lambda: a - rb)
 
 
+def _scale_reference(a, c, from_left):
+    """``jet_scale`` by a supernumber through one product per component."""
+    if a.floats is not None:
+        return SuperJet(a.spec, a.ngen, {J: c * v for J, v in a.floats.items()})
+    if from_left:
+        return SuperJet(a.spec, a.ngen, {J: c * v for J, v in a.comp.items()})
+    return SuperJet(a.spec, a.ngen, {J: v * c for J, v in a.comp.items()})
+
+
+@pytest.mark.parametrize("kind", ["real", "soul", "missing", "nonfinite"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scaling_by_an_empty_supernumber_gives_the_general_bits(kind, data):
+    # the empty jet at once, for supernumber and real jets alike, whatever
+    # their components: NaN, inf and -0.0 included
+    a, _, ra, _ = data.draw(_even_jet_pair(kind))
+    zero = GrassmannNumber(NG)
+    for jet in (a,) if ra is None else (a, ra):
+        for left in (False, True):
+            got, want = jet_scale(jet, zero, left), _scale_reference(jet, zero, left)
+            assert got.floats is None and want.floats is None
+            assert _exact(lambda: got) == _exact(lambda: want)
+        assert _exact(lambda: jet * zero) == _exact(lambda: zero * jet) == []
+
+
+def test_scaling_by_a_float_zero_keeps_the_general_path():
+    # a real jet's inf * 0.0 is NaN, so only an empty supernumber is skipped
+    real = SuperJet(XT, NG, {(0, 0): math.inf, (1, 0): 2.0}, real=True)
+    scaled = jet_scale(real, 0.0)
+    assert scaled.floats is not None and list(scaled.floats) == [(0, 0)]
+    assert math.isnan(scaled.floats[(0, 0)])
+    assert jet_scale(real, GrassmannNumber(NG)).comp == {}
+
+
 def _bodies(jet):
     return jet.floats if jet.floats is not None else {J: v.body for J, v in jet.comp.items()}
 
