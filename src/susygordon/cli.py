@@ -367,8 +367,6 @@ def _format_cell(v) -> str:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    if cfg.fmt not in (None, "csv"):
-        raise UsageError("solve writes CSV trajectories only")
     ode = _resolve_solve_target(cfg)
     role = REDUCED_ODES[ode].role
     if role is not None and cfg.generators <= DEFAULT_ROLES[role]:
@@ -567,18 +565,19 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag that is not given sets nothing, so RunConfig supplies its default
     unset = {"argument_default": argparse.SUPPRESS}
 
+    # each subcommand takes only the flags it reads
     def common(p):
         p.add_argument("--tolerance", action="append", metavar="TIER=VALUE",
                        help="override one tolerance tier (repeatable)")
         p.add_argument("--generators", type=int, metavar="K",
                        help="width of the underlying Grassmann algebra")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "md"))
         p.add_argument("--out", help="write the report or trajectory here")
 
     pv = sub.add_parser("verify", help="run a verification suite", **unset)
     pv.add_argument("--suite", choices=SUITES + ("all",))
     pv.add_argument("--case", help="restrict to one reduction case or catalog entry")
+    pv.add_argument("--seed", type=int)
+    pv.add_argument("--format", dest="fmt", choices=("json", "csv", "md"))
     common(pv)
 
     ps = sub.add_parser("solve", help="integrate a reduced profile equation", **unset)
@@ -594,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps)
 
     pl = sub.add_parser("list", help="print the catalogs", **unset)
-    common(pl)
+    pl.add_argument("--format", dest="fmt", choices=("json", "csv", "md"))
+    pl.add_argument("--out", help="write the catalogs here")
     return ap
 
 

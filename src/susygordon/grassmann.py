@@ -14,6 +14,14 @@ entries, and analytic jets and profiles read whole derivative lists from it.
 ``apply_analytic`` of a soul-free argument skips the series: its value is
 ``f`` at the body.  ``analytic_value`` keeps a float a float, as every number
 of a real ``solve`` is, and hands a supernumber to ``apply_analytic``.
+
+An empty operand ``e`` is answered here, once for every caller: ``x + e``,
+``e + x`` and ``x - e`` are ``x`` itself, and a product with ``e`` is ``e``.
+``e - x`` keeps the general ``0.0 - c``, which keeps a NaN's sign.  These are
+the general loops' values and key order, bit for bit (a signalling NaN,
+which no arithmetic makes, is not quieted).  A result may share its term map
+with an operand: no operation mutates ``.terms``, and ``_make`` takes only
+zero-free maps.
 """
 
 from __future__ import annotations
@@ -65,6 +73,10 @@ def check_generator_count(ngen: int) -> int:
     return ngen
 
 
+def _mismatch(a, b) -> ContextMismatch:
+    return ContextMismatch(f"mixing algebras with {a.ngen} and {b.ngen} generators")
+
+
 def _merge_sign(a: int, b: int) -> float:
     # Parity of the transposition count for merging two ascending generator
     # words: each generator of b hops over every generator of a with a
@@ -104,7 +116,8 @@ class GrassmannNumber:
 
     @classmethod
     def _make(cls, ngen: int, terms: dict[int, float]) -> "GrassmannNumber":
-        # internal fast path: terms already validated and zero-free
+        # internal fast path: terms already validated and zero-free, and
+        # not mutated afterwards
         obj = object.__new__(cls)
         obj.ngen = ngen
         obj.terms = terms
@@ -153,9 +166,7 @@ class GrassmannNumber:
     def _coerce(self, other):
         if isinstance(other, GrassmannNumber):
             if other.ngen != self.ngen:
-                raise ContextMismatch(
-                    f"mixing algebras with {self.ngen} and {other.ngen} generators"
-                )
+                raise _mismatch(self, other)
             return other
         if isinstance(other, (int, float)):
             c = float(other)
@@ -163,11 +174,20 @@ class GrassmannNumber:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        # an exact type test, so a supernumber operand takes no helper call
+        if type(other) is not GrassmannNumber:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        elif other.ngen != self.ngen:
+            raise _mismatch(self, other)
+        tb = other.terms
+        if not tb:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
-        for m, c in o.terms.items():
+        for m, c in tb.items():
             v = out.get(m, 0.0) + c
             if v == 0.0:
                 out.pop(m, None)
@@ -178,11 +198,18 @@ class GrassmannNumber:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is not GrassmannNumber:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        elif other.ngen != self.ngen:
+            raise _mismatch(self, other)
+        tb = other.terms
+        if not tb:
+            return self
+        # an empty self takes the loop: 0.0 - c keeps a NaN's sign
         out = dict(self.terms)
-        for m, c in o.terms.items():
+        for m, c in tb.items():
             v = out.get(m, 0.0) - c
             if v == 0.0:
                 out.pop(m, None)
@@ -200,22 +227,26 @@ class GrassmannNumber:
         return self
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
-            if c == 0.0:
-                return GrassmannNumber._make(self.ngen, {})
-            return GrassmannNumber._make(
-                self.ngen, {m: p for m, v in self.terms.items() if (p := v * c) != 0.0}
-            )
-        if not isinstance(other, GrassmannNumber):
-            return NotImplemented
+        ta = self.terms
+        if type(other) is not GrassmannNumber:
+            if isinstance(other, (int, float)):
+                c = float(other)
+                if not ta:
+                    return self
+                if c == 0.0:
+                    return GrassmannNumber._make(self.ngen, {})
+                return GrassmannNumber._make(
+                    self.ngen, {m: p for m, v in ta.items() if (p := v * c) != 0.0}
+                )
+            if not isinstance(other, GrassmannNumber):
+                return NotImplemented
         if other.ngen != self.ngen:
-            raise ContextMismatch(
-                f"mixing algebras with {self.ngen} and {other.ngen} generators"
-            )
-        ta, tb = self.terms, other.terms
-        if not ta or not tb:
-            return GrassmannNumber._make(self.ngen, {})
+            raise _mismatch(self, other)
+        if not ta:
+            return self
+        tb = other.terms
+        if not tb:
+            return other
         # A body-only operand scales the other's terms in their own order and
         # drops exact zeros, which is what the loop below does bit for bit:
         # its merge sign is 1.0 and (a * b) * 1.0 == a * b.
@@ -496,7 +527,8 @@ def parse(text: str, ngen: int = 8) -> GrassmannNumber:
             coef, mono = 1.0, t
         else:
             coef, mono = float(t), ""
-        val = GrassmannNumber._make(ngen, {0: sgn * coef})
+        c = sgn * coef
+        val = GrassmannNumber._make(ngen, {0: c} if c != 0.0 else {})
         if mono:
             for g in mono.split("^"):
                 if not g.startswith("x"):

@@ -21,10 +21,7 @@ with every product kept in exactly this order, built symbolically by
 evaluated at sampled points.  Each coefficient function declares the
 variables it reads, and the terms that a declaration makes zero are pruned
 once per table.  The long-hand closed forms live in prolong_expanded as an
-independent transcription.  Their text stays as written; the partials and
-coordinates it is handed skip the work whose result is known: an empty
-partial is an absorbing zero, which forms no product and adds nothing, and
-each coordinate is looked up once per call.
+independent transcription, whose text stays as written.
 
 What depends only on a jet point is built once per point: a ``JetPoint``
 keeps its on-shell restriction and its seed jets after the first read, so
@@ -702,58 +699,23 @@ def prolong(
 # ------------------------------------------------- expanded closed-form route
 
 
-class _Absorbing(GrassmannNumber):
-    """The empty number of ``prolong_expanded``, whose results are known.
-
-    A product with it is itself, ``z + x``, ``x + z`` and ``x - z`` are
-    ``x``, and ``z - z`` is ``z``: the values the general operations give,
-    bit for bit.  Being a subclass with its own reflected methods, it is
-    asked first when it is the right operand.  Any other ``z - x`` stays the
-    general ``0.0 - c`` per term, which keeps a NaN's sign where negation
-    would flip it.  Returning an operand shares its terms, which no
-    operation mutates.
-    """
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        return self
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, GrassmannNumber):
-            return other
-        return GrassmannNumber.__add__(self, other)
-
-    __radd__ = __rsub__ = __add__
-
-    def __sub__(self, other):
-        return self if other is self else GrassmannNumber.__sub__(self, other)
-
-
 def prolong_expanded(
     v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None
 ) -> ProlongedCoefficients:
     """Term-by-term transcription of the fully expanded coefficient formulas.
 
     The formula text is left as written, as the independent reference for
-    ``prolong``.  The work it does not need is cut below it: ``f`` answers
-    an empty partial with one shared ``_Absorbing`` zero, so a term with an
-    empty partial forms no product and adds nothing, and ``c`` reads each
-    coordinate, and forms its sign, once per call.  A slot that sums to the
-    empty number is returned as a plain empty number.  ``coefvals`` is
-    ``evaluate_spec(v, p)``, evaluated here when not given; handing ``prolong``
-    and this route the same one shares their partials, not their formulas.
+    ``prolong``; ``c`` reads each coordinate, and forms its sign, once per
+    call.  ``coefvals`` is ``evaluate_spec(v, p)``, evaluated here when not
+    given; handing ``prolong`` and this route the same one shares their
+    partials, not their formulas.
     """
     if coefvals is None:
         coefvals = evaluate_spec(v, p)
-    zero = _Absorbing(p.ctx.generator_count)
     coords: dict = {}
 
     def f(target, *dirs):
-        value = coefvals[target].partial(dirs)
-        return value if value.terms else zero
+        return coefvals[target].partial(dirs)
 
     def c(dep, *dirs):
         value = coords.get((dep, dirs))
@@ -762,10 +724,7 @@ def prolong_expanded(
         return value
 
     expanded = _ssg_expanded if v.sig.odd_independents else _component_expanded
-    values = expanded(f, c).values
-    return ProlongedCoefficients(
-        {slot: val if val.terms else p.ctx.zero() for slot, val in values.items()}
-    )
+    return expanded(f, c)
 
 
 def _ssg_expanded(f, c):
@@ -1081,13 +1040,15 @@ def ssg_shift_spec(ctx: AlgebraContext = DEFAULT_CONTEXT) -> VectorFieldSpec:
 def component_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, ctx=DEFAULT_CONTEXT) -> VectorFieldSpec:
     """xi = C1 x + C2, tau = -C1 t + C3, U = 0, Sigma = -C1 phi/2, Psi = C1 psi/2."""
     C1f = float(C1)
-    x_shift, t_shift = ctx.scalar(float(C2)), ctx.scalar(float(C3))
+    # the builders' constants, formed once per spec
+    x_rate, x_shift = ctx.scalar(C1f), ctx.scalar(float(C2))
+    t_rate, t_shift = ctx.scalar(-C1f), ctx.scalar(float(C3))
 
     def xi(jets):
-        return jets["x"] * C1f + jet_constant(jets["x"].spec, x_shift)
+        return jets["x"] * x_rate + jet_constant(jets["x"].spec, x_shift)
 
     def tau(jets):
-        return jets["t"] * -C1f + jet_constant(jets["t"].spec, t_shift)
+        return jets["t"] * t_rate + jet_constant(jets["t"].spec, t_shift)
 
     return VectorFieldSpec(
         COMPONENT_SIGNATURE,

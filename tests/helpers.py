@@ -2,6 +2,9 @@
 
 ``exact`` makes results comparable bit for bit, and ``bits`` does so for
 the coefficients of a term map, the sign of a zero or a NaN included.
+``general_sum`` and ``general_product`` are the general loops of
+``GrassmannNumber``'s sums and products on term maps, with no operand
+answered on its own: the reference for the operations' short paths.
 ``LOG`` and ``ARCTAN`` are derivative-list providers that only tests
 compose, for instance into the kink 2·arctan(exp(x - t)).
 ``derivs_providers`` gives one instance of every derivative-list provider.
@@ -20,6 +23,7 @@ from susygordon.grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
     GrassmannNumber,
+    _merge_sign,
     apply_analytic,
     scalar,
 )
@@ -49,6 +53,33 @@ def exact(f, *args):
 def bits(terms: dict) -> list:
     """``(mask, IEEE bits of the coefficient)`` in the map's key order."""
     return [(m, struct.pack("<d", c).hex()) for m, c in terms.items()]
+
+
+def general_sum(ta: dict, tb: dict, op) -> dict:
+    """``op(ta, tb)`` for ``op`` ``operator.add`` or ``operator.sub``: every
+    term of ``tb`` meets ``ta``'s, even when either map is empty."""
+    out = dict(ta)
+    for m, c in tb.items():
+        v = op(out.get(m, 0.0), c)
+        if v == 0.0:
+            out.pop(m, None)
+        else:
+            out[m] = v
+    return out
+
+
+def general_product(ta: dict, tb: dict) -> dict:
+    """``ta`` times ``tb`` by the double loop over their terms."""
+    out = {}
+    for ma, ca in ta.items():
+        for mb, cb in tb.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            v = ca * cb * _merge_sign(ma, mb)
+            prev = out.get(m)
+            out[m] = v if prev is None else prev + v
+    return {m: v for m, v in out.items() if v != 0.0}
 
 
 class Log:

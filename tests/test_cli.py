@@ -540,9 +540,16 @@ def test_solve_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
     assert not target.exists()
 
 
-def test_solve_rejects_non_csv_format(capsys):
-    code, _, _ = run_cli(["solve", "--ode", "rebp", "--format", "json"], capsys)
-    assert code == 2
+def test_subcommands_reject_the_flags_they_do_not_read(capsys):
+    # solve writes only CSV and draws no sample; list prints fixed catalogs
+    unread = {"solve": (["--seed", "1"], ["--format", "csv"], ["--format", "json"]),
+              "list": (["--seed", "1"], ["--tolerance", "exact=1e-3"], ["--generators", "6"])}
+    for command, flags in unread.items():
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *flag])
+            assert exc.value.code == 2, (command, flag)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["verify", "solve", "list"])
@@ -557,12 +564,21 @@ def test_unset_flags_take_the_run_config_defaults(command):
 
 
 def test_given_flags_reach_the_run_config():
+    def config(argv):
+        return cli._config_from(cli.build_parser().parse_args(argv))
+
     argv = ["solve", "--ode", "rebp", "--range", "0:1:0.5", "--ics=0.25,-1",
-            "--K0", "0.5", "--eps", "1", "--modulus", "0.3", "--seed", "4",
+            "--K0", "0.5", "--eps", "1", "--modulus", "0.3",
             "--generators", "6", "--tolerance", "ode=1e-3", "--out", "t.csv"]
-    cfg = cli._config_from(cli.build_parser().parse_args(argv))
-    assert cfg == RunConfig(
+    assert config(argv) == RunConfig(
         ode="rebp", range_spec=(0.0, 1.0, 0.5), ics=(0.25, -1.0), k0=0.5, eps=1.0,
-        modulus=0.3, seed=4, generators=6, out="t.csv",
+        modulus=0.3, generators=6, out="t.csv",
         tiers={**grassmann.TIER_DEFAULTS, "ode": 1e-3},
     )
+    argv = ["verify", "--suite", "algebra", "--case", "S8", "--seed", "4", "--generators", "6",
+            "--tolerance", "trig=1e-9", "--format", "md", "--out", "r.md"]
+    assert config(argv) == RunConfig(
+        suite="algebra", case="S8", seed=4, generators=6, fmt="md", out="r.md",
+        tiers={**grassmann.TIER_DEFAULTS, "trig": 1e-9},
+    )
+    assert config(["list", "--format", "csv", "--out", "c.csv"]) == RunConfig(fmt="csv", out="c.csv")

@@ -6,6 +6,7 @@ implementation is never compared against itself.
 """
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,10 +33,9 @@ from susygordon.grassmann import (
     soul_derivs,
     soul_taylor,
     to_text,
-    _merge_sign,
 )
 
-from helpers import LOG, bits, derivs_providers, exact
+from helpers import LOG, bits, derivs_providers, exact, general_product, general_sum
 
 NGEN = 8
 gen = DEFAULT_CONTEXT.gen
@@ -204,7 +204,9 @@ def test_parse_reorders_and_nils():
     assert parse("x1^x1").is_zero()
     assert parse("-2.5*x3") == gen(2) * -2.5
     assert to_text(scalar(0)) == "0"
-    assert parse("0").is_zero()
+    # a zero coefficient leaves no term, as in scalar(0)
+    for text in ("0", "-0", "0*x1", "1 - 0*x2^x3 - 1"):
+        assert parse(text).terms == {}, text
 
 
 def test_parse_reads_exponent_signs_as_part_of_the_coefficient():
@@ -344,21 +346,6 @@ def test_soul_taylor_matches_the_value_only_series(a, f):
     assert exact(apply_analytic, f, a) == (want if a.is_even() else "ParityError")
 
 
-def _mul_reference(a, b):
-    """The general double loop of ``GrassmannNumber.__mul__`` alone, as
-    bits in key order; its body-only path must match it bit for bit."""
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma & mb:
-                continue
-            m = ma | mb
-            v = ca * cb * _merge_sign(ma, mb)
-            prev = out.get(m)
-            out[m] = v if prev is None else prev + v
-    return bits({m: v for m, v in out.items() if v != 0.0})
-
-
 # every float, plus a -0.0 body, both NaN signs, the infinities and a pair
 # whose product underflows to zero
 RAW = st.one_of(st.sampled_from([-0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-200]),
@@ -370,8 +357,8 @@ RAW = st.one_of(st.sampled_from([-0.0, math.nan, -math.nan, math.inf, -math.inf,
 def test_body_only_product_matches_the_general_loop(body, terms):
     a = GrassmannNumber._make(NGEN, {0: body})
     b = GrassmannNumber._make(NGEN, terms)
-    assert bits((a * b).terms) == _mul_reference(a, b)
-    assert bits((b * a).terms) == _mul_reference(b, a)
+    assert bits((a * b).terms) == bits(general_product(a.terms, b.terms))
+    assert bits((b * a).terms) == bits(general_product(b.terms, a.terms))
 
 
 @pytest.mark.parametrize("kmax", range(4))
@@ -439,6 +426,49 @@ def test_float_operand_drops_an_underflowed_product():
     for v in (tiny * 1e-200, 1e-200 * tiny, tiny / 1e200):
         assert v.terms == {} and v.is_zero() and v == 0
     assert (tiny * 1e-200).terms == (tiny * scalar(1e-200)).terms
+
+
+# every float, both NaN signs, the infinities and -0.0, plus the smallest
+# subnormals
+COEFFS = st.one_of(RAW, st.sampled_from([5e-324, -5e-324]))
+VALUES = st.dictionaries(st.integers(0, (1 << NGEN) - 1), COEFFS, max_size=6).map(
+    lambda d: GrassmannNumber(NGEN, d))
+OPS = (operator.mul, operator.add, operator.sub)
+
+
+def _general(op, a, b):
+    """``op(a, b)`` by the general loops, as bits in key order; a real
+    enters as the supernumber ``scalar`` makes of it."""
+    ta, tb = (x.terms if isinstance(x, GrassmannNumber) else scalar(x).terms for x in (a, b))
+    return bits(general_product(ta, tb) if op is operator.mul else general_sum(ta, tb, op))
+
+
+@given(VALUES, COEFFS)
+@settings(max_examples=300, deadline=None)
+def test_empty_operand_gives_the_bits_of_the_general_operations(a, r):
+    e = GrassmannNumber(NGEN)
+    for x in (a, r, e):
+        for op in OPS:
+            for left, right in ((e, x), (x, e)):
+                got = op(left, right)
+                assert type(got) is GrassmannNumber
+                assert bits(got.terms) == _general(op, left, right), (op, left, right)
+    if a.terms:
+        # a sum is the other operand itself, a product the empty one
+        assert a + e is a and e + a is a and a - e is a
+        assert a * e is e and e * a is e
+
+
+def test_empty_operand_keeps_the_operand_checks():
+    other = AlgebraContext(6, {}).zero()
+    for x in (GrassmannNumber(NGEN), gen(0)):
+        for op in OPS:
+            for left, right in ((x, other), (other, x)):
+                with pytest.raises(ContextMismatch):
+                    op(left, right)
+            for left, right in ((x, "1"), ("1", x)):
+                with pytest.raises(TypeError):
+                    op(left, right)
 
 
 def test_empty_operand_gives_the_exact_zero():

@@ -31,6 +31,11 @@ function is only ever called: never read as a value and never named in a
 string outside a docstring.  A function passed as a value (a row or
 invariants function, a registry sampler, an rhs) keeps the signature its
 callers fix, and is exempt, as a method is.
+
+No class in the package, nested ones included, subclasses
+``GrassmannNumber``: its operations hold the one rule for every operand,
+the empty number included, and a subclass would fork that rule for the
+values it wraps.
 """
 
 import ast
@@ -515,3 +520,41 @@ TRACED = "mod:traced"
         "mod.outer.closure(z)",
         "mod.outer.inner(y)",
     ]
+
+
+def subclasses_of(modules: dict, base: str) -> list:
+    """``module.Class`` of each class in ``modules``, nested ones included,
+    that names ``base`` among its bases, as a name or an attribute."""
+    out = []
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                (b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) == base
+                for b in node.bases
+            ):
+                out.append(f"{mod}.{node.name}")
+    return sorted(out)
+
+
+def test_no_class_forks_the_supernumber_arithmetic():
+    modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    assert subclasses_of(modules, "GrassmannNumber") == []
+
+
+def test_guard_sees_a_supernumber_subclass():
+    src = '''
+from susygordon import grassmann
+from susygordon.grassmann import GrassmannNumber
+
+class Plain:
+    pass
+
+class Zero(GrassmannNumber):
+    pass
+
+def build():
+    class Local(grassmann.GrassmannNumber):
+        pass
+    return Local
+'''
+    assert subclasses_of({"mod": ast.parse(src)}, "GrassmannNumber") == ["mod.Local", "mod.Zero"]
