@@ -24,13 +24,14 @@ once per table.  The long-hand closed forms live in prolong_expanded as an
 independent transcription, whose text stays as written.
 
 What depends only on a jet point is built once per point: a ``JetPoint``
-keeps its on-shell restriction and its seed jets after the first read, so
-the generators checked at one point share them.  This is safe because a
-point's base values and coordinates are read-only copies, which no caller
-can change under a kept value; a concurrent first read only builds an equal
-value.  What depends on a (field, point) pair, the frozen coefficients of
-``evaluate_spec``, is built once per check and handed to both prolongation
-routes, and each field's constants are formed once, when it is built.
+keeps its on-shell restriction, its seed jets and the generator-free factors
+of the symmetry criterion after the first read, so the generators checked at
+one point share them.  This is safe because a point's base values and
+coordinates are read-only copies, which no caller can change under a kept
+value; a concurrent first read only builds an equal value.  What depends on
+a (field, point) pair, the frozen coefficients of ``evaluate_spec``, is
+built once per check and handed to both prolongation routes, and each
+field's constants are formed once, when it is built.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ def _coordinate_key(sig: ProblemSignature, dep: str, dirs: tuple):
 @dataclass
 class JetPoint:
     """Read-only copies of base values and jet coordinates; the on-shell
-    restriction ``onshell`` and the ``seed_jets`` are kept after the first
-    read, as the module docstring says."""
+    restriction ``onshell``, the ``seed_jets`` and the generator-free
+    ``criterion_values`` are kept after the first read, as the module
+    docstring says."""
 
     sig: ProblemSignature
     ctx: AlgebraContext
@@ -185,6 +187,10 @@ class JetPoint:
     @cached_property
     def seed_jets(self) -> MappingProxyType:
         return MappingProxyType(_seed_jets(self))
+
+    @cached_property
+    def criterion_values(self) -> tuple:
+        return _criterion_values(self)
 
     def get(self, key) -> GrassmannNumber:
         try:
@@ -920,43 +926,65 @@ def onshell_substitute(p: JetPoint) -> JetPoint:
 # ----------------------------------------------------------- symmetry checks
 
 
-def symmetry_residual(v: VectorFieldSpec, p: JetPoint):
-    """Criterion value(s) at the on-shell restriction of the point.
+def _criterion_values(q: JetPoint) -> tuple:
+    """The factors of the symmetry criterion that no generator enters, at an
+    on-shell point, each in the association ``symmetry_residual`` reads.
 
-    Superspace instance: one even supernumber, zero for true symmetries.
-    Component instance: the triple of slot conditions.
+    Superspace: ``th2 Phi_xt + Phi_x theta2``, ``th1 Phi_xt + Phi_t theta1``,
+    ``cos Phi`` and ``th1 th2``.  Component: ``-cos u + ch phi psi``,
+    ``sh 2``, ``sh (-2)``, ``sh`` and ``ch``, with sh and ch the sine and
+    cosine of u/2.
     """
-    q = p.onshell
-    coefvals = evaluate_spec(v, q)
-    pro = prolong(v, q, coefvals)
-    ctx = q.ctx
-    if v.sig.odd_independents:
+    if q.sig.odd_independents:
         th1 = q.base_value("theta1")
         th2 = q.base_value("theta2")
-        rho = coefvals["theta1"].partial(())
-        sig_ = coefvals["theta2"].partial(())
-        Pi = coefvals["Phi"].partial(())
-        cosP = apply_analytic(COS, q.coordinate("Phi"))
+        phi_xt = q.coordinate("Phi", "x", "t")
         return (
-            rho * (th2 * q.coordinate("Phi", "x", "t") + q.coordinate("Phi", "x", "theta2"))
-            - sig_ * (th1 * q.coordinate("Phi", "x", "t") + q.coordinate("Phi", "t", "theta1"))
-            - Pi * cosP
-            + pro.get("Phi", ("x", "t")) * (th1 * th2)
-            + pro.get("Phi", ("t", "theta1")) * th2
-            - pro.get("Phi", ("x", "theta2")) * th1
-            - pro.get("Phi", ("theta1", "theta2"))
+            th2 * phi_xt + q.coordinate("Phi", "x", "theta2"),
+            th1 * phi_xt + q.coordinate("Phi", "t", "theta1"),
+            apply_analytic(COS, q.coordinate("Phi")),
+            th1 * th2,
         )
     u = q.coordinate("u")
     phi, psi = q.coordinate("phi"), q.coordinate("psi")
     sh = apply_analytic(SIN, u * 0.5)
     ch = apply_analytic(COS, u * 0.5)
     cos_u = ch * ch - sh * sh
+    return -cos_u + ch * phi * psi, sh * 2.0, sh * -2.0, sh, ch
+
+
+def symmetry_residual(v: VectorFieldSpec, p: JetPoint):
+    """Criterion value(s) at the on-shell restriction of the point.
+
+    Superspace instance: one even supernumber, zero for true symmetries.
+    Component instance: the triple of slot conditions.  The factors no
+    generator enters are read from the point's ``criterion_values``.
+    """
+    q = p.onshell
+    coefvals = evaluate_spec(v, q)
+    pro = prolong(v, q, coefvals)
+    if v.sig.odd_independents:
+        th1 = q.base_value("theta1")
+        th2 = q.base_value("theta2")
+        a, b, cosP, th12 = q.criterion_values
+        rho = coefvals["theta1"].partial(())
+        sig_ = coefvals["theta2"].partial(())
+        Pi = coefvals["Phi"].partial(())
+        return (
+            rho * a
+            - sig_ * b
+            - Pi * cosP
+            + pro.get("Phi", ("x", "t")) * th12
+            + pro.get("Phi", ("t", "theta1")) * th2
+            - pro.get("Phi", ("x", "theta2")) * th1
+            - pro.get("Phi", ("theta1", "theta2"))
+        )
+    phi, psi = q.coordinate("phi"), q.coordinate("psi")
+    w, sh2, shm2, sh, ch = q.criterion_values
     U = coefvals["u"].partial(())
     S = coefvals["phi"].partial(())
     Ps = coefvals["psi"].partial(())
-    r1 = pro.get("u", ("x", "t")) - (
-        U * (-cos_u + ch * phi * psi) + S * (sh * 2.0) * psi + Ps * (sh * -2.0) * phi
-    )
+    r1 = pro.get("u", ("x", "t")) - (U * w + S * sh2 * psi + Ps * shm2 * phi)
     r2 = pro.get("phi", ("t",)) - (U * 0.5 * sh * psi - Ps * ch)
     r3 = pro.get("psi", ("x",)) - (U * -0.5 * sh * phi + S * ch)
     return r1, r2, r3

@@ -26,6 +26,20 @@ that already holds it dies.  The shift keeps the general product's float
 operations and drops zero products, and it inserts no empty product, so
 the result's values and key order are bit for bit those of the general
 product.
+
+A random superfield (``random_superfield``) builds its jet in one pass.
+Each component is a sum of terms ``monomial * f(x) * g(t)``, so the jet of
+a term is the outer product of the derivative lists of f at x and g at t
+(Taylor mode for a separable product, Griewank & Walther, *Evaluating
+Derivatives*, ch. 13), with no coordinate jet, Faa di Bruno walk or Leibniz
+table.  The monomial, a theta slot times an odd prefactor such as
+``th1 k1``, is one product of distinct generators with coefficient +-1.
+Multiplying by +-1 rounds nothing, so folding the two factors into one
+before it meets the profile is exact: ``(th1 k1) * p`` has the bits of
+``th1 * (k1 * p)``.
+The sums and drops are ``jet_add``'s, through ``superjet.add_into``, so
+the jet has the bits and key order that composing, multiplying, scaling
+and summing the component jets gives.
 """
 
 from __future__ import annotations
@@ -39,18 +53,21 @@ from .grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
     GrassmannNumber,
+    ParityError,
     demote,
     drop_gens,
     gen_derivative,
+    soul_derivs,
     soul_taylor,
 )
 from .superjet import (
     SuperJet,
-    jet_apply_analytic,
+    add_into,
     jet_constant,
     jet_scale,
     jet_spec,
     jet_variable,
+    nonzero,
 )
 
 # (x, t, order) -> SuperJet over ("x", "t")
@@ -248,16 +265,55 @@ def profile_component(builder, ctx: AlgebraContext = DEFAULT_CONTEXT) -> JetHand
     return handle
 
 
+def _derivative_list(fn, v, order: int) -> list:
+    """``(k, fn^(k)(v))`` for k = 0..order in the arithmetic of ``v``, the
+    entries a jet stores: a float's list from ``fn.derivs``, a supernumber's
+    from ``soul_derivs``, the zeros dropped.  A supernumber must be even."""
+    if isinstance(v, GrassmannNumber):
+        if not v.is_even():
+            raise ParityError("analytic composition needs an even jet")
+        return [(k, d) for k, d in enumerate(soul_derivs(fn, v, order)) if d.terms]
+    return [(k, d) for k, d in enumerate(fn.derivs(v, order)) if d != 0.0]
+
+
+def _outer(fs: list, gs: list, order: int) -> dict:
+    """``{(i, j): f_i * g_j}`` over two derivative lists for i + j <= order,
+    the zero products dropped: the Leibniz product of a jet in x alone with
+    one in t alone, whose every weight is 1."""
+    out = {}
+    for i, a in fs:
+        for j, b in gs:
+            if i + j > order:
+                break
+            p = a * b
+            if nonzero(p):
+                out[i, j] = p
+    return out
+
+
 def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superfield:
     """Polynomial x trigonometric components with random odd prefactors.
 
     Deterministic in the seed.  Free odd generators (everything except the
     two theta slots) appear in the odd components both linearly and as a
     cubic product, so anticommutation bugs have something to bite on.
+
+    Each theta slot is a sum of terms ``monomial * f(x) * g(t)``: u/2 has
+    the monomial 1, F has th1 th2, and phi has ``th1 k1`` and ``th1 k3``
+    (psi the same with th2), formed once per field.  Component (i, j) of a
+    term's jet is ``f^(i)(x) * g^(j)(t)``; the products of one monomial are
+    summed, then multiplied by it, then the slots are summed in the order
+    u/2, phi, psi, F, each sum by ``add_into`` as ``jet_add`` forms it.  At
+    a point whose soul holds no theta generator this gives, bit for bit and
+    in key order, the jet of composing, multiplying, scaling and summing the
+    component jets.  The derivative lists are floats at a soul-free point and
+    supernumbers where either coordinate has a soul; an odd coordinate
+    raises ``ParityError``.
     """
     rng = random.Random(rng_seed)
     i1, i2 = ctx.roles["theta1"], ctx.roles["theta2"]
     free = [i for i in range(ctx.generator_count) if i not in (i1, i2)]
+    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
 
     def trig():
         return TrigPoly(
@@ -265,28 +321,34 @@ def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superf
             poly=[rng.uniform(-0.6, 0.6), rng.uniform(-0.4, 0.4)],
         )
 
-    def even_builder():
+    def even(monomial):
         fx, ft, gx, gt = trig(), trig(), trig(), trig()
+        return ((monomial, ((fx, ft), (gx, gt))),)
 
-        def builder(jx, jt):
-            return jet_apply_analytic(jx, fx) * jet_apply_analytic(jt, ft) + jet_apply_analytic(
-                jx, gx
-            ) * jet_apply_analytic(jt, gt)
-
-        return profile_component(builder, ctx)
-
-    def odd_builder():
+    def odd(theta):
         k1 = ctx.gen(rng.choice(free))
         trip = rng.sample(free, 3)
         k3 = ctx.gen(trip[0]) * ctx.gen(trip[1]) * ctx.gen(trip[2])
         fx, ft, gx, gt = trig(), trig(), trig(), trig()
+        return ((theta * k1, ((fx, ft),)), (theta * k3, ((gx, gt),)))
 
-        def builder(jx, jt):
-            a = jet_apply_analytic(jx, fx) * jet_apply_analytic(jt, ft)
-            b = jet_apply_analytic(jx, gx) * jet_apply_analytic(jt, gt)
-            return jet_scale(a, k1, from_left=True) + jet_scale(b, k3, from_left=True)
+    # the slots u/2, phi, psi, F, drawn in that order: even, odd, odd, even
+    slots = (even(1.0), odd(th1), odd(th2), even(th1 * th2))
 
-        return profile_component(builder, ctx)
+    def jet(x, t, order):
+        X, T = demote(ctx.lift(x)), demote(ctx.lift(t))
+        if isinstance(X, GrassmannNumber) or isinstance(T, GrassmannNumber):
+            X, T = ctx.lift(X), ctx.lift(T)
+        comp = {}
+        for slot in slots:
+            terms = {}
+            for monomial, profiles in slot:
+                part = {}
+                for f, g in profiles:
+                    fs = _derivative_list(f, X, order)
+                    add_into(part, _outer(fs, _derivative_list(g, T, order), order))
+                add_into(terms, {J: m for J, v in part.items() if nonzero(m := monomial * v)})
+            add_into(comp, {J: ctx.lift(v) for J, v in terms.items()})
+        return SuperJet(jet_spec(("x", "t"), order), ctx.generator_count, comp)
 
-    # builder calls in argument order: even, odd, odd, even
-    return component_superfield(even_builder(), odd_builder(), odd_builder(), even_builder(), ctx)
+    return Superfield(jet, ctx)

@@ -177,12 +177,36 @@ def jet_variable(spec: JetSpec, seed: str, value, ngen: int | None = None) -> Su
     return SuperJet(spec, ngen, comp, real)
 
 
+def nonzero(v) -> bool:
+    """Whether a jet keeps the component ``v``: a float other than 0.0, or
+    a supernumber with terms."""
+    return bool(v.terms) if isinstance(v, GrassmannNumber) else v != 0.0
+
+
+def add_into(acc: dict, other: dict) -> None:
+    """Add the component map ``other`` into ``acc`` in place, as ``jet_add``
+    sums: a new key joins at the end, and a sum that vanishes leaves the
+    map, so a later entry of its key joins at the end too."""
+    if not acc:
+        acc.update(other)
+        return
+    for J, v in other.items():
+        w = acc.get(J)
+        if w is None:
+            acc[J] = v
+            continue
+        s = w + v
+        if nonzero(s):
+            acc[J] = s
+        else:
+            del acc[J]
+
+
 def jet_add(a: SuperJet, b: SuperJet) -> SuperJet:
     _check_same(a, b)
     real = a.floats is not None and b.floats is not None
     comp = dict(a.floats if real else a.comp)
-    for J, v in (b.floats if real else b.comp).items():
-        comp[J] = comp[J] + v if J in comp else v
+    add_into(comp, b.floats if real else b.comp)
     return SuperJet(a.spec, a.ngen, comp, real)
 
 

@@ -188,6 +188,18 @@ def test_verify_bad_suite_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_verify_unknown_format_is_refused_by_the_parser(tmp_path, capsys):
+    # the parser's choices are the one format check: an unknown format exits
+    # 2 before any check runs, and nothing is written
+    target = tmp_path / "report.xml"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "algebra", "--format", "xml", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --format: invalid choice: 'xml'" in err
+    assert not target.exists()
+
+
 def test_verify_usage_error_writes_nothing(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
 from susygordon.grassmann import AlgebraContext, GrassmannNumber, Parity, apply_analytic
 from susygordon.analytic import COS
-from susygordon import checks, prolongation
-from susygordon.cli import RunConfig, _run_checks
+from susygordon import checks, grassmann, prolongation
+from susygordon.cli import RunConfig, _run_checks, main
 from susygordon.superjet import JetSpec, jet_spec
 from susygordon.prolongation import (
     COMPONENT_SIGNATURE,
@@ -491,10 +491,10 @@ def test_prolongation_product_counts(monkeypatch):
     assert calls["full"] == 32
     calls.clear()
     list(checks.symmetry_residuals("superspace")(CTX, 3001, 1))
-    assert (calls["all"], calls["full"]) == (136, 86)
+    assert (calls["all"], calls["full"]) == (116, 66)
     calls.clear()
     list(checks.symmetry_residuals("component")(CTX, 3001, 1))
-    assert (calls["all"], calls["full"]) == (140, 103)
+    assert (calls["all"], calls["full"]) == (116, 79)
 
 
 def test_point_values_are_built_once(monkeypatch):
@@ -524,6 +524,24 @@ def test_point_values_are_built_once(monkeypatch):
         calls.clear()
         list(checks.prolongation_gaps(picture)(CTX, 2003, 1))
         assert calls == {"evaluate_spec": len(named(CTX)), "_seed_jets": 1}
+
+
+def test_prolongation_suite_soul_taylor_series(monkeypatch, capsys):
+    # every soul-Taylor series runs soul_derivs.  The factors of the symmetry
+    # criterion that no generator enters are built once per point, so the
+    # suite runs 1,040 series; building them per generator ran 2,240
+    calls = 0
+    series = grassmann.soul_derivs
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return series(*args)
+
+    monkeypatch.setattr(grassmann, "soul_derivs", counted)
+    assert main(["verify", "--suite", "prolongation", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert calls == 1040
 
 
 def test_points_are_read_only():

@@ -1,16 +1,18 @@
 """Superfield assembly, covariant/supersymmetry operators, residuals."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from susygordon import checks, superfield
-from susygordon.analytic import COS, EXP, SECH, SIN
+from susygordon.analytic import COS, EXP, SECH, SIN, TrigPoly
 from susygordon.grassmann import (
     DEFAULT_CONTEXT as CTX,
     GrassmannNumber,
     Parity,
+    ParityError,
     apply_analytic,
     gen_derivative,
     scalar,
@@ -419,3 +421,88 @@ def test_grassmann_valued_evaluation_points():
     t = scalar(-0.3)
     dev = component_equivalence(f, x, t)
     assert dev < 1e-12
+
+
+def _composed_random_superfield(rng_seed, ctx=CTX):
+    """``random_superfield`` composed from its parts: each profile composed
+    onto the coordinate jets, the jets multiplied, scaled by the odd
+    prefactors and glued by ``component_superfield``, with the same draws.
+    The one-pass jet must give these bits in this key order."""
+    rng = random.Random(rng_seed)
+    i1, i2 = ctx.roles["theta1"], ctx.roles["theta2"]
+    free = [i for i in range(ctx.generator_count) if i not in (i1, i2)]
+
+    def trig():
+        return TrigPoly(
+            waves=[(rng.uniform(-1, 1), rng.uniform(0.4, 1.3), rng.uniform(-1, 1))],
+            poly=[rng.uniform(-0.6, 0.6), rng.uniform(-0.4, 0.4)],
+        )
+
+    def even_builder():
+        fx, ft, gx, gt = trig(), trig(), trig(), trig()
+
+        def builder(jx, jt):
+            return jet_apply_analytic(jx, fx) * jet_apply_analytic(jt, ft) + jet_apply_analytic(
+                jx, gx
+            ) * jet_apply_analytic(jt, gt)
+
+        return profile_component(builder, ctx)
+
+    def odd_builder():
+        k1 = ctx.gen(rng.choice(free))
+        trip = rng.sample(free, 3)
+        k3 = ctx.gen(trip[0]) * ctx.gen(trip[1]) * ctx.gen(trip[2])
+        fx, ft, gx, gt = trig(), trig(), trig(), trig()
+
+        def builder(jx, jt):
+            a = jet_apply_analytic(jx, fx) * jet_apply_analytic(jt, ft)
+            b = jet_apply_analytic(jx, gx) * jet_apply_analytic(jt, gt)
+            return jet_scale(a, k1, from_left=True) + jet_scale(b, k3, from_left=True)
+
+        return profile_component(builder, ctx)
+
+    # builder calls in argument order: even, odd, odd, even
+    return component_superfield(even_builder(), odd_builder(), odd_builder(), even_builder(), ctx)
+
+
+def _soul(*pairs):
+    """sum of c * g_i g_j over (i, j, c), a theta-free even soul"""
+    out = CTX.zero()
+    for i, j, c in pairs:
+        out = out + CTX.gen(i) * CTX.gen(j) * c
+    return out
+
+
+# soul-free points (floats, lifted reals and both signs of zero), and
+# points with a soul in x, in t and in both
+JET_POINTS = {
+    "real": [(0.3, -0.7), (scalar(1.1), scalar(0.45)), (-0.6, scalar(0.2))],
+    "zero": [(0.0, -0.0), (-0.0, scalar(0.0)), (scalar(-0.0), 0.75)],
+    "soul_x": [(scalar(0.4) + _soul((2, 3, 0.2)), -0.3), (_soul((4, 6, -0.5)), 0.9)],
+    "soul_t": [(1.2, scalar(-0.3) + _soul((5, 7, 0.25))), (scalar(-0.0), _soul((2, 4, 1.5)))],
+    "soul_both": [(scalar(0.4) + _soul((2, 3, 0.2), (4, 7, -0.1)),
+                   scalar(-0.8) + _soul((2, 5, 0.3), (3, 6, 0.7)))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JET_POINTS))
+def test_random_superfield_jet_matches_the_composed_jets(kind):
+    for seed in range(60):
+        f, want = random_superfield(seed), _composed_random_superfield(seed)
+        for x, t in JET_POINTS[kind]:
+            for order in range(4):
+                got = superfield_jet(f, x, t, order)
+                ref = superfield_jet(want, x, t, order)
+                assert got.spec is ref.spec and got.ngen == ref.ngen
+                assert [(J, bits(v.terms)) for J, v in got.comp.items()] == [
+                    (J, bits(v.terms)) for J, v in ref.comp.items()
+                ], (seed, kind, order)
+
+
+def test_random_superfield_refuses_an_odd_coordinate():
+    f, want = random_superfield(3), _composed_random_superfield(3)
+    odd = CTX.gen(2)
+    for x, t in ((odd, 0.4), (0.4, odd), (scalar(0.1) + CTX.gen(5), scalar(0.2))):
+        for field in (f, want):
+            with pytest.raises(ParityError):
+                superfield_jet(field, x, t, 2)

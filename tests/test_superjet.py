@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from susygordon.superjet import (
     jet_variable,
 )
 
-from susygordon.superfield import component_superfield, random_superfield
+from susygordon.superfield import random_superfield
 
 from helpers import LOG, bits
 
@@ -518,29 +519,26 @@ def test_real_jet_comp_is_body_only_supernumbers_in_float_order():
 
 
 def test_even_random_component_makes_no_grassmann_arithmetic(monkeypatch):
-    # an even component of a random superfield is built from real coordinate
-    # jets and real trigonometric profiles: no supernumber is multiplied or
-    # summed until an odd prefactor or a theta slot enters
-    handles = []
-
-    def capture(*args):
-        handles.extend(args[:4])
-        return component_superfield(*args)
-
-    monkeypatch.setattr(superfield, "component_superfield", capture)
-    random_superfield(900, CTX)
-    counts = {"__mul__": 0, "__add__": 0, "__sub__": 0}
-    for name in counts:
+    # at a soul-free point the profile products of every slot, and the sums
+    # of the even slots u/2 and F, are floats: the only Grassmann products
+    # place a float under one of the five monomials (th1 k1, th1 k3, th2 k1,
+    # th2 k3 and th1 th2), once per component, and the only sums join the
+    # two terms of an odd slot and the four slots.  Composing the component
+    # jets made 42 products, 12 of them supernumber by supernumber, and the
+    # same 30 sums.
+    counts = Counter()
+    for name in ("__mul__", "__add__", "__sub__"):
         def counted(a, b, _name=name, _op=getattr(GrassmannNumber, name)):
-            counts[_name] += 1
+            counts[_name, type(b).__name__] += 1
             return _op(a, b)
 
         monkeypatch.setattr(GrassmannNumber, name, counted)
-    for even in (handles[0], handles[3]):
-        for x, t in ((0.3, -0.7), (CTX.scalar(1.1), -0.0)):
-            jet = even(x, t, 2)
-            assert jet.floats is not None and len(jet.floats) == 6
-    assert counts == {"__mul__": 0, "__add__": 0, "__sub__": 0}
+    f = random_superfield(900, CTX)
+    for x, t in ((0.3, -0.7), (CTX.scalar(1.1), -0.0)):
+        counts.clear()
+        jet = superfield.superfield_jet(f, x, t, 2)
+        assert len(jet.comp) == 6
+        assert counts == {("__mul__", "float"): 30, ("__add__", "GrassmannNumber"): 30}
 
 
 def test_jet_product_counts(monkeypatch):
@@ -560,7 +558,7 @@ def test_jet_product_counts(monkeypatch):
     calls = 0
     # one b5 superfield at ten points; each first-level D and Q is built once
     list(checks.b5_residuals(checks.covariant_squares, checks.susy_anticommutators)(CTX, 900, 1))
-    assert calls == 465
+    assert calls == 349
 
 
 def test_jet_spec_constructions(monkeypatch):
