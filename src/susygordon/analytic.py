@@ -183,18 +183,29 @@ class ExpRatio:
         return out
 
 
+def _derivative_coeffs(coeffs: list[float]) -> list[list[float]]:
+    """The ascending coefficient lists of p, p', p'', ...: ``len(coeffs) + 1``
+    lists, the last one empty."""
+    lists = [coeffs]
+    while coeffs:
+        coeffs = [coeffs[i] * i for i in range(1, len(coeffs))]
+        lists.append(coeffs)
+    return lists
+
+
 class Poly:
-    """Polynomial with coefficients in ascending order."""
+    """Polynomial with coefficients in ascending order.
+
+    The coefficient lists of its derivatives are built once, here; every
+    derivative past the degree is ``_polyval([], x)``, which is 0.0.
+    """
 
     def __init__(self, coeffs):
-        self.coeffs = [float(c) for c in coeffs]
+        self.lists = _derivative_coeffs([float(c) for c in coeffs])
 
     def derivs(self, x, n):
-        out = []
-        c = self.coeffs
-        for _ in range(n + 1):
-            out.append(_polyval(c, x))
-            c = [c[i] * i for i in range(1, len(c))]
+        out = [_polyval(c, x) for c in self.lists[: n + 1]]
+        out.extend([0.0] * (n + 1 - len(out)))
         return out
 
 

@@ -22,6 +22,10 @@ the general loops' values and key order, bit for bit (a signalling NaN,
 which no arithmetic makes, is not quieted).  A result may share its term map
 with an operand: no operation mutates ``.terms``, and ``_make`` takes only
 zero-free maps.
+
+``add_terms`` is the one sum rule: ``__add__`` runs it on a copy of its left
+operand's map, and a caller that assembles a value from many term maps runs
+it on a map of its own, so only the finished value becomes a supernumber.
 """
 
 from __future__ import annotations
@@ -187,12 +191,7 @@ class GrassmannNumber:
         if not self.terms:
             return other
         out = dict(self.terms)
-        for m, c in tb.items():
-            v = out.get(m, 0.0) + c
-            if v == 0.0:
-                out.pop(m, None)
-            else:
-                out[m] = v
+        add_terms(out, tb)
         return GrassmannNumber._make(self.ngen, out)
 
     __radd__ = __add__
@@ -309,6 +308,23 @@ class GrassmannNumber:
         return to_text(self)
 
     __str__ = __repr__
+
+
+def add_terms(out: dict, terms: dict) -> None:
+    """Add the term map ``terms`` into ``out``, a map the caller owns, in
+    place: ``out.get(m, 0.0) + c`` per term in ``terms``' order, a new mask
+    joining at the end and a sum that is exactly zero leaving the map.
+
+    This is the loop of every supernumber sum, which is ``dict(a.terms)``
+    followed by it, so summing into one map gives each mask the float
+    operations, and the map the key order, of the pairwise sums.
+    """
+    for m, c in terms.items():
+        v = out.get(m, 0.0) + c
+        if v == 0.0:
+            out.pop(m, None)
+        else:
+            out[m] = v
 
 
 # ---------------------------------------------------------------------- [OP]s

@@ -37,9 +37,17 @@ table.  The monomial, a theta slot times an odd prefactor such as
 Multiplying by +-1 rounds nothing, so folding the two factors into one
 before it meets the profile is exact: ``(th1 k1) * p`` has the bits of
 ``th1 * (k1 * p)``.
-The sums and drops are ``jet_add``'s, through ``superjet.add_into``, so
-the jet has the bits and key order that composing, multiplying, scaling
-and summing the component jets gives.
+
+Both superspace jets, the random field's and a lowered one, are assembled
+as term maps ``{mask: coeff}``, one per component, and each surviving
+component becomes one supernumber at the end.  ``grassmann.add_terms`` is
+the one sum rule: a supernumber sum is ``dict(a.terms)`` followed by it, so
+summing into a map the assembly owns gives each mask the float operations,
+and each map the key order, of the pairwise sums.  A component that a sum
+empties leaves the map, as in ``jet_add``.  So the random jet has the bits
+and key order that composing, multiplying, scaling and summing the
+component jets gives, and a lowered jet those of the general product and
+sum.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .grassmann import (
     AlgebraContext,
     GrassmannNumber,
     ParityError,
+    add_terms,
     demote,
     drop_gens,
     gen_derivative,
@@ -150,14 +159,20 @@ def _op_theta(jet: SuperJet, ctx: AlgebraContext, which: str, sign: float) -> Su
     zero product are dropped.  A real jet is read through its lifted
     components, so a float ``v`` gives ``sign * v`` on theta alone.
 
-    An empty theta product is not inserted, so the keys keep the general
-    product's order: the theta products in the input's order, then the theta
-    derivatives of the components the lower order keeps, in the input's
-    order.  ``SuperJet`` drops the sums that vanish.
+    Each component is assembled as a term map, and only the finished maps
+    become supernumbers.  An empty theta product is not inserted, so the
+    keys keep the general product's order: the theta products in the
+    input's order, then the theta derivatives of the components the lower
+    order keeps, in the input's order.  The derivative's terms are
+    ``gen_derivative``'s, ``c * s`` per term holding theta's bit, added into
+    the shift's map by ``add_terms`` as the sum ``shift + derivative`` adds
+    them; a component with no shift takes the derivative's map as it is.
+    The shift's masks hold theta's bit and the derivative's do not, so no
+    mask meets two addends.  ``SuperJet`` drops the components that end
+    empty.
     """
     theta_role, seed = ("theta1", "x") if which == "x" else ("theta2", "t")
-    idx = ctx.roles[theta_role]
-    bit = 1 << idx
+    bit = 1 << ctx.roles[theta_role]
     below = bit - 1
     spec = jet.spec
     ax = spec.axis(seed)
@@ -173,12 +188,17 @@ def _op_theta(jet: SuperJet, ctx: AlgebraContext, which: str, sign: float) -> Su
                 if p != 0.0:
                     terms[m | bit] = p
         if terms:
-            comp[J[:ax] + (J[ax] - 1,) + J[ax + 1:]] = GrassmannNumber._make(jet.ngen, terms)
+            comp[J[:ax] + (J[ax] - 1,) + J[ax + 1:]] = terms
     for J, v in jet.comp.items():
         if sum(J) <= sub.order:
-            d = gen_derivative(v, idx)
-            comp[J] = comp[J] + d if J in comp else d
-    return SuperJet(sub, jet.ngen, comp)
+            d = {m ^ bit: c * (-1.0 if (m & below).bit_count() & 1 else 1.0)
+                 for m, c in v.terms.items() if m & bit}
+            if J in comp:
+                add_terms(comp[J], d)
+            else:
+                comp[J] = d
+    ngen = jet.ngen
+    return SuperJet(sub, ngen, {J: GrassmannNumber._make(ngen, t) for J, t in comp.items()})
 
 
 def op_D(jet: SuperJet, ctx: AlgebraContext, which: str) -> SuperJet:
@@ -291,6 +311,30 @@ def _outer(fs: list, gs: list, order: int) -> dict:
     return out
 
 
+def _times(monomial: GrassmannNumber, v) -> dict:
+    """The term map of ``monomial * v``: for a float ``v`` the float branch
+    of the product, ``c * v`` per term with the zeros dropped.  A nonzero
+    ``v`` gives a product that shares no map with its operands."""
+    if isinstance(v, GrassmannNumber):
+        return (monomial * v).terms
+    return {m: p for m, c in monomial.terms.items() if (p := c * v) != 0.0}
+
+
+def _add_maps(acc: dict, other: dict) -> None:
+    """Add the component term maps ``other`` into ``acc`` in place, as
+    ``add_into`` adds supernumbers: a new key joins at the end with its map,
+    a shared key's map takes ``add_terms``, and a map that ends empty leaves
+    ``acc``.  Both sides own their maps, which ``acc`` keeps."""
+    for J, t in other.items():
+        w = acc.get(J)
+        if w is None:
+            acc[J] = t
+            continue
+        add_terms(w, t)
+        if not w:
+            del acc[J]
+
+
 def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superfield:
     """Polynomial x trigonometric components with random odd prefactors.
 
@@ -302,13 +346,16 @@ def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superf
     the monomial 1, F has th1 th2, and phi has ``th1 k1`` and ``th1 k3``
     (psi the same with th2), formed once per field.  Component (i, j) of a
     term's jet is ``f^(i)(x) * g^(j)(t)``; the products of one monomial are
-    summed, then multiplied by it, then the slots are summed in the order
-    u/2, phi, psi, F, each sum by ``add_into`` as ``jet_add`` forms it.  At
-    a point whose soul holds no theta generator this gives, bit for bit and
-    in key order, the jet of composing, multiplying, scaling and summing the
-    component jets.  The derivative lists are floats at a soul-free point and
-    supernumbers where either coordinate has a soul; an odd coordinate
-    raises ``ParityError``.
+    summed by ``add_into`` as ``jet_add`` forms it.  Then each component is
+    a term map: a slot's map per component sums the terms of ``monomial *
+    v`` over its monomials (for a float ``v`` the product's float branch,
+    with no supernumber formed), and the field's map sums the slot maps in
+    the order u/2, phi, psi, F, both by ``add_terms``.  At a point whose
+    soul holds no theta generator this gives, bit for bit and in key order,
+    the jet of composing, multiplying, scaling and summing the component
+    jets.  Soul-free points and points with a soul take the same code: the
+    derivative lists are floats at a soul-free point and supernumbers where
+    either coordinate has a soul; an odd coordinate raises ``ParityError``.
     """
     rng = random.Random(rng_seed)
     i1, i2 = ctx.roles["theta1"], ctx.roles["theta2"]
@@ -333,7 +380,7 @@ def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superf
         return ((theta * k1, ((fx, ft),)), (theta * k3, ((gx, gt),)))
 
     # the slots u/2, phi, psi, F, drawn in that order: even, odd, odd, even
-    slots = (even(1.0), odd(th1), odd(th2), even(th1 * th2))
+    slots = (even(ctx.one()), odd(th1), odd(th2), even(th1 * th2))
 
     def jet(x, t, order):
         X, T = demote(ctx.lift(x)), demote(ctx.lift(t))
@@ -347,8 +394,10 @@ def random_superfield(rng_seed, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superf
                 for f, g in profiles:
                     fs = _derivative_list(f, X, order)
                     add_into(part, _outer(fs, _derivative_list(g, T, order), order))
-                add_into(terms, {J: m for J, v in part.items() if nonzero(m := monomial * v)})
-            add_into(comp, {J: ctx.lift(v) for J, v in terms.items()})
-        return SuperJet(jet_spec(("x", "t"), order), ctx.generator_count, comp)
+                _add_maps(terms, {J: m for J, v in part.items() if (m := _times(monomial, v))})
+            _add_maps(comp, terms)
+        ngen = ctx.generator_count
+        return SuperJet(jet_spec(("x", "t"), order), ngen,
+                        {J: GrassmannNumber._make(ngen, t) for J, t in comp.items()})
 
     return Superfield(jet, ctx)

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from susygordon import analytic
 from susygordon.analytic import (
     ARCCOS,
     ARCSIN,
@@ -170,6 +171,47 @@ def test_poly_const_trigpoly():
     alt = TaylorFn(lambda s: (s * 2.0 + 0.3).apply(SIN) * 1.5 + s)
     for a, b in zip(d, alt.derivs(x, 3)):
         assert abs(a - b) < 1e-10
+
+
+def _poly_derivs_per_call(coeffs, x, n):
+    """``Poly.derivs`` as it was written before the lists were kept: each
+    derivative's coefficient list rebuilt on every call."""
+    out = []
+    c = [float(v) for v in coeffs]
+    for _ in range(n + 1):
+        acc = 0.0
+        for v in reversed(c):
+            acc = acc * x + v
+        out.append(acc)
+        c = [c[i] * i for i in range(1, len(c))]
+    return out
+
+
+def test_poly_builds_its_derivative_lists_once(monkeypatch):
+    # one build per Poly, whatever the calls ask for; the bits are those of
+    # rebuilding the lists on every call, past the degree and at NaN and inf
+    built = []
+    real = analytic._derivative_coeffs
+
+    def counted(coeffs):
+        built.append(list(coeffs))
+        return real(coeffs)
+
+    monkeypatch.setattr(analytic, "_derivative_coeffs", counted)
+    cases = ([], [2.5], [1.0, -2.0, 0.0, 4.0], [0.3, 5e-324, -0.0, 1e308])
+    polys = [Poly(c) for c in cases]
+    trig = TrigPoly(waves=[(0.5, 1.1, -0.2)], poly=[-0.6, 0.4])
+    assert len(built) == len(cases) + 1
+    for p, c in zip(polys, cases):
+        assert len(p.lists) == len(c) + 1 and p.lists[-1] == []
+        for x in (0.7, -3.0, 0.0, -0.0, math.inf, math.nan):
+            for n in range(7):
+                assert bits(dict(enumerate(p.derivs(x, n)))) == bits(
+                    dict(enumerate(_poly_derivs_per_call(c, x, n)))), (c, x, n)
+    for x in (0.7, -3.0):
+        for n in range(7):
+            trig.derivs(x, n)
+    assert len(built) == len(cases) + 1
 
 
 def test_taylorq_basics():

@@ -21,6 +21,7 @@ from susygordon.grassmann import (
     NonInvertible,
     Parity,
     ParityError,
+    add_terms,
     analytic_value,
     apply_analytic,
     demote,
@@ -457,6 +458,28 @@ def test_empty_operand_gives_the_bits_of_the_general_operations(a, r):
         # a sum is the other operand itself, a product the empty one
         assert a + e is a and e + a is a and a - e is a
         assert a * e is e and e * a is e
+
+
+@given(VALUES, VALUES, st.data())
+@settings(max_examples=300, deadline=None)
+def test_add_terms_gives_the_bits_and_key_order_of_a_sum(a, b, data):
+    # b also takes the negation of a drawn subset of a's terms, so sums that
+    # cancel to 0.0, and keys that leave the map, are drawn too
+    flip = data.draw(st.sets(st.sampled_from(sorted(a.terms)))) if a.terms else set()
+    b = GrassmannNumber(NGEN, {**b.terms, **{m: -a.terms[m] for m in flip}})
+    for x, y in ((a, b), (b, a), (a, a)):
+        out = dict(x.terms)
+        add_terms(out, y.terms)
+        want = general_sum(x.terms, y.terms, operator.add)
+        assert _sum_bits(x, y, out) == _sum_bits(x, y, (x + y).terms) == _sum_bits(x, y, want)
+
+
+def _sum_bits(x, y, terms) -> list:
+    """``bits(terms)`` with a mask where both ``x`` and ``y`` hold a NaN as one
+    token: which NaN such a sum keeps is CPython's choice, and its
+    specialised float addition keeps the other one than its generic form."""
+    both = {m for m, c in y.terms.items() if c != c and x.terms.get(m, 0.0) != x.terms.get(m, 0.0)}
+    return [(m, "nan" if m in both else b) for m, b in bits(terms)]
 
 
 def test_empty_operand_keeps_the_operand_checks():

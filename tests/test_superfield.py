@@ -223,6 +223,43 @@ def test_op_theta_matches_the_map_then_filter_form(jet):
             assert _jet_bits(superfield._op_theta(jet, CTX, which, sign)) == _jet_bits(want)
 
 
+def _lowered_checked(jet, which, sign):
+    """``_op_theta`` of ``jet``, checked bit for bit against the reference."""
+    got = superfield._op_theta(jet, CTX, which, sign)
+    assert _jet_bits(got) == _jet_bits(_op_theta_reference(jet, CTX, which, sign))
+    return got
+
+
+def test_op_theta_drops_a_component_that_empties_and_keeps_the_later_keys():
+    # (0, 0) holds no theta and (1, 0), (0, 1) hold both, so lowering along
+    # either seed gives (0, 0) no shift term and no derivative term: it
+    # empties between the shifted keys and a derivative key that joins after
+    # it, and that later key keeps its place
+    jet = SuperJet(JetSpec(("x", "t"), 2), CTX.generator_count, {
+        (0, 0): scalar(1.5) * CTX.gen(2) * CTX.gen(3),
+        (1, 0): TH1 * TH2 * 2.0,
+        (0, 1): TH1 * TH2 * -1.0,
+        (1, 1): CTX.gen(3) * 0.5,
+    })
+    for sign in (1.0, -1.0):
+        for which, keys in (("x", [(0, 1), (1, 0)]), ("t", [(1, 0), (0, 1)])):
+            assert list(_lowered_checked(jet, which, sign).comp) == keys
+
+
+def test_op_theta_shift_and_derivative_terms_never_share_a_mask():
+    # the shift term of (1, 0) and the derivative term of (0, 0) have opposite
+    # coefficients on words that differ only in theta.  The shift's masks hold
+    # theta's bit and the derivative's do not, so the two never meet on one
+    # mask and no sum in a lowering can cancel: both terms stay
+    k = CTX.gen(3)
+    for which, th, J in (("x", TH1, (1, 0)), ("t", TH2, (0, 1))):
+        jet = SuperJet(JetSpec(("x", "t"), 1), CTX.generator_count, {J: k, (0, 0): th * k * -1.0})
+        shifted = next(iter((th * k).terms))
+        for sign in (1.0, -1.0):
+            got = _lowered_checked(jet, which, sign).get((0, 0))
+            assert bits(got.terms) == bits({shifted: sign, 1 << 3: -1.0})
+
+
 def test_lowering_an_order_zero_jet_raises():
     # the spec cache keeps no exception: every request for order -1 is refused
     jet = superfield_jet(random_superfield(7), scalar(0.25), scalar(0.75), order=0)
@@ -497,6 +534,30 @@ def test_random_superfield_jet_matches_the_composed_jets(kind):
                 assert [(J, bits(v.terms)) for J, v in got.comp.items()] == [
                     (J, bits(v.terms)) for J, v in ref.comp.items()
                 ], (seed, kind, order)
+
+
+# Exact cancellations, which random points almost never draw, at x = 0.4 +
+# soul and t = -0.3 for seed 0.  With the soul c g2 g7 the two terms of the
+# phi slot meet on th1 g2 g4 g7 in the value and their slot sum is 0.0.  With
+# c th1 g4 the u/2 slot's soul term meets phi's body term on th1 g4 and the
+# field sum is 0.0; the composed jets agree at this soul too.  The next float
+# toward zero leaves the mask in the jet.
+CANCELLING_SOULS = {
+    "slot": ((2, 7, -0.796887504035161), 0b10010101),
+    "field": ((0, 4, -0.36177345037608705), 0b10001),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CANCELLING_SOULS))
+def test_random_superfield_cancelling_sums_match_the_composed_jets(kind):
+    (i, j, c), mask = CANCELLING_SOULS[kind]
+    f, want = random_superfield(0), _composed_random_superfield(0)
+    for soul, cancels in ((c, True), (math.nextafter(c, 0.0), False)):
+        x = scalar(0.4) + _soul((i, j, soul))
+        for order in range(3):
+            got = superfield_jet(f, x, -0.3, order)
+            assert _jet_bits(got) == _jet_bits(superfield_jet(want, x, -0.3, order))
+            assert (mask in got.value().terms) is not cancels, (soul, order)
 
 
 def test_random_superfield_refuses_an_odd_coordinate():

@@ -518,27 +518,43 @@ def test_real_jet_comp_is_body_only_supernumbers_in_float_order():
     assert all(v.terms.keys() <= {0} for v in jet_apply_analytic(jet, COS).comp.values())
 
 
-def test_even_random_component_makes_no_grassmann_arithmetic(monkeypatch):
-    # at a soul-free point the profile products of every slot, and the sums
-    # of the even slots u/2 and F, are floats: the only Grassmann products
-    # place a float under one of the five monomials (th1 k1, th1 k3, th2 k1,
-    # th2 k3 and th1 th2), once per component, and the only sums join the
-    # two terms of an odd slot and the four slots.  Composing the component
-    # jets made 42 products, 12 of them supernumber by supernumber, and the
-    # same 30 sums.
+GRASSMANN_OPS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
+
+
+def _count_grassmann_arithmetic(monkeypatch) -> Counter:
+    """Count every Grassmann product and sum from here on, by operator."""
     counts = Counter()
-    for name in ("__mul__", "__add__", "__sub__"):
+    for name in GRASSMANN_OPS:
         def counted(a, b, _name=name, _op=getattr(GrassmannNumber, name)):
-            counts[_name, type(b).__name__] += 1
+            counts[_name] += 1
             return _op(a, b)
 
         monkeypatch.setattr(GrassmannNumber, name, counted)
+    return counts
+
+
+def test_random_superfield_jet_makes_no_grassmann_arithmetic(monkeypatch):
+    # at a soul-free point the profile products are floats, and each
+    # component is assembled as a term map from the float terms of its
+    # monomials: the one supernumber of a component is made from its
+    # finished map
     f = random_superfield(900, CTX)
+    counts = _count_grassmann_arithmetic(monkeypatch)
     for x, t in ((0.3, -0.7), (CTX.scalar(1.1), -0.0)):
-        counts.clear()
         jet = superfield.superfield_jet(f, x, t, 2)
         assert len(jet.comp) == 6
-        assert counts == {("__mul__", "float"): 30, ("__add__", "GrassmannNumber"): 30}
+    assert counts == {}
+
+
+def test_theta_operators_make_no_grassmann_arithmetic(monkeypatch):
+    # the theta shift and the theta derivative are summed as term maps, so
+    # lowering a jet makes no product and no sum
+    jet = superfield.superfield_jet(random_superfield(900, CTX), 0.15, -0.45, 2)
+    counts = _count_grassmann_arithmetic(monkeypatch)
+    for which in ("x", "t"):
+        for op in (superfield.op_D, superfield.op_Q):
+            assert len(op(jet, CTX, which).comp) == 3
+    assert counts == {}
 
 
 def test_jet_product_counts(monkeypatch):
@@ -556,9 +572,11 @@ def test_jet_product_counts(monkeypatch):
     jet_apply_analytic(jet_variable(XT, "x", sc(0.7)), SIN)
     assert calls == 3
     calls = 0
-    # one b5 superfield at ten points; each first-level D and Q is built once
+    # one b5 superfield at ten points; each first-level D and Q is built once.
+    # The ten jets and the operators make none: the 49 are the field's own
+    # set-up (9) and the operator families' checks (40)
     list(checks.b5_residuals(checks.covariant_squares, checks.susy_anticommutators)(CTX, 900, 1))
-    assert calls == 349
+    assert calls == 49
 
 
 def test_jet_spec_constructions(monkeypatch):
