@@ -260,7 +260,13 @@ def _build_d3(p, ctx):
 
 class _OdeBackedFn:
     """g(sigma) read off trajectory nodes; derivatives 3 and 4 are closed
-    through the equation g'' = -F g' + eps D g + C with elliptic F, D, C."""
+    through the equation g'' = -F g' + eps D g + C with elliptic F, D, C.
+
+    The coefficient series are built once per sigma and order: the lambda
+    profile and the eta quotient ask for the same ones at every grid point.
+    A zero's sign can move a series' bits, and a lower order's series need
+    not be a bit prefix of a higher one's, so both stay in the key.
+    """
 
     def __init__(self, traj, eps: float, force: float, modulus: float):
         self.traj = traj
@@ -268,6 +274,7 @@ class _OdeBackedFn:
         self.force = force
         self.k = modulus
         self.m = modulus * modulus
+        self._series = {}
 
     def _coeff_series(self, x: float, order: int):
         s = TaylorQ.var(x, order)
@@ -286,7 +293,12 @@ class _OdeBackedFn:
         out = [s.value, s.d1, s.d2]
         if n <= 2:
             return out[: n + 1]
-        fd, dd, cd = self._coeff_series(x, n - 2)
+        key = (x, math.copysign(1.0, x), n - 2)
+        series = self._series.get(key)
+        if series is None:
+            # a concurrent first fill only builds an equal value
+            series = self._series[key] = self._coeff_series(x, n - 2)
+        fd, dd, cd = series
         g0, g1, g2 = out
         g3 = -fd[1] * g1 - fd[0] * g2 + self.eps * (dd[1] * g0 + dd[0] * g1) + cd[1]
         out.append(g3)

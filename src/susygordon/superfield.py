@@ -103,14 +103,10 @@ class SuperfieldValueBundle:
 
 
 def coordinate_jets(x, t, order: int, ctx: AlgebraContext = DEFAULT_CONTEXT):
-    """The jets of the coordinates x and t at a point; a soul-free coordinate
-    gives a real jet."""
+    """The jets of the coordinates x and t at a point, over ``ctx``'s
+    algebra; a real coordinate is lifted to a body-only supernumber."""
     spec = jet_spec(("x", "t"), order)
-    ngen = ctx.generator_count
-    return (
-        jet_variable(spec, "x", demote(ctx.lift(x)), ngen),
-        jet_variable(spec, "t", demote(ctx.lift(t)), ngen),
-    )
+    return jet_variable(spec, "x", ctx.lift(x)), jet_variable(spec, "t", ctx.lift(t))
 
 
 def superfield_jet(f: Superfield, x, t, order: int = 2) -> SuperJet:
@@ -156,8 +152,7 @@ def _op_theta(jet: SuperJet, ctx: AlgebraContext, which: str, sign: float) -> Su
     number of m's generators lie below theta, else 1.0: the general
     product's merge sign, in its float operations and their order, so NaN,
     -0.0 and underflow keep their bits.  A term holding theta's bit and a
-    zero product are dropped.  A real jet is read through its lifted
-    components, so a float ``v`` gives ``sign * v`` on theta alone.
+    zero product are dropped.
 
     Each component is assembled as a term map, and only the finished maps
     become supernumbers.  An empty theta product is not inserted, so the

@@ -3,25 +3,10 @@
 A ``SuperJet`` stores raw partial derivatives (not normalized Taylor
 coefficients) up to a total order against a fixed tuple of even seed
 names.  Its components are Grassmann numbers, so a single jet carries a
-whole superspace expansion, or floats; the seeds themselves always commute,
-which keeps the Leibniz bookkeeping sign-free as long as factor order is
-preserved.
-
-A *real jet* holds its components as floats in ``floats`` (``None`` on a
-jet of supernumbers).  The coordinate jets of a soul-free point are real,
-and composition, products, sums, partials and scaling by a float keep two
-real jets real: ordinary Taylor-mode propagation on the same plans.  An
-operation with a supernumber operand reads the real side's ``comp``, its
-floats lifted once to body-only supernumbers, and runs the Grassmann walk
-unchanged; scaling a real jet by a supernumber ``c`` forms ``c * v`` with
-each float ``v``, the same bits in the same key order.  So ``comp`` always
-holds supernumbers.  While every component is finite the float walk gives
-the Grassmann walk's bits, -0.0 and underflow included, since a float zero
-is dropped where the algebra drops an empty number.  At a non-finite
-component the two can part: a Grassmann product with an exact zero drops an
-inf that float arithmetic turns into NaN.  A float component is then NaN
-where the Grassmann one is finite or absent, and never finite where the
-Grassmann one is not.
+whole superspace expansion; the seeds themselves always commute, which
+keeps the Leibniz bookkeeping sign-free as long as factor order is
+preserved.  A soul-free point's jets hold body-only supernumbers and take
+the same walk: Taylor-mode propagation on one number type.
 
 Composition with an analytic function uses Faa di Bruno in its set
 partition form over index positions.  The base component must be even.
@@ -32,11 +17,10 @@ multi-indices) and the Leibniz table (index pair to sum and binomial
 weight) are built on first use and cached per frozen spec.  A Faa di Bruno
 term with an absent component is skipped before any product is formed.  The
 derivatives of the analytic function at the base come from
-``grassmann.soul_derivs``, or straight from the function at the body of a
-real jet.  Every value stays bit for bit what multiplying every term
-through gives: an absent component is the empty number, whose product is
-empty, and the surviving terms keep the same partition order and the same
-left-to-right factor order.
+``grassmann.soul_derivs``.  Every value stays bit for bit what multiplying
+every term through gives: an absent component is the empty number, whose
+product is empty, and the surviving terms keep the same partition order and
+the same left-to-right factor order.
 
 The specs themselves are cached too: ``jet_spec`` returns one frozen
 ``JetSpec`` per shape (seeds, order), so lowering a jet or building the
@@ -90,26 +74,12 @@ def jet_spec(seeds: tuple[str, ...], order: int) -> JetSpec:
 
 
 class SuperJet:
-    __slots__ = ("spec", "ngen", "comp", "floats")
+    __slots__ = ("spec", "ngen", "comp")
 
-    def __init__(self, spec: JetSpec, ngen: int, comp: dict, real: bool = False):
+    def __init__(self, spec: JetSpec, ngen: int, comp: dict):
         self.spec = spec
         self.ngen = ngen
-        if real:
-            self.floats = {J: v for J, v in comp.items() if v != 0.0}
-        else:
-            self.floats = None
-            self.comp = {J: v for J, v in comp.items() if not v.is_zero()}
-
-    def __getattr__(self, name):
-        # reached only for an unset slot: the comp of a real jet, lifted on
-        # first read (a concurrent first read only builds an equal dict)
-        if name != "comp" or self.floats is None:
-            raise AttributeError(name)
-        ngen = self.ngen
-        comp = {J: GrassmannNumber._make(ngen, {0: v}) for J, v in self.floats.items()}
-        self.comp = comp
-        return comp
+        self.comp = {J: v for J, v in comp.items() if not v.is_zero()}
 
     def get(self, J) -> GrassmannNumber:
         v = self.comp.get(tuple(J))
@@ -159,22 +129,16 @@ def jet_constant(spec: JetSpec, value: GrassmannNumber) -> SuperJet:
     return SuperJet(spec, value.ngen, {(0,) * len(spec.seeds): value})
 
 
-def jet_variable(spec: JetSpec, seed: str, value, ngen: int | None = None) -> SuperJet:
-    """The jet of the coordinate ``seed`` at ``value``, with unit slope.
-
-    A supernumber ``value`` gives a jet over its algebra; a float gives a
-    real jet over ``ngen`` generators.
-    """
+def jet_variable(spec: JetSpec, seed: str, value: GrassmannNumber) -> SuperJet:
+    """The jet of the coordinate ``seed`` at ``value``, with unit slope,
+    over ``value``'s algebra."""
     ax = spec.axis(seed)
-    real = not isinstance(value, GrassmannNumber)
-    if not real:
-        ngen = value.ngen
     comp = {(0,) * len(spec.seeds): value}
     if spec.order >= 1:
         e = [0] * len(spec.seeds)
         e[ax] = 1
-        comp[tuple(e)] = 1.0 if real else GrassmannNumber._make(ngen, {0: 1.0})
-    return SuperJet(spec, ngen, comp, real)
+        comp[tuple(e)] = GrassmannNumber._make(value.ngen, {0: 1.0})
+    return SuperJet(spec, value.ngen, comp)
 
 
 def nonzero(v) -> bool:
@@ -204,32 +168,25 @@ def add_into(acc: dict, other: dict) -> None:
 
 def jet_add(a: SuperJet, b: SuperJet) -> SuperJet:
     _check_same(a, b)
-    real = a.floats is not None and b.floats is not None
-    comp = dict(a.floats if real else a.comp)
-    add_into(comp, b.floats if real else b.comp)
-    return SuperJet(a.spec, a.ngen, comp, real)
+    comp = dict(a.comp)
+    add_into(comp, b.comp)
+    return SuperJet(a.spec, a.ngen, comp)
 
 
 def jet_scale(a: SuperJet, c, from_left: bool = False) -> SuperJet:
     """``a`` scaled by a real or a supernumber ``c``.
 
-    An empty supernumber of ``a``'s algebra gives the empty jet of
-    supernumbers without forming a product: every product with it is
-    empty, whatever the component, NaN and inf included.  A float 0.0
-    takes the general path, since a real jet's ``inf * 0.0`` is NaN.
+    An empty supernumber of ``a``'s algebra gives the empty jet without
+    forming a product: every product with it is empty, whatever the
+    component, NaN and inf included.  A float 0.0 empties every component
+    by the algebra's product rule.
     """
     if isinstance(c, GrassmannNumber):
         if not c.terms and c.ngen == a.ngen:
             return SuperJet(a.spec, a.ngen, {})
-        if a.floats is not None:
-            # c * v by a float v is v * c bit for bit, in c's key order
-            return SuperJet(a.spec, a.ngen, {J: c * v for J, v in a.floats.items()})
         if from_left:
             return SuperJet(a.spec, a.ngen, {J: c * v for J, v in a.comp.items()})
-        return SuperJet(a.spec, a.ngen, {J: v * c for J, v in a.comp.items()})
-    real = a.floats is not None
-    vals = a.floats if real else a.comp
-    return SuperJet(a.spec, a.ngen, {J: v * c for J, v in vals.items()}, real)
+    return SuperJet(a.spec, a.ngen, {J: v * c for J, v in a.comp.items()})
 
 
 def _binom_multi(J, I) -> float:
@@ -260,11 +217,9 @@ def jet_multiply(a: SuperJet, b: SuperJet) -> SuperJet:
     """Componentwise Leibniz product; factor order a*b is preserved."""
     _check_same(a, b)
     plan = _leibniz_plan(a.spec)
-    real = a.floats is not None and b.floats is not None
-    bc = b.floats if real else b.comp
     comp: dict = {}
-    for I, av in (a.floats if real else a.comp).items():
-        for K, bv in bc.items():
+    for I, av in a.comp.items():
+        for K, bv in b.comp.items():
             hit = plan.get((I, K))
             if hit is None:
                 continue
@@ -272,23 +227,22 @@ def jet_multiply(a: SuperJet, b: SuperJet) -> SuperJet:
             term = av * bv
             term = term * w if w != 1.0 else term
             comp[J] = comp[J] + term if J in comp else term
-    return SuperJet(a.spec, a.ngen, comp, real)
+    return SuperJet(a.spec, a.ngen, comp)
 
 
 def jet_partial(a: SuperJet, seed: str) -> SuperJet:
     """Shift one derivative slot down; the result is one order lower."""
     ax = a.spec.axis(seed)
     sub = jet_spec(a.spec.seeds, a.spec.order - 1)
-    real = a.floats is not None
     comp = {}
-    for J, v in (a.floats if real else a.comp).items():
+    for J, v in a.comp.items():
         if J[ax] == 0:
             continue
         K = list(J)
         K[ax] -= 1
         if sum(K) <= sub.order:
             comp[tuple(K)] = v
-    return SuperJet(sub, a.ngen, comp, real)
+    return SuperJet(sub, a.ngen, comp)
 
 
 def _set_partitions_of(items):
@@ -342,23 +296,15 @@ def jet_apply_analytic(a: SuperJet, fn: AnalyticFn) -> SuperJet:
     from ``f^(b)`` and summed in plan order.  Every component must be even:
     the composition only makes sense for an even-valued function, and
     evenness is what lets the chain rule factors commute without sign
-    tracking.  A real jet is even, and its walk runs on the floats
-    ``fn.derivs`` gives at its body.
+    tracking.
     """
-    base = (0,) * len(a.spec.seeds)
-    have = a.floats
-    real = have is not None
-    if real:
-        fs = fn.derivs(have.get(base, 0.0), a.spec.order)
-        zero = 0.0
-    else:
-        have = a.comp
-        for v in have.values():
-            if not v.is_even():
-                raise ParityError("analytic composition needs an even jet")
-        fs = soul_derivs(fn, a.value(), a.spec.order)
-        zero = GrassmannNumber._make(a.ngen, {})
-    comp = {base: fs[0]}
+    have = a.comp
+    for v in have.values():
+        if not v.is_even():
+            raise ParityError("analytic composition needs an even jet")
+    fs = soul_derivs(fn, a.value(), a.spec.order)
+    zero = GrassmannNumber._make(a.ngen, {})
+    comp = {(0,) * len(a.spec.seeds): fs[0]}
     for J, terms in _faa_plan(a.spec):
         acc = zero
         for b, blocks in terms:
@@ -374,7 +320,7 @@ def jet_apply_analytic(a: SuperJet, fn: AnalyticFn) -> SuperJet:
                     term = term * v
                 acc = acc + term
         comp[J] = acc
-    return SuperJet(a.spec, a.ngen, comp, real)
+    return SuperJet(a.spec, a.ngen, comp)
 
 
 def jet_map(a: SuperJet, f: Callable[[GrassmannNumber], GrassmannNumber]) -> SuperJet:

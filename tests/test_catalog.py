@@ -17,6 +17,7 @@ from susygordon.elliptic import JacobiSn, jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT, ParityError, apply_analytic
 from susygordon.catalog import (
     EntryCheck,
+    _OdeBackedFn,
     _ginv_parts,
     catalog_entry,
     catalog_names,
@@ -223,6 +224,35 @@ def test_integrated_entries_meet_tolerance(name):
     assert check.samples == 22
     # node data closes the equation exactly, so only roundoff remains
     assert check.max_residual < 1e-10, (name, check.max_residual)
+
+
+def test_integrated_entries_build_each_coefficient_series_once(monkeypatch):
+    # the lambda profile and the eta quotient ask for the same sn/cn/dn
+    # series at every grid sigma: the two entries' 87 requests need 44
+    # builds, one per (instance, sigma, order)
+    builds = []
+    build = _OdeBackedFn._coeff_series
+
+    def counted(self, x, order):
+        builds.append((self, x, order))
+        return build(self, x, order)
+
+    monkeypatch.setattr(_OdeBackedFn, "_coeff_series", counted)
+    for name in ("ginv9", "ginv14"):
+        assert verify_entry(name).passed
+    assert len(builds) == 44
+    assert len({(id(g), x, order) for g, x, order in builds}) == 44
+    # a zero's sign and the order stay in the key, and a stored series
+    # gives the bits a fresh build gives
+    gfn = builds[0][0]
+    gfn._series.clear()
+    builds.clear()
+    asks = ((0.0, 3), (-0.0, 3), (0.0, 4), (-0.0, 3), (0.0, 4))
+    got = [repr(gfn.derivs(x, n)) for x, n in asks]
+    assert [(math.copysign(1.0, x), order) for _, x, order in builds] == [
+        (1.0, 1), (-1.0, 1), (1.0, 2)]
+    fresh = [_OdeBackedFn(gfn.traj, gfn.eps, gfn.force, gfn.k).derivs(x, n) for x, n in asks]
+    assert got == [repr(v) for v in fresh]
 
 
 @pytest.mark.parametrize("name", ["ginv14", "ginv9"])

@@ -10,6 +10,7 @@ from susygordon import checks, superfield
 from susygordon.analytic import COS, EXP, SECH, SIN, TrigPoly
 from susygordon.grassmann import (
     DEFAULT_CONTEXT as CTX,
+    AlgebraContext,
     GrassmannNumber,
     Parity,
     ParityError,
@@ -199,19 +200,17 @@ MASKS = st.one_of(st.integers(0, 255), st.integers(0, 63).map(lambda m: m << 2))
 
 @st.composite
 def superfield_jets(draw):
-    """A jet of supernumbers, or a real jet of floats, in a drawn key order."""
+    """A jet of supernumbers in a drawn key order: general ones, or body-only
+    ones, the components of a soul-free point."""
     spec = JetSpec(("x", "t"), draw(st.integers(1, 2)))
-    real = draw(st.booleans())
+    masks = st.just(0) if draw(st.booleans()) else MASKS
     comp = {}
     for J in spec.indices():
         if draw(st.booleans()):
-            if real:
-                comp[J] = draw(COEFFS)
-            else:
-                terms = draw(st.dictionaries(MASKS, COEFFS, min_size=1, max_size=4))
-                comp[J] = GrassmannNumber._make(CTX.generator_count, terms)
+            terms = draw(st.dictionaries(masks, COEFFS, min_size=1, max_size=4))
+            comp[J] = GrassmannNumber._make(CTX.generator_count, terms)
     order = draw(st.permutations(list(comp)))
-    return SuperJet(spec, CTX.generator_count, {J: comp[J] for J in order}, real)
+    return SuperJet(spec, CTX.generator_count, {J: comp[J] for J in order})
 
 
 @given(superfield_jets())
@@ -263,14 +262,37 @@ def test_op_theta_shift_and_derivative_terms_never_share_a_mask():
 def test_lowering_an_order_zero_jet_raises():
     # the spec cache keeps no exception: every request for order -1 is refused
     jet = superfield_jet(random_superfield(7), scalar(0.25), scalar(0.75), order=0)
-    real = coordinate_jets(0.25, 0.75, 0, CTX)[0]
+    coordinate = coordinate_jets(0.25, 0.75, 0, CTX)[0]
     for _ in range(2):
-        for j in (jet, real):
+        for j in (jet, coordinate):
             for lower in (lambda j: op_D(j, CTX, "x"), lambda j: op_Q(j, CTX, "t"),
                           lambda j: jet_partial(j, "x")):
                 with pytest.raises(ValueError, match="negative jet order"):
                     lower(j)
     assert jet_spec(("x", "t"), 1) is jet_spec(("x", "t"), 1)
+
+
+def test_coordinate_jets_at_soul_free_points_hold_body_only_supernumbers():
+    # a real coordinate is lifted, so every component is a supernumber over
+    # the context's algebra (the benchmark tracer reads v.terms of each); a
+    # zero coordinate's value is absent, as the algebra drops an empty number
+    for ctx in (CTX, AlgebraContext(10)):
+        points = ((0.4, -1.5), (ctx.scalar(0.4), ctx.scalar(5e-324)), (0.0, -0.0),
+                  (ctx.scalar(-0.0), 5e-324), (-5e-324, ctx.scalar(2.0)))
+        for x, t in points:
+            for order in range(3):
+                jx, jt = coordinate_jets(x, t, order, ctx)
+                for jet, v, slope in ((jx, x, (1, 0)), (jt, t, (0, 1))):
+                    body = ctx.lift(v).body
+                    want = {(0, 0): {0: body}} if body != 0.0 else {}
+                    if order:
+                        want[slope] = {0: 1.0}
+                    assert all(type(w) is GrassmannNumber and w.ngen == ctx.generator_count
+                               for w in jet.comp.values())
+                    assert [(J, bits(w.terms)) for J, w in jet.comp.items()] == [
+                        (J, bits(w)) for J, w in want.items()]
+                    assert all(w.terms.keys() <= {0}
+                               for w in jet_apply_analytic(jet, COS).comp.values())
 
 
 def test_theta_operators_match_the_bundle():

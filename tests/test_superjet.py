@@ -342,8 +342,9 @@ _BODIES = st.one_of(
 
 @st.composite
 def _even_jet_pair(draw, kind):
-    """Two jets over one spec, and for every kind but ``soul`` their real
-    twins: real jets drawn from the same bodies, -0.0 included."""
+    """Two jets over one spec.  Every kind but ``soul`` holds body-only
+    supernumbers, the components of a soul-free point, drawn from the
+    bodies above: -0.0 and subnormals included."""
     spec = JetSpec(("x", "t", "y")[: draw(st.integers(1, 3))], draw(st.integers(0, 3)))
 
     def one():
@@ -360,78 +361,23 @@ def _even_jet_pair(draw, kind):
             for J in comp:
                 if draw(st.booleans()):
                     comp[J] = comp[J] + sample_random("even", 4, draw(st.integers(0, 10**6)), NG)
-            return SuperJet(spec, NG, comp), None
-        return SuperJet(spec, NG, comp), SuperJet(spec, NG, bodies, real=True)
+        return SuperJet(spec, NG, comp)
 
-    (a, ra), (b, rb) = one(), one()
-    return a, b, ra, rb
+    return one(), one()
 
 
 @pytest.mark.parametrize("kind", ["real", "soul", "missing", "nonfinite"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_planned_jets_match_multiplying_through(kind, data):
-    a, b, _, _ = data.draw(_even_jet_pair(kind))
+    a, b = data.draw(_even_jet_pair(kind))
     fn = data.draw(st.sampled_from([SIN, COS, EXP, TANH]))
     assert _exact(jet_apply_analytic, a, fn) == _exact(_apply_reference, a, fn)
     assert _exact(jet_multiply, a, b) == _exact(_multiply_reference, a, b)
 
 
-def _stays_real(f, *args):
-    jet = f(*args)
-    assert jet.floats is not None, f.__name__
-    return jet
-
-
-@pytest.mark.parametrize("kind", ["real", "missing"])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_real_jets_give_the_grassmann_bits(kind, data):
-    # the same bodies as floats: every operation that keeps two real jets
-    # real gives the all-Grassmann components, keys and coefficients in order
-    a, b, ra, rb = data.draw(_even_jet_pair(kind))
-    fn = data.draw(st.sampled_from([SIN, COS, EXP, TANH]))
-    k = data.draw(_BODIES)
-    seed = a.spec.seeds[data.draw(st.integers(0, len(a.spec.seeds) - 1))]
-    assert _exact(jet_apply_analytic, a, fn) == _exact(_stays_real, jet_apply_analytic, ra, fn)
-    assert _exact(jet_multiply, a, b) == _exact(_stays_real, jet_multiply, ra, rb)
-    assert _exact(jet_add, a, b) == _exact(_stays_real, jet_add, ra, rb)
-    assert _exact(jet_scale, a, k) == _exact(_stays_real, jet_scale, ra, k)
-    if a.spec.order:
-        assert _exact(jet_partial, a, seed) == _exact(_stays_real, jet_partial, ra, seed)
-
-
-@pytest.mark.parametrize("kind", ["real", "missing"])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_mixed_operations_give_the_grassmann_bits(kind, data):
-    # a real operand beside a supernumber one: the result is the
-    # all-Grassmann one, from either side and for either kind of factor
-    a, b, ra, rb = data.draw(_even_jet_pair(kind))
-    soul = SuperJet(b.spec, NG, {
-        J: v + sample_random(data.draw(st.sampled_from(["even", "odd"])), 3,
-                             data.draw(st.integers(0, 10**6)), NG)
-        for J, v in b.comp.items()
-    })
-    c = sample_random(data.draw(st.sampled_from(["even", "odd"])), 3,
-                      data.draw(st.integers(0, 10**6)), NG)
-    k = data.draw(_BODIES)
-    for op in (jet_add, jet_multiply):
-        assert _exact(op, a, b) == _exact(op, ra, b) == _exact(op, a, rb)
-        assert _exact(op, a, soul) == _exact(op, ra, soul)
-        assert _exact(op, soul, a) == _exact(op, soul, ra)
-    for factor in (k, c):
-        for left in (False, True):
-            assert _exact(jet_scale, a, factor, left) == _exact(jet_scale, ra, factor, left)
-    assert _exact(lambda: c * a) == _exact(lambda: c * ra)
-    assert _exact(lambda: a * c) == _exact(lambda: ra * c)
-    assert _exact(lambda: a - b) == _exact(lambda: ra - b) == _exact(lambda: a - rb)
-
-
 def _scale_reference(a, c, from_left):
     """``jet_scale`` by a supernumber through one product per component."""
-    if a.floats is not None:
-        return SuperJet(a.spec, a.ngen, {J: c * v for J, v in a.floats.items()})
     if from_left:
         return SuperJet(a.spec, a.ngen, {J: c * v for J, v in a.comp.items()})
     return SuperJet(a.spec, a.ngen, {J: v * c for J, v in a.comp.items()})
@@ -441,81 +387,25 @@ def _scale_reference(a, c, from_left):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_scaling_by_an_empty_supernumber_gives_the_general_bits(kind, data):
-    # the empty jet at once, for supernumber and real jets alike, whatever
-    # their components: NaN, inf and -0.0 included
-    a, _, ra, _ = data.draw(_even_jet_pair(kind))
+    # the empty jet at once, whatever the components: NaN, inf and -0.0
+    # included
+    a, _ = data.draw(_even_jet_pair(kind))
     zero = GrassmannNumber(NG)
-    for jet in (a,) if ra is None else (a, ra):
-        for left in (False, True):
-            got, want = jet_scale(jet, zero, left), _scale_reference(jet, zero, left)
-            assert got.floats is None and want.floats is None
-            assert _exact(lambda: got) == _exact(lambda: want)
-        assert _exact(lambda: jet * zero) == _exact(lambda: zero * jet) == []
+    for left in (False, True):
+        got, want = jet_scale(a, zero, left), _scale_reference(a, zero, left)
+        assert _exact(lambda: got) == _exact(lambda: want) == []
+    assert _exact(lambda: a * zero) == _exact(lambda: zero * a) == []
 
 
 def test_scaling_by_a_float_zero_keeps_the_general_path():
-    # a real jet's inf * 0.0 is NaN, so only an empty supernumber is skipped
-    real = SuperJet(XT, NG, {(0, 0): math.inf, (1, 0): 2.0}, real=True)
-    scaled = jet_scale(real, 0.0)
-    assert scaled.floats is not None and list(scaled.floats) == [(0, 0)]
-    assert math.isnan(scaled.floats[(0, 0)])
-    assert jet_scale(real, GrassmannNumber(NG)).comp == {}
-
-
-def _bodies(jet):
-    return jet.floats if jet.floats is not None else {J: v.body for J, v in jet.comp.items()}
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_nonfinite_components_stay_nonfinite_on_floats(data):
-    # a float zero times inf is NaN where the algebra drops the empty
-    # product, so a real jet may show NaN where the Grassmann walk has a
-    # finite or absent component; it never shows a finite value where the
-    # Grassmann walk has a non-finite one, and it raises what that raises
-    a, b, ra, rb = data.draw(_even_jet_pair("nonfinite"))
-    fn = data.draw(st.sampled_from([SIN, COS, EXP, TANH]))
-    for op, args, real_args in ((jet_apply_analytic, (a, fn), (ra, fn)),
-                                (jet_multiply, (a, b), (ra, rb)),
-                                (jet_add, (a, b), (ra, rb))):
-        try:
-            want = op(*args)
-        except ValueError as e:
-            with pytest.raises(type(e)):
-                op(*real_args)
-            continue
-        g, r = _bodies(want), _bodies(_stays_real(op, *real_args))
-        for J in set(g) | set(r):
-            if J in g and not math.isfinite(g[J]):
-                assert not math.isfinite(r[J]), (op.__name__, J)
-            if J in r and r[J] == r[J]:
-                assert J in g and r[J] == g[J], (op.__name__, J)
-
-
-def test_float_zero_times_inf_is_nan_where_the_algebra_drops_it():
-    # sin at 0 has f'' = 0: the Grassmann walk drops f''(0) * inf * inf and
-    # keeps f'(0) * 1.0, the float walk sums NaN into that component
-    spec = JetSpec(("x",), 2)
-    grassmann = jet_apply_analytic(SuperJet(spec, NG, {(1,): sc(math.inf), (2,): sc(1.0)}), SIN)
-    real = jet_apply_analytic(SuperJet(spec, NG, {(1,): math.inf, (2,): 1.0}, real=True), SIN)
-    assert grassmann.get((2,)).terms == {0: 1.0}
-    assert math.isnan(real.floats[(2,)])
-    assert real.floats[(1,)] == grassmann.get((1,)).body == math.inf
-
-
-def test_real_jet_comp_is_body_only_supernumbers_in_float_order():
-    # the benchmark tracer reads v.terms of every component of comp
-    bodies = {(0, 2): -1.5, (1, 0): 5e-324, (0, 0): 2.0, (1, 1): math.nan, (0, 1): -0.0}
-    jet = SuperJet(XT, NG, bodies, real=True)
-    assert list(jet.floats) == [(0, 2), (1, 0), (0, 0), (1, 1)]
-    comp = jet.comp
-    assert list(comp) == list(jet.floats)
-    for (J, v), (K, f) in zip(comp.items(), jet.floats.items()):
-        assert J == K and isinstance(v, GrassmannNumber) and v.ngen == NG
-        assert bits(v.terms) == bits({0: f})
-    assert jet.comp is comp and jet.floats is not None
-    assert jet.value().terms == {0: 2.0} and jet.d("t").is_zero()
-    assert all(v.terms.keys() <= {0} for v in jet_apply_analytic(jet, COS).comp.values())
+    # the algebra's product rule: a supernumber times 0.0 is empty, so even
+    # an inf body scales to the empty jet
+    jet = SuperJet(XT, NG, {(0, 0): sc(math.inf), (1, 0): sc(2.0)})
+    for zero in (0.0, -0.0):
+        for left in (False, True):
+            assert jet_scale(jet, zero, left).comp == {}
+        assert (jet * zero).comp == (zero * jet).comp == {}
+    assert jet_scale(jet, GrassmannNumber(NG)).comp == {}
 
 
 GRASSMANN_OPS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
