@@ -8,7 +8,8 @@ Three subcommands:
     worst residual, tolerance, and sample count.
 ``solve``
     integrates one of the reduced profile equations over a sigma range and
-    writes a trajectory CSV plus a summary record.
+    writes a trajectory CSV plus a summary record, both made and judged by
+    one library call, ``reductions.solve_profile``.
 ``list``
     prints the one-dimensional subalgebra catalog and the solution catalog.
 
@@ -32,28 +33,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .analytic import SIN
 from .catalog import catalog_entry, catalog_names
 from .checks import REGISTRY, CheckSpec
-from .grassmann import (
-    DEFAULT_ROLES,
-    MAX_GENERATORS,
-    TIER_DEFAULTS,
-    AlgebraContext,
-    analytic_value,
-    worst_count,
-    worst_of,
-)
-from .odes import (
-    REDUCED_ODES,
-    NearSingular,
-    OdeSample,
-    Trajectory,
-    first_integral_check,
-    integrate_profile_ode,
-    make_system,
-)
-from .reductions import CASES, SingularPoint, traveling_rewrite_rows
+from .grassmann import DEFAULT_ROLES, MAX_GENERATORS, TIER_DEFAULTS, AlgebraContext
+from .odes import REDUCED_ODES
+from .reductions import solve_profile
 from .superalgebra import subalgebra_catalog
 
 SUITES = tuple(REGISTRY)
@@ -262,14 +246,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 # solve
 
 
-_DEFAULT_RANGES = {
-    "rebp": (0.0, 3.0, 1.0 / 256),
-    "ginv12": (0.0, 2.0, 1.0 / 64),
-    "ginv17": (0.0, 2.0, 1.0 / 64),
-    "d16nu": (0.25, 2.25, 1.0 / 64),
-}
-
-
 def _resolve_solve_target(cfg: RunConfig) -> str:
     if cfg.ode is None and cfg.case is None:
         raise UsageError("solve needs --ode or --case")
@@ -290,179 +266,24 @@ def _resolve_solve_target(cfg: RunConfig) -> str:
     return ode
 
 
-def _ginv_node_row(system, sample, eps, modulus, ctx):
-    """Reduced-row values at one trajectory node.
-
-    The integrated profile rides the third expansion slot; its quotient
-    partner (scaled derivative over dn) rides the second.  Derivatives of
-    the quotient come from the product and quotient rules over the same
-    elliptic data, so every number in the rows shares one source: the
-    ``jacobi`` triple of the system's background at the node.  Called right
-    after the node is marched, the background answers from its memo.
-    """
-    rec = REDUCED_ODES[system.name]
-    k = modulus
-    m = k * k
-    tr = system.background(sample.sigma)["jacobi"]
-    g_ = ctx.gen(rec.role)
-    dn1 = -m * tr.sn * tr.cn
-    f0 = (sample.d1 * eps) * (1.0 / tr.dn)
-    f1 = (sample.d2 * tr.dn - sample.d1 * dn1) * (eps / tr.dn ** 2)
-    alpha = math.asin(k * tr.sn)
-    pv = {
-        "alpha": [alpha, k * tr.cn, -k * tr.sn * tr.dn],
-        "eta": [g_ * f0, g_ * f1, 0.0],
-        "lambda": [g_ * sample.value, g_ * sample.d1, g_ * sample.d2],
-        "beta": [rec.mirror * k * tr.sn, 0.0, 0.0],
-    }
-    rows = CASES[rec.case].equations(pv, sample.sigma, {"eps": eps, rec.role: g_})
-    return rows, alpha, sample.value + 0.0, f0 + 0.0
-
-
-def _d16_node_row(sample, ctx):
-    rec = REDUCED_ODES["d16nu"]
-    g_ = ctx.gen(rec.role)
-    pv = {
-        "alpha": [0.0, 0.0, 0.0],
-        "mu": [g_ * sample.d1, g_ * sample.d2, 0.0],
-        "nu": [g_ * sample.value, g_ * sample.d1, 0.0],
-        "beta": [0.0, 0.0, 0.0],
-    }
-    rows = CASES[rec.case].equations(pv, sample.sigma, {})
-    return rows, 0.0, sample.value + 0.0, sample.d1 + 0.0
-
-
-def _rebp_node_row(sample, eps, k0):
-    alpha = [sample.value, sample.d1, sample.d2]
-    pv = {
-        "alpha": alpha,
-        "mu": [0.0, 0.0, 0.0],
-        "nu": [0.0, 0.0, 0.0],
-        "beta": [analytic_value(SIN, alpha[0]) * -1.0, 0.0, 0.0],
-    }
-    rows = traveling_rewrite_rows(pv, eps, constant=k0)
-    return rows, sample.value + 0.0, None, None
-
-
-def _node_row(system, sample, cfg, ctx):
-    """(rows, alpha, g, f) at one node of a real march.
-
-    The rows compute on the node's floats, and a ginv or d16nu row becomes a
-    supernumber only through ``ctx.gen(role)``, the generator of its odd
-    profile.  A cell of the marched profile adds 0.0, so a zero of either
-    sign prints as 0.0, the bytes solve reports have always had; a ginv
-    row's alpha is the background's own and keeps its sign.
-    """
-    if system.background is not None:
-        return _ginv_node_row(system, sample, cfg.eps, cfg.modulus, ctx)
-    if system.name == "rebp":
-        return _rebp_node_row(sample, cfg.eps, cfg.k0)
-    return _d16_node_row(sample, ctx)
-
-
-def _format_cell(v) -> str:
-    return "" if v is None else repr(float(v))
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     ode = _resolve_solve_target(cfg)
-    role = REDUCED_ODES[ode].role
-    if role is not None and cfg.generators <= DEFAULT_ROLES[role]:
-        raise UsageError(
-            f"ode {ode!r} needs at least {DEFAULT_ROLES[role] + 1} generators, "
-            f"have {cfg.generators}"
-        )
-    lo, hi, step = cfg.range_spec or _DEFAULT_RANGES[ode]
-    if step <= 0.0:
-        raise UsageError(f"step must be positive, got {step}")
-    span = hi - lo
-    n_steps = int(round(span / step)) if span > 0 else 0
-    if n_steps < 1 or abs(span - n_steps * step) > 1e-9 * max(1.0, abs(span)):
-        raise UsageError(f"empty or ragged range {lo}:{hi}:{step}")
-    ctx = cfg.context()
     try:
-        system = make_system(ode, eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus)
-    except ValueError as exc:  # eps or modulus out of the system's range
+        nodes, summary = solve_profile(
+            ode, cfg.range_spec or REDUCED_ODES[ode].span, cfg.ics, ctx=cfg.context(),
+            tol=cfg.tiers["ode"], eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus,
+        )
+    except ValueError as exc:  # a range, a generator count, eps or modulus the run cannot take
         raise UsageError(str(exc)) from None
-
-    # march one node at a time so a singularity flags a range instead of
-    # destroying the run; each leg marches on floats from the previous node,
-    # and each node's row is taken at once, while the ginv memo holds its sigma
-    samples = []
-    flagged = []
-    overflowed = False
     lines = ["sigma,alpha,g,f,residual_body,residual_soul_norm"]
-    bodies, souls = [], []
-
-    def take(node):
-        samples.append(node)
-        try:
-            rows, alpha, gval, fval = _node_row(system, node, cfg, ctx)
-        except SingularPoint:
-            flagged.append((node.sigma, node.sigma))
-            lines.append(f"{node.sigma!r},,,,,")
-            return
-        body = worst_of(abs(r if isinstance(r, float) else r.body) for r in rows)
-        soul = worst_of(r.soul().norm() for r in rows if not isinstance(r, float))
-        bodies.append(body)
-        souls.append(soul)
-        lines.append(
-            f"{node.sigma!r},{_format_cell(alpha)},{_format_cell(gval)},"
-            f"{_format_cell(fval)},{body!r},{soul!r}"
-        )
-
-    y, d = float(cfg.ics[0]), float(cfg.ics[1])
-    s0 = lo
-    try:
-        node = OdeSample(lo, y, d, system.rhs(lo, y, d))
-        take(node)
-        for i in range(n_steps):
-            s0 = lo + i * step
-            s1 = lo + (i + 1) * step
-            node = integrate_profile_ode(system, (node.value, node.d1), s0, s1, step).samples[-1]
-            take(node)
-    except NearSingular:
-        flagged.append((s0, hi))
-    except ValueError:  # every input was checked, so a number the march made overflowed
-        overflowed = True
-
-    tol = cfg.tiers["ode"]
-    csv_text = "\n".join(lines) + "\n"
-    worst_body, emitted = worst_count(bodies)
-    worst_soul = worst_of(souls)
-
-    drift = None
-    if system.energy is not None and len(samples) >= 2:
-        try:
-            drift = first_integral_check(Trajectory(system, samples))
-        except ValueError:  # cos(2y) of a finite y whose double overflows
-            drift = math.nan
-    # a drift that overflowed is no measurement; its JSON null reads as none
-    passed = (
-        not overflowed
-        and emitted > 0
-        and worst_of((worst_body, worst_soul)) <= tol
-        and (drift is None or math.isfinite(drift))
-    )
-    summary = {
-        "ode": ode,
-        "case": REDUCED_ODES[ode].case,
-        "range": [lo, hi, step],
-        "samples": emitted,
-        "max_residual_body": worst_body,
-        "max_residual_soul_norm": worst_soul,
-        "tolerance": tol,
-        "drift": drift,
-        "flagged": [[a, b] for a, b in flagged],
-        "status": "pass" if passed else "fail",
-    }
+    lines += [",".join(["" if v is None else repr(float(v)) for v in node]) for node in nodes]
     summary_text = _json_text(summary)
-    _emit(csv_text, cfg.out)
+    _emit("\n".join(lines) + "\n", cfg.out)
     if cfg.out is None:
         sys.stderr.write(summary_text)
     else:
         sys.stdout.write(summary_text)
-    return 0 if passed else 1
+    return 0 if summary["status"] == "pass" else 1
 
 
 # --------------------------------------------------------------------------

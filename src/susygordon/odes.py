@@ -24,9 +24,10 @@ Four systems, by selector id:
           background a = 0, y'' = -y'/(2s) - y/s
 
 ``REDUCED_ODES`` holds what the rest of the program knows of each system:
-its reduction case, the generator of its odd profile, and the mirror sign
-of ginv12 (+1) and ginv17 (-1).  The background a = arcsin(k sn) solves the
-reduced even rows at eps = -1 only, so a ginv system refuses eps = +1 with
+its reduction case, the default ``(lo, hi, step)`` span of a ``solve``
+run, the generator of its odd profile, and the mirror sign of ginv12 (+1)
+and ginv17 (-1).  The background a = arcsin(k sn) solves the reduced even
+rows at eps = -1 only, so a ginv system refuses eps = +1 with
 ``OutOfDomain``.  A ginv system carries its background, which keeps the
 values of the last sigma it was asked for: one RK4 step evaluates
 ``jacobi`` at its midpoint and its endpoint only, and a caller that reads
@@ -54,20 +55,22 @@ from .grassmann import GrassmannNumber, analytic_value, demote, scalar, worst_of
 @dataclass(frozen=True)
 class ReducedOde:
     """One reduced equation's place among the reductions: its case, the
-    generator that carries its odd profile in a node row, and, over the
-    elliptic background only, the mirror sign of its forcing term, of
-    beta = mirror*k*sn and of the catalog grid's sigma."""
+    (lo, hi, step) a solve marches when given no range, the generator that
+    carries its odd profile in a node row, and, over the elliptic background
+    only, the mirror sign of its forcing term, of beta = mirror*k*sn and of
+    the catalog grid's sigma."""
 
     case: str
+    span: tuple
     role: str | None = None
     mirror: float | None = None
 
 
 REDUCED_ODES = {
-    "rebp": ReducedOde("S4"),
-    "ginv12": ReducedOde("S12", "nu", 1.0),
-    "ginv17": ReducedOde("S8", "mu", -1.0),
-    "d16nu": ReducedOde("S1", "D1"),
+    "rebp": ReducedOde("S4", (0.0, 3.0, 1.0 / 256)),
+    "ginv12": ReducedOde("S12", (0.0, 2.0, 1.0 / 64), "nu", 1.0),
+    "ginv17": ReducedOde("S8", (0.0, 2.0, 1.0 / 64), "mu", -1.0),
+    "d16nu": ReducedOde("S1", (0.25, 2.25, 1.0 / 64), "D1"),
 }
 
 # |cos(alpha)| = |dn| below which the elliptic background counts as singular:

@@ -11,8 +11,10 @@ must satisfy.  ``build_ansatz`` turns four one-variable profiles into a full
 superfield; ``reduction_consistency`` checks, off shell and with random
 profiles, that the superfield equation's residual recombines exactly from
 the reduced rows.  ``traveling_rewrite_rows`` is the second-order rewritten
-form of the traveling case that ``solve`` reports on.  The rows compute in
-the arithmetic of their inputs, so real inputs give float rows.
+form of the traveling case that ``solve`` reports on, and ``solve_profile``
+is ``solve`` itself: it marches one reduced profile equation, evaluates its
+reduced rows at every node and judges the run.  The rows compute in the
+arithmetic of their inputs, so real inputs give float rows.
 
 The component-level table (cases L1..L5 for u, phi, psi without the
 auxiliary field) lives here too, with the slice map tying each of its rows
@@ -32,6 +34,7 @@ from typing import Callable, Optional
 from .analytic import COS, RECIP, SIN, Const, Power, TrigPoly
 from .grassmann import (
     DEFAULT_CONTEXT,
+    DEFAULT_ROLES,
     AlgebraContext,
     GrassmannNumber,
     Parity,
@@ -39,9 +42,13 @@ from .grassmann import (
     analytic_value,
     apply_analytic,
     soul_derivs,
+    worst_count,
     worst_of,
 )
-from .odes import OutOfDomain, check_eps
+from .odes import (
+    REDUCED_ODES, NearSingular, OdeSample, OutOfDomain, Trajectory, check_eps,
+    first_integral_check, integrate_profile_ode, make_system,
+)
 from .superalgebra import AlgebraElement, subalgebra
 from .superfield import (
     Superfield,
@@ -593,6 +600,172 @@ def reduction_constant(case, profiles, sigma, ctx: AlgebraContext = DEFAULT_CONT
 def constant_drift(case, profiles, sigmas, ctx: AlgebraContext = DEFAULT_CONTEXT) -> float:
     vals = [reduction_constant(case, profiles, s, ctx) for s in sigmas]
     return worst_of((v - vals[0]).norm() for v in vals)
+
+
+# --------------------------------------------------------------------------
+# solve: one reduced profile equation marched, its node rows, one verdict
+
+
+def _ginv_node_row(system, sample, eps, modulus, ctx):
+    """Reduced-row values at one trajectory node.
+
+    The integrated profile rides the third expansion slot; its quotient
+    partner (scaled derivative over dn) rides the second.  Derivatives of
+    the quotient come from the product and quotient rules over the same
+    elliptic data, so every number in the rows shares one source: the
+    ``jacobi`` triple of the system's background at the node.  Called right
+    after the node is marched, the background answers from its memo.
+    """
+    rec = REDUCED_ODES[system.name]
+    k = modulus
+    m = k * k
+    tr = system.background(sample.sigma)["jacobi"]
+    g_ = ctx.gen(rec.role)
+    dn1 = -m * tr.sn * tr.cn
+    f0 = (sample.d1 * eps) * (1.0 / tr.dn)
+    f1 = (sample.d2 * tr.dn - sample.d1 * dn1) * (eps / tr.dn ** 2)
+    alpha = math.asin(k * tr.sn)
+    pv = {
+        "alpha": [alpha, k * tr.cn, -k * tr.sn * tr.dn],
+        "eta": [g_ * f0, g_ * f1, 0.0],
+        "lambda": [g_ * sample.value, g_ * sample.d1, g_ * sample.d2],
+        "beta": [rec.mirror * k * tr.sn, 0.0, 0.0],
+    }
+    rows = CASES[rec.case].equations(pv, sample.sigma, {"eps": eps, rec.role: g_})
+    return rows, alpha, sample.value + 0.0, f0 + 0.0
+
+
+def _d16_node_row(sample, ctx):
+    rec = REDUCED_ODES["d16nu"]
+    g_ = ctx.gen(rec.role)
+    pv = {
+        "alpha": [0.0, 0.0, 0.0],
+        "mu": [g_ * sample.d1, g_ * sample.d2, 0.0],
+        "nu": [g_ * sample.value, g_ * sample.d1, 0.0],
+        "beta": [0.0, 0.0, 0.0],
+    }
+    rows = CASES[rec.case].equations(pv, sample.sigma, {})
+    return rows, 0.0, sample.value + 0.0, sample.d1 + 0.0
+
+
+def _rebp_node_row(sample, eps, k0):
+    alpha = [sample.value, sample.d1, sample.d2]
+    pv = {
+        "alpha": alpha,
+        "mu": [0.0, 0.0, 0.0],
+        "nu": [0.0, 0.0, 0.0],
+        "beta": [analytic_value(SIN, alpha[0]) * -1.0, 0.0, 0.0],
+    }
+    rows = traveling_rewrite_rows(pv, eps, constant=k0)
+    return rows, sample.value + 0.0, None, None
+
+
+def _node_row(system, sample, ctx, eps, coupling, modulus):
+    """(rows, alpha, g, f) at one node of a real march.
+
+    The rows compute on the node's floats, and a ginv or d16nu row becomes a
+    supernumber only through ``ctx.gen(role)``, the generator of its odd
+    profile.  A cell of the marched profile adds 0.0, so a zero of either
+    sign prints as 0.0, the bytes solve reports have always had; a ginv
+    row's alpha is the background's own and keeps its sign.
+    """
+    if system.background is not None:
+        return _ginv_node_row(system, sample, eps, modulus, ctx)
+    if system.name == "rebp":
+        return _rebp_node_row(sample, eps, coupling)
+    return _d16_node_row(sample, ctx)
+
+
+def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
+    """``(nodes, summary)`` of ``ode`` marched over ``span`` = (lo, hi, step)
+    from ``ics`` = (value, derivative) at lo; input it cannot take raises
+    ``ValueError`` before the march.
+
+    A node is (sigma, alpha, g, f, residual body, residual soul norm), None
+    where a cell has no value.  The march goes one node at a time, so a
+    singularity flags the rest of the range and an overflow ends the march;
+    both keep the nodes marched so far.  The run passes only when every node
+    of the range has its rows, no range is flagged, the worst residual is
+    within ``tol`` and the drift, where there is one, is finite.
+    """
+    role = REDUCED_ODES[ode].role
+    if role is not None and ctx.generator_count <= DEFAULT_ROLES[role]:
+        raise ValueError(
+            f"ode {ode!r} needs at least {DEFAULT_ROLES[role] + 1} generators, "
+            f"have {ctx.generator_count}"
+        )
+    lo, hi, step = span
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    width = hi - lo
+    count = width / step if width > 0 else 0.0
+    if not math.isfinite(count):
+        raise ValueError(f"range {lo}:{hi}:{step} has no finite step count")
+    n_steps = round(count)
+    if n_steps < 1 or abs(width - n_steps * step) > 1e-9 * max(1.0, abs(width)):
+        raise ValueError(f"empty or ragged range {lo}:{hi}:{step}")
+    system = make_system(ode, eps=eps, coupling=coupling, modulus=modulus)
+
+    # each leg marches on floats from the previous node, and each node's row
+    # is taken at once, while the ginv memo holds its sigma
+    samples, nodes, flagged = [], [], []
+
+    def take(node):
+        samples.append(node)
+        try:
+            rows, alpha, gval, fval = _node_row(system, node, ctx, eps, coupling, modulus)
+        except SingularPoint:
+            flagged.append([node.sigma, node.sigma])
+            nodes.append((node.sigma, None, None, None, None, None))
+            return
+        body = worst_of(abs(r if isinstance(r, float) else r.body) for r in rows)
+        soul = worst_of(r.soul().norm() for r in rows if not isinstance(r, float))
+        nodes.append((node.sigma, alpha, gval, fval, body, soul))
+
+    y, d = float(ics[0]), float(ics[1])
+    s0 = lo
+    try:
+        node = OdeSample(lo, y, d, system.rhs(lo, y, d))
+        take(node)
+        for i in range(n_steps):
+            s0 = lo + i * step
+            s1 = lo + (i + 1) * step
+            node = integrate_profile_ode(system, (node.value, node.d1), s0, s1, step).samples[-1]
+            take(node)
+    except NearSingular:
+        flagged.append([s0, hi])
+    except ValueError:  # every input was checked, so a number the march made overflowed
+        pass
+
+    rowed = [n for n in nodes if n[4] is not None]
+    worst_body, emitted = worst_count(n[4] for n in rowed)
+    worst_soul = worst_of(n[5] for n in rowed)
+    drift = None
+    if system.energy is not None and len(samples) >= 2:
+        try:
+            drift = first_integral_check(Trajectory(system, samples))
+        except ValueError:  # cos(2y) of a finite y whose double overflows
+            drift = math.nan
+    # a drift that overflowed is no measurement; its JSON null reads as none
+    passed = (
+        emitted == n_steps + 1
+        and not flagged
+        and worst_of((worst_body, worst_soul)) <= tol
+        and (drift is None or math.isfinite(drift))
+    )
+    summary = {
+        "ode": ode,
+        "case": REDUCED_ODES[ode].case,
+        "range": [lo, hi, step],
+        "samples": emitted,
+        "max_residual_body": worst_body,
+        "max_residual_soul_norm": worst_soul,
+        "tolerance": tol,
+        "drift": drift,
+        "flagged": flagged,
+        "status": "pass" if passed else "fail",
+    }
+    return nodes, summary
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from susygordon.catalog import _ginv_parts, catalog_entry
 from susygordon.checks import _entry
 from susygordon.cli import Report, RunConfig, _emit, _render_json, _run_checks, main
 from susygordon.odes import integrate_profile_ode, make_system
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(argv, capsys):
@@ -303,12 +307,14 @@ def test_solve_case_without_ode_attachment(capsys):
 
 def test_solve_singular_crossing_flags_range(capsys):
     # the scaling equation blows up at sigma = 0; the run survives and
-    # reports the unreachable tail instead of crashing
+    # reports the unreachable tail instead of crashing, and fails, since
+    # nine nodes of the range have no rows
     code, _, err = run_cli(
         ["solve", "--ode", "d16nu", "--range=-1:1:0.125"], capsys
     )
-    assert code == 0
+    assert code == 1
     summary = json.loads(err)
+    assert summary["status"] == "fail"
     assert summary["flagged"] == [[-0.125, 1.0]]
     assert summary["samples"] == 8
 
@@ -438,7 +444,7 @@ def test_real_solve_makes_no_grassmann_product_in_its_rhs(ode, monkeypatch, caps
                 depth.pop()
         return run
 
-    real_make = cli.make_system
+    real_make = reductions.make_system
 
     def make(*args, **kwargs):
         system = real_make(*args, **kwargs)
@@ -448,7 +454,7 @@ def test_real_solve_makes_no_grassmann_product_in_its_rhs(ode, monkeypatch, caps
         )
 
     monkeypatch.setattr(gn, "__mul__", counted_mul)
-    monkeypatch.setattr(cli, "make_system", make)
+    monkeypatch.setattr(reductions, "make_system", make)
     code, _, _ = run_cli(["solve", "--ode", ode], capsys)
     assert code == 0
     assert calls and products == []
@@ -491,16 +497,16 @@ def test_solve_negative_zero_data_give_the_bytes_of_zero_data(ode, ics, tmp_path
 
 def test_solve_nan_residual_fails(monkeypatch, capsys):
     # a row is a supernumber or a float, and take reads both: each must fail
-    real = cli._node_row
+    real = reductions._node_row
     for nan_row in (lambda ctx: ctx.scalar(math.nan), lambda ctx: math.nan):
 
-        def poisoned(system, sample, cfg, ctx, nan_row=nan_row):
-            rows, *rest = real(system, sample, cfg, ctx)
+        def poisoned(system, sample, ctx, *params, nan_row=nan_row):
+            rows, *rest = real(system, sample, ctx, *params)
             if sample.sigma >= 1.0:  # a NaN row behind finite ones
                 rows = list(rows) + [nan_row(ctx)]
             return (rows, *rest)
 
-        monkeypatch.setattr(cli, "_node_row", poisoned)
+        monkeypatch.setattr(reductions, "_node_row", poisoned)
         code, _, err = run_cli(["solve", "--ode", "rebp"], capsys)
         assert code == 1
         summary = json.loads(err, parse_constant=_reject_constant)
@@ -543,6 +549,7 @@ def test_solve_overflowed_march_ends_in_a_report(given, tmp_path, capsys):
     ["--ode", "ginv17", "--eps", "1"],
     ["--ode", "rebp", "--ics", "nan,0"],
     ["--ode", "rebp", "--K0", "inf"],
+    ["--ode", "rebp", "--range", "0:1e300:1e-300"],
 ])
 def test_solve_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
     target = tmp_path / "traj.csv"
@@ -550,6 +557,46 @@ def test_solve_bad_numbers_are_usage_errors(argv, tmp_path, capsys):
     assert code == 2, err
     assert out == "" and err.startswith("error: ")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("ode", ["rebp", "ginv12"])
+def test_solve_is_one_library_call(ode, tmp_path, capsys):
+    # cmd_solve only renders: the summary of solve_profile is the summary
+    # solve prints, byte for byte, and its node tuples are the CSV rows
+    target = tmp_path / "traj.csv"
+    code, out, _ = run_cli(["solve", "--ode", ode, "--out", str(target)], capsys)
+    cfg = RunConfig(ode=ode)
+    nodes, summary = reductions.solve_profile(
+        ode, odes.REDUCED_ODES[ode].span, cfg.ics, ctx=cfg.context(), tol=cfg.tiers["ode"],
+        eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus,
+    )
+    assert code == 0 and summary["status"] == "pass"
+    assert cli._json_text(summary) == out
+    with open(target, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(nodes) == summary["samples"]
+    assert [[None if c == "" else float(c) for c in row] for row in rows] == [
+        [None if v is None else float(v) for v in node] for node in nodes
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ode", "d16nu", "--range=-1:1:0.125"],
+    ["--ode", "rebp"],
+    ["--ode", "ginv12"],
+    ["--ode", "ginv17"],
+    ["--ode", "d16nu"],
+])
+def test_solve_status_is_the_benchmark_verdict(argv, monkeypatch, capsys):
+    # one rule judges a solve: the benchmark recomputes the verdict from the
+    # residuals, the node count and the flagged ranges, and the status and
+    # the exit code must agree with it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = importlib.import_module("run")
+    code, _, err = run_cli(["solve", *argv], capsys)
+    record, problems = bench.judge_summary(json.loads(err))
+    assert problems == []
+    assert code == (0 if record.passed else 1)
 
 
 def test_subcommands_reject_the_flags_they_do_not_read(capsys):
