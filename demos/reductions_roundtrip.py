@@ -23,13 +23,8 @@ from susygordon import (
     reduction_case_ids,
     reduction_consistency,
 )
-from susygordon.analytic import COS, Power, SIN, TaylorFn
-from susygordon.reductions import (
-    constant_drift,
-    profile,
-    reduction_constant,
-    zero_profile,
-)
+from susygordon.catalog import oscillatory_pair_profiles
+from susygordon.reductions import constant_drift, reduction_constant
 
 print("== off-shell consistency, full field vs reduced rows ==")
 points = ((0.4, 0.7), (1.1, 0.5), (-0.6, 0.9), (1.5, -0.4))
@@ -42,16 +37,7 @@ for case in reduction_case_ids():
 print()
 print("== the scaling case's nilpotent first integral ==")
 d1, d2 = CTX.gen("D1"), CTX.gen("D2")
-cos2rt = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(COS))
-sin2rt = TaylorFn(lambda s: (s.apply(Power(0.5)) * 2.0).apply(SIN))
-damp_cos = TaylorFn(lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(COS))
-damp_sin = TaylorFn(lambda s: s.apply(Power(-0.5)) * (s.apply(Power(0.5)) * 2.0).apply(SIN))
-family = {
-    "alpha": zero_profile(CTX),
-    "mu": profile(CTX, (d1, damp_cos), (d2 * -1.0, damp_sin)),
-    "nu": profile(CTX, (d1, sin2rt), (d2, cos2rt)),
-    "beta": zero_profile(CTX),
-}
+family = oscillatory_pair_profiles(d1, d2, CTX)
 K = reduction_constant("S1", family, 1.3, CTX)
 print("  K(1.3) - D1*D2 :", (K - d1 * d2).norm())
 print("  drift over sigma in [0.5, 3]:",

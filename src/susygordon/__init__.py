@@ -11,7 +11,6 @@ from .grassmann import (
     apply_analytic,
     invert,
     parse,
-    sample_random,
     to_text,
 )
 from .analytic import Poly, TaylorFn, TrigPoly

@@ -144,51 +144,42 @@ def _dressed_vacuum(case: str, name: str, slot: str):
     return build
 
 
-def _build_gian1e(p, ctx):
-    # The middle slots carry products of two odd constants, which is even in
-    # the grading; the reduction builder rightly refuses that shape, so the
-    # field is assembled from its components directly.
-    k = _whole(p["k"])
-    mu = _odd_param(p["mu"], "mu", ctx)
-    lam = _odd_param(p["lambda0"], "lambda0", ctx)
-    fn = p["profile"]
-    w = _half_weight(k)
+def _mirrored_dressing(name: str, profiled: str):
+    """Builder of the shifted vacuum dressed by the odd constants c =
+    ``name`` and lambda0: gian1E is ("mu", "phi") and gian1G ("nu", "psi").
 
-    def phi(jx, jt):
-        return jet_scale(jet_apply_analytic(jx, fn), mu * lam, from_left=True)
+    ``profiled`` selects the mirror.  That component is c lambda0 times the
+    profile of its own coordinate (x for phi, t for psi); the other is
+    lambda0 plus c times its coordinate, weighted by the theta1 theta2 weight
+    w in gian1E's psi and by -w in gian1G's phi.  Products of two odd
+    constants are even, a shape the reduction builder refuses, so the field
+    is assembled from its components.
+    """
 
-    def psi(jx, jt):
-        return jet_add(jet_constant(jt.spec, lam), jet_scale(jt, mu * w, from_left=True))
+    def build(p, ctx):
+        k = _whole(p["k"])
+        c = _odd_param(p[name], name, ctx)
+        lam = _odd_param(p["lambda0"], "lambda0", ctx)
+        fn = p["profile"]
+        w = _half_weight(k)
+        slope = w if profiled == "phi" else -w
 
-    return component_superfield(
-        constant_component(ctx.scalar((k + 0.5) * math.pi)),
-        profile_component(phi, ctx),
-        profile_component(psi, ctx),
-        constant_component(ctx.scalar(w)),
-        ctx,
-    )
+        def dressed(jet):
+            return jet_scale(jet_apply_analytic(jet, fn), c * lam, from_left=True)
 
+        def affine(jet):
+            return jet_add(jet_constant(jet.spec, lam), jet_scale(jet, c * slope, from_left=True))
 
-def _build_gian1g(p, ctx):
-    k = _whole(p["k"])
-    nu = _odd_param(p["nu"], "nu", ctx)
-    lam = _odd_param(p["lambda0"], "lambda0", ctx)
-    fn = p["profile"]
-    w = -_half_weight(k)
+        phi, psi = (dressed, affine) if profiled == "phi" else (affine, dressed)
+        return component_superfield(
+            constant_component(ctx.scalar((k + 0.5) * math.pi)),
+            profile_component(lambda jx, jt: phi(jx), ctx),
+            profile_component(lambda jx, jt: psi(jt), ctx),
+            constant_component(ctx.scalar(w)),
+            ctx,
+        )
 
-    def phi(jx, jt):
-        return jet_add(jet_constant(jx.spec, lam), jet_scale(jx, nu * w, from_left=True))
-
-    def psi(jx, jt):
-        return jet_scale(jet_apply_analytic(jt, fn), nu * lam, from_left=True)
-
-    return component_superfield(
-        constant_component(ctx.scalar((k + 0.5) * math.pi)),
-        profile_component(phi, ctx),
-        profile_component(psi, ctx),
-        constant_component(ctx.scalar(-w)),
-        ctx,
-    )
+    return build
 
 
 # ------------------------------------------- closed-form profile entries
@@ -413,12 +404,13 @@ _GINV_DEFAULTS = {
 }
 
 
-def _vacuum_entry(name: str, subalgebra: str) -> SolutionEntry:
+def _vacuum_entry(name: str, subalgebra: str,
+                  summary: str = "constant vacuum, value = k*pi") -> SolutionEntry:
     return SolutionEntry(
         name=name,
         subalgebra=subalgebra,
         tier="exact",
-        summary="constant vacuum, value = k*pi",
+        summary=summary,
         domain="all of superspace",
         defaults={"k": 1},
         builder=_vacuum_builder,
@@ -495,7 +487,7 @@ _register(
         "profile of the invariant variable",
         domain="all of superspace",
         defaults={"k": 0, "mu": None, "lambda0": None, "profile": SIN},
-        builder=_build_gian1e,
+        builder=_mirrored_dressing("mu", "phi"),
         grid_fn=_grid_anywhere,
         notes="the odd invariant collapses the profile argument to x",
     )
@@ -509,23 +501,15 @@ _register(
         summary="mirror of gian1E built on the second odd translation",
         domain="all of superspace",
         defaults={"k": 0, "nu": None, "lambda0": None, "profile": SIN},
-        builder=_build_gian1g,
+        builder=_mirrored_dressing("nu", "psi"),
         grid_fn=_grid_anywhere,
         notes="the display's reversed product order hides a sign; the "
         "theta1 theta2 weight used here is the one with vanishing residual",
     )
 )
 _register(
-    SolutionEntry(
-        name="gian2",
-        subalgebra="S6, S11",
-        tier="exact",
-        summary="constant vacuum shared by both mixed translation families",
-        domain="all of superspace",
-        defaults={"k": 1},
-        builder=_vacuum_builder,
-        grid_fn=_grid_anywhere,
-    )
+    _vacuum_entry("gian2", "S6, S11",
+                  summary="constant vacuum shared by both mixed translation families")
 )
 _register(
     SolutionEntry(

@@ -30,9 +30,7 @@ it on a map of its own, so only the finished value becomes a supernumber.
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -415,34 +413,6 @@ def soul_derivs(f, a: GrassmannNumber, kmax: int) -> list:
     return out
 
 
-def sample_random(parity: Parity, max_degree: int, rng_seed, ngen: int = 8) -> GrassmannNumber:
-    """Dense random supernumber of the requested parity.
-
-    Coefficients are drawn uniformly from [-1, 1] for every generator subset
-    of the requested parity with cardinality <= max_degree, in ascending
-    combination order, so a fixed seed reproduces the value exactly.
-    """
-    if isinstance(parity, str):
-        parity = Parity[parity.upper()]
-    if parity is Parity.MIXED:
-        raise ParityError("sample_random draws homogeneous values only")
-    check_generator_count(ngen)
-    if max_degree > ngen:
-        raise ValueError("max_degree exceeds the generator count")
-    rng = random.Random(rng_seed)
-    start = 0 if parity is Parity.EVEN else 1
-    terms: dict[int, float] = {}
-    for deg in range(start, max_degree + 1, 2):
-        for combo in itertools.combinations(range(ngen), deg):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            c = rng.uniform(-1.0, 1.0)
-            if c != 0.0:
-                terms[mask] = c
-    return GrassmannNumber._make(ngen, terms)
-
-
 # ------------------------------------------------------------- odd derivatives
 
 
@@ -622,9 +592,6 @@ class AlgebraContext:
 
     def one(self) -> GrassmannNumber:
         return GrassmannNumber._make(self.generator_count, {0: 1.0})
-
-    def sample(self, parity: Parity, max_degree: int, rng_seed) -> GrassmannNumber:
-        return sample_random(parity, max_degree, rng_seed, self.generator_count)
 
 
 def demote(v):

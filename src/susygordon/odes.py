@@ -23,6 +23,9 @@ Four systems, by selector id:
   d16nu   damped odd profile of the scaling reduction over the
           background a = 0, y'' = -y'/(2s) - y/s
 
+``step_count`` is the one rule for the range a march may take:
+``integrate_profile_ode`` and ``reductions.solve_profile`` count steps by it.
+
 ``REDUCED_ODES`` holds what the rest of the program knows of each system:
 its reduction case, the default ``(lo, hi, step)`` span of a ``solve``
 run, the generator of its odd profile, and the mirror sign of ginv12 (+1)
@@ -281,25 +284,36 @@ def _rk4_step(system: OdeSystem, sig: float, y, d, h: float):
     return ynew, dnew
 
 
+def step_count(lo: float, hi: float, step: float) -> int:
+    """The number of steps of size ``step`` from lo to hi in either direction,
+    the one range rule of every march.  A step that is not positive, a step
+    count that is not finite, or a range that is empty or not a whole number
+    of steps (to 1e-9 relative) raises ``ValueError``."""
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    width = abs(hi - lo)
+    count = width / step
+    if not math.isfinite(count):
+        raise ValueError(f"range {lo}:{hi}:{step} has no finite step count")
+    n = round(count)
+    if n < 1 or abs(width - n * step) > 1e-9 * max(1.0, width):
+        raise ValueError(f"range {lo}:{hi}:{step} is empty or not a whole number of steps")
+    return n
+
+
 def integrate_profile_ode(
     system: OdeSystem, ics, sigma0: float, sigma1: float, step: float
 ) -> Trajectory:
-    """Classical RK4 from sigma0 to sigma1 (either direction) at fixed step.
+    """Classical RK4 from sigma0 to sigma1 (either direction) at fixed step,
+    over a range that ``step_count`` takes.
 
     ics = (value, first derivative) at sigma0.  Real data march on floats,
     and data with a ``GrassmannNumber`` entry march in that number's
     algebra, a real partner lifted to it.  Each sample holds the state the
     march holds at its node and the rhs there.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    span = sigma1 - sigma0
-    if span == 0.0:
-        raise ValueError("empty integration range")
-    n = int(round(abs(span) / step))
-    if n < 1 or abs(abs(span) - n * step) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("range must be a whole number of steps")
-    h = step if span > 0 else -step
+    n = step_count(sigma0, sigma1, step)
+    h = step if sigma1 > sigma0 else -step
     sup = [v for v in ics if isinstance(v, GrassmannNumber)]
     if sup:
         y, d = (v if isinstance(v, GrassmannNumber) else scalar(v, sup[0].ngen) for v in ics)

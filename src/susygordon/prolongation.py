@@ -50,6 +50,7 @@ from .grassmann import (
     GrassmannNumber,
     Parity,
     _merge_sign,
+    add_terms,
     apply_analytic,
     gen_derivative,
 )
@@ -255,29 +256,21 @@ def random_jet_point(
     reserved = {ctx.roles["theta1"], ctx.roles["theta2"]}
     free = [i for i in range(ctx.generator_count) if i not in reserved]
 
-    def add(terms, mask, c):
-        # ``terms + {mask: c}`` as ``GrassmannNumber.__add__`` forms it
-        if c != 0.0:
-            v = terms.get(mask, 0.0) + c
-            if v == 0.0:
-                terms.pop(mask, None)
-            else:
-                terms[mask] = v
-
     def even_value():
         terms: dict = {}
-        add(terms, 0, rng.uniform(-1.2, 1.2))
+        add_terms(terms, {0: rng.uniform(-1.2, 1.2)})
         for _ in range(2):
             i, j = rng.sample(free, 2)
-            add(terms, 1 << i | 1 << j, _merge_sign(1 << i, 1 << j) * rng.uniform(-0.5, 0.5))
+            sign = _merge_sign(1 << i, 1 << j)
+            add_terms(terms, {1 << i | 1 << j: sign * rng.uniform(-0.5, 0.5)})
         return terms
 
     def odd_value():
         terms: dict = {}
-        add(terms, 1 << rng.choice(free), rng.uniform(-1.0, 1.0))
+        add_terms(terms, {1 << rng.choice(free): rng.uniform(-1.0, 1.0)})
         i, j, k = rng.sample(free, 3)
         sign = _merge_sign(1 << i, 1 << j) * _merge_sign(1 << i | 1 << j, 1 << k)
-        add(terms, 1 << i | 1 << j | 1 << k, sign * rng.uniform(-0.5, 0.5))
+        add_terms(terms, {1 << i | 1 << j | 1 << k: sign * rng.uniform(-0.5, 0.5)})
         return terms
 
     base = {}
@@ -1001,6 +994,16 @@ def _const_builder(value: GrassmannNumber):
     return build
 
 
+def _affine_builder(seed: str, rate: GrassmannNumber, shift: GrassmannNumber):
+    """The coefficient ``seed * rate + shift`` of the coordinate ``seed``,
+    its constants formed once per spec."""
+
+    def build(jets):
+        return jets[seed] * rate + jet_constant(jets[seed].spec, shift)
+
+    return build
+
+
 def ssg_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, D1=None, D2=None, ctx=DEFAULT_CONTEXT):
     """The general solved symmetry of the superspace equation.
 
@@ -1013,16 +1016,8 @@ def ssg_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, D1=None, D2=None, ctx=DEFAULT_CONT
     D1 = D1 if D1 is not None else zero
     D2 = D2 if D2 is not None else zero
     C1, C2, C3 = ctx.lift(C1), ctx.lift(C2), ctx.lift(C3)
-    # the builders' constants, formed once per spec
-    x_rate, x_shift = C1 * -2.0, C2 - D1 * th1
-    t_rate, t_shift = C1 * 2.0, C3 - D2 * th2
-
-    def xi(jets):
-        return jets["x"] * x_rate + jet_constant(jets["x"].spec, x_shift)
-
-    def tau(jets):
-        return jets["t"] * t_rate + jet_constant(jets["t"].spec, t_shift)
-
+    xi = _affine_builder("x", C1 * -2.0, C2 - D1 * th1)
+    tau = _affine_builder("t", C1 * 2.0, C3 - D2 * th2)
     rho = _const_builder(C1 * -1.0 * th1 + D1)
     sigma = _const_builder(C1 * th2 + D2)
     # a constant that carries a theta generator makes every coefficient read it
@@ -1068,16 +1063,8 @@ def ssg_shift_spec(ctx: AlgebraContext = DEFAULT_CONTEXT) -> VectorFieldSpec:
 def component_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, ctx=DEFAULT_CONTEXT) -> VectorFieldSpec:
     """xi = C1 x + C2, tau = -C1 t + C3, U = 0, Sigma = -C1 phi/2, Psi = C1 psi/2."""
     C1f = float(C1)
-    # the builders' constants, formed once per spec
-    x_rate, x_shift = ctx.scalar(C1f), ctx.scalar(float(C2))
-    t_rate, t_shift = ctx.scalar(-C1f), ctx.scalar(float(C3))
-
-    def xi(jets):
-        return jets["x"] * x_rate + jet_constant(jets["x"].spec, x_shift)
-
-    def tau(jets):
-        return jets["t"] * t_rate + jet_constant(jets["t"].spec, t_shift)
-
+    xi = _affine_builder("x", ctx.scalar(C1f), ctx.scalar(float(C2)))
+    tau = _affine_builder("t", ctx.scalar(-C1f), ctx.scalar(float(C3)))
     return VectorFieldSpec(
         COMPONENT_SIGNATURE,
         {

@@ -47,7 +47,7 @@ from .grassmann import (
 )
 from .odes import (
     REDUCED_ODES, NearSingular, OdeSample, OutOfDomain, Trajectory, check_eps,
-    first_integral_check, integrate_profile_ode, make_system,
+    first_integral_check, integrate_profile_ode, make_system, step_count,
 )
 from .superalgebra import AlgebraElement, subalgebra
 from .superfield import (
@@ -679,7 +679,8 @@ def _node_row(system, sample, ctx, eps, coupling, modulus):
 def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
     """``(nodes, summary)`` of ``ode`` marched over ``span`` = (lo, hi, step)
     from ``ics`` = (value, derivative) at lo; input it cannot take raises
-    ``ValueError`` before the march.
+    ``ValueError`` before the march: a range that ``odes.step_count``
+    refuses, or one that runs downward.
 
     A node is (sigma, alpha, g, f, residual body, residual soul norm), None
     where a cell has no value.  The march goes one node at a time, so a
@@ -695,15 +696,9 @@ def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
             f"have {ctx.generator_count}"
         )
     lo, hi, step = span
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    width = hi - lo
-    count = width / step if width > 0 else 0.0
-    if not math.isfinite(count):
-        raise ValueError(f"range {lo}:{hi}:{step} has no finite step count")
-    n_steps = round(count)
-    if n_steps < 1 or abs(width - n_steps * step) > 1e-9 * max(1.0, abs(width)):
-        raise ValueError(f"empty or ragged range {lo}:{hi}:{step}")
+    n_steps = step_count(lo, hi, step)
+    if hi < lo:
+        raise ValueError(f"range {lo}:{hi}:{step} runs downward; a solve needs lo < hi")
     system = make_system(ode, eps=eps, coupling=coupling, modulus=modulus)
 
     # each leg marches on floats from the previous node, and each node's row

@@ -8,13 +8,16 @@ answered on its own: the reference for the operations' short paths.
 ``LOG`` and ``ARCTAN`` are derivative-list providers that only tests
 compose, for instance into the kink 2·arctan(exp(x - t)).
 ``derivs_providers`` gives one instance of every derivative-list provider.
+``sample_random`` draws a dense random supernumber of one parity.
 ``component_jets`` splits a superfield jet into the jets of its four
 components.  ``reduced_residual`` evaluates the reduced rows of a case at one
 value of the invariant variable and appends the rewritten second-order rows
 of the scaling case (``scaling_rewrite_rows``) and of the traveling case.
 """
 
+import itertools
 import math
+import random
 import struct
 
 from susygordon import analytic, elliptic
@@ -23,8 +26,11 @@ from susygordon.grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
     GrassmannNumber,
+    Parity,
+    ParityError,
     _merge_sign,
     apply_analytic,
+    check_generator_count,
     scalar,
 )
 from susygordon.reductions import (
@@ -80,6 +86,34 @@ def general_product(ta: dict, tb: dict) -> dict:
             prev = out.get(m)
             out[m] = v if prev is None else prev + v
     return {m: v for m, v in out.items() if v != 0.0}
+
+
+def sample_random(parity: Parity, max_degree: int, rng_seed, ngen: int = 8) -> GrassmannNumber:
+    """Dense random supernumber of the requested parity.
+
+    Coefficients are drawn uniformly from [-1, 1] for every generator subset
+    of the requested parity with cardinality <= max_degree, in ascending
+    combination order, so a fixed seed reproduces the value exactly.
+    """
+    if isinstance(parity, str):
+        parity = Parity[parity.upper()]
+    if parity is Parity.MIXED:
+        raise ParityError("sample_random draws homogeneous values only")
+    check_generator_count(ngen)
+    if max_degree > ngen:
+        raise ValueError("max_degree exceeds the generator count")
+    rng = random.Random(rng_seed)
+    start = 0 if parity is Parity.EVEN else 1
+    terms: dict[int, float] = {}
+    for deg in range(start, max_degree + 1, 2):
+        for combo in itertools.combinations(range(ngen), deg):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            c = rng.uniform(-1.0, 1.0)
+            if c != 0.0:
+                terms[mask] = c
+    return GrassmannNumber._make(ngen, terms)
 
 
 class Log:

@@ -312,6 +312,8 @@ def test_integrated_entry_parameter_checks():
         verify_entry("ginv14", params={"modulus": 1.2})
     with pytest.raises(ValueError, match="eps"):
         verify_entry("ginv9", params={"eps": 0.3})
+    with pytest.raises(ValueError, match="finite step count"):
+        verify_entry("ginv9", params={"halfwidth": 1e300, "step": 1e-300})
 
 
 def test_modulus_sweep_stays_within_tolerance():

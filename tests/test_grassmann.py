@@ -29,14 +29,15 @@ from susygordon.grassmann import (
     gen_derivative,
     invert,
     parse,
-    sample_random,
     scalar,
     soul_derivs,
     soul_taylor,
     to_text,
 )
 
-from helpers import LOG, bits, derivs_providers, exact, general_product, general_sum
+from helpers import (
+    LOG, bits, derivs_providers, exact, general_product, general_sum, sample_random,
+)
 
 NGEN = 8
 gen = DEFAULT_CONTEXT.gen

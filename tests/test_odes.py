@@ -278,6 +278,9 @@ def test_trajectory_lookup():
         lambda s: integrate_profile_ode(s, (0, 1), 0.0, 1.0, -0.1),
         lambda s: integrate_profile_ode(s, (0, 1), 0.0, 0.0, 0.1),
         lambda s: integrate_profile_ode(s, (0, 1), 0.0, 1.0, 0.3),
+        # step counts that are not finite
+        lambda s: integrate_profile_ode(s, (0, 1), 0.0, 1e300, 1e-300),
+        lambda s: integrate_profile_ode(s, (0, 1), 0.0, math.inf, 0.1),
     ],
 )
 def test_bad_ranges_rejected(bad):

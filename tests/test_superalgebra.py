@@ -22,6 +22,8 @@ from susygordon.superalgebra import (
     verify_structure,
 )
 
+from helpers import sample_random
+
 ctx = DEFAULT_CONTEXT
 MU = ctx.gen("mu")
 NU = ctx.gen("nu")
@@ -34,13 +36,13 @@ def elem(**kw):
 
 
 def rand_elem(seed, ideal_only=False):
-    cL = ctx.zero() if ideal_only else ctx.sample(Parity.EVEN, 2, seed)
+    cL = ctx.zero() if ideal_only else sample_random(Parity.EVEN, 2, seed)
     return AlgebraElement(
         cL,
-        ctx.sample(Parity.EVEN, 2, seed + 101),
-        ctx.sample(Parity.EVEN, 2, seed + 202),
-        ctx.sample(Parity.ODD, 3, seed + 303),
-        ctx.sample(Parity.ODD, 3, seed + 404),
+        sample_random(Parity.EVEN, 2, seed + 101),
+        sample_random(Parity.EVEN, 2, seed + 202),
+        sample_random(Parity.ODD, 3, seed + 303),
+        sample_random(Parity.ODD, 3, seed + 404),
     )
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from susygordon import checks, superfield
 from susygordon.analytic import COS, EXP, SIN, TANH, TaylorFn, TrigPoly
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
-from susygordon.grassmann import GrassmannNumber, ParityError, sample_random, scalar
+from susygordon.grassmann import GrassmannNumber, ParityError, scalar
 from susygordon.superjet import (
     JetSpec,
     SuperJet,
@@ -29,7 +29,7 @@ from susygordon.superjet import (
 
 from susygordon.superfield import random_superfield
 
-from helpers import LOG, bits
+from helpers import LOG, bits, sample_random
 
 NG = 8
 XT = JetSpec(("x", "t"), order=2)
