@@ -288,7 +288,7 @@ def prolongation_gaps(picture):
                 coefvals = evaluate_spec(spec, p)
                 a = prolong(spec, p, coefvals)
                 b = prolong_expanded(spec, p, coefvals)
-                yield worst_of((a.values[key] - val).norm() for key, val in b.values.items())
+                yield worst_of((a[key] - val).norm() for key, val in b.items())
 
     return residuals
 

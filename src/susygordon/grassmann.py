@@ -11,9 +11,10 @@ soul is nilpotent.  ``soul_derivs`` is the one loop that sums them, given an
 object that can evaluate derivative lists of the scalar function (see
 ``analytic``); ``apply_analytic`` and ``soul_taylor`` are its value-only
 entries, and analytic jets and profiles read whole derivative lists from it.
-``apply_analytic`` of a soul-free argument skips the series: its value is
-``f`` at the body.  ``analytic_value`` keeps a float a float, as every number
-of a real ``solve`` is, and hands a supernumber to ``apply_analytic``.
+A soul-free argument takes the same loop.  ``analytic_value`` keeps a float
+a float, as every number of a real ``solve`` is, and hands a supernumber to
+``apply_analytic``.  A supernumber divides by a real only; ``invert`` has no
+caller in the program.
 
 An empty operand ``e`` is answered here, once for every caller: ``x + e``,
 ``e + x`` and ``x - e`` are ``x`` itself, and a product with ``e`` is ``e``.
@@ -279,13 +280,6 @@ class GrassmannNumber:
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return self.__mul__(1.0 / float(other))
-        if isinstance(other, GrassmannNumber):
-            return self.__mul__(invert(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return invert(self).__mul__(float(other))
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -352,14 +346,7 @@ def apply_analytic(f, a: GrassmannNumber) -> GrassmannNumber:
     """f(a) for even a: Taylor expansion around the body, cut off by nilpotency.
 
     ``f`` must expose ``derivs(x, n) -> [f(x), f'(x), ..., f^(n)(x)]``.
-    A soul-free argument (no terms, or only the body term) is even and has
-    no soul power to add, so its value is the body value of ``f`` itself,
-    exactly what the series below gives, NaN, -0.0 and errors included.
     """
-    t = a.terms
-    if not t or (len(t) == 1 and 0 in t):
-        d = f.derivs(t.get(0, 0.0), 0)[0]
-        return GrassmannNumber._make(a.ngen, {0: d} if d != 0.0 else {})
     if not a.is_even():
         raise ParityError("apply_analytic needs an even argument")
     return soul_taylor(f, a)

@@ -24,7 +24,8 @@ Four systems, by selector id:
           background a = 0, y'' = -y'/(2s) - y/s
 
 ``step_count`` is the one rule for the range a march may take:
-``integrate_profile_ode`` and ``reductions.solve_profile`` count steps by it.
+``integrate_profile_ode`` and ``reductions.solve_profile`` count steps by it,
+and it refuses a march of more than ``MAX_STEPS`` steps.
 
 ``REDUCED_ODES`` holds what the rest of the program knows of each system:
 its reduction case, the default ``(lo, hi, step)`` span of a ``solve``
@@ -284,17 +285,24 @@ def _rk4_step(system: OdeSystem, sig: float, y, d, h: float):
     return ynew, dnew
 
 
+# a march of more steps would not end in useful time; the longest march that
+# the program's commands and tests take today has 7,680 steps
+MAX_STEPS = 10**7
+
+
 def step_count(lo: float, hi: float, step: float) -> int:
     """The number of steps of size ``step`` from lo to hi in either direction,
     the one range rule of every march.  A step that is not positive, a step
-    count that is not finite, or a range that is empty or not a whole number
-    of steps (to 1e-9 relative) raises ``ValueError``."""
+    count that is not finite or above ``MAX_STEPS``, or a range that is empty
+    or not a whole number of steps (to 1e-9 relative) raises ``ValueError``."""
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     width = abs(hi - lo)
     count = width / step
     if not math.isfinite(count):
         raise ValueError(f"range {lo}:{hi}:{step} has no finite step count")
+    if count > MAX_STEPS:
+        raise ValueError(f"range {lo}:{hi}:{step} takes more than {MAX_STEPS} steps")
     n = round(count)
     if n < 1 or abs(width - n * step) > 1e-9 * max(1.0, width):
         raise ValueError(f"range {lo}:{hi}:{step} is empty or not a whole number of steps")

@@ -673,35 +673,23 @@ def _live_table(v: VectorFieldSpec) -> tuple:
     return live
 
 
-@dataclass
-class ProlongedCoefficients:
-    values: dict
-
-    def get(self, dep: str, dirs: tuple) -> GrassmannNumber:
-        return self.values[(dep, tuple(dirs))]
-
-
-def prolong(
-    v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None
-) -> ProlongedCoefficients:
-    """All needed prolonged coefficients via the graded recursion.
+def prolong(v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None) -> dict:
+    """All needed prolonged coefficients via the graded recursion, as
+    ``{(dependent, directions): value}``.
 
     ``coefvals`` is ``evaluate_spec(v, p)``, evaluated here when not given.
     """
     if coefvals is None:
         coefvals = evaluate_spec(v, p)
-    return ProlongedCoefficients(
-        {slot: evaluate_expr(expr, coefvals, p) for slot, expr in _live_table(v)}
-    )
+    return {slot: evaluate_expr(expr, coefvals, p) for slot, expr in _live_table(v)}
 
 
 # ------------------------------------------------- expanded closed-form route
 
 
-def prolong_expanded(
-    v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None
-) -> ProlongedCoefficients:
-    """Term-by-term transcription of the fully expanded coefficient formulas.
+def prolong_expanded(v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None) -> dict:
+    """Term-by-term transcription of the fully expanded coefficient formulas,
+    keyed as ``prolong`` keys its coefficients.
 
     The formula text is left as written, as the independent reference for
     ``prolong``; ``c`` reads each coordinate, and forms its sign, once per
@@ -836,18 +824,16 @@ def _ssg_expanded(f, c):
         - f(o2, o1, o2) * c(P, o2) + f(o2, o2, P) * c(P, o1) * c(P, o2)
         - f(o2, o2) * c(P, o1, o2)
     )
-    return ProlongedCoefficients(
-        {
-            ("Phi", (x,)): Px,
-            ("Phi", (t,)): Pt,
-            ("Phi", (o1,)): Po1,
-            ("Phi", (o2,)): Po2,
-            ("Phi", (x, t)): Pxt,
-            ("Phi", (t, o1)): Pto1,
-            ("Phi", (x, o2)): Pxo2,
-            ("Phi", (o1, o2)): Po1o2,
-        }
-    )
+    return {
+        ("Phi", (x,)): Px,
+        ("Phi", (t,)): Pt,
+        ("Phi", (o1,)): Po1,
+        ("Phi", (o2,)): Po2,
+        ("Phi", (x, t)): Pxt,
+        ("Phi", (t, o1)): Pto1,
+        ("Phi", (x, o2)): Pxo2,
+        ("Phi", (o1, o2)): Po1o2,
+    }
 
 
 def _component_expanded(f, c):
@@ -870,9 +856,7 @@ def _component_expanded(f, c):
         + f("t", "phi") * c("phi", "x") * c("psi", "t")
         + f("t", "psi") * c("psi", "x") * c("psi", "t")
     )
-    return ProlongedCoefficients(
-        {("phi", ("t",)): St, ("psi", ("x",)): Px_}
-    )
+    return {("phi", ("t",)): St, ("psi", ("x",)): Px_}
 
 
 # ----------------------------------------------------- on-shell substitution
@@ -967,19 +951,19 @@ def symmetry_residual(v: VectorFieldSpec, p: JetPoint):
             rho * a
             - sig_ * b
             - Pi * cosP
-            + pro.get("Phi", ("x", "t")) * th12
-            + pro.get("Phi", ("t", "theta1")) * th2
-            - pro.get("Phi", ("x", "theta2")) * th1
-            - pro.get("Phi", ("theta1", "theta2"))
+            + pro["Phi", ("x", "t")] * th12
+            + pro["Phi", ("t", "theta1")] * th2
+            - pro["Phi", ("x", "theta2")] * th1
+            - pro["Phi", ("theta1", "theta2")]
         )
     phi, psi = q.coordinate("phi"), q.coordinate("psi")
     w, sh2, shm2, sh, ch = q.criterion_values
     U = coefvals["u"].partial(())
     S = coefvals["phi"].partial(())
     Ps = coefvals["psi"].partial(())
-    r1 = pro.get("u", ("x", "t")) - (U * w + S * sh2 * psi + Ps * shm2 * phi)
-    r2 = pro.get("phi", ("t",)) - (U * 0.5 * sh * psi - Ps * ch)
-    r3 = pro.get("psi", ("x",)) - (U * -0.5 * sh * phi + S * ch)
+    r1 = pro["u", ("x", "t")] - (U * w + S * sh2 * psi + Ps * shm2 * phi)
+    r2 = pro["phi", ("t",)] - (U * 0.5 * sh * psi - Ps * ch)
+    r3 = pro["psi", ("x",)] - (U * -0.5 * sh * phi + S * ch)
     return r1, r2, r3
 
 
@@ -1004,22 +988,26 @@ def _affine_builder(seed: str, rate: GrassmannNumber, shift: GrassmannNumber):
     return build
 
 
-def ssg_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, D1=None, D2=None, ctx=DEFAULT_CONTEXT):
-    """The general solved symmetry of the superspace equation.
-
-    xi = -2 C1 x + C2 - D1 theta1, tau = 2 C1 t + C3 - D2 theta2,
-    rho = -C1 theta1 + D1, sigma = C1 theta2 + D2, Pi = 0, with C's even
-    and D's odd supernumbers.
-    """
+def ssg_generator_constants(C1, C2, C3, D1, D2, ctx: AlgebraContext) -> tuple:
+    """``(x_rate, x_shift, t_rate, t_shift, rho, sigma)``, the superspace
+    realization of the symmetry superalgebra: xi = x x_rate + x_shift =
+    x (-2 C1) + (C2 - D1 theta1), tau = t (2 C1) + (C3 - D2 theta2),
+    rho = -C1 theta1 + D1, sigma = C1 theta2 + D2, C's even and D's odd."""
     th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
+    return (C1 * -2.0, C2 - D1 * th1, C1 * 2.0, C3 - D2 * th2,
+            C1 * -1.0 * th1 + D1, C1 * th2 + D2)
+
+
+def ssg_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, D1=None, D2=None, ctx=DEFAULT_CONTEXT):
+    """The general solved symmetry of the superspace equation: Pi = 0 and
+    the coefficients of ``ssg_generator_constants``."""
     zero = ctx.zero()
     D1 = D1 if D1 is not None else zero
     D2 = D2 if D2 is not None else zero
     C1, C2, C3 = ctx.lift(C1), ctx.lift(C2), ctx.lift(C3)
-    xi = _affine_builder("x", C1 * -2.0, C2 - D1 * th1)
-    tau = _affine_builder("t", C1 * 2.0, C3 - D2 * th2)
-    rho = _const_builder(C1 * -1.0 * th1 + D1)
-    sigma = _const_builder(C1 * th2 + D2)
+    x_rate, x_shift, t_rate, t_shift, rho, sigma = ssg_generator_constants(C1, C2, C3, D1, D2, ctx)
+    xi = _affine_builder("x", x_rate, x_shift)
+    tau = _affine_builder("t", t_rate, t_shift)
     # a constant that carries a theta generator makes every coefficient read it
     extra = {n for n in ("theta1", "theta2")
              if any(m >> ctx.roles[n] & 1 for c in (C1, C2, C3, D1, D2) for m in c.terms)}
@@ -1028,8 +1016,8 @@ def ssg_symmetry_spec(C1=0.0, C2=0.0, C3=0.0, D1=None, D2=None, ctx=DEFAULT_CONT
         {
             "x": CoefficientFn.plain(EVEN, xi, {"x", "theta1", *extra}),
             "t": CoefficientFn.plain(EVEN, tau, {"t", "theta2", *extra}),
-            "theta1": CoefficientFn.plain(ODD, rho, {"theta1", *extra}),
-            "theta2": CoefficientFn.plain(ODD, sigma, {"theta2", *extra}),
+            "theta1": CoefficientFn.plain(ODD, _const_builder(rho), {"theta1", *extra}),
+            "theta2": CoefficientFn.plain(ODD, _const_builder(sigma), {"theta2", *extra}),
             "Phi": CoefficientFn.zero(EVEN),
         },
     )

@@ -10,7 +10,11 @@ as the paper writes them, and the four profile equations the ansatz
 must satisfy.  ``build_ansatz`` turns four one-variable profiles into a full
 superfield; ``reduction_consistency`` checks, off shell and with random
 profiles, that the superfield equation's residual recombines exactly from
-the reduced rows.  ``traveling_rewrite_rows`` is the second-order rewritten
+the reduced rows.  The ansatz, the S5 obstruction's superfield and that
+recombination are all the one expansion ``superfield.theta_sum``, and
+``ansatz_invariance`` reads the generator's (xi, tau, rho, sigma) from
+``prolongation.ssg_generator_constants``, the realization the prolongation
+suite checks.  ``traveling_rewrite_rows`` is the second-order rewritten
 form of the traveling case that ``solve`` reports on, and ``solve_profile``
 is ``solve`` itself: it marches one reduced profile equation, evaluates its
 reduced rows at every node and judges the run.  The rows compute in the
@@ -49,6 +53,7 @@ from .odes import (
     REDUCED_ODES, NearSingular, OdeSample, OutOfDomain, Trajectory, check_eps,
     first_integral_check, integrate_profile_ode, make_system, step_count,
 )
+from .prolongation import ssg_generator_constants
 from .superalgebra import AlgebraElement, subalgebra
 from .superfield import (
     Superfield,
@@ -56,6 +61,7 @@ from .superfield import (
     coordinate_jets,
     evaluate_bundle,
     ssg_residual,
+    theta_sum,
 )
 from .superjet import (
     SuperJet,
@@ -482,12 +488,8 @@ def reduction_case_ids() -> tuple:
 
 def _phi_jet(case, profiles, p, ctx, jx, jt) -> SuperJet:
     sj, m1, m2 = case.invariants(jx, jt, p, ctx)
-    names = case.profile_names
-    acc = profiles[names[0]].jet(sj)
-    acc = acc + m1 * profiles[names[1]].jet(sj)
-    acc = acc + m2 * profiles[names[2]].jet(sj)
-    acc = acc + (m1 * m2) * profiles[names[3]].jet(sj)
-    return acc
+    a, f1, f2, b = (profiles[name].jet(sj) for name in case.profile_names)
+    return theta_sum(a, (m1, f1), (m2, f2), (m1 * m2, b))
 
 
 def build_ansatz(case, profiles, params=None, ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superfield:
@@ -538,11 +540,8 @@ def reduction_consistency(case, profiles, points, params=None,
         jx, jt = coordinate_jets(xg, tg, 0, ctx)
         sig, m1, m2 = (j.value() for j in case.invariants(jx, jt, p, ctx))
         pv = {name: profiles[name].derivs_at(sig, 2) for name in case.profile_names}
-        rows = case.equations(pv, sig, p)
-        s = case.signs
-        rec = rows[0] * s[0] + m1 * rows[1] * s[1] + m2 * rows[2] * s[2] \
-            + (m1 * m2) * rows[3] * s[3]
-        return (full - rec).norm()
+        r0, r1, r2, r3 = (row * sign for row, sign in zip(case.equations(pv, sig, p), case.signs))
+        return (full - theta_sum(r0, (m1, r1), (m2, r2), (m1 * m2, r3))).norm()
 
     return worst_of(gap(x, t) for x, t in points)
 
@@ -555,13 +554,9 @@ def case_generator(case, params=None, ctx: AlgebraContext = DEFAULT_CONTEXT) -> 
 
 def _coefficient_values(X: AlgebraElement, x, t, ctx: AlgebraContext):
     """(xi, tau, rho, sigma) of the realized vector field at a literal point."""
-    th1, th2 = ctx.gen("theta1"), ctx.gen("theta2")
-    xg, tg = ctx.lift(x), ctx.lift(t)
-    xi = X.c_L * xg * (-2.0) + X.c_Px - X.c_Qx * th1
-    tau = X.c_L * tg * 2.0 + X.c_Pt - X.c_Qt * th2
-    rho = X.c_L * th1 * (-1.0) + X.c_Qx
-    sv = X.c_L * th2 + X.c_Qt
-    return xi, tau, rho, sv
+    x_rate, x_shift, t_rate, t_shift, rho, sv = ssg_generator_constants(
+        X.c_L, X.c_Px, X.c_Pt, X.c_Qx, X.c_Qt, ctx)
+    return ctx.lift(x) * x_rate + x_shift, ctx.lift(t) * t_rate + t_shift, rho, sv
 
 
 def ansatz_invariance(case, profiles, points, params=None,
@@ -891,11 +886,8 @@ def _s5_superfield(profiles, mu, ctx):
         jx, jt = coordinate_jets(x, t, order, ctx)
         tau = jet_scale(jx, mu * th1, from_left=True)
         jth2 = jet_constant(jx.spec, th2)
-        acc = profiles["a"].jet(jt)
-        acc = acc + tau * profiles["h"].jet(jt)
-        acc = acc + jth2 * profiles["l"].jet(jt)
-        acc = acc + (tau * jth2) * profiles["b"].jet(jt)
-        return acc
+        a, h, l, b = (profiles[name].jet(jt) for name in ("a", "h", "l", "b"))
+        return theta_sum(a, (tau, h), (jth2, l), (tau * jth2, b))
 
     return Superfield(jet, ctx)
 

@@ -8,9 +8,11 @@ coordinates realized as the reserved Grassmann generators of an
     value = u/2 + th1*phi + th2*psi + th1*th2*F
 
 The components are the theta slots of that one jet
-(``theta_coefficients``).  ``component_superfield`` builds a field from four
-theta-free component handles and ``constant_superfield`` a constant one.
-The whole calculus runs on exact jets; no finite differencing anywhere.
+(``theta_coefficients``).  ``theta_sum`` is the one expansion, for jets and
+supernumbers alike: ``component_superfield`` builds a field from four
+theta-free component handles by it, as ``reductions`` builds each ansatz,
+and ``constant_superfield`` builds a constant one.  The whole calculus runs
+on exact jets; no finite differencing anywhere.
 
 Odd-coordinate derivatives are left derivatives: d_th1(th1 th2 F) = th2 F
 and d_th2(th1 th2 F) = -th1 F.  A doubly-indexed entry applies the leftmost
@@ -38,16 +40,16 @@ Multiplying by +-1 rounds nothing, so folding the two factors into one
 before it meets the profile is exact: ``(th1 k1) * p`` has the bits of
 ``th1 * (k1 * p)``.
 
-Both superspace jets, the random field's and a lowered one, are assembled
-as term maps ``{mask: coeff}``, one per component, and each surviving
-component becomes one supernumber at the end.  ``grassmann.add_terms`` is
-the one sum rule: a supernumber sum is ``dict(a.terms)`` followed by it, so
-summing into a map the assembly owns gives each mask the float operations,
-and each map the key order, of the pairwise sums.  A component that a sum
-empties leaves the map, as in ``jet_add``.  So the random jet has the bits
-and key order that composing, multiplying, scaling and summing the
-component jets gives, and a lowered jet those of the general product and
-sum.
+Both superspace jets, the random field's (``theta_sum``'s fast form) and a
+lowered one, are assembled as term maps ``{mask: coeff}``, one per
+component, and each surviving component becomes one supernumber at the
+end.  ``grassmann.add_terms`` is the one sum rule: a supernumber sum is
+``dict(a.terms)`` followed by it, so summing into a map the assembly owns
+gives each mask the float operations, and each map the key order, of the
+pairwise sums.  A component that a sum empties leaves the map, as in
+``jet_add``.  So the random jet has the bits and key order that composing,
+multiplying, scaling and summing the component jets gives, and a lowered
+jet those of the general product and sum.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .superjet import (
     SuperJet,
     add_into,
     jet_constant,
-    jet_scale,
     jet_spec,
     jet_variable,
     nonzero,
@@ -241,6 +242,15 @@ def theta_coefficients(v: GrassmannNumber, ctx: AlgebraContext):
 # ------------------------------------------------------------------ builders
 
 
+def theta_sum(value, *pairs):
+    """``value + m1 * v1 + m2 * v2 + ...`` over ``(monomial, slot)`` pairs,
+    summed in order, each monomial multiplying from the left: on a jet slot,
+    a jet monomial by ``jet_multiply`` and a supernumber one by ``jet_scale``."""
+    for monomial, slot in pairs:
+        value = value + monomial * slot
+    return value
+
+
 def component_superfield(u_half: JetHandle, phi: JetHandle, psi: JetHandle, F: JetHandle,
                          ctx: AlgebraContext = DEFAULT_CONTEXT) -> Superfield:
     """value = u/2 + th1 phi + th2 psi + th1 th2 F from four theta-free
@@ -249,12 +259,8 @@ def component_superfield(u_half: JetHandle, phi: JetHandle, psi: JetHandle, F: J
     th12 = th1 * th2
 
     def jet(x, t, order):
-        return (
-            u_half(x, t, order)
-            + jet_scale(phi(x, t, order), th1, from_left=True)
-            + jet_scale(psi(x, t, order), th2, from_left=True)
-            + jet_scale(F(x, t, order), th12, from_left=True)
-        )
+        return theta_sum(u_half(x, t, order), (th1, phi(x, t, order)),
+                         (th2, psi(x, t, order)), (th12, F(x, t, order)))
 
     return Superfield(jet, ctx)
 

@@ -23,6 +23,7 @@ from susygordon.odes import (
     make_system,
     odd_profile_system,
     scaling_odd_system,
+    step_count,
     traveling_profile_system,
 )
 
@@ -287,6 +288,12 @@ def test_bad_ranges_rejected(bad):
     sys = traveling_profile_system(-1.0)
     with pytest.raises(ValueError):
         bad(sys)
+
+
+@pytest.mark.parametrize("lo,hi,step", [(0.0, -2.25, 1e-300), (0.0, 1.0, 1e-8)])
+def test_step_count_refuses_a_march_that_would_not_end(lo, hi, step):
+    with pytest.raises(ValueError, match="more than"):
+        step_count(lo, hi, step)
 
 
 def test_system_registry_and_validation():

@@ -138,7 +138,7 @@ def test_translations_prolong_to_zero():
     p = random_jet_point(SSG_SIGNATURE, 21, CTX)
     for name in ("P_x", "P_t"):
         pro = prolong(ssg_named_generators(CTX)[name], p)
-        assert max(v.norm() for v in pro.values.values()) == 0.0
+        assert max(v.norm() for v in pro.values()) == 0.0
 
 
 def test_field_direction_scaling():
@@ -155,18 +155,18 @@ def test_field_direction_scaling():
     )
     p = random_jet_point(SSG_SIGNATURE, 2, CTX)
     pro = prolong(spec, p)
-    assert (pro.get("Phi", ("x",)) - p.coordinate("Phi", "x")).norm() < 1e-14
-    assert (pro.get("Phi", ("t",)) - p.coordinate("Phi", "t")).norm() < 1e-14
-    assert (pro.get("Phi", ("x", "t")) - p.coordinate("Phi", "x", "t")).norm() < 1e-14
+    assert (pro["Phi", ("x",)] - p.coordinate("Phi", "x")).norm() < 1e-14
+    assert (pro["Phi", ("t",)] - p.coordinate("Phi", "t")).norm() < 1e-14
+    assert (pro["Phi", ("x", "t")] - p.coordinate("Phi", "x", "t")).norm() < 1e-14
 
 
 def test_scaling_generator_first_coefficient_by_hand():
     # for the dilation-like generator, the x-slot coefficient is 2 Phi_x
     p = random_jet_point(SSG_SIGNATURE, 31, CTX)
     pro = prolong(ssg_named_generators(CTX)["L"], p)
-    assert (pro.get("Phi", ("x",)) - p.coordinate("Phi", "x") * 2.0).norm() < 1e-14
+    assert (pro["Phi", ("x",)] - p.coordinate("Phi", "x") * 2.0).norm() < 1e-14
     # and the twice-odd slot coefficient cancels to zero
-    assert pro.get("Phi", ("theta1", "theta2")).norm() < 1e-14
+    assert pro["Phi", ("theta1", "theta2")].norm() < 1e-14
 
 
 def test_odd_generator_top_coefficient_by_hand():
@@ -175,7 +175,7 @@ def test_odd_generator_top_coefficient_by_hand():
     p = random_jet_point(SSG_SIGNATURE, 17, CTX)
     pro = prolong(ssg_named_generators(CTX)["mu*Q_x"], p)
     want = mu * p.coordinate("Phi", "x", "theta2")
-    assert (pro.get("Phi", ("theta1", "theta2")) - want).norm() < 1e-14
+    assert (pro["Phi", ("theta1", "theta2")] - want).norm() < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -184,8 +184,8 @@ def test_recursion_matches_expanded_closed_forms(seed):
     for name, g in ssg_named_generators(CTX).items():
         pr = prolong(g, p)
         pe = prolong_expanded(g, p)
-        for key, val in pe.values.items():
-            assert (pr.values[key] - val).norm() < 1e-12, (name, key)
+        for key, val in pe.items():
+            assert (pr[key] - val).norm() < 1e-12, (name, key)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -194,8 +194,8 @@ def test_recursion_matches_expanded_component(seed):
     for name, g in component_named_generators(CTX).items():
         pr = prolong(g, p)
         pe = prolong_expanded(g, p)
-        for key, val in pe.values.items():
-            assert (pr.values[key] - val).norm() < 1e-12, (name, key)
+        for key, val in pe.items():
+            assert (pr[key] - val).norm() < 1e-12, (name, key)
 
 
 def test_determining_equations_hold_on_shell():
@@ -287,7 +287,7 @@ def test_prolonged_coefficient_parities():
     p = random_jet_point(SSG_SIGNATURE, 11, CTX)
     pro = prolong(ssg_named_generators(CTX)["L"], p)
     odd_slots = {("theta1",), ("theta2",), ("t", "theta1"), ("x", "theta2")}
-    for (dep, dirs), val in pro.values.items():
+    for (dep, dirs), val in pro.items():
         if val.is_zero():
             continue
         expect = Parity.ODD if tuple(dirs) in odd_slots else Parity.EVEN
@@ -361,7 +361,7 @@ def test_component_scaling_acts_on_fermions():
     pe = prolong_expanded(g, p)
     # Sigma^t = Sigma_phi phi_t - tau_t phi_t = (-1) phi_t - (-2) phi_t = phi_t
     want = p.coordinate("phi", "t")
-    assert (pe.get("phi", ("t",)) - want).norm() < 1e-13
+    assert (pe["phi", ("t",)] - want).norm() < 1e-13
 
 
 # ------------------------------------------- sparse evaluation of the tables
@@ -459,7 +459,7 @@ def test_sparse_evaluation_matches_multiplying_through(seed):
         p = random_jet_point(spec.sig, seed, CTX)
         for q in (p, onshell_substitute(p)):
             coefvals = evaluate_spec(spec, q)
-            for (dep, dirs), got in prolong(spec, q).values.items():
+            for (dep, dirs), got in prolong(spec, q).items():
                 expr = _expr(spec, dep, dirs)
                 want = list(_multiply_through(expr, coefvals, q).terms.items())
                 # same coefficients, bit for bit, in the same order
@@ -584,7 +584,7 @@ def test_expanded_route_returns_plain_numbers():
     for sig in (SSG_SIGNATURE, COMPONENT_SIGNATURE):
         zero = VectorFieldSpec(sig, {n: CoefficientFn.zero(sig.parity_of(n))
                                      for n, _ in sig.independents + sig.dependents})
-        values = prolong_expanded(zero, random_jet_point(sig, 11, CTX)).values
+        values = prolong_expanded(zero, random_jet_point(sig, 11, CTX))
         assert values and all(type(v) is GrassmannNumber and not v.terms
                               for v in values.values())
 
@@ -634,8 +634,8 @@ def test_expanded_route_keeps_the_bits_of_the_general_operations():
             points = (p, _nan_phi_x(p)) if sig is SSG_SIGNATURE and seed < 5 else (p,)
             for q in points:
                 for name, spec in named(CTX).items():
-                    got = prolong_expanded(spec, q).values
-                    want = _general_expanded(spec, q).values
+                    got = prolong_expanded(spec, q)
+                    want = _general_expanded(spec, q)
                     assert ([(slot, bits(v.terms)) for slot, v in got.items()]
                             == [(slot, bits(v.terms)) for slot, v in want.items()]), (name, seed)
 
@@ -786,7 +786,7 @@ def _declaration_violations(spec, p):
 
 
 def _terms(pro):
-    return [(slot, list(v.terms.items())) for slot, v in pro.values.items()]
+    return [(slot, list(v.terms.items())) for slot, v in pro.items()]
 
 
 # even weights: reals, and bodies with a soul in the free or the theta generators
@@ -851,7 +851,7 @@ def test_nan_coordinate_is_not_skipped(monkeypatch):
     # the skip drops only terms with an empty factor, which the full
     # product would drop too; a NaN in a live factor still reaches the report
     p = _nan_phi_x(random_jet_point(SSG_SIGNATURE, 5, CTX))
-    assert math.isnan(prolong(ssg_named_generators(CTX)["L"], p).get("Phi", ("x",)).norm())
+    assert math.isnan(prolong(ssg_named_generators(CTX)["L"], p)["Phi", ("x",)].norm())
     monkeypatch.setattr(
         checks, "random_jet_point", lambda *a, **kw: _nan_phi_x(random_jet_point(*a, **kw))
     )

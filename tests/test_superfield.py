@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susygordon import checks, superfield
+from susygordon import checks, reductions, superfield
 from susygordon.analytic import COS, EXP, SECH, SIN, TrigPoly
 from susygordon.grassmann import (
     DEFAULT_CONTEXT as CTX,
@@ -31,6 +31,7 @@ from susygordon.superfield import (
     ssg_residual,
     superfield_jet,
     theta_coefficients,
+    theta_sum,
 )
 
 from helpers import ARCTAN, bits, component_jets
@@ -39,6 +40,8 @@ from susygordon.superjet import (
     SuperJet,
     jet_apply_analytic,
     jet_map,
+    jet_add,
+    jet_multiply,
     jet_partial,
     jet_scale,
     jet_spec,
@@ -589,3 +592,44 @@ def test_random_superfield_refuses_an_odd_coordinate():
         for field in (f, want):
             with pytest.raises(ParityError):
                 superfield_jet(field, x, t, 2)
+
+
+def _jet_bits(jet):
+    return [(J, bits(v.terms)) for J, v in jet.comp.items()]
+
+
+@pytest.mark.parametrize("case_id", sorted(reductions.CASES))
+def test_theta_sum_is_each_inline_expansion_it_replaces(case_id):
+    # the references spell out each expansion site as it was written, with
+    # the jet operations its operators reach
+    case = reductions.CASES[case_id]
+    profiles = reductions.random_reduction_profiles(case, 5, CTX)
+    p = reductions._fill_params(case, None, CTX)
+    x = CTX.scalar(0.4)
+    t = CTX.scalar(1.3) + CTX.gen("D1") * CTX.gen("D2") * 0.25
+    jx, jt = coordinate_jets(x, t, 2, CTX)
+    sj, m1, m2 = case.invariants(jx, jt, p, CTX)
+    a, f1, f2, b = (profiles[name].jet(sj) for name in case.profile_names)
+
+    # jets with jet monomials: the ansatz of each case
+    want = jet_add(jet_add(jet_add(a, jet_multiply(m1, f1)), jet_multiply(m2, f2)),
+                   jet_multiply(jet_multiply(m1, m2), b))
+    got = theta_sum(a, (m1, f1), (m2, f2), (m1 * m2, b))
+    assert _jet_bits(got) == _jet_bits(want)
+
+    # jets with supernumber monomials: a superfield from its components
+    want = (a + jet_scale(f1, TH1, from_left=True) + jet_scale(f2, TH2, from_left=True)
+            + jet_scale(b, TH1 * TH2, from_left=True))
+    got = theta_sum(a, (TH1, f1), (TH2, f2), (TH1 * TH2, b))
+    assert _jet_bits(got) == _jet_bits(want)
+
+    # supernumbers with +-1.0-signed rows: the consistency recombination, the
+    # sign folded into each row before the monomial product
+    sig, n1, n2 = (j.value() for j in case.invariants(*coordinate_jets(x, t, 0, CTX), p, CTX))
+    pv = {name: profiles[name].derivs_at(sig, 2) for name in case.profile_names}
+    rows, s = case.equations(pv, sig, p), case.signs
+    want = (rows[0] * s[0] + n1 * rows[1] * s[1] + n2 * rows[2] * s[2]
+            + (n1 * n2) * rows[3] * s[3])
+    got = theta_sum(rows[0] * s[0], (n1, rows[1] * s[1]), (n2, rows[2] * s[2]),
+                    (n1 * n2, rows[3] * s[3]))
+    assert want.terms and bits(got.terms) == bits(want.terms)
