@@ -18,8 +18,7 @@ pointwise with ``ssg_residual``.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .analytic import (
     ARCCOS,
@@ -78,8 +77,7 @@ def _whole(v) -> int:
     return int(v)
 
 
-@dataclass(frozen=True)
-class SolutionEntry:
+class SolutionEntry(NamedTuple):
     """One catalog row: how to build the field and where it is certified."""
 
     name: str
@@ -97,8 +95,7 @@ class SolutionEntry:
         return TIER_DEFAULTS[self.tier]
 
 
-@dataclass(frozen=True)
-class EntryCheck:
+class EntryCheck(NamedTuple):
     name: str
     subalgebra: str
     max_residual: float

@@ -30,8 +30,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import catalog_entry, catalog_names
 from .checks import REGISTRY, CheckSpec
@@ -55,29 +54,38 @@ class UsageError(Exception):
 # configuration and report records
 
 
-@dataclass
 class RunConfig:
-    suite: str = "all"
-    case: Optional[str] = None
-    ode: Optional[str] = None
-    range_spec: Optional[tuple] = None  # (lo, hi, step)
-    tiers: dict = field(default_factory=lambda: dict(TIER_DEFAULTS))
-    generators: int = 8
-    seed: int = 0
-    fmt: Optional[str] = None
-    out: Optional[str] = None
-    k0: float = 0.0
-    eps: float = -1.0
-    modulus: float = 0.7
-    ics: tuple = (0.0, 1.0)
+    """One command's settings; configs compare by value, and each holds its
+    own ``tiers`` dict."""
+
+    def __init__(self, suite: str = "all", case: Optional[str] = None, ode: Optional[str] = None,
+                 range_spec: Optional[tuple] = None, tiers: Optional[dict] = None,
+                 generators: int = 8, seed: int = 0, fmt: Optional[str] = None,
+                 out: Optional[str] = None, k0: float = 0.0, eps: float = -1.0,
+                 modulus: float = 0.7, ics: tuple = (0.0, 1.0)):
+        self.suite = suite
+        self.case = case
+        self.ode = ode
+        self.range_spec = range_spec  # (lo, hi, step)
+        self.tiers = dict(TIER_DEFAULTS) if tiers is None else tiers
+        self.generators = generators
+        self.seed = seed
+        self.fmt = fmt
+        self.out = out
+        self.k0 = k0
+        self.eps = eps
+        self.modulus = modulus
+        self.ics = ics
+
+    def __eq__(self, other):
+        return type(other) is RunConfig and vars(self) == vars(other)
 
     def context(self) -> AlgebraContext:
         roles = {n: i for n, i in DEFAULT_ROLES.items() if i < self.generators}
         return AlgebraContext(generator_count=self.generators, roles=roles)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     anchor: str
     status: str
@@ -97,8 +105,7 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     suite: str
     checks: tuple
 

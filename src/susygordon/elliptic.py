@@ -11,8 +11,8 @@ ladder of each m is computed once and kept (``_agm_ladder``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .grassmann import GrassmannNumber, ParityError
 
@@ -21,8 +21,7 @@ class UnsupportedParameter(ValueError):
     """m > 1 would need the reciprocal-modulus map, which is out of scope."""
 
 
-@dataclass(frozen=True)
-class EllipticTriple:
+class EllipticTriple(NamedTuple):
     sn: float
     cn: float
     dn: float
@@ -30,8 +29,7 @@ class EllipticTriple:
     m: float
 
 
-@dataclass(frozen=True)
-class EllipticJet:
+class EllipticJet(NamedTuple):
     """sn, cn, dn of an even supernumber argument, soul absorbed by Taylor."""
 
     sn: GrassmannNumber

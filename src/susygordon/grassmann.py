@@ -32,7 +32,6 @@ it on a map of its own, so only the finished value becomes a supernumber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
@@ -530,7 +529,6 @@ DEFAULT_ROLES = MappingProxyType(
 )
 
 
-@dataclass(frozen=True)
 class AlgebraContext:
     """Generator count plus the naming convention for reserved indices.
 
@@ -540,21 +538,22 @@ class AlgebraContext:
     indices.
     """
 
-    generator_count: int = 8
-    roles: MappingProxyType = field(default_factory=lambda: DEFAULT_ROLES)
+    __slots__ = ("generator_count", "roles")
 
-    def __post_init__(self):
-        check_generator_count(self.generator_count)
-        idx = list(self.roles.values())
+    def __init__(self, generator_count: int = 8, roles: MappingProxyType = DEFAULT_ROLES):
+        check_generator_count(generator_count)
+        idx = list(roles.values())
         if len(set(idx)) != len(idx):
             raise ValueError("reserved role indices must be pairwise distinct")
-        if any(i < 0 or i >= self.generator_count for i in idx):
+        if any(i < 0 or i >= generator_count for i in idx):
             raise ValueError("reserved role index out of range")
-        if self.generator_count < 2 + sum(
-            1 for name in self.roles if name not in ("theta1", "theta2")
-        ) and ("theta1" in self.roles):
+        if generator_count < 2 + sum(
+            1 for name in roles if name not in ("theta1", "theta2")
+        ) and ("theta1" in roles):
             # two theta slots plus one generator per free odd parameter
             raise ValueError("generator count too small for the reserved roles")
+        self.generator_count = generator_count
+        self.roles = roles
 
     def gen(self, which) -> GrassmannNumber:
         """Generator by role name or raw index."""

@@ -49,15 +49,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .analytic import COS, SIN
 from .elliptic import jacobi
 from .grassmann import GrassmannNumber, analytic_value, demote, scalar, worst_of
 
 
-@dataclass(frozen=True)
-class ReducedOde:
+class ReducedOde(NamedTuple):
     """One reduced equation's place among the reductions: its case, the
     (lo, hi, step) a solve marches when given no range, the generator that
     carries its odd profile in a node row, and, over the elliptic background
@@ -103,8 +102,7 @@ class OdeSystem:
     background: Callable[[float], dict] | None = None  # what the rhs reads
 
 
-@dataclass(frozen=True)
-class OdeSample:
+class OdeSample(NamedTuple):
     """What the march holds at one node, in the type it marched in."""
 
     sigma: float
@@ -113,8 +111,7 @@ class OdeSample:
     d2: Value
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     system: OdeSystem
     samples: list
 

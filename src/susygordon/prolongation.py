@@ -37,11 +37,10 @@ field's constants are formed once, when it is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .analytic import COS, SIN
 from .grassmann import (
@@ -72,54 +71,43 @@ EVEN = Parity.EVEN
 ODD = Parity.ODD
 
 
-@dataclass(frozen=True)
 class ProblemSignature:
     """Named independents and dependents with their parities.
 
-    The name tables below are pure functions of the frozen fields, so each
-    is computed once per instance, on first use.
+    The name tables are pure functions of the fields, so they are built
+    with the signature.  Signatures compare and hash by their fields.
     """
 
-    independents: tuple[tuple[str, Parity], ...]
-    dependents: tuple[tuple[str, Parity], ...]
-    order: int = 2
-
-    def __post_init__(self):
-        names = [n for n, _ in self.independents] + [n for n, _ in self.dependents]
+    def __init__(self, independents: tuple[tuple[str, Parity], ...],
+                 dependents: tuple[tuple[str, Parity], ...], order: int = 2):
+        names = [n for n, _ in independents] + [n for n, _ in dependents]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-
-    @cached_property
-    def _variables(self) -> dict:
+        self.independents = independents
+        self.dependents = dependents
+        self.order = order
         # name -> (direction index, parity), independents first
-        return {n: (i, p) for i, (n, p) in enumerate(self.independents + self.dependents)}
+        self._variables = {n: (i, p) for i, (n, p) in enumerate(independents + dependents)}
+        self._coordinate_keys = {}  # memo of coordinate_key, filled on use
+        self.even_independents = tuple(n for n, p in independents if p is EVEN)
+        self.odd_independents = tuple(n for n, p in independents if p is ODD)
+        self.even_dependents = tuple(n for n, p in dependents if p is EVEN)
+        self.odd_dependents = tuple(n for n, p in dependents if p is ODD)
 
-    @cached_property
-    def _coordinate_keys(self) -> dict:
-        # memo of coordinate_key, filled on use
-        return {}
+    def __eq__(self, other):
+        return type(other) is ProblemSignature and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.independents, self.dependents, self.order
 
     def parity_of(self, name: str) -> Parity:
         return self._variables[name][1]
 
     def dir_index(self, name: str) -> int:
         return self._variables[name][0]
-
-    @cached_property
-    def even_independents(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self.independents if p is EVEN)
-
-    @cached_property
-    def odd_independents(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self.independents if p is ODD)
-
-    @cached_property
-    def even_dependents(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self.dependents if p is EVEN)
-
-    @cached_property
-    def odd_dependents(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self.dependents if p is ODD)
 
     def coordinate_parity(self, dep: str, jodd) -> Parity:
         flips = len(jodd) & 1
@@ -165,21 +153,17 @@ def _coordinate_key(sig: ProblemSignature, dep: str, dirs: tuple):
     return sign, (dep, tuple(jeven), jodd)
 
 
-@dataclass
 class JetPoint:
     """Read-only copies of base values and jet coordinates; the on-shell
     restriction ``onshell``, the ``seed_jets`` and the generator-free
     ``criterion_values`` are kept after the first read, as the module
     docstring says."""
 
-    sig: ProblemSignature
-    ctx: AlgebraContext
-    base: dict
-    coords: dict
-
-    def __post_init__(self):
-        self.base = MappingProxyType(dict(self.base))
-        self.coords = MappingProxyType(dict(self.coords))
+    def __init__(self, sig: ProblemSignature, ctx: AlgebraContext, base: dict, coords: dict):
+        self.sig = sig
+        self.ctx = ctx
+        self.base = MappingProxyType(dict(base))
+        self.coords = MappingProxyType(dict(coords))
 
     @cached_property
     def onshell(self) -> "JetPoint":
@@ -294,16 +278,14 @@ def _sample_layout(sig: ProblemSignature, order: int | None) -> tuple:
 # ------------------------------------------------------- symbolic expressions
 
 
-@dataclass(frozen=True)
-class FnF:
+class FnF(NamedTuple):
     """Partial derivative of a vector-field coefficient function."""
 
     target: str
     derivs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CoordF:
+class CoordF(NamedTuple):
     dep: str
     jeven: tuple[int, ...]
     jodd: tuple[str, ...]
@@ -397,7 +379,6 @@ def expr_sub(a: JetExpr, b: JetExpr) -> JetExpr:
 # ------------------------------------------------ vector field coefficients
 
 
-@dataclass
 class CoefficientFn:
     """One coefficient of a vector field, decomposed over odd dependents.
 
@@ -421,13 +402,12 @@ class CoefficientFn:
     prolongations.
     """
 
-    parity: Parity
-    sectors: dict[tuple[str, ...], Callable]
-    reads: frozenset | None = None
+    __slots__ = ("parity", "sectors", "reads")
 
-    def __post_init__(self):
-        if self.reads is not None:
-            self.reads = frozenset(self.reads)
+    def __init__(self, parity: Parity, sectors: dict[tuple[str, ...], Callable], reads=None):
+        self.parity = parity
+        self.sectors = sectors
+        self.reads = None if reads is None else frozenset(reads)
 
     @classmethod
     def plain(cls, parity: Parity, builder: Callable, reads=None) -> "CoefficientFn":
@@ -438,24 +418,24 @@ class CoefficientFn:
         return cls(parity, {}, frozenset())
 
 
-@dataclass
 class VectorFieldSpec:
-    sig: ProblemSignature
-    coefficients: dict
+    __slots__ = ("sig", "coefficients")
 
-    def __post_init__(self):
+    def __init__(self, sig: ProblemSignature, coefficients: dict):
         # an even geometric field: each coefficient's parity matches the
         # parity of the variable it multiplies
-        for name, c in self.coefficients.items():
-            if c.parity is not self.sig.parity_of(name):
-                raise ValueError(f"coefficient of {name} must be {self.sig.parity_of(name)}")
+        for name, c in coefficients.items():
+            if c.parity is not sig.parity_of(name):
+                raise ValueError(f"coefficient of {name} must be {sig.parity_of(name)}")
             for S in c.sectors:
-                if tuple(sorted(S, key=self.sig.dir_index)) != S:
+                if tuple(sorted(S, key=sig.dir_index)) != S:
                     raise ValueError(f"sector {S} not in canonical order")
-                if any(n not in self.sig.odd_dependents for n in S):
+                if any(n not in sig.odd_dependents for n in S):
                     raise ValueError(f"sector {S} may only list odd dependents")
-            if c.reads is not None and not c.reads <= self.sig._variables.keys():
+            if c.reads is not None and not c.reads <= sig._variables.keys():
                 raise ValueError(f"coefficient of {name} reads unknown variables")
+        self.sig = sig
+        self.coefficients = coefficients
 
     def parity_table(self) -> tuple:
         """Sorted ``(name, 1 if odd else 0)`` pairs of the coefficients."""

@@ -32,8 +32,7 @@ in their factors.
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .analytic import COS, RECIP, SIN, Const, Power, TrigPoly
 from .grassmann import (
@@ -45,6 +44,7 @@ from .grassmann import (
     ParityError,
     analytic_value,
     apply_analytic,
+    gen_derivative,
     soul_derivs,
     worst_count,
     worst_of,
@@ -59,8 +59,8 @@ from .superfield import (
     Superfield,
     constant_superfield,
     coordinate_jets,
-    evaluate_bundle,
     ssg_residual,
+    superfield_jet,
     theta_sum,
 )
 from .superjet import (
@@ -79,8 +79,7 @@ class SingularPoint(ValueError):
 # profiles
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Function of the invariant variable with supernumber coefficients.
 
     Stored as a sum of (coefficient, scalar function) terms, so exact
@@ -182,8 +181,7 @@ def random_reduction_profiles(case, rng_seed, ctx: AlgebraContext = DEFAULT_CONT
 # the reduction cases
 
 
-@dataclass(frozen=True)
-class ReductionCase:
+class ReductionCase(NamedTuple):
     """One invariant ansatz shape plus its reduced system.
 
     ``invariants(jx, jt, p, ctx)`` returns the jets of ``(sigma, m1, m2)``
@@ -202,8 +200,8 @@ class ReductionCase:
     profile_names: tuple
     param_names: tuple
     signs: tuple
-    invariants: Callable = field(repr=False)
-    equations: Callable = field(repr=False)
+    invariants: Callable
+    equations: Callable
 
 
 def _fill_params(case: ReductionCase, params, ctx: AlgebraContext) -> dict:
@@ -564,15 +562,20 @@ def ansatz_invariance(case, profiles, points, params=None,
     """Worst norm of the generator's first-order action on the built ansatz.
 
     Zero (to rounding) certifies that the ansatz really is constant along
-    the generator's flow, independently of any equation of motion.
+    the generator's flow, independently of any equation of motion.  The
+    action reads first derivatives only, so the ansatz's jet is built to
+    order 1.
     """
     sf = build_ansatz(case, profiles, params, ctx)
     X = case_generator(case, params, ctx)
+    i1, i2 = ctx.roles["theta1"], ctx.roles["theta2"]
 
     def action(x, t):
-        b = evaluate_bundle(sf, x, t)
+        jet = superfield_jet(sf, x, t, order=1)
+        v = jet.value()
         xi, tau, rho, sv = _coefficient_values(X, x, t, ctx)
-        return (xi * b.d_x + tau * b.d_t + rho * b.d_th1 + sv * b.d_th2).norm()
+        return (xi * jet.d("x") + tau * jet.d("t") + rho * gen_derivative(v, i1)
+                + sv * gen_derivative(v, i2)).norm()
 
     return worst_of(action(x, t) for x, t in points)
 
@@ -853,14 +856,13 @@ def component_case_ids() -> tuple:
 # subalgebras with no standard reduction
 
 
-@dataclass(frozen=True)
-class ObstructionRecord:
+class ObstructionRecord(NamedTuple):
     subalgebra: str
     invariant_form: str
     reducible: bool
+    details: dict  # ahead of the defaulted fields, which a NamedTuple puts last
     x_gap: Optional[float] = None
     solution_set: Optional[str] = None
-    details: dict = field(default_factory=dict)
 
 
 _NONSTANDARD_FORMS = {

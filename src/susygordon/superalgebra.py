@@ -10,7 +10,7 @@ generator, [a E, b F] = (-1)^(E~ b~) a b [E, F].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytic import EXP, EXP_RATIO
 from .grassmann import (
@@ -55,23 +55,21 @@ STRUCTURE_TABLE = {
 }
 
 
-@dataclass
 class AlgebraElement:
-    c_L: GrassmannNumber
-    c_Px: GrassmannNumber
-    c_Pt: GrassmannNumber
-    c_Qx: GrassmannNumber
-    c_Qt: GrassmannNumber
+    """c_L L + c_Px P_x + c_Pt P_t + c_Qx Q_x + c_Qt Q_t, with even
+    coefficients on the even basis elements and odd ones on the odd."""
 
-    def __post_init__(self):
-        for name in ("c_L", "c_Px", "c_Pt"):
-            v = getattr(self, name)
+    __slots__ = ("c_L", "c_Px", "c_Pt", "c_Qx", "c_Qt")
+
+    def __init__(self, c_L: GrassmannNumber, c_Px: GrassmannNumber, c_Pt: GrassmannNumber,
+                 c_Qx: GrassmannNumber, c_Qt: GrassmannNumber):
+        for name, v in (("c_L", c_L), ("c_Px", c_Px), ("c_Pt", c_Pt)):
             if not (v.is_zero() or v.is_even()):
                 raise ParityError(f"{name} must be even")
-        for name in ("c_Qx", "c_Qt"):
-            v = getattr(self, name)
+        for name, v in (("c_Qx", c_Qx), ("c_Qt", c_Qt)):
             if not (v.is_zero() or v.is_odd()):
                 raise ParityError(f"{name} must be odd")
+        self.c_L, self.c_Px, self.c_Pt, self.c_Qx, self.c_Qt = c_L, c_Px, c_Pt, c_Qx, c_Qt
 
     def coeff(self, basis: str) -> GrassmannNumber:
         return getattr(self, "c_" + basis)
@@ -300,8 +298,7 @@ def verify_structure(
 _SHOWN = {"L": "L", "Px": "P_x", "Pt": "P_t", "Qx": "Q_x", "Qt": "Q_t", "D": "D"}
 
 
-@dataclass(frozen=True)
-class SubalgebraTemplate:
+class SubalgebraTemplate(NamedTuple):
     """A spanning element as (basis, weight) terms; a weight is 1, -1 or the
     name of a parameter slot."""
 

@@ -55,8 +55,7 @@ jet those of the general product and sum.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .analytic import SIN, TrigPoly
 from .grassmann import (
@@ -84,14 +83,12 @@ from .superjet import (
 JetHandle = Callable[[GrassmannNumber, GrassmannNumber, int], SuperJet]
 
 
-@dataclass
-class Superfield:
+class Superfield(NamedTuple):
     jet: JetHandle  # the full theta-carrying jet
     ctx: AlgebraContext = DEFAULT_CONTEXT
 
 
-@dataclass
-class SuperfieldValueBundle:
+class SuperfieldValueBundle(NamedTuple):
     value: GrassmannNumber
     d_x: GrassmannNumber
     d_t: GrassmannNumber

@@ -32,7 +32,6 @@ a concurrent first fill only builds an equal value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from types import MappingProxyType
@@ -42,16 +41,27 @@ from .analytic import AnalyticFn
 from .grassmann import GrassmannNumber, ParityError, soul_derivs
 
 
-@dataclass(frozen=True)
 class JetSpec:
-    seeds: tuple[str, ...]
-    order: int = 2
+    """The seed names and the order of a jet; specs compare and hash by value."""
 
-    def __post_init__(self):
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seed names must be distinct and nonempty: {self.seeds}")
-        if self.order < 0:
+    __slots__ = ("seeds", "order")
+
+    def __init__(self, seeds: tuple[str, ...], order: int = 2):
+        if not seeds or len(set(seeds)) != len(seeds):
+            raise ValueError(f"seed names must be distinct and nonempty: {seeds}")
+        if order < 0:
             raise ValueError("negative jet order")
+        self.seeds = seeds
+        self.order = order
+
+    def __eq__(self, other):
+        return type(other) is JetSpec and self.seeds == other.seeds and self.order == other.order
+
+    def __hash__(self):
+        return hash((self.seeds, self.order))
+
+    def __repr__(self):
+        return f"JetSpec(seeds={self.seeds!r}, order={self.order!r})"
 
     def axis(self, seed: str) -> int:
         try:

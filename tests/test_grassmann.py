@@ -584,6 +584,20 @@ def test_context_roles():
         AlgebraContext(8, {"a": 0, "b": 0})
 
 
+def test_context_refuses_roles_it_cannot_hold():
+    # repeated indices, an index past the generators, and free roles that
+    # leave no second theta slot among four generators
+    for roles, match in (
+        ({"theta1": 0, "theta2": 1, "mu": 1}, "pairwise distinct"),
+        ({"theta1": 0, "theta2": 1, "mu": 4}, "out of range"),
+        ({"theta1": 0, "theta2": 1, "mu": -1}, "out of range"),
+        ({"theta1": 0, "mu": 1, "nu": 2, "D1": 3}, "too small"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            AlgebraContext(4, roles)
+    assert AlgebraContext(4, {"theta1": 0, "theta2": 1, "mu": 2, "nu": 3}).roles["nu"] == 3
+
+
 def test_lift_keeps_a_supernumber_and_scalars_a_real():
     ctx = DEFAULT_CONTEXT
     v = scalar(0.5) + gen(3)

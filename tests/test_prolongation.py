@@ -1,6 +1,5 @@
 """Jet points, total derivatives, and the prolongation recursion."""
 
-import dataclasses
 import math
 import operator
 import random
@@ -25,6 +24,7 @@ from susygordon.prolongation import (
     FnF,
     IncompleteJetPoint,
     JetPoint,
+    ProblemSignature,
     VectorFieldSpec,
     all_coordinate_keys,
     component_named_generators,
@@ -563,13 +563,13 @@ def test_seed_jet_specs_are_built_once_per_shape(monkeypatch):
     # the seed jets' shape and the order-1 shape of their partials are each
     # built once, with a warm one none is
     built = []
-    post_init = JetSpec.__post_init__
+    init = JetSpec.__init__
 
-    def counted(spec):
-        built.append((spec.seeds, spec.order))
-        post_init(spec)
+    def counted(spec, seeds, order=2):
+        built.append((seeds, order))
+        init(spec, seeds, order)
 
-    monkeypatch.setattr(JetSpec, "__post_init__", counted)
+    monkeypatch.setattr(JetSpec, "__init__", counted)
     jet_spec.cache_clear()
     for picture, base, seeds in (("superspace", 2003, ("x", "t", "Phi")),
                                  ("component", 2087, ("x", "t", "u"))):
@@ -643,7 +643,7 @@ def test_expanded_route_keeps_the_bits_of_the_general_operations():
 def _undeclared(spec):
     """The spec with every declaration dropped: each coefficient reads all."""
     return VectorFieldSpec(
-        spec.sig, {n: dataclasses.replace(c, reads=None) for n, c in spec.coefficients.items()}
+        spec.sig, {n: CoefficientFn(c.parity, c.sectors, None) for n, c in spec.coefficients.items()}
     )
 
 
@@ -820,10 +820,55 @@ def test_declarations_only_rule_out_empty_partials(seed, data):
             assert _terms(prolong_expanded(spec, q)) == _terms(prolong_expanded(bare, q))
 
 
+def test_signature_refuses_a_repeated_name():
+    EVEN, ODD = Parity.EVEN, Parity.ODD
+    for independents, dependents in (
+        ((("x", EVEN), ("x", EVEN)), (("u", EVEN),)),
+        ((("x", EVEN), ("t", EVEN)), (("u", EVEN), ("x", ODD))),
+        ((("x", EVEN),), (("u", EVEN), ("u", EVEN))),
+    ):
+        with pytest.raises(ValueError, match="must be distinct"):
+            ProblemSignature(independents, dependents)
+
+
+def test_equal_signatures_hash_alike():
+    # the expression and layout caches key on a signature
+    for sig in (SSG_SIGNATURE, COMPONENT_SIGNATURE):
+        twin = ProblemSignature(sig.independents, sig.dependents)
+        assert twin == sig and hash(twin) == hash(sig)
+        assert ProblemSignature(sig.independents, sig.dependents, 3) != sig
+        assert sig != (sig.independents, sig.dependents, sig.order)
+        assert twin.odd_dependents == sig.odd_dependents
+    assert SSG_SIGNATURE != COMPONENT_SIGNATURE
+
+
+def test_vector_field_refuses_a_bad_sector_or_parity():
+    sig = COMPONENT_SIGNATURE
+    zero = {n: CoefficientFn.zero(sig.parity_of(n)) for n, _ in sig.independents + sig.dependents}
+    for name, coef, match in (  # the spec refuses a sector before any builder runs
+        ("u", CoefficientFn(Parity.EVEN, {("psi", "phi"): None}), "canonical order"),
+        ("u", CoefficientFn(Parity.EVEN, {("u",): None}), "only list odd dependents"),
+        ("phi", CoefficientFn.zero(Parity.EVEN), "must be"),
+        ("x", CoefficientFn.zero(Parity.ODD), "must be"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            VectorFieldSpec(sig, {**zero, name: coef})
+    assert VectorFieldSpec(sig, zero).coefficients == zero
+
+
+def test_declared_reads_are_kept_as_a_frozenset():
+    for reads in (["x", "t", "x"], ("t", "x"), {"x", "t"}):
+        for coef in (CoefficientFn(Parity.EVEN, {}, reads),
+                     CoefficientFn.plain(Parity.EVEN, None, reads)):
+            assert type(coef.reads) is frozenset and coef.reads == {"x", "t"}
+    assert CoefficientFn(Parity.EVEN, {}).reads is None
+
+
 def test_declared_reads_must_name_variables():
     L = ssg_named_generators(CTX)["L"]
     coefficients = dict(L.coefficients)
-    coefficients["x"] = dataclasses.replace(coefficients["x"], reads=frozenset({"theta"}))
+    xi = coefficients["x"]
+    coefficients["x"] = CoefficientFn(xi.parity, xi.sectors, frozenset({"theta"}))
     with pytest.raises(ValueError):
         VectorFieldSpec(SSG_SIGNATURE, coefficients)
 
@@ -832,7 +877,8 @@ def test_too_narrow_declaration_fails_the_audit():
     # xi of L is -2x; declaring that it reads only t hides d/dx xi = -2
     L = ssg_named_generators(CTX)["L"]
     coefficients = dict(L.coefficients)
-    coefficients["x"] = dataclasses.replace(coefficients["x"], reads=frozenset({"t"}))
+    xi = coefficients["x"]
+    coefficients["x"] = CoefficientFn(xi.parity, xi.sectors, frozenset({"t"}))
     narrow = VectorFieldSpec(SSG_SIGNATURE, coefficients)
     p = random_jet_point(SSG_SIGNATURE, 31, CTX)
     assert ("x", ("x",)) in _declaration_violations(narrow, p)

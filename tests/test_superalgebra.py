@@ -127,6 +127,18 @@ def test_parity_enforcement():
         rand_elem(3) * MU
 
 
+def test_element_refuses_a_coefficient_of_the_wrong_parity():
+    zero, even, odd = ctx.zero(), ctx.scalar(0.5) + MU * NU, MU * 2.0
+    for slot in range(5):
+        coeffs = [zero] * 5
+        coeffs[slot] = odd if slot < 3 else even
+        name = ("c_L", "c_Px", "c_Pt", "c_Qx", "c_Qt")[slot]
+        with pytest.raises(ParityError, match=f"{name} must be {'even' if slot < 3 else 'odd'}"):
+            AlgebraElement(*coeffs)
+    X = AlgebraElement(even, zero, zero, odd, zero)
+    assert X.coeff("L") is even and X.coeff("Qx") is odd
+
+
 # ------------------------------------------------------------ adjoint action
 
 

@@ -469,18 +469,37 @@ def test_jet_product_counts(monkeypatch):
     assert calls == 49
 
 
+def test_jet_spec_refuses_a_bad_shape():
+    for seeds in (("x", "x"), ("x", "t", "x"), ()):
+        with pytest.raises(ValueError, match="distinct and nonempty"):
+            JetSpec(seeds, 1)
+    with pytest.raises(ValueError, match="negative jet order"):
+        JetSpec(("x",), -1)
+
+
+def test_jet_specs_compare_and_hash_by_shape():
+    # the plan caches key on a spec: equal shapes are one key, and jet_spec
+    # hands out one object per shape
+    assert jet_spec(("x", "t"), 1) is jet_spec(("x", "t"), 1)
+    a, b = JetSpec(("x", "t"), 1), jet_spec(("x", "t"), 1)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != JetSpec(("x", "t"), 2) and a != JetSpec(("t", "x"), 1)
+    assert a != (("x", "t"), 1)
+    assert repr(a) == "JetSpec(seeds=('x', 't'), order=1)"
+
+
 def test_jet_spec_constructions(monkeypatch):
     # one b5 superfield at ten points with both families needs three shapes,
     # orders 2, 1 and 0 over ("x", "t"): each is built once with a cold spec
     # cache and none with a warm one
     built = []
-    post_init = JetSpec.__post_init__
+    init = JetSpec.__init__
 
-    def counted(spec):
-        built.append((spec.seeds, spec.order))
-        post_init(spec)
+    def counted(spec, seeds, order=2):
+        built.append((seeds, order))
+        init(spec, seeds, order)
 
-    monkeypatch.setattr(JetSpec, "__post_init__", counted)
+    monkeypatch.setattr(JetSpec, "__init__", counted)
     run = checks.b5_residuals(checks.covariant_squares, checks.susy_anticommutators)
     jet_spec.cache_clear()
     list(run(CTX, 900, 1))

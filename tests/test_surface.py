@@ -36,6 +36,12 @@ No class in the package, nested ones included, subclasses
 ``GrassmannNumber``: its operations hold the one rule for every operand,
 the empty number included, and a subclass would fork that rule for the
 values it wraps.
+
+``@dataclass`` decorates only the records whose instances are rebuilt with
+``dataclasses.replace`` (``DATACLASSES``).  Every command imports the whole
+package, and a dataclass generates and compiles its methods at import; a
+record is a ``NamedTuple``, or a plain class where it validates, caches or
+changes.
 """
 
 import ast
@@ -558,3 +564,68 @@ def build():
     return Local
 '''
     assert subclasses_of({"mod": ast.parse(src)}, "GrassmannNumber") == ["mod.Local", "mod.Zero"]
+
+
+# class -> why it stays a dataclass
+DATACLASSES = {
+    "odes.OdeSystem": "the benchmark tracer and the tests rebuild a system with its rhs "
+                      "and energy wrapped, through dataclasses.replace",
+    "checks.CheckSpec": "the benchmark tracer rebuilds each check with its sampler "
+                        "scoped, through dataclasses.replace",
+}
+
+
+def dataclasses_in(modules: dict) -> list:
+    """``module.Class`` of each class in ``modules``, nested ones included,
+    that a ``dataclass`` decorator marks: bare or called, as a name or an
+    attribute."""
+    def marks(d):
+        f = d.func if isinstance(d, ast.Call) else d
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass"
+
+    return sorted(
+        f"{mod}.{node.name}"
+        for mod, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(marks(d) for d in node.decorator_list)
+    )
+
+
+def test_only_the_replaced_records_are_dataclasses():
+    modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    assert dataclasses_in(modules) == sorted(DATACLASSES)
+
+
+def test_guard_sees_a_dataclass():
+    src = '''
+import dataclasses
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+class Plain:
+    pass
+
+class Row(NamedTuple):
+    x: int
+
+@dataclass
+class Bare:
+    x: int = field(default=0)
+
+@dataclass(frozen=True)
+class Called:
+    pass
+
+@dataclasses.dataclass
+class Dotted:
+    pass
+
+def build():
+    @dataclasses.dataclass(frozen=True)
+    class Local:
+        pass
+    return Local
+'''
+    assert dataclasses_in({"mod": ast.parse(src)}) == [
+        "mod.Bare", "mod.Called", "mod.Dotted", "mod.Local",
+    ]
