@@ -99,6 +99,25 @@ def test_nan_residual_fails_its_check():
     assert payload["status"] == "fail" and payload["max_residual"] is None
 
 
+def test_crashed_check_fails_and_leaves_the_others_intact():
+    def boom(ctx, base, count):
+        raise RuntimeError("boom")
+
+    def passing(name):
+        return _entry(name, "none", "exact", 1, 2, 4, lambda ctx, base, count: [0.0, 1e-13])
+
+    before, after = passing("before"), passing("after")
+    crashed = _entry("crash_probe", "none", "exact", 1, 3, 4, boom)
+    results = _run_checks([before, crashed, after], RunConfig())
+    (rec, note) = results[1]
+    assert rec.status == "fail" and rec.samples == 0
+    assert note == "RuntimeError: boom"
+    alone = _run_checks([before, after], RunConfig())
+    assert [(r._replace(wall_time=0.0), n) for r, n in results[::2]] == [
+        (r._replace(wall_time=0.0), n) for r, n in alone
+    ]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -1,14 +1,9 @@
-"""Every demo script runs to completion against the package in ``src/``."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Every demo script runs to completion against the package in ``src/``,
+and prints its golden stdout."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from golden_outputs import DEMOS, demo_file, mismatch, run_demo
 
 
 def test_all_four_demos_are_found():
@@ -17,11 +12,6 @@ def test_all_four_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert mismatch(demo_file(demo), proc.stdout) is None
