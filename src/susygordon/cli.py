@@ -9,7 +9,7 @@ Three subcommands:
 ``solve``
     integrates one of the reduced profile equations over a sigma range and
     writes a trajectory CSV plus a summary record, both made and judged by
-    one library call, ``reductions.solve_profile``.
+    one library call, ``odes.solve_profile``.
 ``list``
     prints the one-dimensional subalgebra catalog and the solution catalog.
 
@@ -35,8 +35,7 @@ from typing import NamedTuple, Optional
 from .catalog import catalog_entry, catalog_names
 from .checks import REGISTRY, CheckSpec
 from .grassmann import DEFAULT_ROLES, MAX_GENERATORS, TIER_DEFAULTS, AlgebraContext
-from .odes import REDUCED_ODES
-from .reductions import solve_profile
+from .odes import REDUCED_ODES, solve_profile
 from .superalgebra import subalgebra_catalog
 
 SUITES = tuple(REGISTRY)

@@ -23,25 +23,27 @@ Four systems, by selector id:
   d16nu   damped odd profile of the scaling reduction over the
           background a = 0, y'' = -y'/(2s) - y/s
 
-``step_count`` is the one rule for the range a march may take:
-``integrate_profile_ode`` and ``reductions.solve_profile`` count steps by it,
-and it refuses a march of more than ``MAX_STEPS`` steps.
+The reduced rows of each reduction case (``CASE_ROWS``, which
+``reductions.CASES`` refers to, and ``traveling_rewrite_rows``) live here,
+beside ``solve_profile``, which is ``solve`` itself: it marches one reduced
+equation, evaluates its rows at every node and judges the run.  The rows
+compute in the arithmetic of their inputs, so real inputs give float rows.
 
-``REDUCED_ODES`` holds what the rest of the program knows of each system:
-its reduction case, the default ``(lo, hi, step)`` span of a ``solve``
-run, the generator of its odd profile, and the mirror sign of ginv12 (+1)
-and ginv17 (-1).  The background a = arcsin(k sn) solves the reduced even
-rows at eps = -1 only, so a ginv system refuses eps = +1 with
-``OutOfDomain``.  A ginv system carries its background, which keeps the
-values of the last sigma it was asked for: one RK4 step evaluates
-``jacobi`` at its midpoint and its endpoint only, and a caller that reads
-the node just marched is answered from the memo.  The float march and the
-Grassmann march of the same real data give the same bits once the float
-samples are lifted: every sum and product happens in the same order.  That
-holds while the state is finite.  At a non-finite state the two can part:
-a Grassmann product with an exact zero drops an inf or NaN that float
-arithmetic turns into NaN (ginv12 at sigma = 0 from data (inf, inf) has
-d2 = -inf in the algebra and NaN on floats).
+``step_count`` is the one rule for the range a march may take, of
+``integrate_profile_ode`` and ``solve_profile`` alike.  ``REDUCED_ODES``
+holds what the rest of the program knows of each system, its ``ReducedOde``.
+The background a = arcsin(k sn) solves the reduced even rows at eps = -1
+only, so a ginv system refuses eps = +1 with ``OutOfDomain``.  A ginv system
+carries its background, which keeps the values of the last sigma it was
+asked for: one RK4 step evaluates ``jacobi`` at its midpoint and its
+endpoint only, and a caller that reads the node just marched is answered
+from the memo.  The float march and the Grassmann march of the same real
+data give the same bits once the float samples are lifted: every sum and
+product happens in the same order.  That holds while the state is finite.
+At a non-finite state the two can part: a Grassmann product with an exact
+zero drops an inf or NaN that float arithmetic turns into NaN (ginv12 at
+sigma = 0 from data (inf, inf) has d2 = -inf in the algebra and NaN on
+floats).
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .analytic import COS, SIN
+from .analytic import COS, RECIP, SIN
 from .elliptic import jacobi
-from .grassmann import GrassmannNumber, analytic_value, demote, scalar, worst_of
+from .grassmann import (
+    DEFAULT_ROLES, GrassmannNumber, analytic_value, demote, scalar, worst_count, worst_of,
+)
 
 
 class ReducedOde(NamedTuple):
@@ -87,6 +91,10 @@ class NearSingular(RuntimeError):
 
 class OutOfDomain(ValueError):
     """The construction is not defined at the requested point or parameters."""
+
+
+class SingularPoint(ValueError):
+    """A reduced equation was evaluated where one of its terms blows up."""
 
 
 # a profile value, derivative or rhs: a float on a real march, else a supernumber
@@ -384,3 +392,312 @@ def drift_ratio(system, ics, sigma0, sigma1, step) -> float:
     if b == 0.0:
         raise ValueError("zero drift at the halved step; nothing to compare")
     return a / b
+
+
+# ------------------------------------------------------------ reduced rows
+# One function per case.  pv maps profile name to the list [f, f', f''] at
+# sigma; rows are stated left to right exactly as solved.
+
+
+def sin_cos(a0):
+    return analytic_value(SIN, a0), analytic_value(COS, a0)
+
+
+def _rows_s1(pv, sig, p):
+    a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] + sin_a,
+        n[1] - m[0] * cos_a,
+        sig * m[1] + m[0] * 0.5 + n[0] * cos_a,
+        a[1] + sig * a[2] - b[0] * cos_a - m[0] * n[0] * sin_a,
+    )
+
+
+def _rows_s2(pv, sig, p):
+    a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] + sin_a,
+        m[0] * cos_a,
+        m[1] + n[0] * cos_a,
+        b[0] * cos_a + m[0] * n[0] * sin_a,
+    )
+
+
+def _rows_s3(pv, sig, p):
+    a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] + sin_a,
+        n[1] - m[0] * cos_a,
+        n[0] * cos_a,
+        b[0] * cos_a + m[0] * n[0] * sin_a,
+    )
+
+
+def _rows_s4(pv, sig, p):
+    a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
+    e = p["eps"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] + sin_a,
+        n[1] - m[0] * cos_a,
+        m[1] * e - n[0] * cos_a,
+        a[2] * e + b[0] * cos_a + m[0] * n[0] * sin_a,
+    )
+
+
+def _rows_s6(pv, sig, p):
+    a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
+    mu = p["mu"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] + sin_a,
+        mu * b[0] - h[0] * cos_a,
+        h[1] + l[0] * cos_a,
+        mu * h[1] + b[0] * cos_a + h[0] * l[0] * sin_a,
+    )
+
+
+def _rows_s7(pv, sig, p):
+    a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
+    mu = p["mu"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] + sin_a,
+        l[1] - h[0] * cos_a,
+        mu * a[1] - l[0] * cos_a,
+        mu * h[1] + b[0] * cos_a + h[0] * l[0] * sin_a,
+    )
+
+
+def _rows_s8(pv, sig, p):
+    a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
+    mu, e = p["mu"], p["eps"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] + sin_a,
+        l[1] * e - h[0] * cos_a,
+        h[1] + mu * a[1] - l[0] * cos_a,
+        a[2] * e + mu * h[1] + b[0] * cos_a + h[0] * l[0] * sin_a,
+    )
+
+
+def _rows_s10(pv, sig, p):
+    a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
+    nu = p["nu"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] - sin_a,
+        l[1] + h[0] * cos_a,
+        nu * a[1] + l[0] * cos_a,
+        nu * h[1] - b[0] * cos_a - h[0] * l[0] * sin_a,
+    )
+
+
+def _rows_s11(pv, sig, p):
+    a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
+    nu = p["nu"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] - sin_a,
+        nu * b[0] + h[0] * cos_a,
+        h[1] - l[0] * cos_a,
+        nu * h[1] - b[0] * cos_a - h[0] * l[0] * sin_a,
+    )
+
+
+def _rows_s12(pv, sig, p):
+    a, h, l, b = pv["alpha"], pv["eta"], pv["lambda"], pv["beta"]
+    nu, e = p["nu"], p["eps"]
+    sin_a, cos_a = sin_cos(a[0])
+    return (
+        b[0] - sin_a,
+        l[1] + h[0] * cos_a,
+        nu * a[1] + h[1] * e + l[0] * cos_a,
+        a[2] * e + nu * h[1] - b[0] * cos_a - h[0] * l[0] * sin_a,
+    )
+
+
+CASE_ROWS = {
+    "S1": _rows_s1, "S2": _rows_s2, "S3": _rows_s3, "S4": _rows_s4, "S6": _rows_s6,
+    "S7": _rows_s7, "S8": _rows_s8, "S10": _rows_s10, "S11": _rows_s11, "S12": _rows_s12,
+}
+
+
+def traveling_rewrite_rows(pv, eps: float, constant=None):
+    """Second-order form of the traveling reduction; constant defaults to mu nu."""
+    a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
+    sin_a, cos_a = sin_cos(a[0])
+    if abs(cos_a if isinstance(cos_a, float) else cos_a.body) < 1e-12:
+        raise SingularPoint("cos(alpha) vanishes; tan(alpha) row undefined")
+    inv_cos = analytic_value(RECIP, cos_a)
+    tan_a = sin_a * inv_cos
+    k0 = constant if constant is not None else m[0] * n[0]
+    return (
+        a[2] * eps - sin_a * cos_a + k0 * sin_a,
+        n[2] + tan_a * n[1] * a[1] - cos_a * cos_a * n[0] * eps,
+        m[0] - inv_cos * n[1],
+        b[0] + sin_a,
+        m[1] * n[0] + m[0] * n[1],
+    )
+
+
+# ------------------------------------------------------------------- solve
+
+
+def _ginv_node_row(system, sample, eps, k, ctx):
+    """Reduced-row values at one trajectory node.
+
+    The integrated profile rides the third expansion slot; its quotient
+    partner (scaled derivative over dn) rides the second.  Derivatives of
+    the quotient come from the product and quotient rules over the same
+    elliptic data, so every number in the rows shares one source: the
+    ``jacobi`` triple of the system's background at the node.  Called right
+    after the node is marched, the background answers from its memo.
+    """
+    rec = REDUCED_ODES[system.name]
+    m = k * k
+    tr = system.background(sample.sigma)["jacobi"]
+    g_ = ctx.gen(rec.role)
+    dn1 = -m * tr.sn * tr.cn
+    f0 = (sample.d1 * eps) * (1.0 / tr.dn)
+    f1 = (sample.d2 * tr.dn - sample.d1 * dn1) * (eps / tr.dn ** 2)
+    alpha = math.asin(k * tr.sn)
+    pv = {
+        "alpha": [alpha, k * tr.cn, -k * tr.sn * tr.dn],
+        "eta": [g_ * f0, g_ * f1, 0.0],
+        "lambda": [g_ * sample.value, g_ * sample.d1, g_ * sample.d2],
+        "beta": [rec.mirror * k * tr.sn, 0.0, 0.0],
+    }
+    rows = CASE_ROWS[rec.case](pv, sample.sigma, {"eps": eps, rec.role: g_})
+    return rows, alpha, sample.value + 0.0, f0 + 0.0
+
+
+def _d16_node_row(sample, ctx):
+    rec = REDUCED_ODES["d16nu"]
+    g_ = ctx.gen(rec.role)
+    pv = {
+        "alpha": [0.0, 0.0, 0.0],
+        "mu": [g_ * sample.d1, g_ * sample.d2, 0.0],
+        "nu": [g_ * sample.value, g_ * sample.d1, 0.0],
+        "beta": [0.0, 0.0, 0.0],
+    }
+    rows = CASE_ROWS[rec.case](pv, sample.sigma, {})
+    return rows, 0.0, sample.value + 0.0, sample.d1 + 0.0
+
+
+def _rebp_node_row(sample, eps, k0):
+    alpha = [sample.value, sample.d1, sample.d2]
+    pv = {
+        "alpha": alpha,
+        "mu": [0.0, 0.0, 0.0],
+        "nu": [0.0, 0.0, 0.0],
+        "beta": [analytic_value(SIN, alpha[0]) * -1.0, 0.0, 0.0],
+    }
+    rows = traveling_rewrite_rows(pv, eps, constant=k0)
+    return rows, sample.value + 0.0, None, None
+
+
+def _node_row(system, sample, ctx, eps, coupling, modulus):
+    """(rows, alpha, g, f) at one node of a real march.
+
+    The rows compute on the node's floats, and a ginv or d16nu row becomes a
+    supernumber only through ``ctx.gen(role)``, the generator of its odd
+    profile.  A cell of the marched profile adds 0.0, so a zero of either
+    sign prints as 0.0, the bytes solve reports have always had; a ginv
+    row's alpha is the background's own and keeps its sign.
+    """
+    if system.background is not None:
+        return _ginv_node_row(system, sample, eps, modulus, ctx)
+    if system.name == "rebp":
+        return _rebp_node_row(sample, eps, coupling)
+    return _d16_node_row(sample, ctx)
+
+
+def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
+    """``(nodes, summary)`` of ``ode`` marched over ``span`` = (lo, hi, step)
+    from ``ics`` = (value, derivative) at lo; input it cannot take raises
+    ``ValueError`` before the march: a range that ``step_count`` refuses, or
+    one that runs downward.
+
+    A node is (sigma, alpha, g, f, residual body, residual soul norm), None
+    where a cell has no value.  The march goes one node at a time, so a
+    singularity flags the rest of the range and an overflow ends the march;
+    both keep the nodes marched so far.  The run passes only when every node
+    of the range has its rows, no range is flagged, the worst residual is
+    within ``tol`` and the drift, where there is one, is finite.
+    """
+    role = REDUCED_ODES[ode].role
+    if role is not None and ctx.generator_count <= DEFAULT_ROLES[role]:
+        raise ValueError(
+            f"ode {ode!r} needs at least {DEFAULT_ROLES[role] + 1} generators, "
+            f"have {ctx.generator_count}"
+        )
+    lo, hi, step = span
+    n_steps = step_count(lo, hi, step)
+    if hi < lo:
+        raise ValueError(f"range {lo}:{hi}:{step} runs downward; a solve needs lo < hi")
+    system = make_system(ode, eps=eps, coupling=coupling, modulus=modulus)
+
+    # each leg marches on floats from the previous node, and each node's row
+    # is taken at once, while the ginv memo holds its sigma
+    samples, nodes, flagged = [], [], []
+
+    def take(node):
+        samples.append(node)
+        try:
+            rows, alpha, gval, fval = _node_row(system, node, ctx, eps, coupling, modulus)
+        except SingularPoint:
+            flagged.append([node.sigma, node.sigma])
+            nodes.append((node.sigma, None, None, None, None, None))
+            return
+        body = worst_of(abs(r if isinstance(r, float) else r.body) for r in rows)
+        soul = worst_of(r.soul().norm() for r in rows if not isinstance(r, float))
+        nodes.append((node.sigma, alpha, gval, fval, body, soul))
+
+    y, d = float(ics[0]), float(ics[1])
+    s0 = lo
+    try:
+        node = OdeSample(lo, y, d, system.rhs(lo, y, d))
+        take(node)
+        for i in range(n_steps):
+            s0 = lo + i * step
+            s1 = lo + (i + 1) * step
+            node = integrate_profile_ode(system, (node.value, node.d1), s0, s1, step).samples[-1]
+            take(node)
+    except NearSingular:
+        flagged.append([s0, hi])
+    except ValueError:  # every input was checked, so a number the march made overflowed
+        pass
+
+    rowed = [n for n in nodes if n[4] is not None]
+    worst_body, emitted = worst_count(n[4] for n in rowed)
+    worst_soul = worst_of(n[5] for n in rowed)
+    drift = None
+    if system.energy is not None and len(samples) >= 2:
+        try:
+            drift = first_integral_check(Trajectory(system, samples))
+        except ValueError:  # cos(2y) of a finite y whose double overflows
+            drift = math.nan
+    # a drift that overflowed is no measurement; its JSON null reads as none
+    passed = (
+        emitted == n_steps + 1
+        and not flagged
+        and worst_of((worst_body, worst_soul)) <= tol
+        and (drift is None or math.isfinite(drift))
+    )
+    summary = {
+        "ode": ode,
+        "case": REDUCED_ODES[ode].case,
+        "range": [lo, hi, step],
+        "samples": emitted,
+        "max_residual_body": worst_body,
+        "max_residual_soul_norm": worst_soul,
+        "tolerance": tol,
+        "drift": drift,
+        "flagged": flagged,
+        "status": "pass" if passed else "fail",
+    }
+    return nodes, summary

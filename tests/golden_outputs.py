@@ -42,17 +42,15 @@ SEEDS = (0, 1, 2)
 REPORT_FORMATS = ("json", "csv", "md")
 
 # golden file name -> (argv, the stream that holds the output)
-COMMANDS = {}
-for _seed in SEEDS:
-    for _fmt in REPORT_FORMATS:
-        COMMANDS[f"verify-seed{_seed}.{_fmt}"] = (
-            ["verify", "--suite", "all", "--seed", str(_seed), "--format", _fmt], "out")
-COMMANDS["list.txt"] = (["list"], "out")
-for _fmt in REPORT_FORMATS:
-    COMMANDS[f"list.{_fmt}"] = (["list", "--format", _fmt], "out")
-for _ode in REDUCED_ODES:
-    COMMANDS[f"solve-{_ode}.csv"] = (["solve", "--ode", _ode], "out")
-    COMMANDS[f"solve-{_ode}.summary.json"] = (["solve", "--ode", _ode], "err")
+COMMANDS = {
+    **{f"verify-seed{seed}.{fmt}": (
+        ["verify", "--suite", "all", "--seed", str(seed), "--format", fmt], "out")
+       for seed in SEEDS for fmt in REPORT_FORMATS},
+    "list.txt": (["list"], "out"),
+    **{f"list.{fmt}": (["list", "--format", fmt], "out") for fmt in REPORT_FORMATS},
+    **{f"solve-{ode}.{kind}": (["solve", "--ode", ode], stream)
+       for ode in REDUCED_ODES for kind, stream in (("csv", "out"), ("summary.json", "err"))},
+}
 
 
 def demo_file(demo: Path) -> str:

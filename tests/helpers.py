@@ -33,14 +33,8 @@ from susygordon.grassmann import (
     check_generator_count,
     scalar,
 )
-from susygordon.reductions import (
-    SingularPoint,
-    _check_profiles,
-    _fill_params,
-    _trig,
-    reduction_case,
-    traveling_rewrite_rows,
-)
+from susygordon.odes import SingularPoint, sin_cos, traveling_rewrite_rows
+from susygordon.reductions import _check_profiles, _fill_params, reduction_case
 from susygordon.superfield import theta_coefficients
 from susygordon.superjet import SuperJet
 
@@ -187,7 +181,7 @@ def scaling_rewrite_rows(pv, sigma, ngen: int, constant=None):
     if sg.body <= 0.0:
         raise SingularPoint(f"rewritten scaling rows need sigma > 0, got body {sg.body}")
     a, m, n, b = pv["alpha"], pv["mu"], pv["nu"], pv["beta"]
-    sin_a, cos_a = _trig(a[0])
+    sin_a, cos_a = sin_cos(a[0])
     if abs(cos_a.body) < 1e-12:
         raise SingularPoint("cos(alpha) vanishes; tan(alpha) row undefined")
     inv_cos = apply_analytic(RECIP, cos_a)

@@ -6,11 +6,12 @@ import importlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from susygordon import cli, elliptic, grassmann, odes, reductions, superjet
+from susygordon import cli, grassmann, odes
 from susygordon.catalog import _ginv_parts, catalog_entry
 from susygordon.checks import _entry
 from susygordon.cli import Report, RunConfig, _emit, _render_json, _run_checks, main
@@ -404,9 +405,14 @@ def test_integrated_entry_has_the_nodes_of_the_default_solve(entry, ode, tmp_pat
     ]
 
 
-def _count_calls(monkeypatch, name, modules):
+def _count_calls(monkeypatch, name):
+    """Calls of ``name`` through every binding of it in a loaded module of
+    the package, so no import of it escapes the count."""
     calls = []
-    for mod in modules:
+    holders = [mod for key, mod in sorted(sys.modules.items())
+               if key.startswith("susygordon.") and hasattr(mod, name)]
+    assert holders, f"no module of the package binds {name!r}"
+    for mod in holders:
         real = getattr(mod, name)
 
         def counted(*args, _real=real, **kwargs):
@@ -422,8 +428,7 @@ def test_solve_ginv12_evaluates_jacobi_2n_plus_1_times(range_spec, n, monkeypatc
     # the background memo answers k2/k3 from one midpoint and k4, the node's
     # rhs, the node row and the next leg's start from one endpoint: two
     # evaluations per step and one at the first node
-    holders = [m for m in (elliptic, odes, cli) if hasattr(m, "jacobi")]
-    calls = _count_calls(monkeypatch, "jacobi", holders)
+    calls = _count_calls(monkeypatch, "jacobi")
     argv = ["solve", "--ode", "ginv12"] + ([] if range_spec is None else ["--range", range_spec])
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
@@ -434,7 +439,7 @@ def test_solve_ginv12_evaluates_jacobi_2n_plus_1_times(range_spec, n, monkeypatc
 def test_real_solve_sums_no_soul_series(ode, monkeypatch, capsys):
     # with real initial data no analytic function meets a soul: sin and cos
     # take floats, so the soul-Taylor loop never runs
-    calls = _count_calls(monkeypatch, "soul_derivs", (grassmann, reductions, superjet))
+    calls = _count_calls(monkeypatch, "soul_derivs")
     code, _, _ = run_cli(["solve", "--ode", ode], capsys)
     assert code == 0
     assert calls == []
@@ -463,7 +468,7 @@ def test_real_solve_makes_no_grassmann_product_in_its_rhs(ode, monkeypatch, caps
                 depth.pop()
         return run
 
-    real_make = reductions.make_system
+    real_make = odes.make_system
 
     def make(*args, **kwargs):
         system = real_make(*args, **kwargs)
@@ -473,7 +478,7 @@ def test_real_solve_makes_no_grassmann_product_in_its_rhs(ode, monkeypatch, caps
         )
 
     monkeypatch.setattr(gn, "__mul__", counted_mul)
-    monkeypatch.setattr(reductions, "make_system", make)
+    monkeypatch.setattr(odes, "make_system", make)
     code, _, _ = run_cli(["solve", "--ode", ode], capsys)
     assert code == 0
     assert calls and products == []
@@ -516,7 +521,7 @@ def test_solve_negative_zero_data_give_the_bytes_of_zero_data(ode, ics, tmp_path
 
 def test_solve_nan_residual_fails(monkeypatch, capsys):
     # a row is a supernumber or a float, and take reads both: each must fail
-    real = reductions._node_row
+    real = odes._node_row
     for nan_row in (lambda ctx: ctx.scalar(math.nan), lambda ctx: math.nan):
 
         def poisoned(system, sample, ctx, *params, nan_row=nan_row):
@@ -525,7 +530,7 @@ def test_solve_nan_residual_fails(monkeypatch, capsys):
                 rows = list(rows) + [nan_row(ctx)]
             return (rows, *rest)
 
-        monkeypatch.setattr(reductions, "_node_row", poisoned)
+        monkeypatch.setattr(odes, "_node_row", poisoned)
         code, _, err = run_cli(["solve", "--ode", "rebp"], capsys)
         assert code == 1
         summary = json.loads(err, parse_constant=_reject_constant)
@@ -585,7 +590,7 @@ def test_solve_is_one_library_call(ode, tmp_path, capsys):
     target = tmp_path / "traj.csv"
     code, out, _ = run_cli(["solve", "--ode", ode, "--out", str(target)], capsys)
     cfg = RunConfig(ode=ode)
-    nodes, summary = reductions.solve_profile(
+    nodes, summary = odes.solve_profile(
         ode, odes.REDUCED_ODES[ode].span, cfg.ics, ctx=cfg.context(), tol=cfg.tiers["ode"],
         eps=cfg.eps, coupling=cfg.k0, modulus=cfg.modulus,
     )
