@@ -619,8 +619,8 @@ def _node_row(system, sample, ctx, eps, coupling, modulus):
 def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
     """``(nodes, summary)`` of ``ode`` marched over ``span`` = (lo, hi, step)
     from ``ics`` = (value, derivative) at lo; input it cannot take raises
-    ``ValueError`` before the march: a range that ``step_count`` refuses, or
-    one that runs downward.
+    ``ValueError`` before the march: a context without the ode's generator
+    role, a range that ``step_count`` refuses, or one that runs downward.
 
     A node is (sigma, alpha, g, f, residual body, residual soul norm), None
     where a cell has no value.  The march goes one node at a time, so a
@@ -635,6 +635,8 @@ def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
             f"ode {ode!r} needs at least {DEFAULT_ROLES[role] + 1} generators, "
             f"have {ctx.generator_count}"
         )
+    if role is not None and role not in ctx.roles:
+        raise ValueError(f"ode {ode!r} needs the generator role {role!r}, which the context lacks")
     lo, hi, step = span
     n_steps = step_count(lo, hi, step)
     if hi < lo:

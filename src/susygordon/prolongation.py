@@ -24,14 +24,15 @@ once per table.  The long-hand closed forms live in prolong_expanded as an
 independent transcription, whose text stays as written.
 
 What depends only on a jet point is built once per point: a ``JetPoint``
-keeps its on-shell restriction, its seed jets and the generator-free factors
-of the symmetry criterion after the first read, so the generators checked at
-one point share them.  This is safe because a point's base values and
-coordinates are read-only copies, which no caller can change under a kept
-value; a concurrent first read only builds an equal value.  What depends on
-a (field, point) pair, the frozen coefficients of ``evaluate_spec``, is
-built once per check and handed to both prolongation routes, and each
-field's constants are formed once, when it is built.
+keeps its on-shell restriction, its seed jets, the coordinate values that
+``prolong_expanded`` reads and the generator-free factors of the symmetry
+criterion after the first read, so the generators checked at one point share
+them.  This is safe because a point's base values and coordinates are
+read-only copies, which no caller can change under a kept value; a
+concurrent first read only builds an equal value.  What depends on a
+(field, point) pair, the frozen coefficients of ``evaluate_spec``, is built
+once per check and handed to both prolongation routes, and each field's
+constants and table key are formed once, when it is built.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ def _coordinate_key(sig: ProblemSignature, dep: str, dirs: tuple):
 
 class JetPoint:
     """Read-only copies of base values and jet coordinates; the on-shell
-    restriction ``onshell``, the ``seed_jets`` and the generator-free
-    ``criterion_values`` are kept after the first read, as the module
-    docstring says."""
+    restriction ``onshell``, the ``seed_jets``, the ``coordinate_reads`` of
+    ``prolong_expanded`` and the generator-free ``criterion_values`` are
+    kept after the first read, as the module docstring says."""
 
     def __init__(self, sig: ProblemSignature, ctx: AlgebraContext, base: dict, coords: dict):
         self.sig = sig
@@ -172,6 +173,11 @@ class JetPoint:
     @cached_property
     def seed_jets(self) -> MappingProxyType:
         return MappingProxyType(_seed_jets(self))
+
+    @cached_property
+    def coordinate_reads(self) -> dict:
+        """``{(dep, dirs): coordinate(dep, *dirs)}``, filled as read."""
+        return {}
 
     @cached_property
     def criterion_values(self) -> tuple:
@@ -419,7 +425,7 @@ class CoefficientFn:
 
 
 class VectorFieldSpec:
-    __slots__ = ("sig", "coefficients")
+    __slots__ = ("sig", "coefficients", "table_key")
 
     def __init__(self, sig: ProblemSignature, coefficients: dict):
         # an even geometric field: each coefficient's parity matches the
@@ -436,6 +442,9 @@ class VectorFieldSpec:
                 raise ValueError(f"coefficient of {name} reads unknown variables")
         self.sig = sig
         self.coefficients = coefficients
+        # the key of the field's pruned tables in ``_live_table``
+        reads = tuple(sorted((name, c.reads) for name, c in coefficients.items()))
+        self.table_key = (sig, self.parity_table(), reads)
 
     def parity_table(self) -> tuple:
         """Sorted ``(name, 1 if odd else 0)`` pairs of the coefficients."""
@@ -501,15 +510,16 @@ class EvaluatedCoefficient:
         return state
 
     def partial(self, dirs: tuple = ()) -> GrassmannNumber:
-        """The partial along ``dirs``, memoised in ``_memo``.
+        """The partial along the tuple ``dirs``, memoised in ``_memo``; a
+        memo hit is answered first.
 
         A partial along a direction the function does not declare in
         ``reads`` is the empty number by the declaration's contract, so it
         is answered at once, without building any sector state.
         """
-        dirs = tuple(dirs)
-        if dirs in self._memo:
-            return self._memo[dirs]
+        hit = self._memo.get(dirs)
+        if hit is not None:
+            return hit
         sig, ctx = self.sig, self.ctx
         acc = ctx.zero()
         if self.reads is not None and not self.reads.issuperset(dirs):
@@ -610,7 +620,8 @@ SSG_PAIRS = (("x", "t"), ("t", "theta1"), ("x", "theta2"), ("theta1", "theta2"))
 
 
 def _slots(sig: ProblemSignature) -> list:
-    """The (dependent, directions) coefficients the symmetry criterion reads."""
+    """The (dependent, directions) coefficients ``prolong`` evaluates; the
+    symmetry criterion reads some of them."""
     if sig.odd_independents:
         dep = sig.dependents[0][0]
         return [(dep, (a,)) for a, _ in sig.independents] + [(dep, ab) for ab in SSG_PAIRS]
@@ -620,22 +631,24 @@ def _slots(sig: ProblemSignature) -> list:
 _LIVE_CACHE: dict = {}
 
 
-def _live_table(v: VectorFieldSpec) -> tuple:
-    """(slot, table expression) pairs without the terms the declarations kill.
+def _live_table(v: VectorFieldSpec) -> MappingProxyType:
+    """``{slot: table expression}`` without the terms the declarations kill.
 
     A term dies when one of its coefficient-function factors takes a
     partial along a direction its target does not read; a total derivative
     of a dead term has only dead terms, so no live term is lost.  The
     surviving terms keep their table order and factor order.  The result
-    depends only on the signature, the parities and the declarations; it is
-    an immutable value built whole before it is published in the cache, so
-    a concurrent first fill only builds an equal value twice.
+    depends only on the signature, the parities and the declarations, which
+    the field's ``table_key`` holds; it is an immutable value built whole
+    before it is published in the cache, so a concurrent first fill only
+    builds an equal value twice.
     """
-    reads = {name: c.reads for name, c in v.coefficients.items()}
-    parities = v.parity_table()
-    key = (v.sig, parities, tuple(sorted(reads.items())))
+    key = v.table_key
     live = _LIVE_CACHE.get(key)
     if live is None:
+        sig, parities, declared = key
+        reads = dict(declared)
+
         def alive(fs):
             for f in fs:
                 if isinstance(f, FnF):
@@ -644,24 +657,28 @@ def _live_table(v: VectorFieldSpec) -> tuple:
                         return False
             return True
 
-        live = tuple(
-            ((dep, dirs), tuple(term for term in prolonged_expr(v.sig, parities, dep, dirs)
-                                if alive(term[1])))
-            for dep, dirs in _slots(v.sig)
-        )
+        live = MappingProxyType({
+            (dep, dirs): tuple(term for term in prolonged_expr(sig, parities, dep, dirs)
+                               if alive(term[1]))
+            for dep, dirs in _slots(sig)
+        })
         _LIVE_CACHE[key] = live
     return live
 
 
-def prolong(v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None) -> dict:
-    """All needed prolonged coefficients via the graded recursion, as
-    ``{(dependent, directions): value}``.
+def prolong(v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None,
+            slots=None) -> dict:
+    """The prolonged coefficients via the graded recursion, as
+    ``{(dependent, directions): value}``: every slot of ``_slots``, or only
+    the given ``slots`` in their order.
 
     ``coefvals`` is ``evaluate_spec(v, p)``, evaluated here when not given.
     """
     if coefvals is None:
         coefvals = evaluate_spec(v, p)
-    return {slot: evaluate_expr(expr, coefvals, p) for slot, expr in _live_table(v)}
+    table = _live_table(v)
+    return {slot: evaluate_expr(table[slot], coefvals, p)
+            for slot in (table if slots is None else slots)}
 
 
 # ------------------------------------------------- expanded closed-form route
@@ -673,13 +690,14 @@ def prolong_expanded(v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = No
 
     The formula text is left as written, as the independent reference for
     ``prolong``; ``c`` reads each coordinate, and forms its sign, once per
-    call.  ``coefvals`` is ``evaluate_spec(v, p)``, evaluated here when not
-    given; handing ``prolong`` and this route the same one shares their
-    partials, not their formulas.
+    point, keeping it in the point's ``coordinate_reads`` for every field
+    checked there.  ``coefvals`` is ``evaluate_spec(v, p)``, evaluated here
+    when not given; handing ``prolong`` and this route the same one shares
+    their partials, not their formulas.
     """
     if coefvals is None:
         coefvals = evaluate_spec(v, p)
-    coords: dict = {}
+    coords = p.coordinate_reads
 
     def f(target, *dirs):
         return coefvals[target].partial(dirs)
@@ -914,13 +932,15 @@ def symmetry_residual(v: VectorFieldSpec, p: JetPoint):
     """Criterion value(s) at the on-shell restriction of the point.
 
     Superspace instance: one even supernumber, zero for true symmetries.
-    Component instance: the triple of slot conditions.  The factors no
-    generator enters are read from the point's ``criterion_values``.
+    Component instance: the triple of slot conditions.  Only the slots of
+    the derivatives the equations contain enter (Olver 1993, Thm. 2.31), so
+    ``prolong`` evaluates those alone.  The factors no generator enters are
+    read from the point's ``criterion_values``.
     """
     q = p.onshell
     coefvals = evaluate_spec(v, q)
-    pro = prolong(v, q, coefvals)
     if v.sig.odd_independents:
+        pro = prolong(v, q, coefvals, [("Phi", ab) for ab in SSG_PAIRS])
         th1 = q.base_value("theta1")
         th2 = q.base_value("theta2")
         a, b, cosP, th12 = q.criterion_values
@@ -936,6 +956,7 @@ def symmetry_residual(v: VectorFieldSpec, p: JetPoint):
             - pro["Phi", ("x", "theta2")] * th1
             - pro["Phi", ("theta1", "theta2")]
         )
+    pro = prolong(v, q, coefvals, (("u", ("x", "t")), ("phi", ("t",)), ("psi", ("x",))))
     phi, psi = q.coordinate("phi"), q.coordinate("psi")
     w, sh2, shm2, sh, ch = q.criterion_values
     U = coefvals["u"].partial(())

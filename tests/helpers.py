@@ -13,8 +13,11 @@ compose, for instance into the kink 2·arctan(exp(x - t)).
 components.  ``reduced_residual`` evaluates the reduced rows of a case at one
 value of the invariant variable and appends the rewritten second-order rows
 of the scaling case (``scaling_rewrite_rows``) and of the traveling case.
+``clear_memos`` empties every memo of ``src/`` that lives as long as its
+module, the ones ``MEMOS`` names; ``test_surface`` finds any it misses.
 """
 
+import importlib
 import itertools
 import math
 import random
@@ -37,6 +40,37 @@ from susygordon.odes import SingularPoint, sin_cos, traveling_rewrite_rows
 from susygordon.reductions import _check_profiles, _fill_params, reduction_case
 from susygordon.superfield import theta_coefficients
 from susygordon.superjet import SuperJet
+
+
+# every memo of src/ that lives as long as its module: "module.function" for
+# a cache or lru_cache, "module.NAME" for a dict, "module.INSTANCE.attribute"
+# for a dict a module-level instance keeps
+MEMOS = (
+    "elliptic._agm_ladder",
+    "grassmann._SIGN_CACHE",
+    "prolongation.COMPONENT_SIGNATURE._coordinate_keys",
+    "prolongation.SSG_SIGNATURE._coordinate_keys",
+    "prolongation._LIVE_CACHE",
+    "prolongation._sample_layout",
+    "prolongation.prolonged_expr",
+    "superjet._faa_plan",
+    "superjet._leibniz_plan",
+    "superjet.jet_spec",
+)
+
+
+def clear_memos():
+    """Empty every memo of ``MEMOS``: a cache by its ``cache_clear``, a dict
+    by its ``clear``."""
+    for path in MEMOS:
+        module, *attrs = path.split(".")
+        memo = importlib.import_module(f"susygordon.{module}")
+        for attr in attrs:
+            memo = getattr(memo, attr)
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+        else:
+            memo.clear()
 
 
 def exact(f, *args):

@@ -10,7 +10,7 @@ import pytest
 from susygordon import odes
 from susygordon.elliptic import ellipk, jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
-from susygordon.grassmann import GrassmannNumber
+from susygordon.grassmann import AlgebraContext, GrassmannNumber
 from susygordon.odes import (
     NearSingular,
     OutOfDomain,
@@ -404,3 +404,16 @@ def test_background_memo_is_coherent_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+def test_solve_without_the_odes_role_is_refused_before_the_march(monkeypatch):
+    # enough generators, but no "nu" role: the documented ValueError names
+    # the role, and no system is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(odes, "make_system", unreachable)
+    ctx = AlgebraContext(generator_count=8, roles={"theta1": 0, "theta2": 1})
+    with pytest.raises(ValueError, match="'nu'"):
+        odes.solve_profile("ginv12", (0.0, 0.5, 0.25), (0.0, 1.0), ctx=ctx, tol=1e-6,
+                           eps=-1.0, coupling=0.0, modulus=0.5)

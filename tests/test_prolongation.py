@@ -3,6 +3,8 @@
 import math
 import operator
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import product
 
@@ -47,7 +49,7 @@ from susygordon.prolongation import (
     total_derivative_expr,
 )
 
-from helpers import bits, general_product, general_sum
+from helpers import bits, clear_memos, general_product, general_sum
 
 
 def total_derivative(p, expr, direction):
@@ -444,7 +446,7 @@ def test_recursion_matches_the_per_order_table():
             # equal terms in the same order
             assert list(_expr(spec, dep, dirs)) == table.slot(dep, dirs), (name, dep, dirs)
         # the pruned tables are the reference's terms minus the ruled-out ones
-        for (dep, dirs), live in prolongation._live_table(spec):
+        for (dep, dirs), live in prolongation._live_table(spec).items():
             want = [(c, fs) for c, fs in table.slot(dep, dirs)
                     if all(spec.coefficients[f.target].reads is None
                            or spec.coefficients[f.target].reads.issuperset(f.derivs)
@@ -491,10 +493,10 @@ def test_prolongation_product_counts(monkeypatch):
     assert calls["full"] == 32
     calls.clear()
     list(checks.symmetry_residuals("superspace")(CTX, 3001, 1))
-    assert (calls["all"], calls["full"]) == (116, 66)
+    assert (calls["all"], calls["full"]) == (104, 54)
     calls.clear()
     list(checks.symmetry_residuals("component")(CTX, 3001, 1))
-    assert (calls["all"], calls["full"]) == (116, 79)
+    assert (calls["all"], calls["full"]) == (104, 67)
 
 
 def test_point_values_are_built_once(monkeypatch):
@@ -688,6 +690,116 @@ def test_declared_tables_visit_only_live_terms(monkeypatch):
     visited = 0
     prolong(L, p)
     assert visited == 18
+
+
+def _criterion_from_every_slot(v, p):
+    """The symmetry criterion as written over ``prolong``'s every slot."""
+    q = p.onshell
+    coefvals = evaluate_spec(v, q)
+    pro = prolong(v, q, coefvals)
+    if v.sig.odd_independents:
+        th1 = q.base_value("theta1")
+        th2 = q.base_value("theta2")
+        a, b, cosP, th12 = q.criterion_values
+        rho = coefvals["theta1"].partial(())
+        sig_ = coefvals["theta2"].partial(())
+        Pi = coefvals["Phi"].partial(())
+        return (
+            rho * a
+            - sig_ * b
+            - Pi * cosP
+            + pro["Phi", ("x", "t")] * th12
+            + pro["Phi", ("t", "theta1")] * th2
+            - pro["Phi", ("x", "theta2")] * th1
+            - pro["Phi", ("theta1", "theta2")]
+        )
+    phi, psi = q.coordinate("phi"), q.coordinate("psi")
+    w, sh2, shm2, sh, ch = q.criterion_values
+    U = coefvals["u"].partial(())
+    S = coefvals["phi"].partial(())
+    Ps = coefvals["psi"].partial(())
+    r1 = pro["u", ("x", "t")] - (U * w + S * sh2 * psi + Ps * shm2 * phi)
+    r2 = pro["phi", ("t",)] - (U * 0.5 * sh * psi - Ps * ch)
+    r3 = pro["psi", ("x",)] - (U * -0.5 * sh * phi + S * ch)
+    return r1, r2, r3
+
+
+def _criterion_specs():
+    """Every named generator and both shift specs of each picture."""
+    for sig, named, shift in ((SSG_SIGNATURE, ssg_named_generators, ssg_shift_spec),
+                              (COMPONENT_SIGNATURE, component_named_generators,
+                               component_shift_spec)):
+        yield from ((sig, name, spec) for name, spec in named(CTX).items())
+        yield sig, "shift", shift(CTX)
+
+
+def test_criterion_over_its_slots_keeps_every_bit():
+    # reading only the slots the criterion contains gives the bits of the
+    # criterion over every slot, off shell and on shell
+    for sig, name, spec in _criterion_specs():
+        for seed in range(12):
+            p = random_jet_point(sig, 6100 + seed, CTX)
+            for q in (p, p.onshell):
+                got = symmetry_residual(spec, q)
+                want = _criterion_from_every_slot(spec, q)
+                got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+                assert [bits(r.terms) for r in got] == [bits(r.terms) for r in want], (name, seed)
+
+
+def test_criterion_evaluates_only_its_slots(monkeypatch):
+    # the criterion hands evaluate_expr the tables of the 4 superspace or 3
+    # component slots it reads, each once, and no other table
+    seen = []
+    evaluate = prolongation.evaluate_expr
+
+    def counted(expr, coefvals, p):
+        seen.append(expr)
+        return evaluate(expr, coefvals, p)
+
+    monkeypatch.setattr(prolongation, "evaluate_expr", counted)
+    for spec, sig, slots in (
+        (ssg_named_generators(CTX)["L"], SSG_SIGNATURE,
+         [("Phi", ("x", "t")), ("Phi", ("t", "theta1")), ("Phi", ("x", "theta2")),
+          ("Phi", ("theta1", "theta2"))]),
+        (component_named_generators(CTX)["D"], COMPONENT_SIGNATURE,
+         [("u", ("x", "t")), ("phi", ("t",)), ("psi", ("x",))]),
+    ):
+        seen.clear()
+        symmetry_residual(spec, random_jet_point(sig, 31, CTX))
+        table = prolongation._live_table(spec)
+        assert len(table) > len(slots)
+        assert [id(e) for e in seen] == [id(table[slot]) for slot in slots]
+
+
+def test_prolongation_suite_reports_alike_from_three_threads(tmp_path, capsys):
+    # from cold memos, three workers at once write the serial run's report
+    args = ["verify", "--suite", "prolongation", "--seed", "0", "--out"]
+    assert main(args + [str(tmp_path / "serial.json")]) == 0
+    want = (tmp_path / "serial.json").read_bytes()
+    clear_memos()
+    codes, errors = [], []
+
+    def work(i):
+        try:
+            codes.append(main(args + [str(tmp_path / f"worker{i}.json")]))
+        except BaseException as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and codes == [0, 0, 0]
+    for i in range(3):
+        assert (tmp_path / f"worker{i}.json").read_bytes() == want, i
 
 
 def _random_jet_point_reference(sig, rng_seed, ctx):

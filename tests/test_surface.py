@@ -42,12 +42,22 @@ values it wraps.
 package, and a dataclass generates and compiles its methods at import; a
 record is a ``NamedTuple``, or a plain class where it validates, caches or
 changes.
+
+Every memo that lives as long as its module is one that
+``helpers.clear_memos`` empties (``helpers.MEMOS``): a top-level function or
+a method of a top-level class under ``@cache`` or ``@lru_cache``, a top-level
+name bound to an empty dict, and, for each top-level instance of a class of
+the same module, the empty dicts its ``__init__`` keeps on ``self`` and its
+``cached_property``s.  A top-level dict that is filled at import and only
+read after is no memo, and is named in ``NOT_MEMOS`` with its reason.
 """
 
 import ast
 import pathlib
 import re
 from collections import Counter
+
+from helpers import MEMOS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "susygordon"
@@ -629,3 +639,131 @@ def build():
     assert dataclasses_in({"mod": ast.parse(src)}) == [
         "mod.Bare", "mod.Called", "mod.Dotted", "mod.Local",
     ]
+
+
+# top-level empty dicts that are no memos: filled at import, only read after
+NOT_MEMOS = {
+    "catalog._REGISTRY": "the solution catalog, filled by _register at import",
+}
+
+
+def _decorator_names(node) -> set:
+    """The names of ``node``'s decorators, bare or called, as a name or an
+    attribute."""
+    names = set()
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        names.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    return names
+
+
+def _empty_dict(value) -> bool:
+    return (isinstance(value, ast.Dict) and not value.keys) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id == "dict" and not value.args and not value.keywords)
+
+
+def _bound(node) -> list:
+    """The targets of an assignment, or ``[]`` for any other statement."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, ast.AnnAssign) and node.value else []
+
+
+def _instance_memos(cls) -> list:
+    """The empty dicts ``cls.__init__`` keeps on ``self``, and the class's
+    ``cached_property``s."""
+    out = []
+    for item in cls.body:
+        if not isinstance(item, ast.FunctionDef):
+            continue
+        if "cached_property" in _decorator_names(item):
+            out.append(item.name)
+        if item.name == "__init__":
+            out += [t.attr for n in ast.walk(item) for t in _bound(n)
+                    if _empty_dict(n.value) and isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name) and t.value.id == "self"]
+    return out
+
+
+def module_memos(modules: dict) -> list:
+    """Every memo of ``modules`` that lives as long as its module, named as
+    ``helpers.MEMOS`` names them."""
+    memo_decorators = {"cache", "lru_cache"}
+    found = []
+    for mod, tree in modules.items():
+        classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and _decorator_names(node) & memo_decorators:
+                found.append(f"{mod}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{mod}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and _decorator_names(item) & memo_decorators]
+            names = [t.id for t in _bound(node) if isinstance(t, ast.Name)]
+            if names and _empty_dict(node.value):
+                found += [f"{mod}.{n}" for n in names]
+            elif (names and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Name) and node.value.func.id in classes):
+                found += [f"{mod}.{n}.{attr}" for n in names
+                          for attr in _instance_memos(classes[node.value.func.id])]
+    return sorted(found)
+
+
+def test_clear_memos_knows_every_module_memo():
+    modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    assert module_memos(modules) == sorted([*MEMOS, *NOT_MEMOS])
+
+
+def test_guard_sees_every_kind_of_module_memo():
+    src = '''
+import functools
+from functools import cache, cached_property, lru_cache
+
+TABLE = {"a": 1}
+_SEEN = {}
+_NAMED: dict = dict()
+
+@cache
+def bare(x):
+    return x
+
+@functools.lru_cache(maxsize=8)
+def dotted(x):
+    return x
+
+def plain(x):
+    return x
+
+class Shape:
+    def __init__(self):
+        self.names = {"x": 0}
+        self._keys = {}
+        self._hits: dict = {}
+
+    @cached_property
+    def area(self):
+        return 1.0
+
+    @lru_cache
+    def method(self, x):
+        return x
+
+class Local:
+    def __init__(self):
+        self._memo = {}
+
+SQUARE = Shape()
+
+def build():
+    return Local()
+'''
+    assert module_memos({"mod": ast.parse(src)}) == [
+        "mod.SQUARE._hits", "mod.SQUARE._keys", "mod.SQUARE.area", "mod.Shape.method",
+        "mod._NAMED", "mod._SEEN", "mod.bare", "mod.dotted",
+    ]
+    # one unlisted memo in the package fails the comparison
+    modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    modules["made_up"] = ast.parse("from functools import cache\n@cache\ndef f(x):\n    return x\n")
+    assert module_memos(modules) != sorted([*MEMOS, *NOT_MEMOS])
+    assert "made_up.f" in module_memos(modules)
