@@ -277,7 +277,8 @@ def _rows(criterion):
 def prolongation_gaps(picture):
     """Sampler of recursive against expanded prolongation, one residual per
     jet point and generator; both routes read one evaluation of the
-    generator's coefficients at the point."""
+    generator's coefficients at the point, and the recursion evaluates only
+    the slots the expanded route returns."""
     sig, named = _PICTURES[picture][:2]
 
     def residuals(ctx, base, count):
@@ -286,8 +287,8 @@ def prolongation_gaps(picture):
             p = random_jet_point(sig, base + s, ctx)
             for spec in gens.values():
                 coefvals = evaluate_spec(spec, p)
-                a = prolong(spec, p, coefvals)
                 b = prolong_expanded(spec, p, coefvals)
+                a = prolong(spec, p, coefvals, b)
                 yield worst_of((a[key] - val).norm() for key, val in b.items())
 
     return residuals

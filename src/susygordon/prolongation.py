@@ -17,11 +17,12 @@ Prolonged coefficients come from the graded recursion
     P^AB = D_B P^A - sum_C (D_B zeta^C) u_AC
 
 with every product kept in exactly this order, built symbolically by
-``prolonged_expr`` (one step per direction, once per signature) and then
-evaluated at sampled points.  Each coefficient function declares the
-variables it reads, and the terms that a declaration makes zero are pruned
-once per table.  The long-hand closed forms live in prolong_expanded as an
-independent transcription, whose text stays as written.
+``prolonged_expr`` (one step per direction, once per signature, parities and
+declarations) and then evaluated at sampled points.  Each coefficient
+function declares the variables it reads, and each step of the recursion
+drops the terms that a declaration makes zero.  The long-hand closed forms
+live in prolong_expanded as an independent transcription, whose text stays
+as written.
 
 What depends only on a jet point is built once per point: a ``JetPoint``
 keeps its on-shell restriction, its seed jets, the coordinate values that
@@ -76,7 +77,8 @@ class ProblemSignature:
     """Named independents and dependents with their parities.
 
     The name tables are pure functions of the fields, so they are built
-    with the signature.  Signatures compare and hash by their fields.
+    with the signature.  Signatures compare and hash by their fields; the
+    hash is formed once, because every table lookup hashes the signature.
     """
 
     def __init__(self, independents: tuple[tuple[str, Parity], ...],
@@ -87,6 +89,7 @@ class ProblemSignature:
         self.independents = independents
         self.dependents = dependents
         self.order = order
+        self._hash = hash(self._key())
         # name -> (direction index, parity), independents first
         self._variables = {n: (i, p) for i, (n, p) in enumerate(independents + dependents)}
         self._coordinate_keys = {}  # memo of coordinate_key, filled on use
@@ -99,7 +102,7 @@ class ProblemSignature:
         return type(other) is ProblemSignature and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def _key(self) -> tuple:
         return self.independents, self.dependents, self.order
@@ -400,12 +403,10 @@ class CoefficientFn:
     name) that the function depends on; ``None`` means any of them.  A
     declaration is a promise that every partial along an undeclared
     direction is the empty number at every point.  Prolongation relies on
-    it: table terms with such a partial are dropped once per table (the
-    pruned tables are cached as immutable values, built whole before they
-    are published, so a concurrent first fill is harmless), and
-    ``EvaluatedCoefficient.partial`` answers such a partial without jet
-    work.  Declaring too much is safe; declaring too little gives wrong
-    prolongations.
+    it: ``prolonged_expr`` drops the table terms with such a partial at
+    each step of its recursion, and ``EvaluatedCoefficient.partial``
+    answers such a partial without jet work.  Declaring too much is safe;
+    declaring too little gives wrong prolongations.
     """
 
     __slots__ = ("parity", "sectors", "reads")
@@ -442,7 +443,7 @@ class VectorFieldSpec:
                 raise ValueError(f"coefficient of {name} reads unknown variables")
         self.sig = sig
         self.coefficients = coefficients
-        # the key of the field's pruned tables in ``_live_table``
+        # the key of the field's tables in ``prolonged_expr``
         reads = tuple(sorted((name, c.reads) for name, c in coefficients.items()))
         self.table_key = (sig, self.parity_table(), reads)
 
@@ -557,16 +558,14 @@ def evaluate_spec(v: VectorFieldSpec, p: JetPoint) -> dict:
 def evaluate_expr(expr: JetExpr, coefvals: dict, p: JetPoint) -> GrassmannNumber:
     """The sum over the terms ``(c, (f1, f2, ...))`` of ``c * f1 * f2 * ...``.
 
-    ``prolong`` passes tables from which the terms with a partial that a
-    ``CoefficientFn.reads`` declaration rules out are already gone; it
-    prunes each table once and caches the result as an immutable value
-    built before it is published, so a concurrent first fill is harmless.
-    A term that is zero only at some points is still dropped here, at its
-    first empty factor, before any product is formed; the factors after
-    that one are not looked up.  A surviving term is multiplied left to
-    right from ``scalar(c)`` and the terms are summed in table order.  That
-    order keeps every value, and so every report, bit for bit the same as
-    multiplying every term of the full table through.
+    ``prolong`` passes tables of ``prolonged_expr``, from which the terms
+    with a partial that a ``CoefficientFn.reads`` declaration rules out are
+    already gone.  A term that is zero only at some points is dropped here,
+    at its first empty factor, before any product is formed; the factors
+    after that one are not looked up.  A surviving term is multiplied left
+    to right from ``scalar(c)`` and the terms are summed in table order.
+    That order keeps every value, and so every report, bit for bit the same
+    as multiplying every term of the full table through.
     """
     acc = p.ctx.zero()
     for c, fs in expr:
@@ -591,7 +590,8 @@ def evaluate_expr(expr: JetExpr, coefvals: dict, p: JetPoint) -> GrassmannNumber
 
 
 @cache
-def prolonged_expr(sig: ProblemSignature, parities: tuple, dep: str, dirs: tuple) -> tuple:
+def prolonged_expr(sig: ProblemSignature, parities: tuple, reads: tuple, dep: str,
+                   dirs: tuple) -> tuple:
     """Terms of the prolonged coefficient of ``dep`` along ``dirs``.
 
     One step of the graded recursion per direction, the last one B:
@@ -599,13 +599,18 @@ def prolonged_expr(sig: ProblemSignature, parities: tuple, dep: str, dirs: tuple
         P^{..B} = D_B P^{..} - sum_C (D_B zeta^C) u_{..C}
 
     starting from the coefficient function of ``dep`` itself, with every
-    product kept in the order written.  ``parities`` is the field's
-    ``VectorFieldSpec.parity_table()``.  The terms are an immutable tuple,
-    so a concurrent first fill only builds an equal value.
+    product kept in the order written.  ``sig``, ``parities`` and ``reads``
+    are a field's ``VectorFieldSpec.table_key``.  Each step drops the terms
+    with a partial along a direction that its target's ``reads``
+    declaration leaves out; a total derivative of such a term has only such
+    terms, so no other term is lost, and the others keep their order and
+    coefficients.  A field with no declarations (every ``reads`` ``None``)
+    gets the whole table.  The terms are an immutable tuple, so a
+    concurrent first fill only builds an equal value.
     """
     coef_parity = dict(parities)
     head, b = dirs[:-1], dirs[-1]
-    prev = prolonged_expr(sig, parities, dep, head) if head else [(1.0, (FnF(dep, ()),))]
+    prev = prolonged_expr(sig, parities, reads, dep, head) if head else [(1.0, (FnF(dep, ()),))]
     e = total_derivative_expr(sig, coef_parity, prev, b)
     for c_, _ in sig.independents:
         dz = total_derivative_expr(sig, coef_parity, [(1.0, (FnF(c_, ()),))], b)
@@ -613,7 +618,10 @@ def prolonged_expr(sig: ProblemSignature, parities: tuple, dep: str, dirs: tuple
         if ckey is None:
             continue
         e = expr_sub(e, [(cc * sc, fs + (CoordF(*ckey),)) for cc, fs in dz])
-    return tuple(collect(e))
+    declared = dict(reads)
+    return tuple((c, fs) for c, fs in collect(e)
+                 if all(declared[f.target] is None or declared[f.target].issuperset(f.derivs)
+                        for f in fs if isinstance(f, FnF)))
 
 
 SSG_PAIRS = (("x", "t"), ("t", "theta1"), ("x", "theta2"), ("theta1", "theta2"))
@@ -628,57 +636,20 @@ def _slots(sig: ProblemSignature) -> list:
     return [(dep, (a,)) for dep in ("u", "phi", "psi") for a in ("x", "t")] + [("u", ("x", "t"))]
 
 
-_LIVE_CACHE: dict = {}
-
-
-def _live_table(v: VectorFieldSpec) -> MappingProxyType:
-    """``{slot: table expression}`` without the terms the declarations kill.
-
-    A term dies when one of its coefficient-function factors takes a
-    partial along a direction its target does not read; a total derivative
-    of a dead term has only dead terms, so no live term is lost.  The
-    surviving terms keep their table order and factor order.  The result
-    depends only on the signature, the parities and the declarations, which
-    the field's ``table_key`` holds; it is an immutable value built whole
-    before it is published in the cache, so a concurrent first fill only
-    builds an equal value twice.
-    """
-    key = v.table_key
-    live = _LIVE_CACHE.get(key)
-    if live is None:
-        sig, parities, declared = key
-        reads = dict(declared)
-
-        def alive(fs):
-            for f in fs:
-                if isinstance(f, FnF):
-                    r = reads[f.target]
-                    if r is not None and not r.issuperset(f.derivs):
-                        return False
-            return True
-
-        live = MappingProxyType({
-            (dep, dirs): tuple(term for term in prolonged_expr(sig, parities, dep, dirs)
-                               if alive(term[1]))
-            for dep, dirs in _slots(sig)
-        })
-        _LIVE_CACHE[key] = live
-    return live
-
-
 def prolong(v: VectorFieldSpec, p: JetPoint, coefvals: dict | None = None,
             slots=None) -> dict:
     """The prolonged coefficients via the graded recursion, as
     ``{(dependent, directions): value}``: every slot of ``_slots``, or only
-    the given ``slots`` in their order.
+    the given ``slots`` in their order.  Each slot's table is
+    ``prolonged_expr`` under the field's ``table_key``.
 
     ``coefvals`` is ``evaluate_spec(v, p)``, evaluated here when not given.
     """
     if coefvals is None:
         coefvals = evaluate_spec(v, p)
-    table = _live_table(v)
-    return {slot: evaluate_expr(table[slot], coefvals, p)
-            for slot in (table if slots is None else slots)}
+    key = v.table_key
+    return {slot: evaluate_expr(prolonged_expr(*key, *slot), coefvals, p)
+            for slot in (_slots(v.sig) if slots is None else slots)}
 
 
 # ------------------------------------------------- expanded closed-form route

@@ -313,19 +313,21 @@ def _inv_s12(jx, jt, p, ctx):
 _SUPER_NAMES = ("alpha", "mu", "nu", "beta")
 _ODD_NAMES = ("alpha", "eta", "lambda", "beta")
 
+# a case's parameters are the slots of its subalgebra template
 CASES = {
-    case_id: ReductionCase(case_id, names, params, signs, invariants, CASE_ROWS[case_id])
-    for case_id, names, params, signs, invariants in (
-        ("S1", _SUPER_NAMES, (), (-1.0, 1.0, -1.0, 1.0), _inv_s1),
-        ("S2", _SUPER_NAMES, (), (-1.0, -1.0, -1.0, -1.0), _inv_s2),
-        ("S3", _SUPER_NAMES, (), (-1.0, 1.0, -1.0, -1.0), _inv_s3),
-        ("S4", _SUPER_NAMES, ("eps",), (-1.0, 1.0, 1.0, -1.0), _inv_s4),
-        ("S6", _ODD_NAMES, ("mu",), (-1.0, 1.0, -1.0, -1.0), _inv_s6),
-        ("S7", _ODD_NAMES, ("mu",), (-1.0, 1.0, 1.0, -1.0), _inv_s7),
-        ("S8", _ODD_NAMES, ("mu", "eps"), (-1.0, 1.0, 1.0, -1.0), _inv_s8),
-        ("S10", _ODD_NAMES, ("nu",), (1.0, -1.0, -1.0, 1.0), _inv_s10),
-        ("S11", _ODD_NAMES, ("nu",), (1.0, -1.0, 1.0, 1.0), _inv_s11),
-        ("S12", _ODD_NAMES, ("nu", "eps"), (1.0, -1.0, -1.0, 1.0), _inv_s12),
+    case_id: ReductionCase(case_id, names, subalgebra(case_id).slots, signs, invariants,
+                           CASE_ROWS[case_id])
+    for case_id, names, signs, invariants in (
+        ("S1", _SUPER_NAMES, (-1.0, 1.0, -1.0, 1.0), _inv_s1),
+        ("S2", _SUPER_NAMES, (-1.0, -1.0, -1.0, -1.0), _inv_s2),
+        ("S3", _SUPER_NAMES, (-1.0, 1.0, -1.0, -1.0), _inv_s3),
+        ("S4", _SUPER_NAMES, (-1.0, 1.0, 1.0, -1.0), _inv_s4),
+        ("S6", _ODD_NAMES, (-1.0, 1.0, -1.0, -1.0), _inv_s6),
+        ("S7", _ODD_NAMES, (-1.0, 1.0, 1.0, -1.0), _inv_s7),
+        ("S8", _ODD_NAMES, (-1.0, 1.0, 1.0, -1.0), _inv_s8),
+        ("S10", _ODD_NAMES, (1.0, -1.0, -1.0, 1.0), _inv_s10),
+        ("S11", _ODD_NAMES, (1.0, -1.0, 1.0, 1.0), _inv_s11),
+        ("S12", _ODD_NAMES, (1.0, -1.0, -1.0, 1.0), _inv_s12),
     )
 }
 

@@ -15,6 +15,8 @@ value of the invariant variable and appends the rewritten second-order rows
 of the scaling case (``scaling_rewrite_rows``) and of the traveling case.
 ``clear_memos`` empties every memo of ``src/`` that lives as long as its
 module, the ones ``MEMOS`` names; ``test_surface`` finds any it misses.
+``assert_reports_alike_from_three_threads`` runs a suite from those cold
+memos in three threads at once and compares each report with a serial run.
 """
 
 import importlib
@@ -22,9 +24,12 @@ import itertools
 import math
 import random
 import struct
+import sys
+import threading
 
 from susygordon import analytic, elliptic
 from susygordon.analytic import ARCSIN, RECIP, TANH, DomainError, Power
+from susygordon.cli import main
 from susygordon.grassmann import (
     DEFAULT_CONTEXT,
     AlgebraContext,
@@ -50,7 +55,6 @@ MEMOS = (
     "grassmann._SIGN_CACHE",
     "prolongation.COMPONENT_SIGNATURE._coordinate_keys",
     "prolongation.SSG_SIGNATURE._coordinate_keys",
-    "prolongation._LIVE_CACHE",
     "prolongation._sample_layout",
     "prolongation.prolonged_expr",
     "superjet._faa_plan",
@@ -71,6 +75,38 @@ def clear_memos():
             memo.cache_clear()
         else:
             memo.clear()
+
+
+def assert_reports_alike_from_three_threads(suite, tmp_path):
+    """``verify --suite SUITE --seed 0`` run serially, then, from cold memos,
+    in three threads at once with a tiny switch interval (restored after):
+    every worker exits 0 and writes the serial report byte for byte."""
+    args = ["verify", "--suite", suite, "--seed", "0", "--out"]
+    assert main(args + [str(tmp_path / "serial.json")]) == 0
+    want = (tmp_path / "serial.json").read_bytes()
+    clear_memos()
+    codes, errors = [], []
+
+    def work(i):
+        try:
+            codes.append(main(args + [str(tmp_path / f"worker{i}.json")]))
+        except BaseException as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and codes == [0, 0, 0]
+    for i in range(3):
+        assert (tmp_path / f"worker{i}.json").read_bytes() == want, i
 
 
 def exact(f, *args):

@@ -17,6 +17,8 @@ from susygordon.checks import _entry
 from susygordon.cli import Report, RunConfig, _emit, _render_json, _run_checks, main
 from susygordon.odes import integrate_profile_ode, make_system
 
+from helpers import assert_reports_alike_from_three_threads
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -117,6 +119,14 @@ def test_crashed_check_fails_and_leaves_the_others_intact():
     assert [(r._replace(wall_time=0.0), n) for r, n in results[::2]] == [
         (r._replace(wall_time=0.0), n) for r, n in alone
     ]
+
+
+@pytest.mark.parametrize("suite", ["algebra", "reductions", "solutions", "elliptic"])
+def test_suite_reports_alike_from_three_threads(suite, tmp_path, capsys):
+    # from cold memos, three workers at once write the serial run's report;
+    # test_prolongation runs the prolongation suite the same way
+    assert_reports_alike_from_three_threads(suite, tmp_path)
+    capsys.readouterr()
 
 
 def _reject_constant(name):

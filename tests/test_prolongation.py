@@ -3,8 +3,6 @@
 import math
 import operator
 import random
-import sys
-import threading
 from collections import Counter
 from itertools import product
 
@@ -13,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susygordon.grassmann import DEFAULT_CONTEXT as CTX
-from susygordon.grassmann import AlgebraContext, GrassmannNumber, Parity, apply_analytic
+from susygordon.grassmann import (
+    AlgebraContext,
+    GrassmannNumber,
+    Parity,
+    apply_analytic,
+    worst_count,
+)
 from susygordon.analytic import COS
 from susygordon import checks, grassmann, prolongation
 from susygordon.cli import RunConfig, _run_checks, main
@@ -49,7 +53,7 @@ from susygordon.prolongation import (
     total_derivative_expr,
 )
 
-from helpers import bits, clear_memos, general_product, general_sum
+from helpers import assert_reports_alike_from_three_threads, bits, general_product, general_sum
 
 
 def total_derivative(p, expr, direction):
@@ -436,7 +440,8 @@ class ReferenceTable:
 
 
 def _expr(spec, dep, dirs):
-    return prolonged_expr(spec.sig, spec.parity_table(), dep, dirs)
+    """The unpruned table: ``prolonged_expr`` under no declaration."""
+    return prolonged_expr(*_undeclared(spec).table_key, dep, dirs)
 
 
 def test_recursion_matches_the_per_order_table():
@@ -446,11 +451,12 @@ def test_recursion_matches_the_per_order_table():
             # equal terms in the same order
             assert list(_expr(spec, dep, dirs)) == table.slot(dep, dirs), (name, dep, dirs)
         # the pruned tables are the reference's terms minus the ruled-out ones
-        for (dep, dirs), live in prolongation._live_table(spec).items():
+        for dep, dirs in prolongation._slots(spec.sig):
             want = [(c, fs) for c, fs in table.slot(dep, dirs)
                     if all(spec.coefficients[f.target].reads is None
                            or spec.coefficients[f.target].reads.issuperset(f.derivs)
                            for f in fs if isinstance(f, FnF))]
+            live = prolonged_expr(*spec.table_key, dep, dirs)
             assert list(live) == want, (name, dep, dirs)
 
 
@@ -490,7 +496,7 @@ def test_prolongation_product_counts(monkeypatch):
     assert calls["full"] == 65
     calls.clear()
     list(checks.prolongation_gaps("component")(CTX, 2087, 1))
-    assert calls["full"] == 32
+    assert calls["full"] == 16
     calls.clear()
     list(checks.symmetry_residuals("superspace")(CTX, 3001, 1))
     assert (calls["all"], calls["full"]) == (104, 54)
@@ -766,40 +772,36 @@ def test_criterion_evaluates_only_its_slots(monkeypatch):
     ):
         seen.clear()
         symmetry_residual(spec, random_jet_point(sig, 31, CTX))
-        table = prolongation._live_table(spec)
-        assert len(table) > len(slots)
-        assert [id(e) for e in seen] == [id(table[slot]) for slot in slots]
+        assert len(prolongation._slots(sig)) > len(slots)
+        assert [id(e) for e in seen] == [id(prolonged_expr(*spec.table_key, *slot))
+                                         for slot in slots]
+
+
+def test_component_gap_evaluates_only_the_compared_slots(monkeypatch):
+    # the component check compares phi_t and psi_x alone, so the recursion
+    # evaluates just those two tables per generator and point: 360 tables
+    # over its 60 points at seed 1, where all seven slots made 1,260
+    seen = []
+    evaluate = prolongation.evaluate_expr
+
+    def counted(expr, coefvals, p):
+        seen.append(id(expr))
+        return evaluate(expr, coefvals, p)
+
+    monkeypatch.setattr(prolongation, "evaluate_expr", counted)
+    residuals = checks.prolongation_gaps("component")(CTX, 2087, 60)
+    assert worst_count(residuals) == (0.0, 180)
+    assert len(seen) == 360
+    compared = {id(prolonged_expr(*spec.table_key, *slot))
+                for spec in component_named_generators(CTX).values()
+                for slot in (("phi", ("t",)), ("psi", ("x",)))}
+    assert set(seen) == compared
 
 
 def test_prolongation_suite_reports_alike_from_three_threads(tmp_path, capsys):
     # from cold memos, three workers at once write the serial run's report
-    args = ["verify", "--suite", "prolongation", "--seed", "0", "--out"]
-    assert main(args + [str(tmp_path / "serial.json")]) == 0
-    want = (tmp_path / "serial.json").read_bytes()
-    clear_memos()
-    codes, errors = [], []
-
-    def work(i):
-        try:
-            codes.append(main(args + [str(tmp_path / f"worker{i}.json")]))
-        except BaseException as e:
-            errors.append(e)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
+    assert_reports_alike_from_three_threads("prolongation", tmp_path)
     capsys.readouterr()
-    assert not any(t.is_alive() for t in threads)
-    assert errors == [] and codes == [0, 0, 0]
-    for i in range(3):
-        assert (tmp_path / f"worker{i}.json").read_bytes() == want, i
 
 
 def _random_jet_point_reference(sig, rng_seed, ctx):

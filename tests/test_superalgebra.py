@@ -1,12 +1,15 @@
 """Bracket table, adjoint action, and the subalgebra catalog."""
 
+import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susygordon.checks import bracket_table_residuals, graded_jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT, GrassmannNumber, Parity, ParityError
 from susygordon.superalgebra import (
     STRUCTURE_TABLE,
@@ -100,6 +103,48 @@ def test_jacobi_identity(seed):
         + bracket(Z, bracket(X, Y))
     )
     assert total.norm() < 1e-12
+
+
+# Exact-input twins: every coefficient is a small dyadic rational k/4, so
+# each product and sum of the identities is exact in double precision and a
+# correct identity reads exactly 0.0.  They add to the random float draws,
+# which expose order-dependent rounding that exact inputs would hide.
+DYADIC = tuple(k / 4 for k in range(-8, 9))
+
+
+def dyadic_elem(rng):
+    """An element shaped like ``checks.random_algebra_element``, with every
+    coefficient drawn from ``DYADIC``."""
+    def w():
+        return rng.choice(DYADIC)
+
+    return elem(L=ctx.scalar(w()) + MU * NU * w(), Px=w(), Pt=w(),
+                Qx=MU * w() + ETA * w(), Qt=NU * w() + LAM * w())
+
+
+def test_graded_jacobi_is_exactly_zero_on_dyadic_coefficients():
+    rng = random.Random(17)
+    for _ in range(200):
+        X, Y, Z = dyadic_elem(rng), dyadic_elem(rng), dyadic_elem(rng)
+        assert graded_jacobi(X, Y, Z) == 0.0
+
+
+def test_bracket_table_is_exactly_zero_on_dyadic_weights():
+    # the rows of the registry's abstract_bracket_table, [X, Y] = want, hold
+    # exactly for every pair of dyadic weights on X and Y
+    assert bracket_table_residuals(ctx, 0, None) == [0.0] * 14
+    L, Px, Pt = (basis_element(k, ctx) for k in ("L", "Px", "Pt"))
+    qx, qt, zero = elem(Qx=MU), elem(Qt=NU), elem()
+    rows = (
+        (L, Px, Px * 2.0), (L, Pt, Pt * -2.0), (Px, Pt, zero), (Px, Px, zero),
+        (L, L, zero), (L, qx, qx), (L, qt, qt * -1.0), (qx, L, qx * -1.0),
+        (qx, Px, zero), (qt, Pt, zero), (qx, qt, zero), (qx, qx, zero),
+        (qx, elem(Qx=ETA), elem(Px=MU * ETA * 2.0)),
+        (qt, elem(Qt=LAM), elem(Pt=NU * LAM * 2.0)),
+    )
+    for a, b in itertools.product(DYADIC, repeat=2):
+        for X, Y, want in rows:
+            assert (bracket(X * a, Y * b) - want * (a * b)).norm() == 0.0, (a, b)
 
 
 def test_bracket_bilinear_over_even_weights():
