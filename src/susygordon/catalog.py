@@ -12,9 +12,13 @@ known to meet there.  Three tiers:
   data closes all higher derivatives through the equation itself.
 
 Entry names are stable catalog keys; the command line layer exposes them
-verbatim.  Builders take a parameter dict (defaults per entry) and an
-algebra context, and return a ``Superfield`` whose residual can be checked
-pointwise with ``ssg_residual``.
+verbatim.  The entries are one table, ``_REGISTRY``, written in the order
+``catalog_names`` lists them.  Builders take a parameter dict (defaults per
+entry) and an algebra context, and return a ``Superfield`` whose residual
+can be checked pointwise with ``ssg_residual``.  An odd parameter follows
+the reductions' rule, ``reductions.odd_param``: left at ``None`` it is a
+context generator, and anything but an odd supernumber raises
+``ParityError``.
 """
 
 import math
@@ -37,12 +41,10 @@ from .grassmann import (
     DEFAULT_CONTEXT,
     TIER_DEFAULTS,
     AlgebraContext,
-    GrassmannNumber,
-    ParityError,
     worst_of,
 )
 from .odes import NEAR_SINGULAR_COS, REDUCED_ODES, NearSingular, integrate_two_sided, make_system
-from .reductions import build_ansatz, const_profile, profile, zero_profile
+from .reductions import build_ansatz, const_profile, odd_param, profile, zero_profile
 from .superfield import (
     Superfield,
     component_superfield,
@@ -59,36 +61,29 @@ from .superjet import (
 )
 
 
-def _odd_param(value, name: str, ctx: AlgebraContext, role: str | None = None) -> GrassmannNumber:
-    # role: which context generator backs the default; names the parameter
-    # keeps for error messages even when the slot rides another generator
-    if value is None:
-        return ctx.gen(role or name)
-    if not isinstance(value, GrassmannNumber):
-        raise TypeError(f"{name} must be an odd supernumber")
-    if not value.is_odd():
-        raise ParityError(f"{name} must be odd")
-    return value
-
-
 def _whole(v) -> int:
-    if v != int(v):
+    # finiteness comes first: int() refuses nan and inf with its own error
+    if not math.isfinite(v) or v != int(v):
         raise ValueError(f"k must be a whole number, got {v}")
     return int(v)
 
 
 class SolutionEntry(NamedTuple):
-    """One catalog row: how to build the field and where it is certified."""
+    """One catalog row: how to build the field and where it is checked.
+
+    ``builder(p, ctx)`` returns the ``Superfield`` for the parameter dict
+    ``p`` (the entry's ``defaults`` with any given values merged in), and
+    ``grid_fn(p, ctx)`` the ``(x, t)`` points its residual is checked on;
+    ``tier`` names the tolerance it meets there.
+    """
 
     name: str
     subalgebra: str
     tier: str  # a key of TIER_DEFAULTS
     summary: str
-    domain: str
     defaults: dict
     builder: Callable
     grid_fn: Callable
-    notes: str = ""
 
     @property
     def tolerance(self) -> float:
@@ -127,7 +122,7 @@ def _dressed_vacuum(case: str, name: str, slot: str):
 
     def build(p, ctx):
         k = _whole(p["k"])
-        c = _odd_param(p[name], name, ctx, role="mu0")
+        c = odd_param(p[name], name, ctx, role="mu0")
         bare = const_profile(c, ctx)
         profiles = {
             "alpha": const_profile((k + 0.5) * math.pi, ctx),
@@ -155,8 +150,8 @@ def _mirrored_dressing(name: str, profiled: str):
 
     def build(p, ctx):
         k = _whole(p["k"])
-        c = _odd_param(p[name], name, ctx)
-        lam = _odd_param(p["lambda0"], "lambda0", ctx)
+        c = odd_param(p[name], name, ctx)
+        lam = odd_param(p["lambda0"], "lambda0", ctx)
         fn = p["profile"]
         w = _half_weight(k)
         slope = w if profiled == "phi" else -w
@@ -183,7 +178,7 @@ def _mirrored_dressing(name: str, profiled: str):
 
 
 def _build_d5(p, ctx):
-    d1 = _odd_param(p["D1"], "D1", ctx)
+    d1 = odd_param(p["D1"], "D1", ctx)
     profiles = {
         "alpha": profile(ctx, (1.0, TaylorFn(lambda s: s.apply(TANH).apply(ARCSIN)))),
         "mu": profile(ctx, (d1, SECH)),
@@ -211,8 +206,8 @@ def oscillatory_pair_profiles(d1, d2, ctx: AlgebraContext = DEFAULT_CONTEXT) -> 
 
 
 def _build_d18(p, ctx):
-    d1 = _odd_param(p["D1"], "D1", ctx)
-    d2 = _odd_param(p["D2"], "D2", ctx)
+    d1 = odd_param(p["D1"], "D1", ctx)
+    d2 = odd_param(p["D2"], "D2", ctx)
     return build_ansatz("S1", oscillatory_pair_profiles(d1, d2, ctx), ctx=ctx)
 
 
@@ -224,7 +219,7 @@ def _d3_pq(s: TaylorQ):
 
 
 def _build_d3(p, ctx):
-    d1 = _odd_param(p["D1"], "D1", ctx)
+    d1 = odd_param(p["D1"], "D1", ctx)
 
     def mu_series(s):
         ps, qs = _d3_pq(s)
@@ -340,7 +335,7 @@ def _ginv_parts(name: str, p, ctx):
     traj = integrate_two_sided(system, (float(p["g0"]), float(p["g1"])), -half, half, step)
     gfn = _OdeBackedFn(traj, eps, rec.mirror, k)
     ffn = _OddQuotientFn(gfn, eps, m)
-    g = _odd_param(p[rec.role], rec.role, ctx)
+    g = odd_param(p[rec.role], rec.role, ctx)
     alpha_fn = TaylorFn(lambda s: (s.apply(JacobiSn(m)) * k).apply(ARCSIN))
     profiles = {
         "alpha": profile(ctx, (1.0, alpha_fn)),
@@ -408,14 +403,13 @@ def _vacuum_entry(name: str, subalgebra: str,
         subalgebra=subalgebra,
         tier="exact",
         summary=summary,
-        domain="all of superspace",
         defaults={"k": 1},
         builder=_vacuum_builder,
         grid_fn=_grid_anywhere,
     )
 
 
-def _ginv_entry(name: str, summary: str, notes: str) -> SolutionEntry:
+def _ginv_entry(name: str, summary: str) -> SolutionEntry:
     """An integrated entry; its subalgebra, odd constant and grid sign come
     from the record of the equation it rides."""
     rec = REDUCED_ODES[_GINV_ODES[name]]
@@ -429,141 +423,106 @@ def _ginv_entry(name: str, summary: str, notes: str) -> SolutionEntry:
         subalgebra=rec.case,
         tier="ode",
         summary=summary,
-        domain="sigma in [-halfwidth, halfwidth], eps = -1 only",
         defaults={**_GINV_DEFAULTS, rec.role: None},
         builder=build,
         grid_fn=_grid_ginv(rec.mirror),
-        notes=notes,
     )
 
 
-_REGISTRY = {}
-
-
-def _register(entry: SolutionEntry) -> None:
-    _REGISTRY[entry.name] = entry
-
-
-_register(_vacuum_entry("gian1", "S2"))
-_register(
+# in the order ``catalog_names`` lists them
+_REGISTRY = {entry.name: entry for entry in (
+    _vacuum_entry("gian1", "S2"),
+    # the residual vanishes for every profile choice
     SolutionEntry(
         name="gian1A",
         subalgebra="S2",
         tier="exact",
         summary="shifted vacuum (k + 1/2)*pi dressed by one odd constant and "
         "an arbitrary time profile",
-        domain="all of superspace",
         defaults={"k": 0, "mu0": None, "profile": Poly((0.0, 0.0, 1.0))},
         builder=_dressed_vacuum("S2", "mu0", "nu"),
         grid_fn=_grid_anywhere,
-        notes="the residual vanishes for every profile choice; the default is t**2",
-    )
-)
-_register(_vacuum_entry("gian1B", "S3"))
-_register(
+    ),
+    _vacuum_entry("gian1B", "S3"),
     SolutionEntry(
         name="gian1C",
         subalgebra="S3",
         tier="exact",
         summary="shifted vacuum (k + 1/2)*pi dressed by one odd constant and "
         "an arbitrary space profile",
-        domain="all of superspace",
         defaults={"k": 0, "nu0": None, "profile": Poly((0.0, 0.0, 1.0))},
         builder=_dressed_vacuum("S3", "nu0", "mu"),
         grid_fn=_grid_anywhere,
-        notes="the default odd constant rides the mu0 generator slot",
-    )
-)
-_register(_vacuum_entry("gian1D", "S7"))
-_register(
+    ),
+    _vacuum_entry("gian1D", "S7"),
+    # the odd invariant collapses the profile argument to x
     SolutionEntry(
         name="gian1E",
         subalgebra="S7",
         tier="exact",
         summary="shifted vacuum with a two-odd-constant dressing and a free "
         "profile of the invariant variable",
-        domain="all of superspace",
         defaults={"k": 0, "mu": None, "lambda0": None, "profile": SIN},
         builder=_mirrored_dressing("mu", "phi"),
         grid_fn=_grid_anywhere,
-        notes="the odd invariant collapses the profile argument to x",
-    )
-)
-_register(_vacuum_entry("gian1F", "S10"))
-_register(
+    ),
+    _vacuum_entry("gian1F", "S10"),
+    # the display's reversed product order hides a sign; the theta1 theta2
+    # weight used here is the one with vanishing residual
     SolutionEntry(
         name="gian1G",
         subalgebra="S10",
         tier="exact",
         summary="mirror of gian1E built on the second odd translation",
-        domain="all of superspace",
         defaults={"k": 0, "nu": None, "lambda0": None, "profile": SIN},
         builder=_mirrored_dressing("nu", "psi"),
         grid_fn=_grid_anywhere,
-        notes="the display's reversed product order hides a sign; the "
-        "theta1 theta2 weight used here is the one with vanishing residual",
-    )
-)
-_register(
+    ),
     _vacuum_entry("gian2", "S6, S11",
-                  summary="constant vacuum shared by both mixed translation families")
-)
-_register(
+                  summary="constant vacuum shared by both mixed translation families"),
+    # the background degenerates at the edges of the fundamental cell, where
+    # cn hits +-1; the grid keeps sigma = x - t inside half the cell
     SolutionEntry(
         name="d3",
         subalgebra="S4",
         tier="elliptic",
         summary="elliptic traveling wave at parameter -1 with an odd doublet "
         "built from quarter-angle quotients",
-        domain="sigma = x - t inside (0.25, 2.35), half the fundamental cell",
         defaults={"D1": None},
         builder=_build_d3,
         grid_fn=_grid_d3,
-        notes="eps = +1; the background degenerates at the cell edges where "
-        "cn hits +-1",
-    )
-)
-_register(
+    ),
+    # defined everywhere
     SolutionEntry(
         name="d5",
         subalgebra="S4",
         tier="trig",
         summary="kink arcsin(tanh) with sech/tanh odd dressing",
-        domain="checked on [0.5, 3] x [0.5, 3]; defined everywhere",
         defaults={"D1": None},
         builder=_build_d5,
         grid_fn=_grid_square,
-    )
-)
-_register(
+    ),
+    # defined for x > 0 and t > 0 only
     SolutionEntry(
         name="d18",
         subalgebra="S1",
         tier="trig",
         summary="purely odd oscillatory pair over the scaling invariant x*t",
-        domain="x > 0 and t > 0",
         defaults={"D1": None, "D2": None},
         builder=_build_d18,
         grid_fn=_grid_square,
-    )
-)
-_register(
+    ),
+    # g integrates the damped linear equation; f is its cos-quotient
+    # partner, so both reduced odd rows hold identically at the nodes
     _ginv_entry(
         "ginv9",
         summary="elliptic background with an integrated odd sector over the "
         "mixed traveling invariant",
-        notes="g integrates the damped linear equation; f is its cos-quotient "
-        "partner, so both reduced odd rows hold identically at the nodes",
-    )
-)
-_register(
-    _ginv_entry(
-        "ginv14",
-        summary="mirror entry on the first odd traveling family",
-        notes="the forcing term carries the background slope; dropping it "
-        "breaks the first-order odd row and the residual check catches that",
-    )
-)
+    ),
+    # the forcing term carries the background slope; dropping it breaks the
+    # first-order odd row, and the residual check catches that
+    _ginv_entry("ginv14", summary="mirror entry on the first odd traveling family"),
+)}
 
 
 # ---------------------------------------------------------------- API

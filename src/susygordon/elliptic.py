@@ -4,8 +4,11 @@ Parameter convention: everything is indexed by m = k^2, never by the
 modulus itself, so the m < 0 cases stay in real arithmetic.  m in (0, 1)
 goes through descending arithmetic-geometric-mean steps, m < 0 through
 the negative-parameter map onto (0, 1), and m in {0, 1} through the
-trigonometric / hyperbolic limits.  m > 1 is out of scope.  The AGM
-ladder of each m is computed once and kept (``_agm_ladder``).
+trigonometric / hyperbolic limits.  m > 1 is out of scope, and so is an
+m that is not a finite number.  The descending AGM ladder of each m
+(Abramowitz & Stegun, *Handbook of Mathematical Functions*, 17.6) is
+computed once and kept (``_agm_ladder``); ``jacobi`` walks it back down and
+``ellipk`` reads its last rung.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .grassmann import GrassmannNumber, ParityError
 
 
 class UnsupportedParameter(ValueError):
-    """m > 1 would need the reciprocal-modulus map, which is out of scope."""
+    """m > 1 would need the reciprocal-modulus map, which is out of scope;
+    an m that is not a finite number has no triple at all."""
 
 
 class EllipticTriple(NamedTuple):
@@ -45,30 +49,20 @@ _AGM_CUT = 1e-15
 
 def _check_parameter(m: float) -> float:
     m = float(m)
-    if m > 1.0:
-        raise UnsupportedParameter(f"parameter m={m} is above 1")
+    # one chained comparison: false for nan and for either infinity
+    if not -math.inf < m <= 1.0:
+        raise UnsupportedParameter(f"parameter m={m} is not a finite number <= 1")
     return m
-
-
-def ellipk(m: float) -> float:
-    """Complete integral of the first kind, any m <= 1."""
-    m = _check_parameter(m)
-    if m == 1.0:
-        return math.inf
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(_AGM_DEPTH):
-        if abs(a - b) <= _AGM_CUT * abs(a):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
 
 
 @lru_cache(maxsize=64)
 def _agm_ladder(m: float):
-    # a_n and c_n = (a_{n-1} - b_{n-1})/2, stopping once c is negligible;
-    # a pure function of m, so it is kept per m, as tuples
+    """(a_1, ..., a_N) and (c_1, ..., c_N) of the descending AGM from a_0 = 1,
+    b_0 = sqrt(1 - m), with c_n = (a_{n-1} - b_{n-1})/2, stopping once c is
+    negligible.  Any m < 1 is taken: b_0 is real, and for m < 0 the c_n are
+    negative.  A pure function of m, so it is kept per m, as tuples."""
     a, b = 1.0, math.sqrt(1.0 - m)
-    avals, cvals = [a], [math.sqrt(m)]
+    avals, cvals = [], []
     for _ in range(_AGM_DEPTH):
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
@@ -77,6 +71,15 @@ def _agm_ladder(m: float):
         if abs(c) <= _AGM_CUT * a:
             break
     return tuple(avals), tuple(cvals)
+
+
+def ellipk(m: float) -> float:
+    """Complete integral of the first kind, any m <= 1: K(m) = pi / (2 a_N)
+    with a_N the last rung of ``_agm_ladder``; K(1) is infinite."""
+    m = _check_parameter(m)
+    if m == 1.0:
+        return math.inf
+    return math.pi / (2.0 * _agm_ladder(m)[0][-1])
 
 
 def jacobi(u: float, m: float) -> EllipticTriple:
@@ -94,12 +97,12 @@ def jacobi(u: float, m: float) -> EllipticTriple:
         dn = 1.0 / inner.dn
         return EllipticTriple(inner.sn * dn / g, inner.cn * dn, dn, u, m)
     avals, cvals = _agm_ladder(m)
-    n = len(avals) - 1
-    phi = math.ldexp(avals[n] * u, n)
+    n = len(avals)
+    phi = math.ldexp(avals[-1] * u, n)
     while n > 0:
+        n -= 1
         t = cvals[n] * math.sin(phi) / avals[n]
         phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, t))))
-        n -= 1
     sn = math.sin(phi)
     dn = math.sqrt(1.0 - m * sn * sn)
     return EllipticTriple(sn, math.cos(phi), dn, u, m)

@@ -190,6 +190,18 @@ class ReductionCase(NamedTuple):
     equations: Callable
 
 
+def odd_param(value, name: str, ctx: AlgebraContext, role: str | None = None) -> GrassmannNumber:
+    """The odd parameter ``name`` of a case or a catalog entry: ``value``
+    itself, or the context generator of ``role`` (by default of ``name``) when
+    it is ``None``.  Anything but an odd supernumber raises ``ParityError``
+    naming the parameter, also when the slot rides another generator."""
+    if value is None:
+        return ctx.gen(role or name)
+    if not isinstance(value, GrassmannNumber) or not value.is_odd():
+        raise ParityError(f"parameter {name} must be an odd supernumber")
+    return value
+
+
 def _fill_params(case: ReductionCase, params, ctx: AlgebraContext) -> dict:
     given = dict(params or {})
     out = {}
@@ -197,12 +209,7 @@ def _fill_params(case: ReductionCase, params, ctx: AlgebraContext) -> dict:
         if name == "eps":
             out["eps"] = check_eps(given.pop("eps", 1.0))
         else:
-            v = given.pop(name, None)
-            if v is None:
-                v = ctx.gen(name)
-            if not isinstance(v, GrassmannNumber) or not v.is_odd():
-                raise ParityError(f"parameter {name} must be an odd supernumber")
-            out[name] = v
+            out[name] = odd_param(given.pop(name, None), name, ctx)
     if given:
         raise ValueError(f"unknown parameters {sorted(given)} for {case.case_id}")
     return out

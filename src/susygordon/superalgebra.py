@@ -26,6 +26,7 @@ from .prolongation import (
     SSG_SIGNATURE,
     JetPoint,
     VectorFieldSpec,
+    component_named_generators,
     component_symmetry_spec,
     evaluate_spec,
     random_jet_point,
@@ -236,7 +237,9 @@ def realized_bracket_coefficients(
 
 def _structure_specs(realization: str, ctx: AlgebraContext):
     """(X, Y, expected [X, Y]) vector-field triples, with the jet signature
-    and point seed offset of the realization."""
+    and point seed offset of the realization.  The component picture's D,
+    P_x and P_t are ``prolongation.component_named_generators``, the fields
+    the prolongation suite checks."""
     if realization == "superspace":
         mu, nu = ctx.gen("mu"), ctx.gen("nu")
         mu2, nu2 = ctx.gen("D1"), ctx.gen("D2")
@@ -257,9 +260,8 @@ def _structure_specs(realization: str, ctx: AlgebraContext):
         ]
         return SSG_SIGNATURE, 9000, specs
     if realization == "component":
-        D = component_symmetry_spec(C1=2.0, ctx=ctx)
-        Px = component_symmetry_spec(C2=1.0, ctx=ctx)
-        Pt = component_symmetry_spec(C3=1.0, ctx=ctx)
+        gens = component_named_generators(ctx)
+        D, Px, Pt = gens["D"], gens["P_x"], gens["P_t"]
         # nonzero relations: [Px, D] = 2 Px and [Pt, D] = -2 Pt
         specs = [
             (Px, D, component_symmetry_spec(C2=2.0, ctx=ctx)),

@@ -17,6 +17,9 @@ of the scaling case (``scaling_rewrite_rows``) and of the traveling case.
 module, the ones ``MEMOS`` names; ``test_surface`` finds any it misses.
 ``assert_reports_alike_from_three_threads`` runs a suite from those cold
 memos in three threads at once and compares each report with a serial run.
+``DYADIC`` holds the weights of the exact-input twins: small dyadic
+rationals k/4, whose products and sums in the identities are exact in double
+precision, so a correct identity reads exactly 0.0.
 """
 
 import importlib
@@ -45,6 +48,9 @@ from susygordon.odes import SingularPoint, sin_cos, traveling_rewrite_rows
 from susygordon.reductions import _check_profiles, _fill_params, reduction_case
 from susygordon.superfield import theta_coefficients
 from susygordon.superjet import SuperJet
+
+
+DYADIC = tuple(k / 4 for k in range(-8, 9))
 
 
 # every memo of src/ that lives as long as its module: "module.function" for

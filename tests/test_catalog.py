@@ -90,8 +90,9 @@ def test_vacuum_tower_all_rungs(name, k):
 
 
 def test_vacuum_index_must_be_whole():
-    with pytest.raises(ValueError, match="whole number"):
-        verify_entry("gian1", params={"k": 0.5})
+    for k in (0.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="whole number"):
+            verify_entry("gian1", params={"k": k})
 
 
 @pytest.mark.parametrize("k", [-1, 0, 1, 2])
@@ -144,6 +145,9 @@ def test_dressing_parity_is_enforced():
         verify_entry("gian1A", params={"mu0": CTX.scalar(0.7)})
     with pytest.raises(ParityError):
         verify_entry("ginv14", params={"mu": CTX.one()})
+    # a value that is no supernumber at all breaks the same rule
+    with pytest.raises(ParityError, match="parameter D1 must be an odd supernumber"):
+        verify_entry("d5", params={"D1": 0.7})
 
 
 # ------------------------------------------------------------- closed forms

@@ -122,6 +122,16 @@ def test_parameter_above_one_rejected():
         jacobi(0.5, 1.0001)
     with pytest.raises(UnsupportedParameter):
         ellipk(2.0)
+    # neither is a parameter that is not a finite number
+    for m in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UnsupportedParameter):
+            jacobi(1.0, m)
+        with pytest.raises(UnsupportedParameter):
+            jacobi(0.5, m)
+        with pytest.raises(UnsupportedParameter):
+            ellipk(m)
+        with pytest.raises(UnsupportedParameter):
+            JacobiSn(m).derivs(0.3, 2)
 
 
 # --------------------------------------------------------------- identities

@@ -11,21 +11,24 @@ from hypothesis import strategies as st
 
 from susygordon.checks import bracket_table_residuals, graded_jacobi
 from susygordon.grassmann import DEFAULT_CONTEXT, GrassmannNumber, Parity, ParityError
+from susygordon.prolongation import JetPoint, all_coordinate_keys, evaluate_spec
 from susygordon.superalgebra import (
     STRUCTURE_TABLE,
     AlgebraElement,
     OutOfIdeal,
+    _structure_specs,
     adjoint_closed_form,
     adjoint_exp,
     basis_element,
     bracket,
+    realized_bracket_coefficients,
     solve_conjugation_to_L,
     subalgebra,
     subalgebra_catalog,
     verify_structure,
 )
 
-from helpers import sample_random
+from helpers import DYADIC, sample_random
 
 ctx = DEFAULT_CONTEXT
 MU = ctx.gen("mu")
@@ -109,9 +112,6 @@ def test_jacobi_identity(seed):
 # each product and sum of the identities is exact in double precision and a
 # correct identity reads exactly 0.0.  They add to the random float draws,
 # which expose order-dependent rounding that exact inputs would hide.
-DYADIC = tuple(k / 4 for k in range(-8, 9))
-
-
 def dyadic_elem(rng):
     """An element shaped like ``checks.random_algebra_element``, with every
     coefficient drawn from ``DYADIC``."""
@@ -348,6 +348,45 @@ def test_realized_superspace_structure():
 
 def test_realized_component_structure():
     assert verify_structure("component", n_points=4, seed=0) < 1e-12
+
+
+def dyadic_jet_point(sig, rng):
+    """A point laid out like ``prolongation.random_jet_point``'s: an even
+    coordinate is a body plus two products of two free generators, an odd one
+    a free generator plus a product of three, every weight from ``DYADIC``."""
+    free = [i for i in range(ctx.generator_count)
+            if i not in (ctx.roles["theta1"], ctx.roles["theta2"])]
+
+    def gens(n):
+        out = ctx.one()
+        for i in rng.sample(free, n):
+            out = out * ctx.gen(i)
+        return out * rng.choice(DYADIC)
+
+    def value(even):
+        if even:
+            return ctx.scalar(rng.choice(DYADIC)) + gens(2) + gens(2)
+        return gens(1) + gens(3)
+
+    base = {name: ctx.scalar(rng.choice(DYADIC)) for name in sig.even_independents}
+    base.update((name, ctx.gen(name)) for name in sig.odd_independents)
+    coords = {key: value(sig.coordinate_parity(key[0], key[2]) is Parity.EVEN)
+              for key in all_coordinate_keys(sig)}
+    return JetPoint(sig, ctx, base, coords)
+
+
+@pytest.mark.parametrize("realization", ["superspace", "component"])
+def test_realized_brackets_are_exactly_zero_at_dyadic_points(realization):
+    # the exact-input twin of verify_structure: its triples at points whose
+    # every coordinate is dyadic
+    sig, _, specs = _structure_specs(realization, ctx)
+    rng = random.Random(41)
+    for _ in range(20):
+        p = dyadic_jet_point(sig, rng)
+        for X, Y, expect in specs:
+            want = evaluate_spec(expect, p)
+            for name, val in realized_bracket_coefficients(X, Y, p).items():
+                assert (val - want[name].partial(())).norm() == 0.0, name
 
 
 def test_realized_structure_negative_control(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susygordon import checks, reductions, superfield
-from susygordon.analytic import COS, EXP, SECH, SIN, TrigPoly
+from susygordon.analytic import COS, EXP, SECH, SIN, Poly, TrigPoly
 from susygordon.grassmann import (
     DEFAULT_CONTEXT as CTX,
     AlgebraContext,
@@ -34,7 +34,7 @@ from susygordon.superfield import (
     theta_sum,
 )
 
-from helpers import ARCTAN, bits, component_jets
+from helpers import ARCTAN, DYADIC, bits, component_jets
 from susygordon.superjet import (
     JetSpec,
     SuperJet,
@@ -169,6 +169,41 @@ def test_b5_families_build_each_first_level_operator_once(monkeypatch):
     checks.susy_anticommutators(jet, CTX)
     assert len(orders) == 22
     assert orders.count(2) == 6 and orders.count(1) == 16
+
+
+# Exact-input twin of the b5 families: every coefficient and point is from
+# DYADIC and every component a product of two polynomials, so a correct
+# identity reads exactly 0.0.  It adds to the random float draws.
+FREE_ROLES = ("mu", "nu", "D1", "D2", "mu0", "lambda0")
+
+
+def dyadic_poly_field(rng):
+    """u/2 + th1 phi + th2 psi + th1 th2 F with each component p(x) q(t) for
+    quadratics p, q of dyadic coefficients; phi and psi each carry one
+    generator."""
+
+    def component(gen=None):
+        px, qt = (Poly([rng.choice(DYADIC) for _ in range(3)]) for _ in range(2))
+
+        def build(jx, jt):
+            jet = jet_multiply(jet_apply_analytic(jx, px), jet_apply_analytic(jt, qt))
+            return jet if gen is None else jet_scale(jet, gen, from_left=True)
+
+        return profile_component(build, CTX)
+
+    phi, psi = (component(CTX.gen(rng.choice(FREE_ROLES))) for _ in range(2))
+    return component_superfield(component(), phi, psi, component(), CTX)
+
+
+def test_b5_families_are_exactly_zero_on_dyadic_polynomial_fields():
+    rng = random.Random(31)
+    for _ in range(40):
+        f = dyadic_poly_field(rng)
+        for _ in range(3):
+            x, t = (CTX.scalar(rng.choice(DYADIC)) for _ in range(2))
+            jet = superfield_jet(f, x, t, order=2)
+            devs = [*checks.covariant_squares(jet, CTX), *checks.susy_anticommutators(jet, CTX)]
+            assert worst_of(devs) == 0.0, (x.body, t.body)
 
 
 def _op_theta_reference(jet, ctx, which, sign):

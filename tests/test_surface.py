@@ -48,8 +48,7 @@ Every memo that lives as long as its module is one that
 a method of a top-level class under ``@cache`` or ``@lru_cache``, a top-level
 name bound to an empty dict, and, for each top-level instance of a class of
 the same module, the empty dicts its ``__init__`` keeps on ``self`` and its
-``cached_property``s.  A top-level dict that is filled at import and only
-read after is no memo, and is named in ``NOT_MEMOS`` with its reason.
+``cached_property``s.
 """
 
 import ast
@@ -641,12 +640,6 @@ def build():
     ]
 
 
-# top-level empty dicts that are no memos: filled at import, only read after
-NOT_MEMOS = {
-    "catalog._REGISTRY": "the solution catalog, filled by _register at import",
-}
-
-
 def _decorator_names(node) -> set:
     """The names of ``node``'s decorators, bare or called, as a name or an
     attribute."""
@@ -712,7 +705,7 @@ def module_memos(modules: dict) -> list:
 
 def test_clear_memos_knows_every_module_memo():
     modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
-    assert module_memos(modules) == sorted([*MEMOS, *NOT_MEMOS])
+    assert module_memos(modules) == sorted(MEMOS)
 
 
 def test_guard_sees_every_kind_of_module_memo():
@@ -765,5 +758,5 @@ def build():
     # one unlisted memo in the package fails the comparison
     modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
     modules["made_up"] = ast.parse("from functools import cache\n@cache\ndef f(x):\n    return x\n")
-    assert module_memos(modules) != sorted([*MEMOS, *NOT_MEMOS])
+    assert module_memos(modules) != sorted(MEMOS)
     assert "made_up.f" in module_memos(modules)
