@@ -29,21 +29,24 @@ beside ``solve_profile``, which is ``solve`` itself: it marches one reduced
 equation, evaluates its rows at every node and judges the run.  The rows
 compute in the arithmetic of their inputs, so real inputs give float rows.
 
-``step_count`` is the one rule for the range a march may take, of
-``integrate_profile_ode`` and ``solve_profile`` alike.  ``REDUCED_ODES``
-holds what the rest of the program knows of each system, its ``ReducedOde``.
-The background a = arcsin(k sn) solves the reduced even rows at eps = -1
-only, so a ginv system refuses eps = +1 with ``OutOfDomain``.  A ginv system
-carries its background, which keeps the values of the last sigma it was
-asked for: one RK4 step evaluates ``jacobi`` at its midpoint and its
-endpoint only, and a caller that reads the node just marched is answered
-from the memo.  The float march and the Grassmann march of the same real
-data give the same bits once the float samples are lifted: every sum and
-product happens in the same order.  That holds while the state is finite.
-At a non-finite state the two can part: a Grassmann product with an exact
-zero drops an inf or NaN that float arithmetic turns into NaN (ginv12 at
-sigma = 0 from data (inf, inf) has d2 = -inf in the algebra and NaN on
-floats).
+``step_count`` is the one rule for the range a march may take, and
+``_march`` the one march loop, of ``integrate_profile_ode`` and
+``solve_profile`` alike: the first marches a whole range at once, the second
+takes its whole range with ``step_count`` once and marches it one step per
+leg, so a leg far from the origin is never judged by its own rounded width.
+``REDUCED_ODES`` holds what the rest of the program knows of each system,
+its ``ReducedOde``.  The background a = arcsin(k sn) solves the reduced even
+rows at eps = -1 only, so a ginv system refuses eps = +1 with
+``OutOfDomain``.  A ginv system carries its background, which keeps the
+values of the last sigma it was asked for: one RK4 step evaluates ``jacobi``
+at its midpoint and its endpoint only, and a caller that reads the node just
+marched is answered from the memo.  The float march and the Grassmann march
+of the same real data give the same bits once the float samples are lifted:
+every sum and product happens in the same order.  That holds while the state
+is finite.  At a non-finite state the two can part: a Grassmann product with
+an exact zero drops an inf or NaN that float arithmetic turns into NaN
+(ginv12 at sigma = 0 from data (inf, inf) has d2 = -inf in the algebra and
+NaN on floats).
 """
 
 from __future__ import annotations
@@ -314,6 +317,24 @@ def step_count(lo: float, hi: float, step: float) -> int:
     return n
 
 
+def _march(system: OdeSystem, y, d, sigma0: float, h: float, n: int) -> list:
+    """The n + 1 samples of ``n`` RK4 steps of signed size ``h`` from (y, d)
+    at sigma0, the one march loop of the module.
+
+    The start sample gets its rhs, then step i starts at ``sigma0 + i*h`` and
+    its node sits at ``sigma0 + (i+1)*h``.  It checks nothing and types
+    nothing: the caller has taken the range with ``step_count`` and given the
+    data the type they march in.
+    """
+    rhs = system.rhs
+    samples = [OdeSample(sigma0, y, d, rhs(sigma0, y, d))]
+    for i in range(n):
+        y, d = _rk4_step(system, sigma0 + i * h, y, d, h)
+        sig = sigma0 + (i + 1) * h
+        samples.append(OdeSample(sig, y, d, rhs(sig, y, d)))
+    return samples
+
+
 def integrate_profile_ode(
     system: OdeSystem, ics, sigma0: float, sigma1: float, step: float
 ) -> Trajectory:
@@ -323,7 +344,8 @@ def integrate_profile_ode(
     ics = (value, first derivative) at sigma0.  Real data march on floats,
     and data with a ``GrassmannNumber`` entry march in that number's
     algebra, a real partner lifted to it.  Each sample holds the state the
-    march holds at its node and the rhs there.
+    march holds at its node and the rhs there.  The steps are ``_march``'s,
+    and a downward range's samples are reversed, so they run lo to hi.
     """
     n = step_count(sigma0, sigma1, step)
     h = step if sigma1 > sigma0 else -step
@@ -332,16 +354,7 @@ def integrate_profile_ode(
         y, d = (v if isinstance(v, GrassmannNumber) else scalar(v, sup[0].ngen) for v in ics)
     else:
         y, d = float(ics[0]), float(ics[1])
-    rhs = system.rhs
-
-    def sample(sig, y, d):
-        return OdeSample(sig, y, d, rhs(sig, y, d))
-
-    samples = [sample(sigma0, y, d)]
-    for i in range(n):
-        sig = sigma0 + i * h
-        y, d = _rk4_step(system, sig, y, d, h)
-        samples.append(sample(sigma0 + (i + 1) * h, y, d))
+    samples = _march(system, y, d, sigma0, h, n)
     if h < 0:
         samples.reverse()
     return Trajectory(system, samples)
@@ -623,11 +636,15 @@ def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
     role, a range that ``step_count`` refuses, or one that runs downward.
 
     A node is (sigma, alpha, g, f, residual body, residual soul norm), None
-    where a cell has no value.  The march goes one node at a time, so a
+    where a cell has no value.  The march goes one node at a time, a
+    one-step ``_march`` from the last node at ``lo + i*step``, so a
     singularity flags the rest of the range and an overflow ends the march;
-    both keep the nodes marched so far.  The run passes only when every node
-    of the range has its rows, no range is flagged, the worst residual is
-    within ``tol`` and the drift, where there is one, is finite.
+    both keep the nodes marched so far.  A leg takes 6 rhs calls, its start
+    sample's included, so n steps take 6n + 1.  Each node's residuals are
+    its rows' worst |body| and worst soul coefficient, found in one pass by
+    ``worst_count``'s rule.  The run passes only when every node of the
+    range has its rows, no range is flagged, the worst residual is within
+    ``tol`` and the drift, where there is one, is finite.
     """
     role = REDUCED_ODES[ode].role
     if role is not None and ctx.generator_count <= DEFAULT_ROLES[role]:
@@ -655,8 +672,23 @@ def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
             flagged.append([node.sigma, node.sigma])
             nodes.append((node.sigma, None, None, None, None, None))
             return
-        body = worst_of(abs(r if isinstance(r, float) else r.body) for r in rows)
-        soul = worst_of(r.soul().norm() for r in rows if not isinstance(r, float))
+        # the worst |body| of every row and the worst |c| of every soul term,
+        # by worst_count's rule, so a NaN anywhere stays NaN
+        body = soul = 0.0
+        for r in rows:
+            if isinstance(r, float):
+                v = abs(r)
+            else:
+                v = 0.0
+                for mask, c in r.terms.items():
+                    if mask:
+                        c = abs(c)
+                        if c > soul or c != c:
+                            soul = c
+                    else:
+                        v = abs(c)
+            if v > body or v != v:
+                body = v
         nodes.append((node.sigma, alpha, gval, fval, body, soul))
 
     y, d = float(ics[0]), float(ics[1])
@@ -666,12 +698,11 @@ def solve_profile(ode, span, ics, *, ctx, tol, eps, coupling, modulus):
         take(node)
         for i in range(n_steps):
             s0 = lo + i * step
-            s1 = lo + (i + 1) * step
-            node = integrate_profile_ode(system, (node.value, node.d1), s0, s1, step).samples[-1]
+            node = _march(system, node.value, node.d1, s0, step, 1)[-1]
             take(node)
     except NearSingular:
         flagged.append([s0, hi])
-    except ValueError:  # every input was checked, so a number the march made overflowed
+    except ValueError:  # the range was checked once, so only a number the march made raises
         pass
 
     rowed = [n for n in nodes if n[4] is not None]

@@ -530,9 +530,15 @@ def test_solve_negative_zero_data_give_the_bytes_of_zero_data(ode, ics, tmp_path
 
 
 def test_solve_nan_residual_fails(monkeypatch, capsys):
-    # a row is a supernumber or a float, and take reads both: each must fail
+    # a row is a supernumber or a float, and take reads both: each must fail,
+    # a NaN in a soul term as well as one in a body.  JSON writes NaN as
+    # null; the sign of a NaN is not compared
     real = odes._node_row
-    for nan_row in (lambda ctx: ctx.scalar(math.nan), lambda ctx: math.nan):
+    for nan_row, field in (
+        (lambda ctx: ctx.scalar(math.nan), "max_residual_body"),
+        (lambda ctx: math.nan, "max_residual_body"),
+        (lambda ctx: ctx.gen("nu") * math.nan, "max_residual_soul_norm"),
+    ):
 
         def poisoned(system, sample, ctx, *params, nan_row=nan_row):
             rows, *rest = real(system, sample, ctx, *params)
@@ -544,7 +550,45 @@ def test_solve_nan_residual_fails(monkeypatch, capsys):
         code, _, err = run_cli(["solve", "--ode", "rebp"], capsys)
         assert code == 1
         summary = json.loads(err, parse_constant=_reject_constant)
-        assert summary["status"] == "fail" and summary["max_residual_body"] is None
+        assert summary["status"] == "fail" and summary[field] is None
+
+
+def test_solve_far_from_the_origin_marches_every_node(tmp_path, capsys):
+    # near 1e8 a leg's own width, 0.001 after rounding, is off by about
+    # 1.5e-8, more than the range rule's 1e-9 relative; the range is checked
+    # once as a whole, so the march takes all 1,001 nodes
+    target = tmp_path / "traj.csv"
+    code, out, _ = run_cli(["solve", "--ode", "d16nu", "--range", "100000000:100000001:0.001",
+                            "--out", str(target)], capsys)
+    summary = json.loads(out, parse_constant=_reject_constant)
+    assert code == 0 and summary["status"] == "pass"
+    assert summary["samples"] == 1001 == len(target.read_text().splitlines()) - 1
+    assert summary["flagged"] == []
+
+
+@pytest.mark.parametrize("ode,n", [("rebp", 768), ("ginv12", 128), ("d16nu", 128)])
+def test_solve_makes_6n_plus_1_rhs_calls(ode, n, monkeypatch, capsys):
+    # the first node's rhs, then per step the leg's start sample, four RK4
+    # stages and the node: the count perfbench's odes.rhs_per_node reads.
+    # Marching once with k1 reused (ROADMAP item 1) lowers it, together with
+    # the > 5.0 bound on that metric in perfbench/test_smoke.py
+    calls = []
+    real_make = odes.make_system
+
+    def make(*args, **kwargs):
+        system = real_make(*args, **kwargs)
+        rhs = system.rhs
+
+        def counted(*a):
+            calls.append(1)
+            return rhs(*a)
+
+        return dataclasses.replace(system, rhs=counted)
+
+    monkeypatch.setattr(odes, "make_system", make)
+    code, _, _ = run_cli(["solve", "--ode", ode], capsys)
+    assert code == 0
+    assert len(calls) == 6 * n + 1
 
 
 def test_solve_overflowed_drift_fails(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import sys
 import threading
 
@@ -27,7 +28,7 @@ from susygordon.odes import (
     traveling_profile_system,
 )
 
-from helpers import bits
+from helpers import DYADIC, bits
 
 
 def test_kink_profile_matches_gudermannian():
@@ -417,3 +418,20 @@ def test_solve_without_the_odes_role_is_refused_before_the_march(monkeypatch):
     with pytest.raises(ValueError, match="'nu'"):
         odes.solve_profile("ginv12", (0.0, 0.5, 0.25), (0.0, 1.0), ctx=ctx, tol=1e-6,
                            eps=-1.0, coupling=0.0, modulus=0.5)
+
+
+def test_d16_node_rows_are_exactly_zero_at_dyadic_nodes():
+    # an exact-input twin of the d16nu node rows: at sigma = +-2^k, with y
+    # and y' small dyadics and y'' from the equation, every product and sum
+    # the rhs and the rows form is exact, so a correct row reads exactly 0.0
+    rng = random.Random(0)
+    rhs = make_system("d16nu").rhs
+    sigmas = [sign * 2.0 ** k for sign in (1.0, -1.0) for k in range(-3, 5)]
+    residuals = []
+    for _ in range(300):
+        sig, y, d1 = rng.choice(sigmas), rng.choice(DYADIC), rng.choice(DYADIC)
+        sample = odes.OdeSample(sig, y, d1, rhs(sig, y, d1))
+        rows, *_ = odes._d16_node_row(sample, CTX)
+        residuals += [abs(r) if isinstance(r, float) else r.norm() for r in rows]
+    assert len(residuals) == 1200
+    assert set(residuals) == {0.0}
